@@ -24,6 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
     RangeInclusionError,
@@ -31,16 +32,17 @@ from .operator_algebra import (
     douglas_range_inclusion,
 )
 from .frame_core import (
+    DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
     SingularFrameOperatorError,
     VerificationResult,
-    atomic_coefficients,
+    _unit,
     atomic_system_equivalence_check,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    reconstruct,
+    reconstruction_residual,
     verify_bounds,
 )
 from .frame_transforms import operator_transfer, transform_family
@@ -69,13 +71,11 @@ __all__ = [
 ]
 
 TOOL_NAME = "fuzzyframes"
-TOOL_VERSION = "1.0.0"
+TOOL_VERSION = __version__
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
 
 
 class ProblemError(Exception):
@@ -288,6 +288,8 @@ def _fmt(x: float) -> Any:
 def _canon(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, complex):
@@ -340,13 +342,6 @@ def problem_digest(problem: Problem) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _unit_vec(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if v is None:
-        return None
-    n = np.linalg.norm(v)
-    return v if n == 0 else v / n
-
-
 def _cert_dict(cert: BoundCertificate) -> dict:
     return {
         "kind": cert.kind,
@@ -356,8 +351,8 @@ def _cert_dict(cert: BoundCertificate) -> dict:
         "convention": cert.convention,
         "tight": cert.tight,
         "parseval": cert.parseval,
-        "witness_lower": _unit_vec(cert.witness_lower),
-        "witness_upper": _unit_vec(cert.witness_upper),
+        "witness_lower": _unit(cert.witness_lower),
+        "witness_upper": _unit(cert.witness_upper),
     }
 
 
@@ -370,7 +365,7 @@ def _verification_dict(res: VerificationResult) -> dict:
                 "alpha": c.alpha,
                 "side": c.side,
                 "margin": c.margin,
-                "witness": _unit_vec(c.witness),
+                "witness": _unit(c.witness),
             }
             for c in res.checks
             if not c.ok
@@ -444,18 +439,9 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     }
     if not report.atomic_holds:
         return "fail", body
-    rng = np.random.default_rng(p.seed)
-    worst = 0.0
-    for _ in range(3):
-        f = rng.standard_normal(p.dimension)
-        if p.field == "complex":
-            f = f + 1j * rng.standard_normal(p.dimension)
-        coeffs = atomic_coefficients(family, K, f, p.tolerance)
-        worst = max(worst, coeffs.residual)
-        if not coeffs.norm_bound_ok:
-            body["coefficient_norm_violated"] = True
-    body["max_reconstruction_residual"] = worst
-    ok = report.consistent and report.lower_bound_ok and worst <= p.tolerance
+    residual = report.reconstruction_residual
+    body["max_reconstruction_residual"] = residual
+    ok = report.consistent and report.lower_bound_ok and residual <= p.tolerance
     return ("pass" if ok else "fail"), body
 
 
@@ -497,15 +483,13 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
 def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
     K1 = p.need_K()
     K2 = p.need_T()
-    report = check_operator_perturbation(
-        K1, K2, p.lambda1, p.lambda2, p.samples, p.seed, p.tolerance
-    )
+    report = check_operator_perturbation(K1, K2, p.lambda1, p.lambda2, p.tolerance)
     body: dict = {
         "constants": {"lambda1": p.lambda1, "lambda2": p.lambda2},
         "max_violation": report.max_violation,
         "method": report.method,
         "hypothesis_verified": report.verified,
-        "witness": _unit_vec(report.witness),
+        "witness": _unit(report.witness),
     }
     if not report.verified:
         return "fail", body
@@ -531,7 +515,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
         "M": constant.M,
         "finite": constant.finite,
         "stronger_than_hypothesis": constant.stronger_than_hypothesis,
-        "witness": _unit_vec(constant.witness),
+        "witness": _unit(constant.witness),
         "note": constant.report,
     }
     if not constant.finite:
@@ -552,25 +536,12 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
 
 
 def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
-    family = p.frame_family()
-    rng = np.random.default_rng(p.seed)
-    worst = 0.0
     try:
-        for alpha in p.alphas:
-            for _ in range(10):
-                f = rng.standard_normal(p.dimension)
-                if p.field == "complex":
-                    f = f + 1j * rng.standard_normal(p.dimension)
-                result = reconstruct(family, f, alpha)
-                worst = max(
-                    worst,
-                    result.residual_dual_coefficients,
-                    result.residual_dual_vectors,
-                )
+        worst = reconstruction_residual(p.frame_family())
     except SingularFrameOperatorError as exc:
         return "not_applicable", {
             "reason": "frame operator is singular; no dual reconstruction",
-            "witness": _unit_vec(exc.witness),
+            "witness": _unit(exc.witness),
         }
     body = {"max_residual": worst, "alphas": list(p.alphas)}
     return ("pass" if worst <= p.tolerance else "fail"), body
@@ -598,7 +569,7 @@ def _cmd_axioms(p: Problem) -> tuple[str, dict]:
     report = check_fip_axioms(p.model, p.samples, p.seed)
     body = {
         "profile": report.profile,
-        "samples": report.sample_count,
+        "samples": p.samples,
         "all_passed": report.all_passed,
         "results": [
             {

@@ -46,7 +46,6 @@ __all__ = [
     "TIGHT_TOL",
     "SingularFrameOperatorError",
     "FrameFamily",
-    "FrameOperatorView",
     "BoundCertificate",
     "BoundCheck",
     "VerificationResult",
@@ -57,7 +56,6 @@ __all__ = [
     "synthesis_matrix",
     "analysis_apply",
     "classical_frame_operator",
-    "frame_operator_view",
     "frame_operator",
     "frame_sum",
     "optimal_frame_bounds",
@@ -69,6 +67,7 @@ __all__ = [
     "atomic_system_equivalence_check",
     "restricted_inverse_check",
     "reconstruct",
+    "reconstruction_residual",
 ]
 
 CONVENTIONS = ("once", "squared")
@@ -94,6 +93,12 @@ def _check_convention(convention: str) -> str:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
+
+
+def _alpha_independent(model: FuzzyModel, convention: str) -> bool:
+    """Whether certificates hold at every level: one scale power cancels,
+    and the crisp profile has scale 1."""
+    return convention == "once" or model.profile == "crisp"
 
 
 @dataclass(frozen=True)
@@ -150,24 +155,9 @@ def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-@dataclass(frozen=True)
-class FrameOperatorView:
-    """Classical frame operator together with the model's level scaling."""
-
-    classical_matrix: np.ndarray
-    model: FuzzyModel
-
-    def at(self, alpha: float) -> np.ndarray:
-        return self.model.scale(alpha) * self.classical_matrix
-
-
-def frame_operator_view(family: FrameFamily) -> FrameOperatorView:
-    return FrameOperatorView(classical_frame_operator(family), family.model)
-
-
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
     """Level frame operator scale(a) * S_c."""
-    return frame_operator_view(family).at(alpha)
+    return family.model.scale(alpha) * classical_frame_operator(family)
 
 
 def frame_sum(
@@ -246,7 +236,7 @@ def optimal_frame_bounds(
         kind=kind,
         A=a,
         B=b,
-        alpha_independent=convention == "once" or family.model.profile == "crisp",
+        alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
         witness_lower=_unit(v[:, 0]),
         witness_upper=_unit(v[:, -1]),
@@ -288,7 +278,7 @@ def optimal_kframe_bounds(
         kind="k_frame",
         A=a,
         B=b,
-        alpha_independent=convention == "once" or family.model.profile == "crisp",
+        alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
         witness_lower=_unit(low.witness),
         witness_upper=upper_witness,
@@ -401,7 +391,7 @@ def atomic_system_from_operator(
         kind="k_frame",
         A=1.0,
         B=norm2,
-        alpha_independent=convention == "once" or model.profile == "crisp",
+        alpha_independent=_alpha_independent(model, convention),
         convention=convention,
         tight=True,
         parseval=True,
@@ -451,6 +441,9 @@ class EquivalenceReport:
     projection_residual: float
     consistent: bool
     lower_bound_ok: bool
+    #: ||K - F F^dagger K||, the worst residual of K f = sum beta_i f_i
+    #: over unit f; None when range(K) escapes range(F)
+    reconstruction_residual: Optional[float]
 
 
 def atomic_system_equivalence_check(
@@ -464,9 +457,12 @@ def atomic_system_equivalence_check(
     F = synthesis_matrix(family)
     included, residual = douglas_range_inclusion(k, F, tol)
     C: Optional[float] = None
+    rec_residual: Optional[float] = None
     lower_ok = True
     if included:
-        C = spectral_norm(pseudo_inverse(F).dagger @ k)
+        coefficients = pseudo_inverse(F).dagger @ k
+        C = spectral_norm(coefficients)
+        rec_residual = spectral_norm(k - F @ coefficients)
         if C > 0.0 and math.isfinite(cert.A):
             lower_ok = cert.A >= 1.0 / (C * C) - tol
     return EquivalenceReport(
@@ -477,6 +473,7 @@ def atomic_system_equivalence_check(
         projection_residual=residual,
         consistent=kframe_holds == included,
         lower_bound_ok=lower_ok,
+        reconstruction_residual=rec_residual,
     )
 
 
@@ -486,7 +483,6 @@ class SandwichReport:
     dagger_norm: float
     max_violation_forward: float
     max_violation_inverse: float
-    samples: int
     tol: float
 
     @property
@@ -502,8 +498,6 @@ def restricted_inverse_check(
     family: FrameFamily,
     K: MatrixLike,
     certificate: Optional[BoundCertificate] = None,
-    sample_count: int = 200,
-    seed: int = 0,
     tol: float = 1e-9,
 ) -> SandwichReport:
     """Invertibility of S_c on range(K) and the two sandwich inequalities.
@@ -512,7 +506,12 @@ def restricted_inverse_check(
     For f in S_c(range(K)):     B^-1 ||f||^2 <= <S_r^-1 f, f> <= A^-1 ||K+||^2 ||f||^2
 
     with S_r the restriction of S_c to range(K) and K+ the pseudo-inverse.
-    Level scalings cancel pairwise, so the checks are classical.
+    Level scalings cancel pairwise, so the checks are classical.  With Q an
+    orthonormal basis of range(K) and f = S_c u for unit u in range(K), each
+    violation is an extreme eigenvalue of a compression Q* M Q: M = S_c for
+    the first line, S_c^2 / B - S_c and S_c - (||K+||^2 / A) S_c^2 for the
+    second.  The slack tol * (1 + <S_c u, u>), resp. tol * (1 + ||S_c u||^2),
+    is subtracted from each violation.
     """
     k = as_matrix(K)
     cert = certificate or optimal_kframe_bounds(family, k)
@@ -522,50 +521,32 @@ def restricted_inverse_check(
     q = range_basis(k)
     if q.shape[1] == 0:
         raise ValueError("operator K is zero; restriction is empty")
-    compressed = q.conj().T @ s @ q
-    cw = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+
+    def compressed_spectrum(m: np.ndarray) -> np.ndarray:
+        c = q.conj().T @ m @ q
+        return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+
+    cw = compressed_spectrum(s)
     injective = bool(cw[0] > RELATIVE_RANK_TOL * max(float(cw[-1]), 1.0))
     dagger_norm = spectral_norm(pseudo_inverse(k).dagger)
-
-    rng = np.random.default_rng(seed)
-    worst_fwd = -math.inf
-    worst_inv = -math.inf
     a, b = cert.A, cert.B
-    for _ in range(sample_count):
-        coeffs = rng.standard_normal(q.shape[1])
-        if np.iscomplexobj(q):
-            coeffs = coeffs + 1j * rng.standard_normal(q.shape[1])
-        u = q @ coeffs
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            continue
-        u = u / nu
-        su = s @ u
-        energy = float(np.real(np.vdot(u, su)))
-        slack = tol * (1.0 + abs(energy))
-        worst_fwd = max(
-            worst_fwd,
-            a / dagger_norm**2 - energy - slack,
-            energy - b - slack,
-        )
-        if injective:
-            g = su  # g = S_c u lies in S_c(range(K)); restricted inverse of g is u
-            ng2 = float(np.real(np.vdot(g, g)))
-            if ng2 < 1e-24:
-                continue
-            pairing = energy  # <S_r^-1 g, g> = <u, S_c u>
-            slack = tol * (1.0 + ng2)
-            worst_inv = max(
-                worst_inv,
-                ng2 / b - pairing - slack,
-                pairing - dagger_norm**2 / a * ng2 - slack,
-            )
+    low, high = float(cw[0]), float(cw[-1])
+    worst_fwd = max(
+        a / dagger_norm**2 - low - tol * (1.0 + abs(low)),
+        high - b - tol * (1.0 + abs(high)),
+    )
+    worst_inv = -math.inf
+    if injective:
+        s2 = s @ s
+        worst_inv = max(
+            float(compressed_spectrum((1.0 / b - tol) * s2 - s)[-1]),
+            float(compressed_spectrum(s - (dagger_norm**2 / a + tol) * s2)[-1]),
+        ) - tol
     return SandwichReport(
         injective=injective,
         dagger_norm=dagger_norm,
         max_violation_forward=worst_fwd,
         max_violation_inverse=worst_inv,
-        samples=sample_count,
         tol=tol,
     )
 
@@ -579,6 +560,19 @@ class ReconstructionResult:
     residual_dual_vectors: float
 
 
+def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(F, S_c^-1 F): the synthesis matrix and the canonical dual vectors
+    as columns.  A singular S_c raises with a unit kernel witness."""
+    s = classical_frame_operator(family)
+    w, v = np.linalg.eigh(s)
+    if w[0] <= RELATIVE_RANK_TOL * max(float(w[-1]), 1.0):
+        raise SingularFrameOperatorError(
+            "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
+        )
+    F = synthesis_matrix(family)
+    return F, np.linalg.solve(s, F)
+
+
 def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
     """Both dual expansions of f through the inverse frame operator.
 
@@ -590,14 +584,7 @@ def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
     """
     a = check_alpha(alpha)
     fvec = family.model.check_vector(f)
-    s = classical_frame_operator(family)
-    w, v = np.linalg.eigh(s)
-    if w[0] <= RELATIVE_RANK_TOL * max(float(w[-1]), 1.0):
-        raise SingularFrameOperatorError(
-            "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
-        )
-    F = synthesis_matrix(family)
-    dual = np.linalg.solve(s, F)  # columns S_c^-1 f_i
+    F, dual = _canonical_dual(family)
     coeffs_dual = dual.conj().T @ fvec  # <f, S^-1 f_i>, scale cancelled
     recon1 = F @ coeffs_dual
     coeffs_plain = F.conj().T @ fvec
@@ -609,3 +596,14 @@ def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
         residual_dual_coefficients=float(np.linalg.norm(recon1 - fvec)),
         residual_dual_vectors=float(np.linalg.norm(recon2 - fvec)),
     )
+
+
+def reconstruction_residual(family: FrameFamily) -> float:
+    """Worst residual of both dual expansions over unit f, at every level.
+
+    The two expansions apply F (S^-1 F)* and S^-1 F F*, which are adjoints
+    of each other, so both worst residuals equal ||F (S^-1 F)* - I||.
+    Raises SingularFrameOperatorError as :func:`reconstruct` does.
+    """
+    F, dual = _canonical_dual(family)
+    return spectral_norm(F @ dual.conj().T - np.eye(F.shape[0]))

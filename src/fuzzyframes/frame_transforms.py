@@ -20,12 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .frame_core import (
+    DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
     VerificationResult,
     optimal_frame_bounds,
     optimal_kframe_bounds,
     synthesis_matrix,
+    _alpha_independent,
     verify_bounds,
 )
 from .operator_algebra import (
@@ -57,21 +59,19 @@ __all__ = [
     "build_family",
 ]
 
-DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
-
-
 @dataclass(frozen=True)
 class DerivedBound:
-    """Bound constants produced by a closure formula from source bounds."""
+    """Bound constants produced by a closure formula from source bounds.
+
+    K-frame bounds may have A > B (the lower inequality is against
+    ||K* f||^2, the upper against ||f||^2), so no order is imposed; every
+    derived pair is checked by verify_bounds instead.
+    """
 
     source_bounds: tuple[tuple[float, float], ...]
     formula_tag: str
     A: float
     B: float
-
-    def __post_init__(self) -> None:
-        if self.B < self.A and not math.isinf(self.A):
-            raise ValueError(f"derived bounds out of order: {self.A} > {self.B}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def bessel_pair_kframe(
         kind="k_frame",
         A=lower,
         B=bessel_f.B,
-        alpha_independent=convention == "once" or F.model.profile == "crisp",
+        alpha_independent=_alpha_independent(F.model, convention),
         convention=convention,
     )
     return BesselPairResult(k, residual, certificate, derived, verification)

@@ -6,13 +6,19 @@ The operator hypothesis
 
 is positively homogeneous in the common level factor sqrt(scale(a)), so it
 holds at one level exactly when it holds classically; the same applies to
-the family hypothesis with frame sums on both sides.  Mixed sums of
-operator-dependent norms are not spectral conditions, so hypothesis checks
-run on seeded unit-sphere samples, eigenvector seeds, and a short projected
-gradient ascent on the violation functional.  A nonpositive maximum at this
-budget is reported as verified (sampled), never as proved; the lam2 = 0
-slice additionally admits an exact spectral certificate through the
-majorization constant of (K1 - K2, K1).
+the family hypothesis with frame sums on both sides.  Both are decided by
+linear algebra.  With A = K1 K1*, B = K2 K2*, C = D D* and D = K1 - K2,
+weighted Cauchy-Schwarz gives
+
+    (lam1 x + lam2 y)^2 = min over t in (0, 1) of lam1^2 x^2 / t + lam2^2 y^2 / (1 - t),
+
+so the operator hypothesis holds exactly when
+
+    Q_t = (lam1^2 / t) A + (lam2^2 / (1 - t)) B - C
+
+is positive semidefinite for every t in (0, 1) (Casazza and Christensen,
+J. Fourier Anal. Appl. 3, 1997).  The family hypothesis is a pencil
+supremum.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .frame_core import (
+    DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
     VerificationResult,
@@ -35,9 +42,7 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     MatrixLike,
-    RangeInclusionError,
     as_matrix,
-    douglas_lambda,
     pencil_sup,
 )
 
@@ -55,52 +60,14 @@ __all__ = [
     "identity_perturbation_check",
 ]
 
-DEFAULT_SAMPLES = 10_000
-REFINE_STEPS = 50
-DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
-
-
-def _sphere(rng: np.random.Generator, count: int, n: int, complex_field: bool) -> np.ndarray:
-    x = rng.standard_normal((count, n))
-    if complex_field:
-        x = x + 1j * rng.standard_normal((count, n))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return x / norms
-
-
-def _eig_seeds(*mats: np.ndarray) -> np.ndarray:
-    """Eigenvectors of M M* for each M, as extra sphere seeds."""
-    out = []
-    for m in mats:
-        gram = m @ m.conj().T
-        _, v = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        out.append(v.T)
-    return np.vstack(out)
-
-
-def _ascend(f0: np.ndarray, value, grad, steps: int = REFINE_STEPS) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent of a functional on the unit sphere."""
-    f = f0 / np.linalg.norm(f0)
-    best = value(f)
-    step = 0.1
-    for _ in range(steps):
-        g = grad(f)
-        g = g - np.vdot(f, g) * f  # tangential component
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
-            break
-        cand = f + step * g / gn
-        cand = cand / np.linalg.norm(cand)
-        cv = value(cand)
-        if cv > best:
-            f, best = cand, cv
-            step = min(step * 1.5, 1.0)
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return f, best
+#: Bisection depth cap of the scan over t.  The PSD slack absorbs the
+#: second-order gap between an interval's corner test and Q_t once the
+#: interval is narrow enough, so bisection ends by itself: after 13-19
+#: halvings at a t where Q_t is singular (equality in the hypothesis) on
+#: 3x3 and 64x64 instances.  Only a smallest eigenvalue of Q_t sitting just
+#: above -slack can need more; an interval 2^-MAX_DEPTH wide that is still
+#: undecided has passed Q_t at both ends and is accepted.
+MAX_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -109,10 +76,16 @@ class PerturbationReport:
     constants: tuple[float, ...]
     max_violation: float
     verified: bool
-    method: str  # "sampled" | "spectral"
+    method: str  # "spectral" | "scan"
     witness: Optional[np.ndarray]
-    samples: int
-    seed: int
+
+
+def _corner(lo: float, hi: float) -> tuple[float, float]:
+    """Meeting point (x, y) of the tangents at t = lo and t = hi to the
+    convex curve (x, y) = (1/t, 1/(1 - t)), whose tangent at t = s is the
+    line s^2 x + (1 - s)^2 y = 1."""
+    d = lo + hi - 2.0 * lo * hi
+    return (2.0 - lo - hi) / d, (lo + hi) / d
 
 
 def check_operator_perturbation(
@@ -120,18 +93,32 @@ def check_operator_perturbation(
     K2: MatrixLike,
     lambda1: float,
     lambda2: float,
-    sample_count: int = DEFAULT_SAMPLES,
-    seed: int = 0,
     tol: float = PSD_TOL,
 ) -> PerturbationReport:
-    """Check ||(K1-K2)* f|| <= lam1 ||K1* f|| + lam2 ||K2* f|| on the sphere.
+    """Decide ||(K1-K2)* f|| <= lam1 ||K1* f|| + lam2 ||K2* f|| for all f.
 
-    The maximum of the violation functional over seeded samples, the
-    eigenvectors of the three Gram matrices, and a gradient-ascent polish is
-    reported; a nonpositive value means verified (sampled).  When lam2 = 0
-    and the ranges permit, the minimal lam1 is computed exactly through the
-    majorization constant of (K1 - K2, K1), upgrading the verdict to a
-    spectral certificate.
+    Q_t is affine in (x, y) = (1/t, 1/(1-t)), and the curve these trace is
+    convex, so the arc between t = lo and t = hi lies in the triangle of its
+    two end points and the meeting point of their tangents (the _corner).
+    Q_t >= 0 at both ends and at the corner therefore proves every t in
+    [lo, hi]; at t = 0 or 1 the end point is at infinity in the direction
+    of A or B, both PSD, so it needs no test.
+
+    The corner of [0, 1] is (1, 1): the single test lam1^2 A + lam2^2 B -
+    C >= 0, which proves the hypothesis when it passes and, when lam1 = 0
+    or lam2 = 0, is also the infimum of Q_t and decides alone (method
+    ``spectral``).  Otherwise (method ``scan``) a failing interval is
+    halved: Q_t failing at its midpoint refutes the hypothesis exactly,
+    and each half whose corner fails is halved again, at most MAX_DEPTH
+    times.
+
+    Every test shares the slack tol * (1 + lam1^2 |A| + lam2^2 |B| + |C|)
+    (Frobenius norms).  ``max_violation`` is the violation functional
+    ||D* f|| - lam1 ||K1* f|| - lam2 ||K2* f|| at the extremal vector: the
+    bottom eigenvector, over every test run, with the largest violation.
+    A refutation reports it as the witness, which violates the hypothesis:
+    the bottom eigenvector f of a failing Q_t already has
+    ||D* f||^2 > (lam1 ||K1* f|| + lam2 ||K2* f||)^2.
     """
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("perturbation constants must be nonnegative")
@@ -142,55 +129,49 @@ def check_operator_perturbation(
     if k1.shape != k2.shape or k1.shape[0] != k1.shape[1]:
         raise ValueError("operators must be square and share a space")
     delta = k1 - k2
-    n = k1.shape[0]
-    complex_field = bool(np.iscomplexobj(k1) or np.iscomplexobj(k2))
+    a, b, c = (m @ m.conj().T for m in (k1, k2, delta))
+    l1, l2 = lambda1 * lambda1, lambda2 * lambda2
+    slack = tol * (1.0 + l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
 
-    da, k1a, k2a = (m.conj().T for m in (delta, k1, k2))
-
-    def value(f: np.ndarray) -> float:
+    def violation(f: np.ndarray) -> float:
         return float(
-            np.linalg.norm(da @ f)
-            - lambda1 * np.linalg.norm(k1a @ f)
-            - lambda2 * np.linalg.norm(k2a @ f)
+            np.linalg.norm(delta.conj().T @ f)
+            - lambda1 * np.linalg.norm(k1.conj().T @ f)
+            - lambda2 * np.linalg.norm(k2.conj().T @ f)
         )
 
-    def grad(f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(f)
-        for coef, m, ma in ((1.0, delta, da), (-lambda1, k1, k1a), (-lambda2, k2, k2a)):
-            nm = np.linalg.norm(ma @ f)
-            if nm > 1e-14 and coef != 0.0:
-                out = out + coef * (m @ (ma @ f)) / nm
-        return out
+    worst, extremal = -math.inf, None
 
-    rng = np.random.default_rng(seed)
-    pool = np.vstack([_sphere(rng, sample_count, n, complex_field), _eig_seeds(delta, k1, k2)])
-    # Violation over the pool, vectorized: rows f give (M* f) as rows of pool @ conj(M).
-    vd = np.linalg.norm(pool @ delta.conj(), axis=1)
-    v1 = np.linalg.norm(pool @ k1.conj(), axis=1)
-    v2 = np.linalg.norm(pool @ k2.conj(), axis=1)
-    violations = vd - lambda1 * v1 - lambda2 * v2
-    top = int(np.argmax(violations))
-    witness, worst = _ascend(pool[top], value, grad)
+    def holds(x: float, y: float) -> bool:
+        """lam1^2 x A + lam2^2 y B - C >= 0 within the slack."""
+        nonlocal worst, extremal
+        q = (l1 * x) * a + (l2 * y) * b - c
+        w, v = np.linalg.eigh(0.5 * (q + q.conj().T))
+        value = violation(v[:, 0])
+        if value > worst:
+            worst, extremal = value, v[:, 0]
+        return bool(w[0] >= -slack)
 
-    method = "sampled"
-    verified = worst <= tol * (1.0 + np.linalg.norm(delta))
-    if lambda2 == 0.0:
-        try:
-            minimal = douglas_lambda(delta, k1, tol)
-        except RangeInclusionError:
-            minimal = None
-        if minimal is not None:
-            method = "spectral"
-            verified = minimal <= lambda1 * (1.0 + 1e-9) + tol
+    verified, method = holds(1.0, 1.0), "spectral"
+    if not verified and lambda1 > 0.0 and lambda2 > 0.0:
+        method = "scan"
+        verified = True
+        stack = [(0.0, 1.0)]  # intervals whose corner test failed
+        while stack:
+            lo, hi = stack.pop()
+            mid = 0.5 * (lo + hi)
+            if not holds(1.0 / mid, 1.0 / (1.0 - mid)):
+                verified = False
+                break
+            if hi - lo > 2.0**-MAX_DEPTH:
+                stack += [(s, e) for s, e in ((lo, mid), (mid, hi)) if not holds(*_corner(s, e))]
     return PerturbationReport(
         kind="operator",
         constants=(lambda1, lambda2),
         max_violation=worst,
         verified=verified,
         method=method,
-        witness=witness if not verified else None,
-        samples=sample_count,
-        seed=seed,
+        witness=None if verified else extremal,
     )
 
 
@@ -301,17 +282,13 @@ def derive_family_perturbed_bounds(
 class EquivalenceConstant:
     M: float
     source_bounds: tuple[tuple[float, float], tuple[float, float]]
-    max_violation: float
+    minimal_M: float
     verified: bool
-    samples: int
-    seed: int
 
 
 def frame_equivalence_constant(
     F: FrameFamily,
     G: FrameFamily,
-    sample_count: int = 1000,
-    seed: int = 0,
     tol: float = PSD_TOL,
 ) -> EquivalenceConstant:
     """Perturbation constant linking any two frames of the same space:
@@ -319,7 +296,8 @@ def frame_equivalence_constant(
         M = max( (1 + sqrt(B)/sqrt(C))^2, (1 + sqrt(D)/sqrt(A))^2 )
 
     with (A, B) the frame bounds of F and (C, D) those of G.  The family
-    hypothesis at this M is checked on seeded unit-sphere samples.
+    hypothesis holds at M exactly when M is at least the minimal constant
+    of :func:`family_perturbation_constant`.
     """
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
@@ -330,29 +308,12 @@ def frame_equivalence_constant(
     a, b = cf.A, cf.B
     c, d = cg.A, cg.B
     m = max((1.0 + math.sqrt(b) / math.sqrt(c)) ** 2, (1.0 + math.sqrt(d) / math.sqrt(a)) ** 2)
-
-    diff = FrameFamily(F.vectors - G.vectors, F.model)
-    s_delta = classical_frame_operator(diff)
-    s_f = classical_frame_operator(F)
-    s_g = classical_frame_operator(G)
-    rng = np.random.default_rng(seed)
-    pool = _sphere(rng, sample_count, F.dimension, F.model.space.field == "complex")
-    # quadratic forms row-wise: <S f, f> = sum(conj(f) * (S f^T))
-    def forms(s: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("ij,ij->i", pool.conj(), pool @ s.T))
-
-    q_delta = forms(s_delta)
-    q_min = np.minimum(forms(s_f), forms(s_g))
-    violations = q_delta - m * q_min
-    worst = float(violations.max())
-    scale = float(np.abs(q_delta).max(initial=1.0))
+    minimal = family_perturbation_constant(F, G).M
     return EquivalenceConstant(
         M=m,
         source_bounds=((a, b), (c, d)),
-        max_violation=worst,
-        verified=worst <= tol * (1.0 + scale),
-        samples=sample_count,
-        seed=seed,
+        minimal_M=minimal,
+        verified=minimal <= m * (1.0 + tol) + tol,
     )
 
 
@@ -369,8 +330,6 @@ def identity_perturbation_check(
     lambda2: float,
     family: FrameFamily,
     cert: Optional[BoundCertificate] = None,
-    sample_count: int = DEFAULT_SAMPLES,
-    seed: int = 0,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -387,7 +346,7 @@ def identity_perturbation_check(
         raise ValueError("identity specialization needs 0 <= lambda1, lambda2 < 1")
     k = as_matrix(K)
     eye = np.eye(k.shape[0])
-    report = check_operator_perturbation(k, eye, lambda1, lambda2, sample_count, seed, tol)
+    report = check_operator_perturbation(k, eye, lambda1, lambda2, tol)
     if not report.verified:
         return IdentityPerturbation(report, None, None)
     base = cert if cert is not None else optimal_kframe_bounds(family, k, convention)

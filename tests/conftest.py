@@ -137,6 +137,58 @@ def operator_norm_sampled(
     return float(np.sqrt(max(value, 0.0)))
 
 
+def sphere_violation_max(
+    K1: np.ndarray,
+    K2: np.ndarray,
+    lambda1: float,
+    lambda2: float,
+    rng: np.random.Generator,
+    samples: int = 10_000,
+    polish: int = 100,
+) -> tuple[float, np.ndarray]:
+    """Largest ||(K1-K2)* f|| - lam1 ||K1* f|| - lam2 ||K2* f|| over unit f,
+    by seeded sampling plus gradient polish; returns (value, f)."""
+    n = K1.shape[0]
+    delta = K1 - K2
+    x = rng.standard_normal((samples, n))
+    if np.iscomplexobj(K1) or np.iscomplexobj(K2):
+        x = x + 1j * rng.standard_normal((samples, n))
+    x = _unit_rows(x)
+
+    def values(rows: np.ndarray) -> np.ndarray:
+        return (
+            np.linalg.norm(rows @ delta.conj(), axis=1)
+            - lambda1 * np.linalg.norm(rows @ K1.conj(), axis=1)
+            - lambda2 * np.linalg.norm(rows @ K2.conj(), axis=1)
+        )
+
+    f = x[int(np.argmax(values(x)))]
+    best = float(values(f[None, :])[0])
+    step = 0.1
+    for _ in range(polish):
+        g = np.zeros_like(f)
+        for coef, m in ((1.0, delta), (-lambda1, K1), (-lambda2, K2)):
+            image = m.conj().T @ f
+            norm = np.linalg.norm(image)
+            if norm > 1e-14:
+                g = g + coef * (m @ image) / norm
+        g = g - np.vdot(f, g) * f
+        gn = np.linalg.norm(g)
+        if gn < 1e-15:
+            break
+        cand = f + step * g / gn
+        cand = cand / np.linalg.norm(cand)
+        cv = float(values(cand[None, :])[0])
+        if cv > best:
+            f, best = cand, cv
+            step = min(step * 1.5, 1.0)
+        else:
+            step *= 0.5
+            if step < 1e-13:
+                break
+    return best, f
+
+
 # ---------------------------------------------------------------------------
 # The two worked instances used throughout
 

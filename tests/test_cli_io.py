@@ -203,6 +203,46 @@ class TestCommands:
         assert report["body"]["hypothesis_verified"]
         assert report["body"]["verification"]["passed"]
 
+    def test_perturb_operator_lambda2_positive_serializes(self, tmp_path):
+        # ||0.1 K* f|| <= 0.05 ||K* f|| + 0.06 ||0.9 K* f||, decided by the scan
+        data = load(R3_FILE)
+        K = np.array(data["operator_K"], dtype=float)
+        data["operator_T"] = (0.9 * K).tolist()
+        data["command"] = "perturb-operator"
+        data["lambda1"] = 0.05
+        data["lambda2"] = 0.06
+        path = tmp_path / "perturb.json"
+        path.write_text(json.dumps(data))
+        raw, code = run_file(path)
+        body = json.loads(canonical_json(raw))["body"]
+        assert code == EXIT_PASS
+        assert body["hypothesis_verified"] is True and body["method"] == "scan"
+        assert canonical_json({"flag": np.bool_(True)}) == canonical_json({"flag": True})
+        target = tmp_path / "batch.json"
+        assert main(["batch", str(path), str(C3_FILE), "--out", str(target)]) == EXIT_PASS
+        reports = json.loads(target.read_text())["reports"]
+        assert [r["verdict"] for r in reports] == ["pass", "pass"]
+
+    def test_transform_kframe_with_lower_bound_above_upper(self, tmp_path):
+        # K = I/2 on the standard basis: A = 4 > B = 1; T = 2I moves them
+        # to (16, 4), which verify_bounds confirms
+        eye = np.eye(3)
+        data = {
+            "schema": 1,
+            "command": "transform",
+            "dimension": 3,
+            "family": eye.tolist(),
+            "operator_K": (0.5 * eye).tolist(),
+            "operator_T": (2.0 * eye).tolist(),
+            "variant": "invertible",
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        assert report["body"]["derived"]["A"] == pytest.approx(16.0)
+        assert report["body"]["derived"]["B"] == pytest.approx(4.0)
+
     def test_perturb_family_command(self, tmp_path):
         data = load(R3_FILE)
         fam = np.array(data["family"], dtype=float)

@@ -25,14 +25,24 @@ from conftest import (
     rand_kframe_instance,
     rand_matrix,
     sphere_quotient_extremum,
+    sphere_violation_max,
 )
+
+
+def violation(K1, K2, lambda1, lambda2, f):
+    """||(K1-K2)* f|| - lam1 ||K1* f|| - lam2 ||K2* f||."""
+    return (
+        np.linalg.norm((K1 - K2).conj().T @ f)
+        - lambda1 * np.linalg.norm(K1.conj().T @ f)
+        - lambda2 * np.linalg.norm(K2.conj().T @ f)
+    )
 
 
 class TestOperatorHypothesis:
     def test_identical_operators(self):
         rng = np.random.default_rng(3)
         K = rand_matrix(rng, 3, 3)
-        report = check_operator_perturbation(K, K, 0.0, 0.0, sample_count=500, seed=0)
+        report = check_operator_perturbation(K, K, 0.0, 0.0)
         assert report.verified
         assert report.method == "spectral"
 
@@ -40,7 +50,7 @@ class TestOperatorHypothesis:
         rng = np.random.default_rng(5)
         K1 = rand_matrix(rng, 4, 4, "complex")
         K2 = 0.9 * K1
-        report = check_operator_perturbation(K1, K2, 0.1, 0.0, sample_count=500, seed=0)
+        report = check_operator_perturbation(K1, K2, 0.1, 0.0)
         assert report.verified
         assert report.method == "spectral"
 
@@ -50,13 +60,44 @@ class TestOperatorHypothesis:
         bump = np.zeros((3, 3))
         bump[0, 0] = 1.0
         K2 = K1 + 0.8 * bump
-        report = check_operator_perturbation(K1, K2, 0.01, 0.01, sample_count=2000, seed=0)
+        report = check_operator_perturbation(K1, K2, 0.01, 0.01)
         assert not report.verified
         assert report.max_violation > 0
         w = report.witness
         lhs = np.linalg.norm((K1 - K2).conj().T @ w)
         rhs = 0.01 * np.linalg.norm(K1.conj().T @ w) + 0.01 * np.linalg.norm(K2.conj().T @ w)
         assert lhs > rhs
+
+    def test_scan_agrees_with_sphere_search(self):
+        rng = np.random.default_rng(2025)
+        verdicts = []
+        for k in range(120):
+            n = 2 + k % 5
+            field = "complex" if k % 2 else "real"
+            K1 = rand_matrix(rng, n, n, field)
+            K2 = K1 + rng.uniform(0.1, 0.8) * rand_matrix(rng, n, n, field)
+            lam1, lam2 = rng.uniform(0.2, 1.5), rng.uniform(0.05, 0.95)
+            report = check_operator_perturbation(K1, K2, lam1, lam2)
+            brute, _ = sphere_violation_max(K1, K2, lam1, lam2, rng)
+            assert type(report.verified) is bool
+            assert report.verified == (brute <= 1e-9)
+            if not report.verified:
+                value = violation(K1, K2, lam1, lam2, report.witness)
+                assert value > 0
+                assert report.max_violation == pytest.approx(value)
+            verdicts.append((report.verified, report.method))
+        assert verdicts.count((True, "scan")) >= 20
+        assert verdicts.count((False, "scan")) >= 20
+
+    def test_scan_decides_tight_constants(self):
+        # ||D* f|| = 0.5 ||f|| = 0.25 ||K1* f|| + 0.5 ||K2* f|| for every f,
+        # with equality at t = 1/2, which the single test does not reach
+        K1, K2 = np.eye(3), 0.5 * np.eye(3)
+        tight = check_operator_perturbation(K1, K2, 0.25, 0.5)
+        assert tight.verified and tight.method == "scan"
+        short = check_operator_perturbation(K1, K2, 0.25, 0.499)
+        assert not short.verified and short.method == "scan"
+        assert violation(K1, K2, 0.25, 0.499, short.witness) > 0
 
     def test_parameter_domain(self):
         K = np.eye(2)
@@ -79,7 +120,7 @@ class TestOperatorDerivedBounds:
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
         K2 = 0.9 * K
-        hyp = check_operator_perturbation(K, K2, 0.1, 0.0, sample_count=500, seed=0)
+        hyp = check_operator_perturbation(K, K2, 0.1, 0.0)
         assert hyp.verified
         out = derive_operator_perturbed_bounds(cert.A, cert.B, 0.1, 0.0, fam, K2)
         assert out.A == pytest.approx(cert.A / 1.21)
@@ -186,7 +227,7 @@ class TestFrameEquivalence:
     def test_identical_bases(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
-        out = frame_equivalence_constant(basis, basis, sample_count=500, seed=0)
+        out = frame_equivalence_constant(basis, basis)
         assert out.M == pytest.approx(4.0)
         assert out.verified  # difference family vanishes
 
@@ -194,7 +235,7 @@ class TestFrameEquivalence:
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
         doubled = FrameFamily(2.0 * np.eye(3), model)
-        out = frame_equivalence_constant(basis, doubled, sample_count=1000, seed=0)
+        out = frame_equivalence_constant(basis, doubled)
         assert out.M == pytest.approx(9.0)
         assert out.verified
 
@@ -204,8 +245,23 @@ class TestFrameEquivalence:
             field = "complex" if k % 2 else "real"
             F = rand_family(rng, 4, 6, field)
             G = rand_family(rng, 4, 6, field)
-            out = frame_equivalence_constant(F, G, sample_count=1000, seed=k)
+            out = frame_equivalence_constant(F, G)
             assert out.verified
+
+    def test_minimal_constant_matches_sphere_search(self):
+        rng = np.random.default_rng(33)
+        for k in range(6):
+            field = "complex" if k % 2 else "real"
+            F = rand_family(rng, 3, 5, field)
+            G = rand_family(rng, 3, 5, field)
+            out = frame_equivalence_constant(F, G)
+            s_delta = classical_frame_operator(FrameFamily(F.vectors - G.vectors, F.model))
+            brute = max(
+                sphere_quotient_extremum(s_delta, classical_frame_operator(F), rng, 20_000),
+                sphere_quotient_extremum(s_delta, classical_frame_operator(G), rng, 20_000),
+            )
+            assert out.minimal_M == pytest.approx(brute, rel=1e-4)
+            assert out.verified == (brute <= out.M)
 
     def test_requires_frames(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
@@ -219,7 +275,7 @@ class TestIdentityPerturbation:
     def test_identity_with_zero_constants(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
-        out = identity_perturbation_check(np.eye(3), 0.0, 0.0, basis, sample_count=500)
+        out = identity_perturbation_check(np.eye(3), 0.0, 0.0, basis)
         assert out.hypothesis.verified
         assert out.certificate.A == pytest.approx(1.0)
         assert out.verification.passed
@@ -228,14 +284,14 @@ class TestIdentityPerturbation:
         rng = np.random.default_rng(37)
         fam = rand_family(rng, 3, 5)
         K = 1.05 * np.eye(3)
-        out = identity_perturbation_check(K, 0.0, 0.05, fam, sample_count=500, seed=1)
+        out = identity_perturbation_check(K, 0.0, 0.05, fam)
         assert out.hypothesis.verified
         assert out.certificate is not None
         assert out.verification.passed
 
     def test_singular_operator_fails_near_kernel(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
-        out = identity_perturbation_check(K, 0.1, 0.1, fam, sample_count=2000, seed=0)
+        out = identity_perturbation_check(K, 0.1, 0.1, fam)
         assert not out.hypothesis.verified
         w = out.hypothesis.witness
         # violation concentrates where K* annihilates f
@@ -285,7 +341,7 @@ class TestValidityChain:
                 continue
             eps = rng.uniform(0.01, 0.3)
             K2 = (1.0 - eps) * K1
-            hyp = check_operator_perturbation(K1, K2, eps, 0.0, sample_count=200, seed=k)
+            hyp = check_operator_perturbation(K1, K2, eps, 0.0)
             assert hyp.verified
             out = derive_operator_perturbed_bounds(
                 cert.A, cert.B, eps, 0.0, fam, K2
