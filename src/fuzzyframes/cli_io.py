@@ -19,6 +19,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -130,22 +131,51 @@ class Problem:
         return self.operator_T
 
 
-def _parse_scalar(value: Any, field_name: str, where: str) -> complex:
+def _real(value: Any, what: str) -> float:
+    """A finite JSON number (bool excluded) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _tolerance(value: Any, what: str) -> float:
+    tolerance = _real(value, what)
+    if not tolerance > 0.0:
+        raise ProblemError(f"{what} must be positive")
+    return tolerance
+
+
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer (bool excluded; an integral float such as 3.0 is accepted)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ProblemError(f"{what} must be an integer, got {value!r}")
+
+
+def _parse_scalar(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_real(value, where), 0.0)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0], where), _real(value[1], where))
     raise ProblemError(f"{where}: scalar must be a number or [re, im], got {value!r}")
 
 
-def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> np.ndarray:
+def _parse_vector_entries(entries: Any, dim: int, field_name: str, where: str) -> np.ndarray:
     if not isinstance(entries, (list, tuple)):
         raise ProblemError(f"{where}: expected a vector, got {type(entries).__name__}")
-    vals = [_parse_scalar(v, field_name, where) for v in entries]
+    vals = [_parse_scalar(v, where) for v in entries]
     if len(vals) != dim:
         raise ProblemError(f"{where}: expected length {dim}, got {len(vals)}")
     arr = np.array(vals, dtype=np.complex128)
@@ -156,13 +186,56 @@ def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> np.nda
     return arr
 
 
-def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str) -> np.ndarray:
+def _parse_matrix_entries(
+    rows: Any, shape: tuple[int, int], field_name: str, where: str
+) -> np.ndarray:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ProblemError(f"{where}: expected a nonempty matrix")
     if len(rows) != shape[0]:
         raise ProblemError(f"{where}: expected {shape[0]} rows, got {len(rows)}")
-    parsed = [_parse_vector(r, shape[1], field_name, f"{where}[{i}]") for i, r in enumerate(rows)]
+    parsed = [
+        _parse_vector_entries(r, shape[1], field_name, f"{where}[{i}]")
+        for i, r in enumerate(rows)
+    ]
     return np.vstack(parsed)
+
+
+def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optional[np.ndarray]:
+    """Parse a vector or matrix with one numpy call, or None if it needs the
+    per-entry parser: mixed numbers and pairs, or anything invalid, whose
+    precise error message the per-entry parser gives."""
+    try:
+        arr = np.array(entries)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in "fi":
+        return None
+    pairs = arr.shape == shape + (2,)
+    if not (pairs or arr.shape == shape):
+        return None
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        return None
+    # numpy reads true/false as 1/0, so look for bools among the numbers
+    flat = entries
+    for _ in range(arr.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if bool in map(type, flat):
+        return None
+    if not pairs:
+        return arr.astype(np.complex128 if field_name == "complex" else np.float64)
+    if field_name == "real":
+        return None if arr[..., 1].any() else arr[..., 0].astype(np.float64)
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(shape)
+
+
+def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> np.ndarray:
+    arr = _whole_array(entries, (dim,), field_name)
+    return _parse_vector_entries(entries, dim, field_name, where) if arr is None else arr
+
+
+def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str) -> np.ndarray:
+    arr = _whole_array(rows, shape, field_name)
+    return _parse_matrix_entries(rows, shape, field_name, where) if arr is None else arr
 
 
 def parse_problem(data: Any) -> Problem:
@@ -172,10 +245,7 @@ def parse_problem(data: Any) -> Problem:
     if data.get("schema", 1) != 1:
         raise ProblemError(f"unsupported schema {data.get('schema')!r}")
 
-    try:
-        dim = int(data["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise ProblemError("'dimension' must be a positive integer") from None
+    dim = _integer(data.get("dimension"), "'dimension'")
     if dim < 1:
         raise ProblemError("'dimension' must be >= 1")
     fieldname = data.get("field", "real")
@@ -192,6 +262,8 @@ def parse_problem(data: Any) -> Problem:
     family_g = None
     if data.get("family_g") is not None:
         fg = data["family_g"]
+        if not isinstance(fg, list):
+            raise ProblemError("'family_g' must be a nonempty list of vectors")
         family_g = _parse_matrix(fg, (len(fg), dim), fieldname, "family_g")
 
     def matrix_field(key: str) -> Optional[np.ndarray]:
@@ -205,21 +277,17 @@ def parse_problem(data: Any) -> Problem:
     alphas = data.get("alphas", list(DEFAULT_ALPHAS))
     if not isinstance(alphas, list) or not alphas:
         raise ProblemError("'alphas' must be a nonempty list")
+    alphas = tuple(_real(a, "'alphas' entries") for a in alphas)
     for a in alphas:
-        if not isinstance(a, (int, float)) or not 0.0 < float(a) < 1.0:
+        if not 0.0 < a < 1.0:
             raise ProblemError(f"'alphas' entries must lie in (0, 1), got {a!r}")
-    alphas = tuple(float(a) for a in alphas)
 
     bounds = None
     if data.get("bounds") is not None:
         b = data["bounds"]
-        if (
-            not isinstance(b, (list, tuple))
-            or len(b) != 2
-            or not all(isinstance(v, (int, float)) for v in b)
-        ):
+        if not isinstance(b, (list, tuple)) or len(b) != 2:
             raise ProblemError("'bounds' must be [A, B]")
-        bounds = (float(b[0]), float(b[1]))
+        bounds = (_real(b[0], "'bounds' A"), _real(b[1], "'bounds' B"))
         if bounds[0] < 0.0 or bounds[1] < bounds[0]:
             raise ProblemError("'bounds' must satisfy 0 <= A <= B")
 
@@ -227,12 +295,10 @@ def parse_problem(data: Any) -> Problem:
     if convention not in ("once", "squared"):
         raise ProblemError(f"'convention' must be 'once' or 'squared', got {convention!r}")
 
-    tolerance = float(data.get("tolerance", 1e-9))
-    if not tolerance > 0.0:
-        raise ProblemError("'tolerance' must be positive")
+    tolerance = _tolerance(data.get("tolerance", 1e-9), "'tolerance'")
 
     command = data.get("command", "bounds")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ProblemError(f"unknown command {command!r}")
 
     variant = data.get("variant")
@@ -244,11 +310,15 @@ def parse_problem(data: Any) -> Problem:
     if claims_raw:
         if not isinstance(claims_raw, dict):
             raise ProblemError("'claims' must be an object")
-        for entry in claims_raw.get("frame_sum", []):
+        frame_sums = claims_raw.get("frame_sum", [])
+        if not isinstance(frame_sums, list):
+            raise ProblemError("'claims.frame_sum' must be a list")
+        for entry in frame_sums:
             if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
                 raise ProblemError("frame_sum claims need 'vector' and 'value'")
             vec = _parse_vector(entry["vector"], dim, fieldname, "claims.frame_sum.vector")
-            claims.append({"kind": "frame_sum", "vector": vec, "value": float(entry["value"])})
+            value = _real(entry["value"], "claims.frame_sum.value")
+            claims.append({"kind": "frame_sum", "vector": vec, "value": value})
 
     return Problem(
         dimension=dim,
@@ -261,13 +331,13 @@ def parse_problem(data: Any) -> Problem:
         alphas=alphas,
         bounds=bounds,
         convention=convention,
-        seed=int(data.get("seed", 0)),
+        seed=_integer(data.get("seed", 0), "'seed'"),
         tolerance=tolerance,
         command=command,
-        lambda1=float(data.get("lambda1", 0.0)),
-        lambda2=float(data.get("lambda2", 0.0)),
+        lambda1=_real(data.get("lambda1", 0.0), "'lambda1'"),
+        lambda2=_real(data.get("lambda2", 0.0), "'lambda2'"),
         variant=variant,
-        samples=int(data.get("samples", 1000)),
+        samples=_integer(data.get("samples", 1000), "'samples'"),
         claims=tuple(claims),
     )
 
@@ -313,16 +383,30 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)
 
 
+def _round_significant(x: np.ndarray, digits: int = 12) -> np.ndarray:
+    """x rounded to `digits` significant decimal digits, -0.0 made 0.0."""
+    mag = np.abs(x)
+    exponent = np.floor(np.log10(mag, out=np.zeros_like(mag), where=mag > 0.0))
+    # 10**(digits - 1 - exponent) overflows for subnormal x: apply it in two halves
+    shift = digits - 1 - exponent
+    half = np.floor(shift / 2)
+    s1, s2 = 10.0**half, 10.0 ** (shift - half)
+    rounded = np.round(x * s1 * s2) / s2 / s1
+    rounded[rounded == 0.0] = 0.0
+    return rounded
+
+
 def problem_digest(problem: Problem) -> str:
-    """Digest of the canonical parsed form, stable under reformatting."""
-    payload = {
+    """Digest of the parsed problem, stable under reformatting.
+
+    SHA-256 over the canonical JSON of the scalar fields, then for each
+    array its name, its shape and the little-endian float64 bytes of its
+    real and imaginary parts rounded to 12 significant digits.
+    """
+    scalars = {
         "dimension": problem.dimension,
         "field": problem.field,
         "profile": problem.profile,
-        "family": problem.family,
-        "family_g": problem.family_g,
-        "operator_K": problem.operator_K,
-        "operator_T": problem.operator_T,
         "alphas": list(problem.alphas),
         "bounds": list(problem.bounds) if problem.bounds else None,
         "convention": problem.convention,
@@ -333,13 +417,24 @@ def problem_digest(problem: Problem) -> str:
         "lambda2": problem.lambda2,
         "variant": problem.variant,
         "samples": problem.samples,
-        "claims": [
-            {"kind": c["kind"], "vector": c["vector"], "value": c["value"]}
-            for c in problem.claims
-        ],
+        "claims": [{"kind": c["kind"], "value": c["value"]} for c in problem.claims],
     }
-    blob = json.dumps(_canon(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    arrays = {
+        "family": problem.family,
+        "family_g": problem.family_g,
+        "operator_K": problem.operator_K,
+        "operator_T": problem.operator_T,
+    }
+    for i, c in enumerate(problem.claims):
+        arrays[f"claims[{i}].vector"] = c["vector"]
+    h = hashlib.sha256(json.dumps(_canon(scalars), sort_keys=True, separators=(",", ":")).encode())
+    for name, arr in arrays.items():
+        if arr is None:
+            continue
+        h.update(f"\n{name}{list(arr.shape)}\n".encode())
+        for part in (arr.real, arr.imag):
+            h.update(_round_significant(part).astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 def _cert_dict(cert: BoundCertificate) -> dict:
@@ -700,6 +795,8 @@ def _apply_overrides(problem: Problem, overrides: dict) -> Problem:
             if not 0.0 < a < 1.0:
                 raise ProblemError(f"alpha override {a} outside (0, 1)")
         clean["alphas"] = tuple(clean["alphas"])
+    if "tolerance" in clean:
+        clean["tolerance"] = _tolerance(clean["tolerance"], "tolerance override")
     return replace(problem, **clean)
 
 

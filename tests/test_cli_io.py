@@ -1,16 +1,25 @@
 """cli_io: problem parsing, command dispatch, determinism, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyframes.cli_io import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
     ProblemError,
+    _parse_matrix,
+    _parse_matrix_entries,
+    _parse_vector,
+    _parse_vector_entries,
+    _round_significant,
+    _whole_array,
     batch,
     canonical_json,
     main,
@@ -61,6 +70,17 @@ class TestParsing:
             {"tolerance": -1.0},
             {"command": "explode"},
             {"schema": 2},
+            {"seed": "abc"},
+            {"tolerance": "x"},
+            {"samples": None},
+            {"lambda1": [1]},
+            {"dimension": 3.5},
+            {"dimension": True},
+            {"seed": 2.7},
+            {"seed": True},
+            {"command": ["bounds"]},
+            {"family_g": 5},
+            {"claims": {"frame_sum": 3}},
         ],
     )
     def test_invalid_fields_rejected(self, mutation):
@@ -75,6 +95,31 @@ class TestParsing:
         with pytest.raises(ProblemError):
             parse_problem(data)
 
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"bounds": [1, math.inf]},
+            {"tolerance": math.nan},
+            {"lambda1": math.inf},
+            {"lambda2": -math.inf},
+            {"alphas": [0.5, math.nan]},
+            {"claims": {"frame_sum": [{"vector": [0, 0, 1], "value": math.nan}]}},
+            {"claims": {"frame_sum": [{"vector": [0, 0, math.inf], "value": 0.0}]}},
+            {"family": [[1, 1, 1], [1, math.nan, -1], [0, 1, -2]]},
+            {"family": [[1, 1, 1], [1, -1, -1], [0, 1, [-2, math.nan]]]},
+            {"operator_K": [[1, 1, 0], [0, 0, 1], [0, 0, 1e400]]},
+            {"operator_K": [[1, 1, 0], [0, 0, 1], [0, 0, 10**400]]},
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, mutation, tmp_path):
+        data = load(R3_FILE)
+        data.update(mutation)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and report["verdict"] == "error"
+        assert "finite" in report["error"]
+
     def test_digest_stable_under_reformatting(self):
         data = load(R3_FILE)
         a = problem_digest(parse_problem(data))
@@ -82,11 +127,126 @@ class TestParsing:
         b = problem_digest(parse_problem(reformatted))
         assert a == b
 
+    def test_digest_same_for_numbers_and_zero_imaginary_pairs(self):
+        data = load(C3_FILE)  # complex problem written with plain numbers
+        paired = json.loads(json.dumps(data))
+        for key in ("family", "operator_K"):
+            paired[key] = [[[x, 0] for x in row] for row in data[key]]
+        signed_zero = json.loads(json.dumps(data))
+        signed_zero["operator_K"][2] = [-0.0, -0.0, -0.0]
+        digest = problem_digest(parse_problem(data))
+        assert problem_digest(parse_problem(paired)) == digest
+        assert problem_digest(parse_problem(signed_zero)) == digest
+
+    def test_digest_resolves_twelve_significant_digits(self):
+        data = load(R3_FILE)
+        digest = problem_digest(parse_problem(data))
+        sixth = json.loads(json.dumps(data))
+        sixth["family"][2][2] = -2.00001
+        assert problem_digest(parse_problem(sixth)) != digest
+        fourteenth = json.loads(json.dumps(data))
+        fourteenth["family"][2][2] = -2.0000000000001
+        assert problem_digest(parse_problem(fourteenth)) == digest
+
+    def test_round_significant_matches_decimal_formatting(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 308, 2000)
+        x = np.concatenate([x, [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1000.0, 0.1]])
+        reference = np.array([float(f"{v:.12g}") for v in x])
+        rounded = _round_significant(x)
+        assert np.all(np.isfinite(rounded))
+        # scaled double arithmetic may land one unit of the 12th digit away
+        assert np.all(np.abs(rounded - reference) <= 1e-11 * np.abs(reference))
+        assert not np.signbit(rounded[x == 0.0]).any()
+
     def test_canonical_json_idempotent(self):
         report, _ = run_file(R3_FILE)
         once = canonical_json(report)
         twice = canonical_json(json.loads(once))
         assert once == twice
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**62), 2**62),
+)
+# valid numbers that numpy does not hold as int64 or float64
+WIDE_INTEGERS = st.sampled_from([2**63, 2**63 + 1, 2**64, -(2**63) - 1, 10**30])
+BAD_SCALARS = st.sampled_from(
+    [True, False, None, "1", math.nan, math.inf, -math.inf, 10**400, [1], [1, 2, 3], {}]
+)
+
+
+@st.composite
+def entry_lists(draw):
+    """A matrix or vector in the problem-file encoding, with one optional defect.
+
+    Returns (entries, shape, field, uniform): entries are all numbers, all
+    [re, im] pairs or a mix, then possibly a wide integer, or a bool, string,
+    null, non-finite or malformed entry, a ragged row, a wrong length or a
+    missing row; uniform says there is neither a mix nor a defect.
+    """
+    field = draw(st.sampled_from(["real", "complex"]))
+    form = draw(st.sampled_from(["scalar", "pair", "mixed"]))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+
+    def entry():
+        if form == "scalar" or (form == "mixed" and draw(st.booleans())):
+            return draw(NUMBERS)
+        imag = draw(st.one_of(st.sampled_from([0, 0.0, -0.0]), NUMBERS))
+        return [draw(NUMBERS), imag]
+
+    def vector(n):
+        return [entry() for _ in range(n)]
+
+    entries = vector(shape[0]) if len(shape) == 1 else [vector(shape[1]) for _ in range(shape[0])]
+    defect = draw(
+        st.sampled_from([None, "wide", "bool", "scalar", "component", "ragged", "long", "short"])
+    )
+    row = entries if len(shape) == 1 else draw(st.sampled_from(entries))
+    i = draw(st.integers(0, len(row) - 1))
+    if defect in ("wide", "bool"):
+        # in place of a number, so that the nesting stays uniform
+        value = draw(WIDE_INTEGERS if defect == "wide" else st.booleans())
+        if isinstance(row[i], list):
+            row[i][draw(st.integers(0, 1))] = value
+        else:
+            row[i] = value
+    elif defect == "scalar":
+        row[i] = draw(BAD_SCALARS)
+    elif defect == "component" and isinstance(row[i], list):
+        row[i][draw(st.integers(0, 1))] = draw(BAD_SCALARS)
+    elif defect == "ragged":
+        row.pop()
+    elif defect == "long":
+        entries.append(draw(NUMBERS) if len(shape) == 1 else vector(shape[1]))
+    elif defect == "short":
+        entries.pop()
+    return entries, shape, field, form != "mixed" and defect is None
+
+
+def _outcome(parse, *args):
+    try:
+        arr = parse(*args)
+    except ProblemError:
+        return None
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(entry_lists())
+def test_whole_array_parse_agrees_with_per_entry_parse(case):
+    entries, shape, field, uniform = case
+    if len(shape) == 1:
+        fast, reference = _parse_vector, _parse_vector_entries
+        args = (entries, shape[0], field, "v")
+    else:
+        fast, reference = _parse_matrix, _parse_matrix_entries
+        args = (entries, shape, field, "m")
+    expected = _outcome(reference, *args)
+    assert _outcome(fast, *args) == expected
+    if expected is not None and uniform:
+        assert _whole_array(entries, shape, field) is not None
 
 
 class TestCommands:
@@ -333,6 +493,19 @@ class TestBatch:
         parallel, _ = batch(files, parallelism=8)
         assert canonical_json(serial) == canonical_json(parallel)
 
+    def test_bad_file_among_corpus_files(self, tmp_path):
+        data = load(R3_FILE)
+        data["seed"] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        files = [*sorted(CORPUS.glob("*.json")), bad]
+        target = tmp_path / "batch.json"
+        assert main(["batch", *map(str, files), "--out", str(target)]) == EXIT_ERROR
+        reports = json.loads(target.read_text())["reports"]
+        verdicts = [r["verdict"] for r in reports]
+        assert verdicts == ["pass", "pass", "not_applicable", "error"]
+        assert reports[-1]["exit_code"] == EXIT_ERROR and "'seed'" in reports[-1]["error"]
+
     def test_repeated_runs_byte_identical(self):
         files = sorted(CORPUS.glob("*.json"))
         one, _ = batch(files, parallelism=4)
@@ -375,6 +548,12 @@ class TestMain:
     def test_main_bad_alpha_list(self, capsys):
         code = main(["bounds", str(R3_FILE), "--alpha", "0.1,zebra"])
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_main_bad_tolerance(self, tol, capsys):
+        code = main(["bounds", str(R3_FILE), "--tol", tol])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ERROR and "tolerance" in report["error"]
 
     def test_exit_codes_match_verdicts(self):
         for path, expected in ((C3_FILE, "pass"), (CLAIM_FILE, "not_applicable")):
