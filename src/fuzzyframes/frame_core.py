@@ -149,10 +149,18 @@ def analysis_apply(family: FrameFamily, f, alpha: float) -> np.ndarray:
 
 
 def classical_frame_operator(family: FrameFamily) -> np.ndarray:
-    """S_c = F F*, Hermitian positive semidefinite."""
+    """S_c = F F*, Hermitian positive semidefinite.
+
+    Entries so large that S_c overflows (about 1e154 and up) raise a
+    ValueError instead of feeding inf or NaN into later decisions.
+    """
     F = family.vectors.T
-    s = F @ F.conj().T
-    return 0.5 * (s + s.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = F @ F.conj().T
+        s = 0.5 * (s + s.conj().T)
+    if not np.isfinite(s).all():
+        raise ValueError("frame operator S_c = F F* overflows: entries too large")
+    return s
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
@@ -272,7 +280,7 @@ def optimal_kframe_bounds(
     parseval = False
     if math.isfinite(a) and a > 0.0:
         residual = spectral_norm(s - a * gram)
-        tight = residual <= TIGHT_TOL * (1.0 + spectral_norm(s))
+        tight = residual <= TIGHT_TOL * (1.0 + b)
         parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     return BoundCertificate(
         kind="k_frame",
@@ -323,6 +331,8 @@ def verify_bounds(
     checked after cancelling the common scale power; under ``once`` the two
     inequalities are the level-free S_c >= A K K* and B I >= S_c, under
     ``squared`` the frame-sum side keeps one extra power of scale(a).
+    Levels with the same extra factor (all of them under ``once`` or the
+    crisp profile) share one pair of PSD checks but are each listed.
     The first failing level yields the eigen-witness.
     """
     _check_convention(convention)
@@ -335,15 +345,18 @@ def verify_bounds(
 
     checks: list[BoundCheck] = []
     passed = True
+    decided: dict[float, tuple] = {}  # extra factor -> (lower, upper) outcomes
     for alpha in alphas:
         extra = 1.0 if convention == "once" else family.model.scale(alpha)
-        s_eff = extra * s
-        if math.isinf(A):  # vacuous lower inequality (zero operator)
-            ok_lo, wit_lo, margin_lo = True, None, math.inf
-        else:
-            ok_lo, wit_lo, margin_lo = psd_order_check(A * gram, s_eff, tol)
+        if extra not in decided:
+            s_eff = extra * s
+            if math.isinf(A):  # vacuous lower inequality (zero operator)
+                lower = (True, None, math.inf)
+            else:
+                lower = psd_order_check(A * gram, s_eff, tol)
+            decided[extra] = (lower, psd_order_check(s_eff, B * eye, tol))
+        (ok_lo, wit_lo, margin_lo), (ok_up, wit_up, margin_up) = decided[extra]
         checks.append(BoundCheck(alpha, "lower", ok_lo, margin_lo, _unit(wit_lo)))
-        ok_up, wit_up, margin_up = psd_order_check(s_eff, B * eye, tol)
         checks.append(BoundCheck(alpha, "upper", ok_up, margin_up, _unit(wit_up)))
         passed = passed and ok_lo and ok_up
     return VerificationResult(passed=passed, checks=tuple(checks))
@@ -442,7 +455,8 @@ class EquivalenceReport:
     consistent: bool
     lower_bound_ok: bool
     #: ||K - F F^dagger K||, the worst residual of K f = sum beta_i f_i
-    #: over unit f; None when range(K) escapes range(F)
+    #: over unit f; None when range(K) escapes range(F).  Rounding alone
+    #: leaves up to about n * eps * ||F|| * C = n * eps * sqrt(B) * C.
     reconstruction_residual: Optional[float]
 
 
@@ -560,9 +574,10 @@ class ReconstructionResult:
     residual_dual_vectors: float
 
 
-def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(F, S_c^-1 F): the synthesis matrix and the canonical dual vectors
-    as columns.  A singular S_c raises with a unit kernel witness."""
+def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]:
+    """(F, S_c^-1 F, cond(S_c)): the synthesis matrix, the canonical dual
+    vectors as columns and the condition number of S_c.  A singular S_c
+    raises with a unit kernel witness."""
     s = classical_frame_operator(family)
     w, v = np.linalg.eigh(s)
     if w[0] <= RELATIVE_RANK_TOL * max(float(w[-1]), 1.0):
@@ -570,7 +585,7 @@ def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
             "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
         )
     F = synthesis_matrix(family)
-    return F, np.linalg.solve(s, F)
+    return F, np.linalg.solve(s, F), float(w[-1] / w[0])
 
 
 def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
@@ -584,7 +599,7 @@ def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
     """
     a = check_alpha(alpha)
     fvec = family.model.check_vector(f)
-    F, dual = _canonical_dual(family)
+    F, dual, _ = _canonical_dual(family)
     coeffs_dual = dual.conj().T @ fvec  # <f, S^-1 f_i>, scale cancelled
     recon1 = F @ coeffs_dual
     coeffs_plain = F.conj().T @ fvec
@@ -598,12 +613,15 @@ def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
     )
 
 
-def reconstruction_residual(family: FrameFamily) -> float:
-    """Worst residual of both dual expansions over unit f, at every level.
+def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
+    """Worst residual of both dual expansions over unit f, at every level,
+    and the condition number of S_c.
 
     The two expansions apply F (S^-1 F)* and S^-1 F F*, which are adjoints
-    of each other, so both worst residuals equal ||F (S^-1 F)* - I||.
-    Raises SingularFrameOperatorError as :func:`reconstruct` does.
+    of each other, so both worst residuals equal ||F (S^-1 F)* - I||.  In
+    floating point that residual is only known up to about n * eps *
+    cond(S_c) (n the dimension), so a tolerance on it must include that
+    term.  Raises SingularFrameOperatorError as :func:`reconstruct` does.
     """
-    F, dual = _canonical_dual(family)
-    return spectral_norm(F @ dual.conj().T - np.eye(F.shape[0]))
+    F, dual, cond = _canonical_dual(family)
+    return spectral_norm(F @ dual.conj().T - np.eye(F.shape[0])), cond

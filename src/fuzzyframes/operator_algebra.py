@@ -154,13 +154,13 @@ def alpha_operator_norm(
 
 
 def hermitian_part(P: MatrixLike, warn_tol: float = 1e-8) -> np.ndarray:
-    """Symmetrize; asymmetry beyond warn_tol (relative) emits a warning."""
+    """Symmetrize; Frobenius asymmetry beyond warn_tol (relative) warns."""
     m = as_matrix(P)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     h = 0.5 * (m + m.conj().T)
-    skew = spectral_norm(m - h)
-    if skew > warn_tol * (1.0 + spectral_norm(h)):
+    skew = np.linalg.norm(m - h)
+    if skew > warn_tol * (1.0 + np.linalg.norm(h)):
         warnings.warn(
             f"matrix symmetrized, asymmetry {skew:.3e}", RuntimeWarning, stacklevel=2
         )
@@ -208,9 +208,11 @@ def pseudo_inverse(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> PseudoInve
     T @ dagger acts as the identity on range(T); closed range is automatic
     in finite dimension.
     """
-    m = as_matrix(T)
-    dagger = np.linalg.pinv(m, rcond=rtol)
-    u = range_basis(m, rtol)
+    u, s, vt = np.linalg.svd(as_matrix(T), full_matrices=False)
+    large = s > rtol * s.max(initial=0.0)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    dagger = vt.conj().T @ (inv[:, None] * u.conj().T)
+    u = u[:, large]
     projector = u @ u.conj().T
     return PseudoInverseResult(dagger=dagger, rank=u.shape[1], range_projector=projector)
 
@@ -242,67 +244,36 @@ class PencilExtremum:
     witness: Optional[np.ndarray]
 
 
-def _pencil_range_form(P: MatrixLike, Q: MatrixLike, rtol: float):
-    """Compress the quotient <Pf,f>/<Qf,f> onto range(Q).
-
-    Returns (C, back) with C Hermitian such that quotient values over
-    range(Q) are Rayleigh quotients of C, and back mapping eigenvectors of C
-    to unit vectors of the original space.  Returns None when Q = 0.
-    """
-    p = hermitian_part(P)
-    q = hermitian_part(Q)
-    w, v = np.linalg.eigh(q)
-    top = float(w.max(initial=0.0))
-    if top <= 0.0:
-        return None
-    keep = w > rtol * top
-    vr = v[:, keep]
-    inv_sqrt = vr / np.sqrt(w[keep])
-    c = hermitian_part(inv_sqrt.conj().T @ p @ inv_sqrt, warn_tol=1e-6)
-
-    def back(coeffs: np.ndarray) -> np.ndarray:
-        f = inv_sqrt @ coeffs
-        return f / np.linalg.norm(f)
-
-    return c, back
-
-
-def _kernel_escape(P: MatrixLike, Q: MatrixLike, rtol: float):
-    """Unit f with Qf = 0 but <Pf,f> > 0, or None when ker Q sits in ker P."""
-    p = hermitian_part(P)
-    q = hermitian_part(Q)
-    w, v = np.linalg.eigh(q)
-    top = float(w.max(initial=0.0))
-    kernel = v[:, w <= rtol * top] if top > 0.0 else v
-    if kernel.shape[1] == 0:
-        return None
-    c = hermitian_part(kernel.conj().T @ p @ kernel, warn_tol=1e-6)
-    cw, cv = np.linalg.eigh(c)
-    p_scale = float(np.abs(np.linalg.eigvalsh(p)).max(initial=0.0))
-    if float(cw[-1]) <= rtol * max(1.0, p_scale):
-        return None
-    f = kernel @ cv[:, -1]
-    return f / np.linalg.norm(f)
-
-
 def pencil_sup(
     P: MatrixLike, Q: MatrixLike, rtol: float = RELATIVE_RANK_TOL
 ) -> PencilExtremum:
     """sup of <Pf,f> / <Qf,f> over all f with <Qf,f> > 0 (P, Q Hermitian PSD).
 
     The sup is +inf exactly when some kernel direction of Q carries positive
-    P-energy; otherwise it is attained on range(Q) and computed from the
-    compressed pencil.  Q = 0 yields -inf (empty domain).
+    P-energy; otherwise it is attained on range(Q), where the quotient is the
+    Rayleigh quotient of P compressed by Q^{-1/2}.  Both parts come from one
+    eigendecomposition of Q.  Q = 0 yields -inf (empty domain).
     """
-    escape = _kernel_escape(P, Q, rtol)
-    if escape is not None:
-        return PencilExtremum(math.inf, escape)
-    form = _pencil_range_form(P, Q, rtol)
-    if form is None:
+    p = hermitian_part(P)
+    q = hermitian_part(Q)
+    w, v = np.linalg.eigh(q)
+    top = float(w.max(initial=0.0))
+    kernel = v[:, w <= rtol * top] if top > 0.0 else v
+    if kernel.shape[1] > 0:
+        c = hermitian_part(kernel.conj().T @ p @ kernel, warn_tol=1e-6)
+        cw, cv = np.linalg.eigh(c)
+        p_scale = float(np.abs(np.linalg.eigvalsh(p)).max(initial=0.0))
+        if float(cw[-1]) > rtol * max(1.0, p_scale):
+            f = kernel @ cv[:, -1]
+            return PencilExtremum(math.inf, f / np.linalg.norm(f))
+    if top <= 0.0:
         return PencilExtremum(-math.inf, None)
-    c, back = form
-    w, v = np.linalg.eigh(c)
-    return PencilExtremum(max(float(w[-1]), 0.0), back(v[:, -1]))
+    keep = w > rtol * top
+    inv_sqrt = v[:, keep] / np.sqrt(w[keep])
+    c = hermitian_part(inv_sqrt.conj().T @ p @ inv_sqrt, warn_tol=1e-6)
+    cw, cv = np.linalg.eigh(c)
+    f = inv_sqrt @ cv[:, -1]
+    return PencilExtremum(max(float(cw[-1]), 0.0), f / np.linalg.norm(f))
 
 
 def pencil_inf(
@@ -325,6 +296,16 @@ def pencil_inf(
     return PencilExtremum(1.0 / opposite.value, opposite.witness)
 
 
+def _pencil_lambda(m: np.ndarray, n: np.ndarray) -> float:
+    """Minimal lam >= 0 with m m* <= lam^2 n n*, given range(m) in range(n)."""
+    sup = pencil_sup(m @ m.conj().T, n @ n.conj().T)
+    if math.isinf(sup.value):
+        if sup.value < 0:  # N = 0 forces M = 0; any lam works
+            return 0.0
+        raise RangeInclusionError("no finite majorization constant", math.inf)
+    return math.sqrt(max(sup.value, 0.0))
+
+
 def douglas_lambda(
     M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
 ) -> float:
@@ -336,14 +317,7 @@ def douglas_lambda(
     included, residual = douglas_range_inclusion(M, N, tol)
     if not included:
         raise RangeInclusionError("range(M) is not contained in range(N)", residual)
-    m = as_matrix(M)
-    n = as_matrix(N)
-    sup = pencil_sup(m @ m.conj().T, n @ n.conj().T)
-    if math.isinf(sup.value):
-        if sup.value < 0:  # N = 0 forces M = 0; any lam works
-            return 0.0
-        raise RangeInclusionError("no finite majorization constant", math.inf)
-    return math.sqrt(max(sup.value, 0.0))
+    return _pencil_lambda(as_matrix(M), as_matrix(N))
 
 
 @dataclass(frozen=True)
@@ -351,6 +325,8 @@ class FactorizationResult:
     lam: float
     W: np.ndarray
     residual: float
+    #: ||(I - N N^dagger) M|| / ||M|| from the range-inclusion test
+    projection_residual: float
 
 
 def douglas_factorize(
@@ -359,14 +335,18 @@ def douglas_factorize(
     """Solve M = N W with the minimal-norm W = N^dagger M.
 
     Range inclusion is a hypothesis; its failure raises RangeInclusionError
-    carrying the projection residual.
+    carrying the projection residual.  An included range whose pencil still
+    has no finite majorization constant raises with residual +inf.
     """
-    included, residual = douglas_range_inclusion(M, N, tol)
+    included, projection = douglas_range_inclusion(M, N, tol)
     if not included:
-        raise RangeInclusionError("cannot factor through N", residual)
+        raise RangeInclusionError("cannot factor through N", projection)
     m = as_matrix(M)
     n = as_matrix(N)
     w = pseudo_inverse(n).dagger @ m
-    res = spectral_norm(n @ w - m)
-    lam = douglas_lambda(M, N, tol)
-    return FactorizationResult(lam=lam, W=w, residual=float(res))
+    return FactorizationResult(
+        lam=_pencil_lambda(m, n),
+        W=w,
+        residual=float(spectral_norm(n @ w - m)),
+        projection_residual=projection,
+    )

@@ -8,6 +8,8 @@ of the spectral code paths they are used to check.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,27 @@ def r3_instance():
     )
     K = np.array([[1.0, 1, 0], [0, 0, 1], [0, 0, 0]])
     return {"model": model, "family": family, "K": K}
+
+
+# ---------------------------------------------------------------------------
+# Decomposition counter
+
+LINALG_DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "pinv", "solve")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counter of the numpy.linalg decompositions made during the test.
+
+    The package calls them as ``np.linalg.<name>``, so patching the module
+    attributes sees every call; ``sum(linalg_calls.values())`` is the total.
+    """
+    calls: Counter = Counter()
+    for name in LINALG_DECOMPOSITIONS:
+
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

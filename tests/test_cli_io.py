@@ -438,6 +438,73 @@ class TestCommands:
         assert report["body"]["variant"] == "invertible"
         assert report["body"]["verification"]["passed"]
 
+    def test_douglas_tests_range_inclusion_once(self, tmp_path, monkeypatch):
+        from fuzzyframes import operator_algebra
+
+        calls = []
+        inclusion = operator_algebra.douglas_range_inclusion
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inclusion(*args, **kwargs)
+
+        monkeypatch.setattr(operator_algebra, "douglas_range_inclusion", counted)
+        data = load(R3_FILE)
+        data["command"] = "douglas"
+        K = np.array(data["operator_K"], dtype=float)
+        for T, verdict in ((0.5 * K, "pass"), (np.eye(3), "fail")):  # e3 escapes K
+            data["operator_T"] = T.tolist()
+            path = tmp_path / f"douglas-{verdict}.json"
+            path.write_text(json.dumps(data))
+            calls.clear()
+            report, _ = run_file(path)
+            assert report["verdict"] == verdict
+            assert report["body"]["inclusion"] is (verdict == "pass")
+            assert len(calls) == 1
+
+    def test_check_kframe_corpus_decomposition_budget(self, linalg_calls):
+        report, code = run_file(R3_FILE, command="check-kframe")
+        assert code == EXIT_PASS
+        assert sum(linalg_calls.values()) <= 6
+
+    @staticmethod
+    def _ill_conditioned(command: str, smallest: float, **extra) -> dict:
+        """4-dimensional frame of 8 vectors, synthesis singular values
+        geometric from 1 down to ``smallest`` (cond(S_c) = smallest^-2)."""
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        w, _ = np.linalg.qr(rng.standard_normal((8, 4)))
+        F = u @ np.diag(np.geomspace(1.0, smallest, 4)) @ w.T
+        return {"command": command, "dimension": 4, "field": "real",
+                "profile": "scaled", "family": F.T.tolist(), **extra}
+
+    def test_ill_conditioned_reconstruct_passes(self):
+        # exact residual ~1.8e-9 > tolerance 1e-9, inside n eps cond = 8.9e-8
+        problem = parse_problem(self._ill_conditioned("reconstruct", 1e-4))
+        report, code = run_command("reconstruct", problem)
+        assert report["body"]["max_residual"] > problem.tolerance
+        assert code == EXIT_PASS
+
+    def test_ill_conditioned_atomic_passes(self):
+        # residual > tolerance 1e-9, inside n eps sqrt(B) C = 8.9e-8
+        K = (1e4 * np.eye(4)).tolist()
+        problem = parse_problem(self._ill_conditioned("atomic", 1e-4, operator_K=K))
+        report, code = run_command("atomic", problem)
+        assert report["body"]["max_reconstruction_residual"] > problem.tolerance
+        assert code == EXIT_PASS
+
+    @pytest.mark.parametrize(
+        "command", ["bounds", "check-frame", "check-kframe", "reconstruct"]
+    )
+    def test_overflowing_frame_operator_is_input_error(self, command, tmp_path):
+        data = load(R3_FILE)
+        data["family"] = [[1e154, 1e154, 0.0], [1e154, -1e154, 0.0], [0.0, 0.0, 1.0]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command=command)
+        assert code == EXIT_ERROR and report["verdict"] == "error"
+        assert "overflows" in report["error"]
+
     def test_convention_override_flows_through(self, capsys):
         code = main(["bounds", str(R3_FILE), "--convention", "squared"])
         report = json.loads(capsys.readouterr().out)

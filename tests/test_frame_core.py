@@ -250,6 +250,29 @@ class TestVerifyBounds:
         res = verify_bounds(fam, cert.A, cert.B, None, [0.9], "squared")
         assert not res.passed
 
+    @pytest.mark.parametrize(
+        "convention, profile, pairs_for_five",
+        [("once", "scaled", 1), ("squared", "crisp", 1), ("squared", "scaled", 5)],
+    )
+    def test_each_distinct_inequality_checked_once(
+        self, linalg_calls, convention, profile, pairs_for_five
+    ):
+        rng = np.random.default_rng(23)
+        model = FuzzyModel(BaseSpace(3, "complex"), profile)
+        fam = FrameFamily(rand_matrix(rng, 5, 3, "complex"), model)
+        K = rand_matrix(rng, 3, 3, "complex")
+        one = verify_bounds(fam, 0.01, 1e3, K, [0.5], convention)
+        calls_one = sum(linalg_calls.values())
+        linalg_calls.clear()
+        alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
+        five = verify_bounds(fam, 0.01, 1e3, K, alphas, convention)
+        assert calls_one == 2
+        assert sum(linalg_calls.values()) == 2 * pairs_for_five
+        assert [(c.alpha, c.side) for c in five.checks] == [
+            (a, side) for a in alphas for side in ("lower", "upper")
+        ]
+        assert one.checks[0].margin == five.checks[4].margin
+
 
 class TestRescale:
     def test_tight_family_rescales_to_parseval(self):

@@ -1,6 +1,7 @@
 """operator_algebra: adjoints, PSD order, Douglas suite, pseudo-inverse."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,48 @@ class TestPsdOrder:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             psd_order_check(np.ones((2, 3)), np.ones((2, 3)))
+
+
+class TestSymmetrizationWarning:
+    def test_non_hermitian_input_warns(self):
+        p = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.warns(RuntimeWarning, match="symmetrized"):
+            psd_order_check(p, 3.0 * np.eye(2))
+        with pytest.warns(RuntimeWarning, match="symmetrized"):
+            pencil_sup(p, np.eye(2))
+
+    def test_hermitian_input_is_silent(self):
+        m = rand_matrix(np.random.default_rng(5), 3, 3, "complex")
+        p = m + m.conj().T
+        q = m @ m.conj().T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd_order_check(p, q)
+            pencil_sup(q, q + np.eye(3))
+
+
+class TestDecompositionCounts:
+    def test_psd_order_check_one_eigh(self, linalg_calls):
+        m = rand_matrix(np.random.default_rng(6), 4, 4, "complex")
+        psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
+        assert dict(linalg_calls) == {"eigh": 1}
+
+    def test_pencil_sup_kernel_test_only_with_kernel(self, linalg_calls):
+        p = np.diag([4.0, 1.0, 0.0])
+        pencil_sup(p, np.diag([3.0, 2.0, 1.0]))  # invertible Q: no kernel
+        assert dict(linalg_calls) == {"eigh": 2}
+        linalg_calls.clear()
+        ext = pencil_sup(p, np.diag([3.0, 2.0, 0.0]))  # kernel in ker P
+        assert dict(linalg_calls) == {"eigh": 3, "eigvalsh": 1}
+        assert ext.value == pytest.approx(4.0 / 3.0)
+
+    def test_pseudo_inverse_one_svd_matches_pinv(self, linalg_calls):
+        t = rand_matrix(np.random.default_rng(7), 4, 2, "complex")
+        t = t @ rand_matrix(np.random.default_rng(8), 2, 5, "complex")  # rank 2
+        result = pseudo_inverse(t)
+        assert dict(linalg_calls) == {"svd": 1}
+        assert result.rank == 2
+        assert np.allclose(result.dagger, np.linalg.pinv(t, rcond=1e-10), atol=1e-12)
 
 
 class TestDouglas:
