@@ -13,9 +13,9 @@ Optimal constants are computed spectrally:
 
 * ordinary frame bounds are the extreme eigenvalues of S_c;
 * the optimal K-frame lower bound is the largest A with S_c - A K K* still
-  positive semidefinite, evaluated through the pencil of (S_c, K K*) with
-  kernel directions accounted for (A = 0 exactly when some f with K*f != 0
-  has zero frame sum).
+  positive semidefinite, 1 / sup ||K* f||^2 / <S_c f, f>, read from the
+  eigenpairs of S_c and the factor K with kernel directions accounted for
+  (A = 0 exactly when some f with K*f != 0 has zero frame sum).
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .operator_algebra import (
     RELATIVE_RANK_TOL,
     MatrixLike,
     RangeInclusionError,
+    _douglas,
+    _gram,
+    _quotient_sup,
+    _thin_svd,
     as_matrix,
-    douglas_range_inclusion,
-    pencil_inf,
-    pseudo_inverse,
     psd_order_check,
-    range_basis,
     spectral_norm,
 )
 
@@ -151,16 +151,10 @@ def analysis_apply(family: FrameFamily, f, alpha: float) -> np.ndarray:
 def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     """S_c = F F*, Hermitian positive semidefinite.
 
-    Entries so large that S_c overflows (about 1e154 and up) raise a
-    ValueError instead of feeding inf or NaN into later decisions.
+    Entries so large that S_c overflows (about 1e154 and up) raise an
+    OverflowError instead of feeding inf or NaN into later decisions.
     """
-    F = family.vectors.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = F @ F.conj().T
-        s = 0.5 * (s + s.conj().T)
-    if not np.isfinite(s).all():
-        raise ValueError("frame operator S_c = F F* overflows: entries too large")
-    return s
+    return _gram(family.vectors.T, "frame operator S_c = F F*")
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
@@ -231,7 +225,7 @@ def optimal_frame_bounds(
     w, v = np.linalg.eigh(s)
     a = float(w[0])
     b = float(w[-1])
-    if a < RELATIVE_RANK_TOL * max(b, 1.0):
+    if a < RELATIVE_RANK_TOL * b:
         a = 0.0
     kind = "frame" if a > 0.0 else "bessel"
     tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * max(1.0, b)
@@ -268,18 +262,19 @@ def optimal_kframe_bounds(
     if k.shape != (n, n):
         raise ValueError(f"operator of shape {k.shape} does not act on dimension {n}")
     s = classical_frame_operator(family)
-    gram = k @ k.conj().T
-
     w, v = np.linalg.eigh(s)
     b = float(w[-1])
-    upper_witness = _unit(v[:, -1])
-
-    low = pencil_inf(s, gram)
-    a = low.value
+    sup, lower_witness = _quotient_sup(k, w, v, "K K*")
+    if sup == math.inf:  # some f with K*f != 0 has zero frame sum
+        a = 0.0
+    elif sup <= 0.0:  # K* vanishes wherever the frame sum is positive
+        a, lower_witness = math.inf, None
+    else:
+        a = 1.0 / sup
     tight = False
     parseval = False
     if math.isfinite(a) and a > 0.0:
-        residual = spectral_norm(s - a * gram)
+        residual = spectral_norm(s - a * _gram(k, "K K*"))
         tight = residual <= TIGHT_TOL * (1.0 + b)
         parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     return BoundCertificate(
@@ -288,8 +283,8 @@ def optimal_kframe_bounds(
         B=b,
         alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
-        witness_lower=_unit(low.witness),
-        witness_upper=upper_witness,
+        witness_lower=lower_witness,
+        witness_upper=_unit(v[:, -1]),
         tight=tight,
         parseval=parseval,
     )
@@ -341,7 +336,7 @@ def verify_bounds(
     s = classical_frame_operator(family)
     n = family.dimension
     eye = np.eye(n)
-    gram = eye if K is None else (lambda k: k @ k.conj().T)(as_matrix(K))
+    gram = eye if K is None else _gram(K, "K K*")
 
     checks: list[BoundCheck] = []
     passed = True
@@ -431,13 +426,12 @@ def atomic_coefficients(
     """
     k = as_matrix(K)
     F = synthesis_matrix(family)
-    included, residual = douglas_range_inclusion(k, F, tol)
+    included, residual, coefficients, _ = _douglas(k, F, tol)
     if not included:
         raise RangeInclusionError("not an atomic system for K", residual)
     fvec = family.model.check_vector(f)
-    solve = pseudo_inverse(F).dagger
-    beta = solve @ (k @ fvec)
-    C = spectral_norm(solve @ k)
+    beta = coefficients @ fvec
+    C = spectral_norm(coefficients)
     rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
     norm_ok = float(np.linalg.norm(beta)) <= C * float(np.linalg.norm(fvec)) + tol
     return AtomicCoefficients(beta=beta, C=C, residual=rec_residual, norm_bound_ok=norm_ok)
@@ -469,12 +463,11 @@ def atomic_system_equivalence_check(
     cert = optimal_kframe_bounds(family, k)
     kframe_holds = cert.A > 0.0  # +inf (K = 0) counts as holding
     F = synthesis_matrix(family)
-    included, residual = douglas_range_inclusion(k, F, tol)
+    included, residual, coefficients, _ = _douglas(k, F, tol)
     C: Optional[float] = None
     rec_residual: Optional[float] = None
     lower_ok = True
     if included:
-        coefficients = pseudo_inverse(F).dagger @ k
         C = spectral_norm(coefficients)
         rec_residual = spectral_norm(k - F @ coefficients)
         if C > 0.0 and math.isfinite(cert.A):
@@ -532,7 +525,7 @@ def restricted_inverse_check(
     if not (math.isfinite(cert.A) and cert.A > 0.0):
         raise ValueError("not applicable: family is not a K-frame (lower bound 0)")
     s = classical_frame_operator(family)
-    q = range_basis(k)
+    q, k_sv, _ = _thin_svd(k)
     if q.shape[1] == 0:
         raise ValueError("operator K is zero; restriction is empty")
 
@@ -541,8 +534,8 @@ def restricted_inverse_check(
         return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
 
     cw = compressed_spectrum(s)
-    injective = bool(cw[0] > RELATIVE_RANK_TOL * max(float(cw[-1]), 1.0))
-    dagger_norm = spectral_norm(pseudo_inverse(k).dagger)
+    injective = bool(cw[0] > RELATIVE_RANK_TOL * float(cw[-1]))
+    dagger_norm = 1.0 / float(k_sv[-1])  # ||K+||: K's smallest kept singular value
     a, b = cert.A, cert.B
     low, high = float(cw[0]), float(cw[-1])
     worst_fwd = max(
@@ -580,7 +573,7 @@ def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]
     raises with a unit kernel witness."""
     s = classical_frame_operator(family)
     w, v = np.linalg.eigh(s)
-    if w[0] <= RELATIVE_RANK_TOL * max(float(w[-1]), 1.0):
+    if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):
         raise SingularFrameOperatorError(
             "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
         )

@@ -1,11 +1,20 @@
 """Dense operator layer: adjoints, PSD order, range tests, factorization.
 
 All spectral work is done through Hermitian eigendecompositions and SVDs of
-small dense matrices (desk scale, n <= 64).  Majorization statements of the
-form P <= lam^2 Q are decided through generalized Rayleigh quotients of the
-pencil (P, Q) restricted to the range of Q, which is exactly where the
-quotient is defined; directions in the kernel of Q are admissible only when
-they are also annihilated by P.
+small dense matrices (desk scale, n <= 64).  A majorization question is
+answered from the factor, never from Gram matrices of both sides:
+
+* against a factor N (Douglas's lemma): when range(M) is inside range(N),
+  the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||, so one thin
+  SVD of N gives the inclusion residual, W = N^dagger M and lam = ||W||;
+* against a Hermitian PSD S given by its eigenpairs: sup ||M* f||^2 /
+  <S f, f> is +inf when some kernel direction of S carries M-energy, and
+  otherwise the top eigenvalue of C C* with C = (V_r / sqrt(w_r))* M on
+  range(S).
+
+Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
+below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
+input never changes a rank decision.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ __all__ = [
     "LinearOperator",
     "FactorizationResult",
     "PseudoInverseResult",
-    "PencilExtremum",
     "as_matrix",
     "adjoint",
     "spectral_norm",
@@ -38,11 +46,10 @@ __all__ = [
     "douglas_range_inclusion",
     "douglas_lambda",
     "douglas_factorize",
-    "pencil_sup",
-    "pencil_inf",
 ]
 
-#: singular values below this fraction of the largest count as zero
+#: singular values (PSD eigenvalues) at or below this fraction of the
+#: largest count as zero
 RELATIVE_RANK_TOL = 1e-10
 
 #: default slack for positive-semidefinite order decisions
@@ -153,18 +160,31 @@ def alpha_operator_norm(
     return math.inf
 
 
-def hermitian_part(P: MatrixLike, warn_tol: float = 1e-8) -> np.ndarray:
-    """Symmetrize; Frobenius asymmetry beyond warn_tol (relative) warns."""
+def hermitian_part(P: MatrixLike) -> np.ndarray:
+    """Symmetrize; a Frobenius asymmetry beyond 1e-8 (relative) warns."""
     m = as_matrix(P)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     h = 0.5 * (m + m.conj().T)
     skew = np.linalg.norm(m - h)
-    if skew > warn_tol * (1.0 + np.linalg.norm(h)):
+    if skew > 1e-8 * (1.0 + np.linalg.norm(h)):
         warnings.warn(
             f"matrix symmetrized, asymmetry {skew:.3e}", RuntimeWarning, stacklevel=2
         )
     return h
+
+
+def _gram(T: MatrixLike, what: str) -> np.ndarray:
+    """T T*, symmetrized.  An entry that overflows a double raises an
+    OverflowError naming ``what``, instead of feeding inf or NaN into a
+    decomposition."""
+    m = as_matrix(T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m @ m.conj().T
+        g = 0.5 * (g + g.conj().T)
+    if not np.isfinite(g).all():
+        raise OverflowError(f"{what} overflows: entries too large")
+    return g
 
 
 def psd_order_check(
@@ -185,14 +205,23 @@ def psd_order_check(
     return False, v[:, 0], lam_min
 
 
+def _thin_svd(
+    T: MatrixLike, rtol: float = RELATIVE_RANK_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vh) of the thin SVD of T, cut to its numerical rank."""
+    u, s, vh = np.linalg.svd(as_matrix(T), full_matrices=False)
+    rank = int(np.sum(s > rtol * s[0]))
+    return u[:, :rank], s[:rank], vh[:rank]
+
+
+def _dagger(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse from a rank-cut thin SVD, built as numpy.linalg.pinv does."""
+    return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+
+
 def range_basis(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of range(T) as columns, via SVD with relative cutoff."""
-    m = as_matrix(T)
-    if not np.any(m):
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0]))
-    return u[:, :rank]
+    return _thin_svd(T, rtol)[0]
 
 
 @dataclass(frozen=True)
@@ -208,13 +237,33 @@ def pseudo_inverse(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> PseudoInve
     T @ dagger acts as the identity on range(T); closed range is automatic
     in finite dimension.
     """
-    u, s, vt = np.linalg.svd(as_matrix(T), full_matrices=False)
-    large = s > rtol * s.max(initial=0.0)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    dagger = vt.conj().T @ (inv[:, None] * u.conj().T)
-    u = u[:, large]
-    projector = u @ u.conj().T
-    return PseudoInverseResult(dagger=dagger, rank=u.shape[1], range_projector=projector)
+    u, s, vh = _thin_svd(T, rtol)
+    return PseudoInverseResult(
+        dagger=_dagger(u, s, vh), rank=len(s), range_projector=u @ u.conj().T
+    )
+
+
+def _douglas(
+    M: MatrixLike, N: MatrixLike, tol: float
+) -> tuple[bool, float, np.ndarray, float]:
+    """Decide M = N W from one thin SVD of N.
+
+    Returns (included, residual, W, ||N||) with residual = ||(I - N N^dagger)
+    M|| / ||M|| (0 for M = 0), included = residual <= tol and W = N^dagger M.
+    """
+    m = as_matrix(M)
+    n = as_matrix(N)
+    if m.shape[0] != n.shape[0]:
+        raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
+    u, s, vh = _thin_svd(n)
+    w = _dagger(u, s, vh) @ m
+    norm_n = float(s[0]) if len(s) else 0.0
+    scale = spectral_norm(m)
+    if scale == 0.0:
+        return True, 0.0, w, norm_n
+    proj = np.eye(n.shape[0], dtype=np.result_type(m, n)) - u @ u.conj().T
+    residual = float(spectral_norm(proj @ m) / scale)
+    return residual <= tol, residual, w, norm_n
 
 
 def douglas_range_inclusion(
@@ -225,128 +274,80 @@ def douglas_range_inclusion(
     Returns (included, residual) with residual = ||(I - N N^dagger) M||
     measured relative to ||M||.
     """
-    m = as_matrix(M)
-    n = as_matrix(N)
-    if m.shape[0] != n.shape[0]:
-        raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
-    u = range_basis(n)
-    proj = np.eye(n.shape[0], dtype=np.result_type(m, n)) - u @ u.conj().T
-    scale = spectral_norm(m)
-    if scale == 0.0:
-        return True, 0.0
-    residual = spectral_norm(proj @ m) / scale
-    return residual <= tol, float(residual)
-
-
-@dataclass(frozen=True)
-class PencilExtremum:
-    value: float
-    witness: Optional[np.ndarray]
-
-
-def pencil_sup(
-    P: MatrixLike, Q: MatrixLike, rtol: float = RELATIVE_RANK_TOL
-) -> PencilExtremum:
-    """sup of <Pf,f> / <Qf,f> over all f with <Qf,f> > 0 (P, Q Hermitian PSD).
-
-    The sup is +inf exactly when some kernel direction of Q carries positive
-    P-energy; otherwise it is attained on range(Q), where the quotient is the
-    Rayleigh quotient of P compressed by Q^{-1/2}.  Both parts come from one
-    eigendecomposition of Q.  Q = 0 yields -inf (empty domain).
-    """
-    p = hermitian_part(P)
-    q = hermitian_part(Q)
-    w, v = np.linalg.eigh(q)
-    top = float(w.max(initial=0.0))
-    kernel = v[:, w <= rtol * top] if top > 0.0 else v
-    if kernel.shape[1] > 0:
-        c = hermitian_part(kernel.conj().T @ p @ kernel, warn_tol=1e-6)
-        cw, cv = np.linalg.eigh(c)
-        p_scale = float(np.abs(np.linalg.eigvalsh(p)).max(initial=0.0))
-        if float(cw[-1]) > rtol * max(1.0, p_scale):
-            f = kernel @ cv[:, -1]
-            return PencilExtremum(math.inf, f / np.linalg.norm(f))
-    if top <= 0.0:
-        return PencilExtremum(-math.inf, None)
-    keep = w > rtol * top
-    inv_sqrt = v[:, keep] / np.sqrt(w[keep])
-    c = hermitian_part(inv_sqrt.conj().T @ p @ inv_sqrt, warn_tol=1e-6)
-    cw, cv = np.linalg.eigh(c)
-    f = inv_sqrt @ cv[:, -1]
-    return PencilExtremum(max(float(cw[-1]), 0.0), f / np.linalg.norm(f))
-
-
-def pencil_inf(
-    P: MatrixLike, Q: MatrixLike, rtol: float = RELATIVE_RANK_TOL
-) -> PencilExtremum:
-    """inf of <Pf,f> / <Qf,f> over all f with <Qf,f> > 0 (P, Q Hermitian PSD).
-
-    Directions outside range(Q) lower the quotient only through the P-energy
-    they remove, so the infimum equals max{A : P - A Q is PSD}; it is found
-    by swapping the roles of the forms: inf = 1 / sup(Q / P), with inf = 0
-    when some f has <Pf,f> = 0 < <Qf,f> and +inf when Q = 0.
-    """
-    opposite = pencil_sup(Q, P, rtol)
-    if math.isinf(opposite.value):
-        if opposite.value > 0:  # some f with Pf = 0 but Q-energy: quotient 0
-            return PencilExtremum(0.0, opposite.witness)
-        return PencilExtremum(math.inf, None)  # Q = 0: no admissible f
-    if opposite.value <= 0.0:
-        return PencilExtremum(math.inf, None)
-    return PencilExtremum(1.0 / opposite.value, opposite.witness)
-
-
-def _pencil_lambda(m: np.ndarray, n: np.ndarray) -> float:
-    """Minimal lam >= 0 with m m* <= lam^2 n n*, given range(m) in range(n)."""
-    sup = pencil_sup(m @ m.conj().T, n @ n.conj().T)
-    if math.isinf(sup.value):
-        if sup.value < 0:  # N = 0 forces M = 0; any lam works
-            return 0.0
-        raise RangeInclusionError("no finite majorization constant", math.inf)
-    return math.sqrt(max(sup.value, 0.0))
+    included, residual, _, _ = _douglas(M, N, tol)
+    return included, residual
 
 
 def douglas_lambda(
     M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
 ) -> float:
-    """Minimal lam >= 0 with M M* <= lam^2 N N*.
+    """Minimal lam >= 0 with M M* <= lam^2 N N*, which is ||N^dagger M||.
 
     Requires range(M) subseteq range(N); without it no finite lam exists and
     a RangeInclusionError is raised.
     """
-    included, residual = douglas_range_inclusion(M, N, tol)
+    included, residual, w, _ = _douglas(M, N, tol)
     if not included:
         raise RangeInclusionError("range(M) is not contained in range(N)", residual)
-    return _pencil_lambda(as_matrix(M), as_matrix(N))
+    return spectral_norm(w)
 
 
 @dataclass(frozen=True)
 class FactorizationResult:
     lam: float
     W: np.ndarray
+    #: ||N W - M||
     residual: float
     #: ||(I - N N^dagger) M|| / ||M|| from the range-inclusion test
     projection_residual: float
+    #: ||N||, the largest singular value of N
+    norm_N: float
 
 
 def douglas_factorize(
     M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
 ) -> FactorizationResult:
-    """Solve M = N W with the minimal-norm W = N^dagger M.
+    """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||.
 
     Range inclusion is a hypothesis; its failure raises RangeInclusionError
-    carrying the projection residual.  An included range whose pencil still
-    has no finite majorization constant raises with residual +inf.
+    carrying the projection residual.  Rounding leaves a residual of about
+    n * eps * ||N|| * ||W|| (n the dimension).
     """
-    included, projection = douglas_range_inclusion(M, N, tol)
+    included, projection, w, norm_n = _douglas(M, N, tol)
     if not included:
         raise RangeInclusionError("cannot factor through N", projection)
-    m = as_matrix(M)
-    n = as_matrix(N)
-    w = pseudo_inverse(n).dagger @ m
     return FactorizationResult(
-        lam=_pencil_lambda(m, n),
+        lam=spectral_norm(w),
         W=w,
-        residual=float(spectral_norm(n @ w - m)),
+        residual=spectral_norm(as_matrix(N) @ w - as_matrix(M)),
         projection_residual=projection,
+        norm_N=norm_n,
     )
+
+
+def _quotient_sup(
+    M: np.ndarray, w: np.ndarray, v: np.ndarray, what: str
+) -> tuple[float, Optional[np.ndarray]]:
+    """sup of ||M* f||^2 / <S f, f> over f with <S f, f> > 0, for S
+    Hermitian PSD given by its eigenpairs (w ascending, v as columns).
+
+    +inf with a unit kernel witness when some kernel direction of S carries
+    M-energy above RELATIVE_RANK_TOL ||M||^2; otherwise the sup is attained on
+    range(S), where it is lambda_max(C C*) with C = (V_r / sqrt(w_r))* M.
+    S = 0 yields -inf (no admissible f).  ``what`` names M M* in overflow
+    errors.
+    """
+    top = float(w.max(initial=0.0))
+    kernel = v[:, w <= RELATIVE_RANK_TOL * top] if top > 0.0 else v
+    if kernel.shape[1] > 0:
+        cw, cv = np.linalg.eigh(_gram(kernel.conj().T @ M, what))
+        if float(cw[-1]) > RELATIVE_RANK_TOL * spectral_norm(M) ** 2:
+            f = kernel @ cv[:, -1]
+            return math.inf, f / np.linalg.norm(f)
+    if top <= 0.0:
+        return -math.inf, None
+    keep = w > RELATIVE_RANK_TOL * top
+    inv_sqrt = v[:, keep] / np.sqrt(w[keep])
+    cw, cv = np.linalg.eigh(_gram(inv_sqrt.conj().T @ M, what))
+    f = inv_sqrt @ cv[:, -1]
+    return max(float(cw[-1]), 0.0), f / np.linalg.norm(f)

@@ -17,8 +17,9 @@ so the operator hypothesis holds exactly when
     Q_t = (lam1^2 / t) A + (lam2^2 / (1 - t)) B - C
 
 is positive semidefinite for every t in (0, 1) (Casazza and Christensen,
-J. Fourier Anal. Appl. 3, 1997).  The family hypothesis is a pencil
-supremum.
+J. Fourier Anal. Appl. 3, 1997).  The family hypothesis is the supremum
+of the difference energy ||D* f||^2 against each frame sum, read from the
+eigenpairs of each frame operator and the difference synthesis matrix D.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     MatrixLike,
+    _gram,
+    _quotient_sup,
     as_matrix,
-    pencil_sup,
 )
 
 __all__ = [
@@ -129,7 +131,9 @@ def check_operator_perturbation(
     if k1.shape != k2.shape or k1.shape[0] != k1.shape[1]:
         raise ValueError("operators must be square and share a space")
     delta = k1 - k2
-    a, b, c = (m @ m.conj().T for m in (k1, k2, delta))
+    a, b, c = (
+        _gram(m, what) for m, what in ((k1, "K1 K1*"), (k2, "K2 K2*"), (delta, "D D*"))
+    )
     l1, l2 = lambda1 * lambda1, lambda2 * lambda2
     slack = tol * (1.0 + l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
 
@@ -228,27 +232,25 @@ class FamilyPerturbation:
 def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPerturbation:
     """Minimal M with sum |<f, f_i - g_i>_a|^2 <= M min(frame sums of F, G).
 
-    The pointwise ratio against the min is the max of the two pencil ratios,
-    so the minimal constant is the larger of the two pencil suprema of
-    (S_delta, S_F) and (S_delta, S_G).  It is +inf exactly when some f
-    carries positive difference energy while one of the frame sums vanishes
-    (the min is then zero).
+    The pointwise ratio against the min is the max of the two ratios, so
+    the minimal constant is the larger of the suprema of ||D* f||^2 /
+    <S_F f, f> and ||D* f||^2 / <S_G f, f>, with D the synthesis matrix of
+    the difference family.  It is +inf exactly when some f carries positive
+    difference energy while one of the frame sums vanishes (the min is then
+    zero).
     """
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
-    diff = FrameFamily(F.vectors - G.vectors, F.model)
-    s_delta = classical_frame_operator(diff)
-    s_f = classical_frame_operator(F)
-    s_g = classical_frame_operator(G)
-    sup_f = pencil_sup(s_delta, s_f)
-    sup_g = pencil_sup(s_delta, s_g)
-    value = max(sup_f.value, sup_g.value)
-    if math.isinf(value) and value > 0:
-        witness = sup_f.witness if math.isinf(sup_f.value) else sup_g.witness
+    d = (F.vectors - G.vectors).T
+    sups = [
+        _quotient_sup(d, *np.linalg.eigh(classical_frame_operator(fam)), "D D*")
+        for fam in (F, G)
+    ]
+    value, witness = max(sups, key=lambda sup: sup[0])  # F's on a tie
+    if value == math.inf:
         return FamilyPerturbation(math.inf, False, witness, False)
-    value = max(value, 0.0)  # -inf (empty pencil: zero frame operator) -> 0
-    bigger = sup_f if sup_f.value >= sup_g.value else sup_g
-    return FamilyPerturbation(value, True, bigger.witness, value <= 1.0)
+    value = max(value, 0.0)  # -inf (zero frame operators: no f to test) -> 0
+    return FamilyPerturbation(value, True, witness, value <= 1.0)
 
 
 def derive_family_perturbed_bounds(

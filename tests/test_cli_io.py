@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzyframes
 from fuzzyframes.cli_io import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
+    TOOL_VERSION,
     ProblemError,
     _parse_matrix,
     _parse_matrix_entries,
@@ -29,14 +32,26 @@ from fuzzyframes.cli_io import (
     run_file,
 )
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes" / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "fuzzyframes" / "corpus"
 C3_FILE = CORPUS / "c3_rank_deficient_kframe.json"
 R3_FILE = CORPUS / "r3_full_rank_kframe.json"
 CLAIM_FILE = CORPUS / "r3_zero_sum_claim.json"
+R3_K = np.array(json.loads(R3_FILE.read_text())["operator_K"], dtype=float)
 
 
 def load(path: Path) -> dict:
     return json.loads(path.read_text())
+
+
+def test_version_agrees_everywhere():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r'^version = "([^"]+)"$', pyproject, re.M)
+    readme_text = (ROOT / "README.md").read_text()
+    readme = re.search(r"`tool.version` in every report, is (\S+?)\.\s", readme_text)
+    assert project and readme
+    versions = {project[1], fuzzyframes.__version__, TOOL_VERSION, readme[1]}
+    assert len(versions) == 1, versions
 
 
 class TestParsing:
@@ -439,19 +454,17 @@ class TestCommands:
         assert report["body"]["verification"]["passed"]
 
     def test_douglas_tests_range_inclusion_once(self, tmp_path, monkeypatch):
-        from fuzzyframes import operator_algebra
-
-        calls = []
-        inclusion = operator_algebra.douglas_range_inclusion
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inclusion(*args, **kwargs)
-
-        monkeypatch.setattr(operator_algebra, "douglas_range_inclusion", counted)
         data = load(R3_FILE)
         data["command"] = "douglas"
         K = np.array(data["operator_K"], dtype=float)
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.array_equal(a, K))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
         for T, verdict in ((0.5 * K, "pass"), (np.eye(3), "fail")):  # e3 escapes K
             data["operator_T"] = T.tolist()
             path = tmp_path / f"douglas-{verdict}.json"
@@ -460,12 +473,74 @@ class TestCommands:
             report, _ = run_file(path)
             assert report["verdict"] == verdict
             assert report["body"]["inclusion"] is (verdict == "pass")
-            assert len(calls) == 1
+            assert sum(calls) == 1  # one SVD of N feeds inclusion, W and lambda
 
     def test_check_kframe_corpus_decomposition_budget(self, linalg_calls):
         report, code = run_file(R3_FILE, command="check-kframe")
         assert code == EXIT_PASS
-        assert sum(linalg_calls.values()) <= 6
+        assert sum(linalg_calls.values()) <= 5
+
+    def test_douglas_decomposition_budget(self, tmp_path, linalg_calls):
+        data = load(R3_FILE)
+        data["operator_T"] = (0.5 * R3_K).tolist()
+        path = tmp_path / "douglas.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command="douglas")
+        assert code == EXIT_PASS
+        assert sum(linalg_calls.values()) <= 4
+
+    @pytest.mark.parametrize(
+        "N, M, lam",
+        [
+            # N = diag(1, 1e-7, 1): lambda = ||N^+ M|| = M_22 / 1e-7
+            (np.diag([1.0, 1e-7, 1.0]), np.diag([1.0, 5e-7, 1.0]), 5.0),
+            (np.diag([1.0, 1e-7, 1.0]), np.diag([1.0, 1e-3, 1.0]), 1e4),
+            # the residual of N W = M grows with ||N|| ||W||
+            (1e8 * R3_K, 1e8 * R3_K, 1.0),
+            (1e154 * R3_K, 1e154 * R3_K, 1.0),
+        ],
+    )
+    def test_douglas_lambda(self, N, M, lam, tmp_path):
+        data = load(R3_FILE)
+        data["operator_K"] = N.tolist()
+        data["operator_T"] = M.tolist()
+        path = tmp_path / "douglas.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command="douglas")
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        assert report["body"]["lambda"] == pytest.approx(lam, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "command", ["bounds", "check-kframe", "atomic", "transform", "perturb-operator"]
+    )
+    def test_overflowing_operator_gram_is_input_error(self, command, tmp_path, recwarn):
+        data = load(R3_FILE)
+        K = 1e154 * R3_K
+        data["operator_K"] = K.tolist()
+        data["operator_T"] = (0.5 * K).tolist()
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command=command)
+        assert code == EXIT_ERROR and report["verdict"] == "error"
+        assert "overflows" in report["error"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "command", ["bounds", "check-frame", "check-kframe", "reconstruct"]
+    )
+    def test_rank_rules_are_scale_invariant(self, command, tmp_path):
+        # the corpus frame scaled by 3e-6: S_c = 9e-12 * S_c, A = 1.8e-11
+        data = load(R3_FILE)
+        data["family"] = (3e-6 * np.array(data["family"], dtype=float)).tolist()
+        data["operator_K"] = np.eye(3).tolist()
+        del data["bounds"]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command=command)
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        for key in ("optimal_frame", "optimal_kframe"):
+            if key in report["body"]:
+                assert report["body"][key]["A"] == pytest.approx(1.8e-11, rel=1e-9)
 
     @staticmethod
     def _ill_conditioned(command: str, smallest: float, **extra) -> dict:
@@ -494,11 +569,12 @@ class TestCommands:
         assert code == EXIT_PASS
 
     @pytest.mark.parametrize(
-        "command", ["bounds", "check-frame", "check-kframe", "reconstruct"]
+        "command", ["bounds", "check-frame", "check-kframe", "reconstruct", "transform"]
     )
     def test_overflowing_frame_operator_is_input_error(self, command, tmp_path):
         data = load(R3_FILE)
         data["family"] = [[1e154, 1e154, 0.0], [1e154, -1e154, 0.0], [0.0, 0.0, 1.0]]
+        data["operator_T"] = (0.5 * np.array(data["operator_K"])).tolist()
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path, command=command)

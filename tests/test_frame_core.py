@@ -472,6 +472,27 @@ class TestRestrictedInverse:
         assert verdicts == [True, False, False] * 4
 
 
+class TestScaleInvariantRankRules:
+    """Rank decisions are relative, so rescaling the family or K changes none."""
+
+    @pytest.mark.parametrize("scale", [3e-6, 1.0, 1e6])
+    def test_frame_dual_and_restriction(self, r3_instance, scale):
+        fam = r3_instance["family"].scaled(scale)
+        assert optimal_frame_bounds(fam).A == pytest.approx(2.0 * scale**2, rel=1e-9)
+        result = reconstruct(fam, np.array([1.0, 2.0, 3.0]), 0.5)  # S_c invertible
+        assert result.residual_dual_vectors <= 1e-12
+        report = restricted_inverse_check(fam, np.eye(3))
+        assert report.injective and report.passed
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_kernel_escape(self, scale):
+        # the family spans e1, e2; K = scale * I reaches e3
+        fam = FrameFamily(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), REAL3)
+        cert = optimal_kframe_bounds(fam, scale * np.eye(3))
+        assert cert.A == 0.0
+        assert abs(cert.witness_lower[2]) == pytest.approx(1.0)
+
+
 class TestReconstruct:
     def test_r3_random_vectors_all_levels(self, r3_instance):
         rng = np.random.default_rng(47)

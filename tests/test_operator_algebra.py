@@ -8,6 +8,7 @@ import pytest
 
 from fuzzyframes import (
     BaseSpace,
+    FrameFamily,
     FuzzyModel,
     LinearOperator,
     RangeInclusionError,
@@ -17,12 +18,13 @@ from fuzzyframes import (
     douglas_factorize,
     douglas_lambda,
     douglas_range_inclusion,
-    pencil_inf,
-    pencil_sup,
+    family_perturbation_constant,
+    optimal_kframe_bounds,
     pseudo_inverse,
     psd_order_check,
     spectral_norm,
 )
+from fuzzyframes.operator_algebra import hermitian_part
 from conftest import operator_norm_sampled, rand_matrix, rand_vector
 
 
@@ -128,13 +130,20 @@ class TestPsdOrder:
             psd_order_check(np.ones((2, 3)), np.ones((2, 3)))
 
 
+def family_with_synthesis(F: np.ndarray) -> FrameFamily:
+    """The family whose synthesis matrix is F (columns are the vectors)."""
+    F = np.asarray(F)
+    field = "complex" if np.iscomplexobj(F) else "real"
+    return FrameFamily(F.T, FuzzyModel(BaseSpace(F.shape[0], field), "scaled"))
+
+
 class TestSymmetrizationWarning:
     def test_non_hermitian_input_warns(self):
         p = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.warns(RuntimeWarning, match="symmetrized"):
             psd_order_check(p, 3.0 * np.eye(2))
         with pytest.warns(RuntimeWarning, match="symmetrized"):
-            pencil_sup(p, np.eye(2))
+            hermitian_part(p)
 
     def test_hermitian_input_is_silent(self):
         m = rand_matrix(np.random.default_rng(5), 3, 3, "complex")
@@ -143,7 +152,19 @@ class TestSymmetrizationWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             psd_order_check(p, q)
-            pencil_sup(q, q + np.eye(3))
+
+    def test_non_hermitian_factors_are_silent(self):
+        # the majorization routes take factors, which nothing symmetrizes
+        rng = np.random.default_rng(5)
+        m = rand_matrix(rng, 3, 3, "complex")
+        n = rand_matrix(rng, 3, 3, "complex") + 3.0 * np.eye(3)
+        family = family_with_synthesis(n)
+        other = family_with_synthesis(n + 0.1 * m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            douglas_lambda(m, n)
+            optimal_kframe_bounds(family, m)
+            family_perturbation_constant(family, other)
 
 
 class TestDecompositionCounts:
@@ -152,14 +173,27 @@ class TestDecompositionCounts:
         psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
         assert dict(linalg_calls) == {"eigh": 1}
 
-    def test_pencil_sup_kernel_test_only_with_kernel(self, linalg_calls):
-        p = np.diag([4.0, 1.0, 0.0])
-        pencil_sup(p, np.diag([3.0, 2.0, 1.0]))  # invertible Q: no kernel
-        assert dict(linalg_calls) == {"eigh": 2}
+    def test_kframe_kernel_test_only_with_kernel(self, linalg_calls):
+        # eigh(S_c), eigh(C C*) on range(S_c), and the SVD of the tight test
+        k = np.diag([2.0, 1.0, 0.0])
+        full = family_with_synthesis(np.diag(np.sqrt([3.0, 2.0, 1.0])))
+        cert = optimal_kframe_bounds(full, k)  # invertible S_c: no kernel
+        assert dict(linalg_calls) == {"eigh": 2, "svd": 1}
+        assert cert.A == pytest.approx(3.0 / 4.0)
         linalg_calls.clear()
-        ext = pencil_sup(p, np.diag([3.0, 2.0, 0.0]))  # kernel in ker P
-        assert dict(linalg_calls) == {"eigh": 3, "eigvalsh": 1}
-        assert ext.value == pytest.approx(4.0 / 3.0)
+        # kernel e3 of S_c lies in ker K*: one eigh of the kernel energy and
+        # one SVD for ||K|| on top
+        deficient = family_with_synthesis(np.diag(np.sqrt([3.0, 2.0, 0.0])))
+        cert = optimal_kframe_bounds(deficient, k)
+        assert dict(linalg_calls) == {"eigh": 3, "svd": 2}
+        assert cert.A == pytest.approx(3.0 / 4.0)
+
+    def test_douglas_factorize_one_svd_of_n(self, linalg_calls):
+        # SVD of N, then the norms ||M||, ||(I - N N^+) M||, ||W||, ||N W - M||
+        rng = np.random.default_rng(9)
+        n = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
+        douglas_factorize(rand_matrix(rng, 4, 4), n)
+        assert dict(linalg_calls) == {"svd": 5}
 
     def test_pseudo_inverse_one_svd_matches_pinv(self, linalg_calls):
         t = rand_matrix(np.random.default_rng(7), 4, 2, "complex")
@@ -288,31 +322,58 @@ class TestPseudoInverse:
 
 
 class TestPencils:
+    """Extremes of the pencil sup ||M* f||^2 / <S f, f>, read from the factor M
+    through the public routes: Douglas's lam^2 against S = N N*, 1 / A
+    against S_c = F F*, and the family constant against S_F, S_G."""
+
     def test_sup_diagonal(self):
-        ext = pencil_sup(np.diag([4.0, 1.0, 0.0]), np.diag([3.0, 2.0, 1.0]))
-        assert ext.value == pytest.approx(4.0 / 3.0)
+        # M M* = diag(4, 1, 0) against diag(3, 2, 1): sup 4/3
+        m = np.diag([2.0, 1.0, 0.0])
+        n = np.diag(np.sqrt([3.0, 2.0, 1.0]))
+        assert douglas_lambda(m, n) ** 2 == pytest.approx(4.0 / 3.0)
+        assert optimal_kframe_bounds(family_with_synthesis(n), m).A == pytest.approx(3.0 / 4.0)
+        # difference synthesis m: sup 4/3 against S_F = diag(3, 2, 1), and
+        # 4 / (2 - sqrt 3)^2 against S_G = diag((sqrt 3 - 2)^2, (sqrt 2 - 1)^2, 1)
+        constant = family_perturbation_constant(
+            family_with_synthesis(n), family_with_synthesis(n - m)
+        )
+        assert constant.M == pytest.approx(4.0 / (2.0 - math.sqrt(3.0)) ** 2)
 
     def test_sup_infinite_on_kernel_escape(self):
-        ext = pencil_sup(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
-        assert math.isinf(ext.value)
-        assert abs(ext.witness[1]) == pytest.approx(1.0)
+        # M M* = I against diag(1, 0): e2 carries energy in the kernel
+        n = np.diag([1.0, 0.0])
+        cert = optimal_kframe_bounds(family_with_synthesis(n), np.eye(2))
+        assert cert.A == 0.0
+        assert abs(cert.witness_lower[1]) == pytest.approx(1.0)
+        with pytest.raises(RangeInclusionError):
+            douglas_lambda(np.eye(2), n)
+        constant = family_perturbation_constant(
+            family_with_synthesis(n), family_with_synthesis(np.eye(2))
+        )
+        assert not constant.finite
+        assert abs(constant.witness[1]) == pytest.approx(1.0)
 
     def test_inf_kernel_aware(self):
-        # restricted quotient alone would give 1; the true best constant is 1/2
-        p = np.array([[1.0, 1.0], [1.0, 2.0]])
-        q = np.diag([1.0, 0.0])
-        ext = pencil_inf(p, q)
-        assert ext.value == pytest.approx(0.5, rel=1e-9)
-        ok, _, _ = psd_order_check(ext.value * q, p)
+        # S_c = [[1, 1], [1, 2]] against K K* = diag(1, 0): the quotient
+        # restricted to range(K) alone would give 1; the best constant is 1/2
+        s = np.array([[1.0, 1.0], [1.0, 2.0]])
+        family = family_with_synthesis(np.linalg.cholesky(s))
+        k = np.diag([1.0, 0.0])
+        a = optimal_kframe_bounds(family, k).A
+        assert a == pytest.approx(0.5, rel=1e-9)
+        ok, _, _ = psd_order_check(a * k @ k.T, s)
         assert ok
 
     def test_inf_zero_when_kernel_escapes(self):
-        p = np.array([[1.0, 1.0], [1.0, 1.0]])  # kernel direction (1,-1)
-        q = np.diag([1.0, 1.0])
-        assert pencil_inf(p, q).value == pytest.approx(0.0)
+        # S_c = [[1, 1], [1, 1]] has kernel direction (1, -1); K = I
+        family = family_with_synthesis(np.array([[1.0], [1.0]]))
+        cert = optimal_kframe_bounds(family, np.eye(2))
+        assert cert.A == pytest.approx(0.0)
+        assert abs(cert.witness_lower @ np.array([1.0, 1.0])) <= 1e-12
 
     def test_inf_unconstrained_for_zero_denominator(self):
-        assert math.isinf(pencil_inf(np.diag([1.0, 2.0]), np.zeros((2, 2))).value)
+        family = family_with_synthesis(np.diag(np.sqrt([1.0, 2.0])))
+        assert math.isinf(optimal_kframe_bounds(family, np.zeros((2, 2))).A)
 
 
 class TestLinearOperator:
