@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
+from .fuzzy_space import MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import RangeInclusionError, douglas_factorize
 from .frame_core import (
     DEFAULT_ALPHAS,
@@ -304,6 +304,10 @@ def parse_problem(data: Any) -> Problem:
     if variant is not None and variant not in ("invertible", "coisometry"):
         raise ProblemError(f"'variant' must be 'invertible' or 'coisometry', got {variant!r}")
 
+    samples = _integer(data.get("samples", 1000), "'samples'")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ProblemError(f"'samples' must lie in [1, {MAX_SAMPLES}], got {samples}")
+
     claims_raw = data.get("claims", {})
     claims: list[dict] = []
     if claims_raw:
@@ -336,7 +340,7 @@ def parse_problem(data: Any) -> Problem:
         lambda1=_real(data.get("lambda1", 0.0), "'lambda1'"),
         lambda2=_real(data.get("lambda2", 0.0), "'lambda2'"),
         variant=variant,
-        samples=_integer(data.get("samples", 1000), "'samples'"),
+        samples=samples,
         claims=tuple(claims),
     )
 

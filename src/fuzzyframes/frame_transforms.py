@@ -356,13 +356,22 @@ def operator_transfer(
 
     T T* <= lam^2 K K* with lam from the factorization gives the lower
     bound A / lam^2 (vacuous when T = 0); range escape is a hypothesis
-    violation and raises RangeInclusionError.
+    violation and raises RangeInclusionError.  A bound A / lam^2 that is
+    not a finite double (lam^2 underflows) raises OverflowError.
     """
     k = as_matrix(K)
     t = as_matrix(T)
     c = _kframe_cert(family, k, cert)
     lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
-    lower = c.A / lam**2 if lam > 0.0 else math.inf
+    if lam == 0.0:
+        lower = math.inf
+    else:
+        lower = c.A / lam**2 if lam**2 > 0.0 else math.inf
+        if not math.isfinite(lower):
+            raise OverflowError(
+                f"the transferred lower bound A / lambda^2 overflows a double "
+                f"(A = {c.A:.3g}, lambda = {lam:.3g})"
+            )
     derived = DerivedBound(((c.A, c.B),), "range-transfer", lower, c.B)
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)

@@ -11,19 +11,21 @@ profile is the 0/1 indicator mu = [t > ||x|| ||y||], whose level norms all
 equal the classical norm.  Level inner products follow the same rule:
 <x, y>_a = scale(a) * <x, y> with scale(a) = a/(1-a) or 1.
 
-Every operation here is a pure function of immutable values.
+Every operation here is a pure function of immutable values.  The
+membership, the level scale and the level norm broadcast over arrays of
+vectors and values, so the axiom check evaluates all its samples at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "PROFILES",
+    "MAX_SAMPLES",
     "BaseSpace",
     "FuzzyModel",
     "AxiomResult",
@@ -31,12 +33,7 @@ __all__ = [
     "OrthonormalResult",
     "ExpansionReport",
     "check_alpha",
-    "mu_eval",
-    "fuzzy_norm_eval",
-    "level_membership",
-    "alpha_norm",
     "alpha_norm_bisect",
-    "alpha_inner",
     "alpha_inner_polarization",
     "check_fip_axioms",
     "orthonormal_check",
@@ -52,15 +49,22 @@ IMAG_TOL = 1e-12
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
 
+#: largest sample budget of the axiom check, ten times the default of 1000;
+#: at n = 64 over the complex field one samples x n draw is then 10 MB
+MAX_SAMPLES = 10_000
+
 Scalar = Union[float, complex]
 
 
-def check_alpha(alpha: float) -> float:
-    """Validate a level value, which must lie strictly inside (0, 1)."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
+def check_alpha(alpha):
+    """Validate a level value, or an array of them, each strictly inside (0, 1).
+
+    A single level comes back as a Python float, an array as a float array.
+    """
+    a = np.asarray(alpha, dtype=np.float64)
+    if not ((0.0 < a) & (a < 1.0)).all():
         raise ValueError(f"level must satisfy 0 < alpha < 1, got {alpha!r}")
-    return a
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,15 @@ class BaseSpace:
             )
         return x
 
+    def vectors(self, entries) -> np.ndarray:
+        """Coerce entries to an array of vectors of this space, shape (..., n)."""
+        x = np.asarray(entries, dtype=self.dtype)
+        if x.shape[-1:] != (self.dimension,):
+            raise ValueError(
+                f"expected vectors of length {self.dimension}, got shape {x.shape}"
+            )
+        return x
+
 
 @dataclass(frozen=True)
 class FuzzyModel:
@@ -101,8 +114,11 @@ class FuzzyModel:
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
 
-    def scale(self, alpha: float) -> float:
-        """Level scaling factor: a/(1-a) for scaled, 1 for crisp."""
+    def scale(self, alpha):
+        """Level scaling factor: a/(1-a) for scaled, 1 for crisp.
+
+        Takes one level (giving a float) or an array of levels.
+        """
         a = check_alpha(alpha)
         if self.profile == "scaled":
             return a / (1.0 - a)
@@ -111,24 +127,28 @@ class FuzzyModel:
     def check_vector(self, x) -> np.ndarray:
         return self.space.vector(x)
 
-    def mu(self, x, y, t: Scalar) -> float:
+    def mu(self, x, y, t):
         """Membership of t as a value for the inner product of x and y.
 
         Vanishes off the positive real axis and at or below the product of
         the classical norms; above that threshold the scaled profile takes
         |t| / (|t| + ||x|| ||y||) and the crisp profile takes 1.
+
+        Broadcasts: x and y have shape (..., n) and t, real or complex, has
+        shape (...).  One pair of vectors with a scalar t gives a float.
         """
-        x = self.check_vector(x)
-        y = self.check_vector(y)
-        tv = _positive_real(t)
-        if tv is None:
-            return 0.0
-        cut = float(np.linalg.norm(x) * np.linalg.norm(y))
-        if tv <= cut:
-            return 0.0
+        nx = np.linalg.norm(self.space.vectors(x), axis=-1)
+        cut = nx * (nx if y is x else np.linalg.norm(self.space.vectors(y), axis=-1))
+        t = np.asarray(t)
+        tv = t.real
+        above = tv > cut  # cut >= 0, so t is also positive here
+        if np.iscomplexobj(t):
+            above &= np.abs(t.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(t))
         if self.profile == "scaled":
-            return tv / (tv + cut)
-        return 1.0
+            value = np.divide(tv, tv + cut, out=np.zeros(above.shape), where=above)
+        else:
+            value = above.astype(np.float64)
+        return float(value) if value.ndim == 0 else value
 
     def norm_membership(self, x, t: float) -> float:
         """Fuzzy norm N(x, t) = mu(x, x, t^2) for t > 0, else 0."""
@@ -157,10 +177,19 @@ class FuzzyModel:
             return t * t / (t * t + nx * nx)
         return 1.0 if t > nx else 0.0
 
-    def alpha_norm(self, x, alpha: float) -> float:
-        """Closed-form level norm sqrt(scale(alpha)) * ||x||."""
-        x = self.check_vector(x)
-        return math.sqrt(self.scale(alpha)) * float(np.linalg.norm(x))
+    def alpha_norm(self, x, alpha):
+        """Closed-form level norm sqrt(scale(alpha)) * ||x||.
+
+        Broadcasts like ``mu``: x of shape (..., n), alpha of shape (...).
+        A negative or non-finite level scale leaves the level norm undefined
+        and raises ValueError.
+        """
+        x = self.space.vectors(x)
+        scale = np.asarray(self.scale(alpha), dtype=np.float64)
+        if not (np.isfinite(scale) & (scale >= 0.0)).all():
+            raise ValueError(f"level norm undefined: level scale {scale!r}")
+        value = np.sqrt(scale) * np.linalg.norm(x, axis=-1)
+        return float(value) if value.ndim == 0 else value
 
     def alpha_inner(self, x, y, alpha: float) -> Scalar:
         """Level inner product scale(alpha) * <x, y>.
@@ -175,39 +204,6 @@ class FuzzyModel:
         return complex(value)
 
 
-def _positive_real(t: Scalar) -> Optional[float]:
-    """Return t as a positive real, or None when t falls outside R+."""
-    tc = complex(t)
-    if tc.real <= 0.0:
-        return None
-    if abs(tc.imag) > IMAG_TOL * max(1.0, abs(tc)):
-        return None
-    return tc.real
-
-
-# Module-level forms of the model operations.  These are the names the rest
-# of the package (and the CLI) imports; the methods above carry the math.
-
-def mu_eval(model: FuzzyModel, x, y, t: Scalar) -> float:
-    return model.mu(x, y, t)
-
-
-def fuzzy_norm_eval(model: FuzzyModel, x, t: float) -> float:
-    return model.norm_membership(x, t)
-
-
-def level_membership(model: FuzzyModel, x, t: float) -> float:
-    return model.level_membership(x, t)
-
-
-def alpha_norm(model: FuzzyModel, x, alpha: float) -> float:
-    return model.alpha_norm(x, alpha)
-
-
-def alpha_inner(model: FuzzyModel, x, y, alpha: float) -> Scalar:
-    return model.alpha_inner(x, y, alpha)
-
-
 def alpha_norm_bisect(
     model: FuzzyModel,
     x,
@@ -217,8 +213,8 @@ def alpha_norm_bisect(
 ) -> float:
     """Level norm via bisection of inf{t > 0 : level_membership >= alpha}.
 
-    Independent cross-check of :func:`alpha_norm`; the level function is
-    nondecreasing in t so plain bisection applies.
+    Independent cross-check of :meth:`FuzzyModel.alpha_norm`; the level
+    function is nondecreasing in t so plain bisection applies.
     """
     x = model.check_vector(x)
     a = check_alpha(alpha)
@@ -288,11 +284,59 @@ class AxiomReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _rand_vec(rng: np.random.Generator, space: BaseSpace) -> np.ndarray:
-    v = rng.standard_normal(space.dimension)
-    if space.field == "complex":
-        v = v + 1j * rng.standard_normal(space.dimension)
-    return v.astype(space.dtype)
+class _AxiomDraws(NamedTuple):
+    """The random points of an axiom check, one row or entry per sample."""
+
+    x: np.ndarray  # samples x n, in the space's field
+    y: np.ndarray
+    z: np.ndarray
+    s: np.ndarray  # complex
+    t: np.ndarray  # complex
+    tpos: np.ndarray  # uniform on [0.05, 8)
+    spos: np.ndarray  # uniform on [0.05, 8)
+    a: np.ndarray  # the FIP9 level, uniform on [0.02, 0.98)
+
+
+def _axiom_draws(rng: np.random.Generator, space: BaseSpace, count: int) -> _AxiomDraws:
+    """Draw every sample of the axiom check at once, in a fixed order."""
+
+    def vectors() -> np.ndarray:
+        v = rng.standard_normal((count, space.dimension))
+        if space.field == "complex":
+            v = v + 1j * rng.standard_normal((count, space.dimension))
+        return v
+
+    def complex_scalars() -> np.ndarray:
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    return _AxiomDraws(
+        x=vectors(),
+        y=vectors(),
+        z=vectors(),
+        s=complex_scalars(),
+        t=complex_scalars(),
+        tpos=rng.uniform(0.05, 8.0, count),
+        spos=rng.uniform(0.05, 8.0, count),
+        a=rng.uniform(0.02, 0.98, count),
+    )
+
+
+def _axiom_result(name: str, checks, witness, per_sample: bool = False) -> AxiomResult:
+    """Fold the violation masks of one axiom's sub-checks into its result.
+
+    ``checks`` lists one boolean mask over the samples per sub-check.  Each
+    firing sub-check counts, or with ``per_sample`` each sample with any
+    firing sub-check counts once.  ``witness(k, j)`` describes the earliest
+    violating sample k through the first sub-check j that fires there.
+    """
+    hits = np.stack(checks)
+    hit_samples = hits.any(axis=0)
+    count = int(hit_samples.sum() if per_sample else hits.sum())
+    if count == 0:
+        return AxiomResult(name, True)
+    k = int(np.argmax(hit_samples))
+    j = int(np.argmax(hits[:, k]))
+    return AxiomResult(name, False, count, f"sample {k}: {witness(k, j)}")
 
 
 def check_fip_axioms(
@@ -300,7 +344,7 @@ def check_fip_axioms(
 ) -> AxiomReport:
     """Evaluate the inner-product membership axioms at seeded sample points.
 
-    Checked pointwise on random vectors and scalars:
+    Checked at every sample of random vectors and scalars:
 
     * FIP1  superadditivity of memberships under vector addition
     * FIP2  product bound mu(x, y, |st|) >= min of the diagonal values
@@ -314,118 +358,143 @@ def check_fip_axioms(
       min-form of this axiom is unsatisfiable for either profile, so the
       level-norm identity it exists to guarantee is what gets checked)
 
-    Violations are collected into the report, never raised.
+    All samples are drawn at once and each axiom is one whole-array
+    expression over ``model.mu``.  FIP3 and FIP5 count a sample once, FIP6
+    and FIP7 count each of their two sub-checks.  Violations are collected
+    into the report, never raised; the witness names the first violating
+    sample.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
+    if not 1 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample_count must lie in [1, {MAX_SAMPLES}], got {sample_count}")
     space = model.space
-    eq_tol = 1e-9
-
-    counts: dict[str, int] = {}
-    witnesses: dict[str, str] = {}
-
-    def record(axiom: str, witness: str) -> None:
-        counts[axiom] = counts.get(axiom, 0) + 1
-        witnesses.setdefault(axiom, witness)
-
-    zero = np.zeros(space.dimension, dtype=space.dtype)
-    axioms = [f"FIP{k}" for k in range(1, 10)]
-
-    for k in range(sample_count):
-        x = _rand_vec(rng, space)
-        y = _rand_vec(rng, space)
-        z = _rand_vec(rng, space)
-        s = complex(rng.standard_normal(), rng.standard_normal())
-        t = complex(rng.standard_normal(), rng.standard_normal())
-        tpos = float(rng.uniform(0.05, 8.0))
-        spos = float(rng.uniform(0.05, 8.0))
-
-        # FIP1 at nonnegative arguments |t|, |s|
-        lhs = model.mu(x + y, z, abs(t) + abs(s))
-        rhs = min(model.mu(x, z, abs(t)), model.mu(y, z, abs(s)))
-        if lhs < rhs - eq_tol:
-            record("FIP1", f"sample {k}: mu(x+y)={lhs:.6g} < min={rhs:.6g}")
-
-        # FIP2
-        lhs = model.mu(x, y, abs(s * t))
-        rhs = min(model.mu(x, x, abs(s) ** 2), model.mu(y, y, abs(t) ** 2))
-        if lhs < rhs - eq_tol:
-            record("FIP2", f"sample {k}: mu(x,y,|st|)={lhs:.6g} < min={rhs:.6g}")
-
-        # FIP3 at a complex argument and at a positive real one
-        for targ in (t, tpos):
-            if abs(model.mu(x, y, targ) - model.mu(y, x, _conj(targ))) > eq_tol:
-                record("FIP3", f"sample {k}: asymmetric at t={targ!r}")
-                break
-
-        # FIP4 with a nonzero scalar from the model's field
-        c = s if space.field == "complex" else float(s.real) or 1.0
-        if abs(c) > 1e-6:
-            if abs(model.mu(c * x, y, tpos) - model.mu(x, y, tpos / abs(c))) > eq_tol:
-                record("FIP4", f"sample {k}: scaling mismatch at c={c!r}")
-
-        # FIP5: vanishing off R+
-        for bad in (-tpos, complex(0.0, tpos), complex(-tpos, spos)):
-            if model.mu(x, x, bad) != 0.0:
-                record("FIP5", f"sample {k}: mu(x,x,{bad!r}) != 0")
-                break
-
-        # FIP6: the zero vector has full membership, nonzero vectors do not
-        if abs(model.mu(zero, zero, tpos) - 1.0) > eq_tol:
-            record("FIP6", f"sample {k}: mu(0,0,{tpos:.4g}) != 1")
-        nx = float(np.linalg.norm(x))
-        if nx > 1e-9:
-            probe = 0.5 * nx * nx
-            if abs(model.mu(x, x, probe) - 1.0) <= eq_tol:
-                record("FIP6", f"sample {k}: nonzero x with full membership")
-
-        # FIP7: monotone in t, limit 1
-        t_lo, t_hi = sorted((tpos, spos))
-        if model.mu(x, x, t_lo) > model.mu(x, x, t_hi) + eq_tol:
-            record("FIP7", f"sample {k}: not monotone on [{t_lo:.4g},{t_hi:.4g}]")
-        big = 1e12 * (1.0 + nx * nx)
-        if model.mu(x, x, big) < 1.0 - 1e-6:
-            record("FIP7", f"sample {k}: limit at large t is {model.mu(x, x, big):.6g}")
-
-        # FIP8: positive diagonal membership at all t>0 only for x = 0
-        if nx > 1e-9:
-            probe_t = 0.5 * nx  # N(x, probe_t) = mu(x, x, probe_t^2), below cut
-            if model.mu(x, x, probe_t * probe_t) > 0.0:
-                record("FIP8", f"sample {k}: positive membership below threshold")
-
-        # FIP9 via the parallelogram identity of the level norms
-        a = float(rng.uniform(0.02, 0.98))
-        try:
-            lhs = model.alpha_norm(x + y, a) ** 2 + model.alpha_norm(x - y, a) ** 2
-            rhs = 2.0 * model.alpha_norm(x, a) ** 2 + 2.0 * model.alpha_norm(y, a) ** 2
-            bad = not math.isfinite(lhs) or abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs))
-            note = f"sample {k}: parallelogram residual {lhs - rhs:.3g}" if bad else ""
-        except (ValueError, ArithmeticError):
-            bad = True
-            note = f"sample {k}: level norm undefined at alpha={a:.3g}"
-        if bad:
-            record("FIP9", note)
-
-    results = tuple(
-        AxiomResult(
-            axiom=name,
-            passed=name not in counts,
-            violations=counts.get(name, 0),
-            witness=witnesses.get(name),
-        )
-        for name in axioms
+    x, y, z, s, t, tpos, spos, a = _axiom_draws(
+        np.random.default_rng(seed), space, sample_count
     )
+    mu = model.mu
+    eq_tol = 1e-9
+    abs_s, abs_t = np.abs(s), np.abs(t)
+    nx = np.linalg.norm(x, axis=-1)
+    nonzero = nx > 1e-9
+    zero = np.zeros(space.dimension)
+
+    # FIP1 at nonnegative arguments |t|, |s|
+    lhs1 = mu(x + y, z, abs_t + abs_s)
+    rhs1 = np.minimum(mu(x, z, abs_t), mu(y, z, abs_s))
+    fip1 = _axiom_result(
+        "FIP1",
+        [lhs1 < rhs1 - eq_tol],
+        lambda k, j: f"mu(x+y)={float(lhs1[k]):.6g} < min={float(rhs1[k]):.6g}",
+    )
+
+    # FIP2
+    lhs2 = mu(x, y, np.abs(s * t))
+    rhs2 = np.minimum(mu(x, x, abs_s**2), mu(y, y, abs_t**2))
+    fip2 = _axiom_result(
+        "FIP2",
+        [lhs2 < rhs2 - eq_tol],
+        lambda k, j: f"mu(x,y,|st|)={float(lhs2[k]):.6g} < min={float(rhs2[k]):.6g}",
+    )
+
+    # FIP3 at a complex argument and at a positive real one
+    fip3 = _axiom_result(
+        "FIP3",
+        [np.abs(mu(x, y, targ) - mu(y, x, np.conj(targ))) > eq_tol for targ in (t, tpos)],
+        lambda k, j: f"asymmetric at t={(t[k], tpos[k])[j].item()!r}",
+        per_sample=True,
+    )
+
+    # FIP4 with a nonzero scalar from the model's field
+    c = s if space.field == "complex" else np.where(s.real == 0.0, 1.0, s.real)
+    abs_c = np.abs(c)
+    scalable = abs_c > 1e-6
+    mismatch = np.abs(
+        mu(c[:, None] * x, y, tpos) - mu(x, y, tpos / np.where(scalable, abs_c, 1.0))
+    )
+    fip4 = _axiom_result(
+        "FIP4",
+        [scalable & (mismatch > eq_tol)],
+        lambda k, j: f"scaling mismatch at c={c[k].item()!r}",
+    )
+
+    # FIP5: vanishing off R+
+    fip5 = _axiom_result(
+        "FIP5",
+        [mu(x, x, bad) != 0.0 for bad in (-tpos, tpos * 1j, -tpos + spos * 1j)],
+        lambda k, j: "mu(x,x,{!r}) != 0".format(
+            (-float(tpos[k]), complex(0.0, tpos[k]), complex(-tpos[k], spos[k]))[j]
+        ),
+        per_sample=True,
+    )
+
+    # FIP6: the zero vector has full membership, nonzero vectors do not
+    fip6 = _axiom_result(
+        "FIP6",
+        [
+            np.abs(mu(zero, zero, tpos) - 1.0) > eq_tol,
+            nonzero & (np.abs(mu(x, x, 0.5 * nx * nx) - 1.0) <= eq_tol),
+        ],
+        lambda k, j: (
+            f"mu(0,0,{float(tpos[k]):.4g}) != 1",
+            "nonzero x with full membership",
+        )[j],
+    )
+
+    # FIP7: monotone in t, limit 1
+    t_lo, t_hi = np.minimum(tpos, spos), np.maximum(tpos, spos)
+    limit = mu(x, x, 1e12 * (1.0 + nx * nx))
+    fip7 = _axiom_result(
+        "FIP7",
+        [mu(x, x, t_lo) > mu(x, x, t_hi) + eq_tol, limit < 1.0 - 1e-6],
+        lambda k, j: (
+            f"not monotone on [{float(t_lo[k]):.4g},{float(t_hi[k]):.4g}]",
+            f"limit at large t is {float(limit[k]):.6g}",
+        )[j],
+    )
+
+    # FIP8: positive diagonal membership at all t>0 only for x = 0; the probe
+    # N(x, nx/2) = mu(x, x, nx^2/4) lies below the cut
+    probe_t = 0.5 * nx
+    fip8 = _axiom_result(
+        "FIP8",
+        [nonzero & (mu(x, x, probe_t * probe_t) > 0.0)],
+        lambda k, j: "positive membership below threshold",
+    )
+
+    # FIP9 via the parallelogram identity of the level norms; a sample whose
+    # level norm is undefined (negative or non-finite scale, or a square
+    # that overflows) is a violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.broadcast_to(model.scale(a), a.shape)
+        defined = np.isfinite(scale) & (scale >= 0.0)
+        squares = np.full((4, sample_count), np.inf)
+        if defined.any():
+            xd, yd = x[defined], y[defined]
+            pairs = np.stack((xd + yd, xd - yd, xd, yd))
+            squares[:, defined] = model.alpha_norm(pairs, a[defined]) ** 2
+        undefined = ~np.isfinite(squares).all(axis=0)
+        lhs9 = squares[0] + squares[1]
+        rhs9 = 2.0 * squares[2] + 2.0 * squares[3]
+        residual = lhs9 - rhs9
+        bad9 = undefined | ~np.isfinite(lhs9) | (
+            np.abs(residual) > 1e-8 * np.maximum(1.0, np.abs(rhs9))
+        )
+    fip9 = _axiom_result(
+        "FIP9",
+        [bad9],
+        lambda k, j: (
+            f"level norm undefined at alpha={float(a[k]):.3g}"
+            if undefined[k]
+            else f"parallelogram residual {float(residual[k]):.3g}"
+        ),
+    )
+
+    results = (fip1, fip2, fip3, fip4, fip5, fip6, fip7, fip8, fip9)
     return AxiomReport(
         profile=model.profile,
         sample_count=sample_count,
         seed=seed,
         results=results,
     )
-
-
-def _conj(t: Scalar) -> Scalar:
-    return complex(t).conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -250,13 +250,18 @@ def _douglas(
 
     Returns (included, residual, W, ||N||) with residual = ||(I - N N^dagger)
     M|| / ||M|| (0 for M = 0), included = residual <= tol and W = N^dagger M.
+    A W that overflows (tiny singular values of N against a large M) raises
+    OverflowError.
     """
     m = as_matrix(M)
     n = as_matrix(N)
     if m.shape[0] != n.shape[0]:
         raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
     u, s, vh = _thin_svd(n)
-    w = _dagger(u, s, vh) @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _dagger(u, s, vh) @ m
+    if not np.isfinite(w).all():
+        raise OverflowError("the factor W = N^+ M overflows a double")
     norm_n = float(s[0]) if len(s) else 0.0
     scale = spectral_norm(m)
     if scale == 0.0:

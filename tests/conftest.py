@@ -1,4 +1,4 @@
-"""Shared fixtures and independent search oracles for the test suite.
+"""Shared fixtures and independent oracles for the test suite.
 
 The sphere-search helpers evaluate quadratic-form quotients directly on
 seeded unit-sphere samples and polish the best candidate by projected
@@ -8,12 +8,14 @@ of the spectral code paths they are used to check.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
+from fuzzyframes.fuzzy_space import AxiomReport, AxiomResult, _axiom_draws
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,103 @@ def sphere_violation_max(
             if step < 1e-13:
                 break
     return best, f
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle of the axiom check
+
+
+def fip_axioms_oracle(model: FuzzyModel, sample_count: int, seed: int) -> AxiomReport:
+    """The axiom check as a per-sample loop of scalar membership calls.
+
+    Walks the same draws as ``check_fip_axioms``, one row at a time, with
+    the same tolerances, counting rules and witness texts; the whole-array
+    check must reproduce its report exactly.
+    """
+    space = model.space
+    d = _axiom_draws(np.random.default_rng(seed), space, sample_count)
+    eq_tol = 1e-9
+    counts: dict[str, int] = {}
+    witnesses: dict[str, str] = {}
+
+    def record(axiom: str, witness: str) -> None:
+        counts[axiom] = counts.get(axiom, 0) + 1
+        witnesses.setdefault(axiom, witness)
+
+    zero = np.zeros(space.dimension, dtype=space.dtype)
+    for k in range(sample_count):
+        x, y, z = d.x[k], d.y[k], d.z[k]
+        s, t = complex(d.s[k]), complex(d.t[k])
+        tpos, spos = float(d.tpos[k]), float(d.spos[k])
+
+        lhs = model.mu(x + y, z, abs(t) + abs(s))
+        rhs = min(model.mu(x, z, abs(t)), model.mu(y, z, abs(s)))
+        if lhs < rhs - eq_tol:
+            record("FIP1", f"sample {k}: mu(x+y)={lhs:.6g} < min={rhs:.6g}")
+
+        lhs = model.mu(x, y, abs(s * t))
+        rhs = min(model.mu(x, x, abs(s) ** 2), model.mu(y, y, abs(t) ** 2))
+        if lhs < rhs - eq_tol:
+            record("FIP2", f"sample {k}: mu(x,y,|st|)={lhs:.6g} < min={rhs:.6g}")
+
+        for targ in (t, tpos):
+            conj = complex(targ).conjugate()
+            if abs(model.mu(x, y, targ) - model.mu(y, x, conj)) > eq_tol:
+                record("FIP3", f"sample {k}: asymmetric at t={targ!r}")
+                break
+
+        c = s if space.field == "complex" else float(s.real) or 1.0
+        if abs(c) > 1e-6:
+            if abs(model.mu(c * x, y, tpos) - model.mu(x, y, tpos / abs(c))) > eq_tol:
+                record("FIP4", f"sample {k}: scaling mismatch at c={c!r}")
+
+        for bad in (-tpos, complex(0.0, tpos), complex(-tpos, spos)):
+            if model.mu(x, x, bad) != 0.0:
+                record("FIP5", f"sample {k}: mu(x,x,{bad!r}) != 0")
+                break
+
+        if abs(model.mu(zero, zero, tpos) - 1.0) > eq_tol:
+            record("FIP6", f"sample {k}: mu(0,0,{tpos:.4g}) != 1")
+        nx = float(np.linalg.norm(x))
+        if nx > 1e-9:
+            probe = 0.5 * nx * nx
+            if abs(model.mu(x, x, probe) - 1.0) <= eq_tol:
+                record("FIP6", f"sample {k}: nonzero x with full membership")
+
+        t_lo, t_hi = sorted((tpos, spos))
+        if model.mu(x, x, t_lo) > model.mu(x, x, t_hi) + eq_tol:
+            record("FIP7", f"sample {k}: not monotone on [{t_lo:.4g},{t_hi:.4g}]")
+        big = 1e12 * (1.0 + nx * nx)
+        if model.mu(x, x, big) < 1.0 - 1e-6:
+            record("FIP7", f"sample {k}: limit at large t is {model.mu(x, x, big):.6g}")
+
+        if nx > 1e-9:
+            probe_t = 0.5 * nx
+            if model.mu(x, x, probe_t * probe_t) > 0.0:
+                record("FIP8", f"sample {k}: positive membership below threshold")
+
+        a = float(d.a[k])
+        try:
+            lhs = model.alpha_norm(x + y, a) ** 2 + model.alpha_norm(x - y, a) ** 2
+            rhs = 2.0 * model.alpha_norm(x, a) ** 2 + 2.0 * model.alpha_norm(y, a) ** 2
+            bad = not math.isfinite(lhs) or abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs))
+            note = f"sample {k}: parallelogram residual {lhs - rhs:.3g}" if bad else ""
+        except (ValueError, ArithmeticError):
+            bad = True
+            note = f"sample {k}: level norm undefined at alpha={a:.3g}"
+        if bad:
+            record("FIP9", note)
+
+    results = tuple(
+        AxiomResult(
+            axiom=name,
+            passed=name not in counts,
+            violations=counts.get(name, 0),
+            witness=witnesses.get(name),
+        )
+        for name in (f"FIP{j}" for j in range(1, 10))
+    )
+    return AxiomReport(model.profile, sample_count, seed, results)
 
 
 # ---------------------------------------------------------------------------

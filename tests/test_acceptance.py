@@ -18,9 +18,7 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    alpha_inner,
     alpha_inner_polarization,
-    alpha_norm,
     alpha_norm_bisect,
     atomic_coefficients,
     atomic_system_equivalence_check,
@@ -384,14 +382,14 @@ def test_criterion_10_fuzzy_space_numerics():
         model = scaled if rng.uniform() < 0.5 else crisp
         x = rand_vector(rng, 4)
         a = float(rng.uniform(0.02, 0.98))
-        ok &= abs(alpha_norm(model, x, a) - alpha_norm_bisect(model, x, a)) <= 1e-9
+        ok &= abs(model.alpha_norm(x, a) - alpha_norm_bisect(model, x, a)) <= 1e-9
     for field in ("real", "complex"):
         model = FuzzyModel(BaseSpace(4, field), "scaled")
         for _ in range(50):
             x = rand_vector(rng, 4, field)
             y = rand_vector(rng, 4, field)
             a = float(rng.uniform(0.05, 0.95))
-            direct = alpha_inner(model, x, y, a)
+            direct = model.alpha_inner(x, y, a)
             polar = alpha_inner_polarization(model, x, y, a)
             ok &= abs(direct - polar) <= 1e-8 * max(1.0, abs(direct))
     for profile in ("scaled", "crisp"):

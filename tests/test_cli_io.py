@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyframes
+from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.cli_io import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -103,6 +104,17 @@ class TestParsing:
         data.update(mutation)
         with pytest.raises(ProblemError):
             parse_problem(data)
+
+    @pytest.mark.parametrize("samples", [0, MAX_SAMPLES + 1])
+    def test_sample_budget_outside_cap_rejected(self, samples, tmp_path):
+        data = load(R3_FILE)
+        data.update(command="axioms", samples=samples)
+        with pytest.raises(ProblemError, match="'samples'"):
+            parse_problem(data)
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and str(MAX_SAMPLES) in report["error"]
 
     def test_operator_shape_must_match(self):
         data = load(R3_FILE)
@@ -580,6 +592,26 @@ class TestCommands:
         report, code = run_file(path, command=command)
         assert code == EXIT_ERROR and report["verdict"] == "error"
         assert "overflows" in report["error"]
+
+    @pytest.mark.parametrize(
+        "data, quantity",
+        [
+            # A = 1e-72 and lambda = 1e-297, so lambda^2 underflows to 0
+            ({"command": "transform", "family": [[1e117]], "operator_K": [[1e153]],
+              "operator_T": [[1e-144]]}, "A / lambda^2"),
+            # W = N^+ M = 1e600
+            ({"command": "douglas", "family": [[1.0]], "operator_K": [[1e-300]],
+              "operator_T": [[1e300]]}, "W = N^+ M"),
+        ],
+    )
+    def test_overflowing_derived_quantity_is_input_error(self, data, quantity, tmp_path, recwarn):
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps({"dimension": 1, **data}))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and report["verdict"] == "error"
+        assert quantity in report["error"] and "overflows" in report["error"]
+        assert "nan" not in canonical_json(report)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_convention_override_flows_through(self, capsys):
         code = main(["bounds", str(R3_FILE), "--convention", "squared"])
