@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .fuzzy_space import MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
@@ -150,12 +152,27 @@ def _tolerance(value: Any, what: str) -> float:
     return tolerance
 
 
+#: the largest magnitude up to which a double holds every integer
+EXACT_FLOAT_INTEGER = 2**53
+
+
 def _integer(value: Any, what: str) -> int:
-    """A JSON integer (bool excluded; an integral float such as 3.0 is accepted)."""
+    """A JSON integer (bool excluded).
+
+    An integral float such as 3.0 is accepted up to EXACT_FLOAT_INTEGER in
+    magnitude.  Past it a double no longer holds every integer, and the
+    decoder reads integer literals outside [-2**63, 2**64) as doubles, so the
+    value may differ from the one in the file.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        if abs(value) <= EXACT_FLOAT_INTEGER:
+            return int(value)
+        raise ProblemError(
+            f"{what} must be an integer literal in [-2**63, 2**64) or an integral "
+            f"number of magnitude at most 2**53, got {value!r}"
+        )
     raise ProblemError(f"{what} must be an integer, got {value!r}")
 
 
@@ -753,7 +770,7 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
         verdict, body = COMMANDS[command](problem)
     except ProblemError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         report["verdict"] = "error"
         report["error"] = str(exc)
         report["exit_code"] = EXIT_ERROR
@@ -774,6 +791,40 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
     return report, report["exit_code"]
 
 
+#: deepest nesting handed to orjson, which builds nested values recursively on
+#: the C stack: a file nested about 10**5 levels deep crashes the process
+ORJSON_MAX_DEPTH = 256
+
+_NOT_STRUCTURE = bytes(sorted(set(range(256)).difference(b'[]{}"')))
+_ESCAPE = re.compile(rb"\\.", re.S)
+_STRING = re.compile(rb'"[^"]*"')
+_DEPTH_STEP = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")
+
+
+def _nesting_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in JSON text, counted from the
+    brackets outside strings; exact for valid JSON."""
+    if b"\\" in data:
+        data = _ESCAPE.sub(b"", data)
+    brackets = _STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
+    steps = np.frombuffer(brackets.translate(_DEPTH_STEP), np.int8)
+    return int(steps.cumsum().max(initial=0))
+
+
+def _decode(data: bytes) -> Any:
+    """Decode a problem file with orjson.  What orjson rejects, and anything
+    nested deeper than ORJSON_MAX_DEPTH, goes to the stdlib decoder: it reads
+    NaN and Infinity literals (for parse_problem to reject by field name),
+    numbers past the double range, a UTF-8 byte order mark and UTF-16 or
+    UTF-32 text, and words every other error."""
+    if _nesting_depth(data) <= ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(data)
+
+
 def run_file(
     path: Path,
     command: Optional[str] = None,
@@ -781,10 +832,12 @@ def run_file(
 ) -> tuple[dict, int]:
     """Load, validate, and execute one problem file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = _decode(Path(path).read_bytes())
     except FileNotFoundError:
         return _error_report(path, f"no such file: {path}"), EXIT_ERROR
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        return _error_report(path, f"cannot read {path}: {exc.strerror or exc}"), EXIT_ERROR
+    except (ValueError, RecursionError) as exc:  # JSON, text encoding or nesting depth
         return _error_report(path, f"malformed JSON: {exc}"), EXIT_ERROR
     try:
         problem = parse_problem(raw)

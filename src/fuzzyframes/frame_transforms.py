@@ -336,6 +336,19 @@ def transform_family(
     return TransformResult(moved, derived, verification, variant)
 
 
+def _over_lambda_squared(A: float, lam: float) -> float:
+    """The lower bound A / lam^2 from T T* <= lam^2 K K*: +inf (vacuous) when
+    lam = 0, OverflowError when it is not a finite double (lam^2 underflows)."""
+    if lam == 0.0:
+        return math.inf
+    lower = A / lam**2 if lam**2 > 0.0 else math.inf
+    if not math.isfinite(lower):
+        raise OverflowError(
+            f"the lower bound A / lambda^2 overflows a double (A = {A:.3g}, lambda = {lam:.3g})"
+        )
+    return lower
+
+
 @dataclass(frozen=True)
 class TransferResult:
     lam: float
@@ -363,15 +376,7 @@ def operator_transfer(
     t = as_matrix(T)
     c = _kframe_cert(family, k, cert)
     lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
-    if lam == 0.0:
-        lower = math.inf
-    else:
-        lower = c.A / lam**2 if lam**2 > 0.0 else math.inf
-        if not math.isfinite(lower):
-            raise OverflowError(
-                f"the transferred lower bound A / lambda^2 overflows a double "
-                f"(A = {c.A:.3g}, lambda = {lam:.3g})"
-            )
+    lower = _over_lambda_squared(c.A, lam)
     derived = DerivedBound(((c.A, c.B),), "range-transfer", lower, c.B)
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)
@@ -417,7 +422,8 @@ def build_family(
     model, T: MatrixLike, K: MatrixLike, tol: float = PSD_TOL
 ) -> BuiltFamily:
     """Inverse direction: family = columns of T, certified as a K-frame when
-    range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*."""
+    range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*.
+    A bound 1/lam^2 that is not a finite double raises OverflowError."""
     t = as_matrix(T)
     family = FrameFamily(t.T, model)
     try:
@@ -426,5 +432,5 @@ def build_family(
         cert = optimal_kframe_bounds(family, K)
         return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
     cert = optimal_kframe_bounds(family, K)
-    derived = 1.0 / lam**2 if lam > 0.0 else math.inf
+    derived = _over_lambda_squared(1.0, lam)
     return BuiltFamily(family, cert, True, lam=lam, derived_lower=derived)

@@ -1,8 +1,10 @@
 """cli_io: problem parsing, command dispatch, determinism, exit codes."""
 
+import importlib
 import json
 import math
 import re
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,14 @@ from hypothesis import strategies as st
 import fuzzyframes
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.cli_io import (
+    COMMANDS,
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
     TOOL_VERSION,
     ProblemError,
+    _error_report,
+    _nesting_depth,
     _parse_matrix,
     _parse_matrix_entries,
     _parse_vector,
@@ -53,6 +58,23 @@ def test_version_agrees_everywhere():
     assert project and readme
     versions = {project[1], fuzzyframes.__version__, TOOL_VERSION, readme[1]}
     assert len(versions) == 1, versions
+
+
+def _declared_dependencies() -> list[str]:
+    # tomllib needs Python 3.11 and the project supports 3.10, so read the list by regex
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*?)\]$", pyproject, re.M | re.S)
+    assert declared
+    return re.findall(r'"([A-Za-z0-9_.-]+)', declared[1])
+
+
+@pytest.mark.parametrize("name", _declared_dependencies())
+def test_declared_dependency_imports(name):
+    importlib.import_module(name.replace("-", "_"))
+
+
+def test_orjson_is_declared():
+    assert "orjson" in _declared_dependencies()
 
 
 class TestParsing:
@@ -93,6 +115,7 @@ class TestParsing:
             {"dimension": 3.5},
             {"dimension": True},
             {"seed": 2.7},
+            {"seed": float(2**53 + 2)},
             {"seed": True},
             {"command": ["bounds"]},
             {"family_g": 5},
@@ -146,6 +169,31 @@ class TestParsing:
         report, code = run_file(path)
         assert code == EXIT_ERROR and report["verdict"] == "error"
         assert "finite" in report["error"]
+
+    def test_integer_literals_up_to_2_to_64_are_exact(self, tmp_path):
+        data = load(R3_FILE)
+        data["seed"] = 2**63 - 1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["command"]["seed"] == 2**63 - 1
+
+    def test_integer_literal_past_2_to_64_is_rejected(self, tmp_path):
+        # the decoder reads it as the double 2**64, which is not the seed in the file
+        data = load(R3_FILE)
+        data["seed"] = 2**64 + 1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and "'seed'" in report["error"]
+
+    @pytest.mark.parametrize(
+        "key, value", [("dimension", 3.0), ("seed", float(2**53)), ("seed", -float(2**53))]
+    )
+    def test_integral_float_accepted_up_to_2_to_53(self, key, value):
+        data = load(R3_FILE)
+        data[key] = value
+        assert getattr(parse_problem(data), key) == value
 
     def test_digest_stable_under_reformatting(self):
         data = load(R3_FILE)
@@ -274,6 +322,116 @@ def test_whole_array_parse_agrees_with_per_entry_parse(case):
     assert _outcome(fast, *args) == expected
     if expected is not None and uniform:
         assert _whole_array(entries, shape, field) is not None
+
+
+# Number literals that stress a float decoder: 17-25 digit mantissas, exact
+# midpoints between adjacent doubles, subnormals, the ends of the double range
+# and integers up to 2**63
+SPECIAL_LITERALS = st.sampled_from(
+    [
+        "2.2250738585072011e-308",
+        "2.2250738585072014e-308",
+        "4.9406564584124654e-324",
+        "2.4703282292062327e-324",
+        "2.4703282292062328e-324",
+        "1e-320",
+        "1e308",
+        "-1e308",
+        "1.7976931348623157e308",
+        "1.7976931348623158e308",
+        "9007199254740993",
+        "9007199254740993.0",
+        "-0.0",
+        "-0",
+    ]
+)
+
+
+@st.composite
+def long_mantissas(draw):
+    digits = draw(st.text("0123456789", min_size=17, max_size=25))
+    exponent = draw(st.one_of(st.integers(-5, 5), st.integers(-330, 310)))
+    return f"{draw(st.sampled_from(['', '-']))}{digits[0]}.{digits[1:]}e{exponent}"
+
+
+@st.composite
+def halfway_literals(draw):
+    """The exact decimal midpoint of a double and the next one up."""
+    x = draw(st.floats(min_value=0.0, max_value=1.7976931348623155e308))
+    with localcontext(Context(prec=1000)):
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+    return f"{draw(st.sampled_from(['', '-']))}{mid:E}"
+
+
+LITERALS = st.one_of(
+    long_mantissas(),
+    halfway_literals(),
+    SPECIAL_LITERALS,
+    st.integers(-(2**63), 2**63).map(str),
+)
+MATRIX_KEYS = ("family", "family_g", "operator_K", "operator_T")
+SCALAR_KEYS = ("lambda1", "lambda2", "tolerance", "seed")
+
+
+@st.composite
+def adversarial_problem_texts(draw):
+    """A corpus problem, run as any command, with some of its numbers
+    replaced by literals drawn from LITERALS, as JSON text."""
+    data = load(draw(st.sampled_from([C3_FILE, R3_FILE, CLAIM_FILE])))
+    data.update(
+        command=draw(st.sampled_from(sorted(COMMANDS))),
+        operator_T=json.loads(json.dumps(data["operator_K"])),
+        family_g=json.loads(json.dumps(data["family"])),
+        samples=50,
+    )
+    literals = {}
+    for k in range(draw(st.integers(1, 6))):
+        key = draw(st.sampled_from([*MATRIX_KEYS, *MATRIX_KEYS, *SCALAR_KEYS, "bounds"]))
+        placeholder = f"@{k}@"
+        literals[placeholder] = draw(LITERALS)
+        if key in MATRIX_KEYS:
+            row = draw(st.sampled_from(data[key]))
+            j = draw(st.integers(0, len(row) - 1))
+            if data["field"] == "complex" and draw(st.booleans()):
+                literals[placeholder + "im"] = draw(LITERALS)
+                row[j] = [placeholder, placeholder + "im"]
+            else:
+                row[j] = placeholder
+        elif key in SCALAR_KEYS:
+            data[key] = placeholder
+        else:
+            data.setdefault("bounds", [0.5, 8.0])[draw(st.integers(0, 1))] = placeholder
+    text = json.dumps(data, indent=1)
+    for placeholder, literal in literals.items():
+        text = text.replace(f'"{placeholder}"', literal)
+    return text
+
+
+def _stdlib_run(text: str, path: Path) -> tuple[dict, int]:
+    """The stdlib decoder followed by parse_problem and run_command."""
+    try:
+        problem = parse_problem(json.loads(text))
+        return run_command(problem.command, problem, str(path))
+    except ProblemError as exc:
+        return _error_report(path, str(exc)), EXIT_ERROR
+
+
+def _run_outcome(run, *args):
+    # extreme numbers can still raise in the compute layers (a RuntimeWarning,
+    # an error here); such a defect must show the same way on both paths
+    try:
+        report, code = run(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return canonical_json(report), code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(adversarial_problem_texts(), st.sampled_from(["utf-8", "utf-8-sig", "utf-16"]))
+def test_decoded_reports_match_stdlib_decoder(tmp_path_factory, text, encoding):
+    path = tmp_path_factory.getbasetemp() / "adversarial.json"
+    path.write_bytes(text.encode(encoding))
+    assert _run_outcome(run_file, path) == _run_outcome(_stdlib_run, text, path)
 
 
 class TestCommands:
@@ -642,6 +800,62 @@ class TestErrors:
         report, code = run_file(path)
         assert code == EXIT_ERROR
         assert "malformed JSON" in report["error"]
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"field": "réel"}'.encode("latin-1"))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and "malformed JSON" in report["error"]
+
+    @pytest.mark.parametrize("levels", [100_000, 1_000_000])
+    def test_deeply_nested_json(self, levels, tmp_path):
+        # a million levels would overflow the C stack inside orjson
+        path = tmp_path / "deep.json"
+        path.write_text('{"dimension": ' + "[" * levels + "]" * levels + "}")
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and "malformed JSON" in report["error"]
+
+    @pytest.mark.parametrize(
+        "text, depth",
+        [
+            ("", 0),
+            ("3", 0),
+            ("[[1], {}]", 2),
+            ('{"a": "]]]]", "b": [[[]]]}', 4),
+            ('{"a": "[[[[", "b": []}', 2),
+            ('{"a": "\\"]]]", "b": [[[]]]}', 4),
+            ('{"a": "\\\\", "b": [[[]]]}', 4),
+        ],
+    )
+    def test_nesting_depth_ignores_strings(self, text, depth):
+        assert _nesting_depth(text.encode()) == depth
+
+    def test_directory_named_json(self, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        report, code = run_file(tmp_path / "x.json")
+        assert code == EXIT_ERROR and "cannot read" in report["error"]
+        (tmp_path / "r3.json").write_bytes(R3_FILE.read_bytes())
+        target = tmp_path / "batch.json"
+        assert main(["batch", str(tmp_path), "--out", str(target)]) == EXIT_ERROR
+        reports = json.loads(target.read_text())["reports"]
+        assert [r["verdict"] for r in reports] == ["pass", "error"]
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_byte_order_marked_files_are_read(self, encoding, tmp_path):
+        path = tmp_path / "marked.json"
+        path.write_bytes(R3_FILE.read_text().encode(encoding))
+        report, code = run_file(path)
+        expected, _ = run_file(R3_FILE)
+        expected["input"]["path"] = str(path)
+        assert code == EXIT_PASS and canonical_json(report) == canonical_json(expected)
+
+    def test_arithmetic_error_in_command_is_input_error(self, monkeypatch):
+        def divide(_problem):
+            return 1.0 / 0.0
+
+        monkeypatch.setitem(COMMANDS, "bounds", divide)
+        report, code = run_command("bounds", parse_problem(load(R3_FILE)))
+        assert code == EXIT_ERROR and report["verdict"] == "error"
 
     def test_unknown_command_via_run_command(self):
         problem = parse_problem(load(R3_FILE))
