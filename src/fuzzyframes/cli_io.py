@@ -36,6 +36,7 @@ from .frame_core import (
     FrameFamily,
     SingularFrameOperatorError,
     VerificationResult,
+    _bounds_pair,
     _unit,
     atomic_system_equivalence_check,
     frame_sum,
@@ -217,31 +218,39 @@ def _parse_matrix_entries(
 
 
 def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optional[np.ndarray]:
-    """Parse a vector or matrix with one numpy call, or None if it needs the
-    per-entry parser: mixed numbers and pairs, or anything invalid, whose
-    precise error message the per-entry parser gives."""
+    """Parse a vector or matrix from one flat list of its numbers, or None if
+    it needs the per-entry parser: mixed numbers and pairs, or anything
+    invalid, whose precise error message the per-entry parser gives.
+
+    Each nesting level must be lists of the expected length, and the leaves
+    numbers (bool is not int here) or [re, im] pairs of numbers."""
+    level = [entries]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    leaf_types = set(map(type, level))
+    pairs = leaf_types == {list}
+    if pairs:
+        if set(map(len, level)) != {2}:
+            return None
+        level = list(chain.from_iterable(level))
+        leaf_types = set(map(type, level))
+    if not leaf_types <= {float, int}:
+        return None
     try:
-        arr = np.array(entries)
-    except ValueError:  # ragged nesting
+        flat = np.array(level, dtype=np.float64)
+    except OverflowError:  # an integer past the double range
         return None
-    if arr.dtype.kind not in "fi":
-        return None
-    pairs = arr.shape == shape + (2,)
-    if not (pairs or arr.shape == shape):
-        return None
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        return None
-    # numpy reads true/false as 1/0, so look for bools among the numbers
-    flat = entries
-    for _ in range(arr.ndim - 1):
-        flat = chain.from_iterable(flat)
-    if bool in map(type, flat):
+    if not np.isfinite(flat).all():
         return None
     if not pairs:
-        return arr.astype(np.complex128 if field_name == "complex" else np.float64)
+        flat = flat.reshape(shape)
+        return flat.astype(np.complex128) if field_name == "complex" else flat
+    flat = flat.reshape(shape + (2,))
     if field_name == "real":
-        return None if arr[..., 1].any() else arr[..., 0].astype(np.float64)
-    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(shape)
+        return None if flat[..., 1].any() else flat[..., 0].copy()
+    return flat.view(np.complex128).reshape(shape)
 
 
 def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> np.ndarray:
@@ -453,7 +462,10 @@ def problem_digest(problem: Problem) -> str:
             continue
         h.update(f"\n{name}{list(arr.shape)}\n".encode())
         for part in (arr.real, arr.imag):
-            h.update(_round_significant(part).astype("<f8").tobytes())
+            if part.any():
+                h.update(_round_significant(part).astype("<f8").tobytes())
+            else:  # every zero rounds to +0.0, whose bytes are all zero
+                h.update(bytes(8 * part.size))
     return h.hexdigest()
 
 
@@ -494,12 +506,10 @@ def _verification_dict(res: VerificationResult) -> dict:
 
 def _cmd_bounds(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
-    body: dict = {"optimal_frame": _cert_dict(optimal_frame_bounds(family, p.convention))}
-    if p.operator_K is not None:
-        body["optimal_kframe"] = _cert_dict(
-            optimal_kframe_bounds(family, p.operator_K, p.convention)
-        )
-    return "pass", body
+    if p.operator_K is None:
+        return "pass", {"optimal_frame": _cert_dict(optimal_frame_bounds(family, p.convention))}
+    frame, kframe = _bounds_pair(family, p.operator_K, p.convention)
+    return "pass", {"optimal_frame": _cert_dict(frame), "optimal_kframe": _cert_dict(kframe)}
 
 
 def _cmd_check_frame(p: Problem) -> tuple[str, dict]:

@@ -221,8 +221,14 @@ def optimal_frame_bounds(
     proper subspace and is merely a Bessel family.
     """
     _check_convention(convention)
-    s = classical_frame_operator(family)
-    w, v = np.linalg.eigh(s)
+    return _frame_bounds(family, convention, np.linalg.eigh(classical_frame_operator(family)))
+
+
+def _frame_bounds(
+    family: FrameFamily, convention: str, eig: tuple[np.ndarray, np.ndarray]
+) -> BoundCertificate:
+    """optimal_frame_bounds from the eigenpairs (w ascending, v) of S_c."""
+    w, v = eig
     a = float(w[0])
     b = float(w[-1])
     if a < RELATIVE_RANK_TOL * b:
@@ -257,12 +263,28 @@ def optimal_kframe_bounds(
     +inf ("unconstrained").
     """
     _check_convention(convention)
+    k = _operator_on(K, family.dimension)
+    s = classical_frame_operator(family)
+    return _kframe_bounds(family, k, convention, s, np.linalg.eigh(s))
+
+
+def _operator_on(K: MatrixLike, n: int) -> np.ndarray:
+    """K as an n x n matrix; another shape raises ValueError."""
     k = as_matrix(K)
-    n = family.dimension
     if k.shape != (n, n):
         raise ValueError(f"operator of shape {k.shape} does not act on dimension {n}")
-    s = classical_frame_operator(family)
-    w, v = np.linalg.eigh(s)
+    return k
+
+
+def _kframe_bounds(
+    family: FrameFamily,
+    k: np.ndarray,
+    convention: str,
+    s: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray],
+) -> BoundCertificate:
+    """optimal_kframe_bounds from S_c and its eigenpairs (w ascending, v)."""
+    w, v = eig
     b = float(w[-1])
     sup, lower_witness = _quotient_sup(k, w, v, "K K*")
     if sup == math.inf:  # some f with K*f != 0 has zero frame sum
@@ -274,8 +296,7 @@ def optimal_kframe_bounds(
     tight = False
     parseval = False
     if math.isfinite(a) and a > 0.0:
-        residual = spectral_norm(s - a * _gram(k, "K K*"))
-        tight = residual <= TIGHT_TOL * (1.0 + b)
+        tight = _norm_at_most(s - a * _gram(k, "K K*"), TIGHT_TOL * (1.0 + b))
         parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     return BoundCertificate(
         kind="k_frame",
@@ -288,6 +309,32 @@ def optimal_kframe_bounds(
         tight=tight,
         parseval=parseval,
     )
+
+
+def _bounds_pair(
+    family: FrameFamily, K: MatrixLike, convention: str
+) -> tuple[BoundCertificate, BoundCertificate]:
+    """optimal_frame_bounds and optimal_kframe_bounds from one
+    eigendecomposition of S_c."""
+    _check_convention(convention)
+    k = _operator_on(K, family.dimension)
+    s = classical_frame_operator(family)
+    eig = np.linalg.eigh(s)
+    return _frame_bounds(family, convention, eig), _kframe_bounds(family, k, convention, s, eig)
+
+
+def _norm_at_most(g: np.ndarray, limit: float) -> bool:
+    """||g||_2 <= limit, decided from ||g||_2 <= ||g||_F <= sqrt(n) ||g||_2
+    when the Frobenius norm can; the SVD runs only in the gap between the
+    two bounds or when the Frobenius norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = float(np.linalg.norm(g))
+    if math.isfinite(frobenius):
+        if frobenius <= limit:
+            return True
+        if frobenius > math.sqrt(min(g.shape)) * limit:
+            return False
+    return spectral_norm(g) <= limit
 
 
 @dataclass(frozen=True)
@@ -389,10 +436,7 @@ def atomic_system_from_operator(
     ||K* f||_a^2 identically: a Parseval K-frame with (A, B) = (1, ||K||^2)
     and the lower inequality an equality.
     """
-    k = as_matrix(K)
-    n = model.space.dimension
-    if k.shape != (n, n):
-        raise ValueError(f"operator of shape {k.shape} does not act on dimension {n}")
+    k = _operator_on(K, model.space.dimension)
     family = FrameFamily(k.T, model)
     norm2 = spectral_norm(k) ** 2
     return family, BoundCertificate(
@@ -572,11 +616,13 @@ def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]
     vectors as columns and the condition number of S_c.  A singular S_c
     raises with a unit kernel witness."""
     s = classical_frame_operator(family)
-    w, v = np.linalg.eigh(s)
-    if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):
-        raise SingularFrameOperatorError(
-            "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
-        )
+    w = np.linalg.eigvalsh(s)
+    if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):  # the vectors only for the witness
+        w, v = np.linalg.eigh(s)
+        if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):
+            raise SingularFrameOperatorError(
+                "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
+            )
     F = synthesis_matrix(family)
     return F, np.linalg.solve(s, F), float(w[-1] / w[0])
 

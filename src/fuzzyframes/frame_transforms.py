@@ -311,13 +311,14 @@ def transform_family(
         raise ValueError(f"unknown variant {variant!r}")
     t = as_matrix(T)
     k = as_matrix(K)
+    sv = np.linalg.svd(t, compute_uv=False)  # ||T||, invertibility and ||T^-1||
+    norm_t = float(sv[0])
     comm = spectral_norm(t @ k - k @ t)
-    if comm > tol * (1.0 + spectral_norm(t) * spectral_norm(k)):
+    if comm > tol * (1.0 + norm_t * spectral_norm(k)):
         raise ValueError(f"T and K do not commute (residual {comm:.3e})")
     c = _kframe_cert(family, k, cert)
 
     if variant == "invertible":
-        sv = np.linalg.svd(t, compute_uv=False)
         if sv[-1] <= RELATIVE_RANK_TOL * sv[0]:
             raise ValueError("transform operator is not invertible")
         inv_norm = 1.0 / float(sv[-1])
@@ -328,7 +329,7 @@ def transform_family(
         if res > tol * (1.0 + spectral_norm(gram)):
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")
         lower = c.A
-    upper = c.B * spectral_norm(t) ** 2
+    upper = c.B * norm_t**2
 
     moved = FrameFamily((t @ synthesis_matrix(family)).T, family.model)
     derived = DerivedBound(((c.A, c.B),), f"{variant}-transform", lower, upper)

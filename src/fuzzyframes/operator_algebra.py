@@ -15,6 +15,9 @@ answered from the factor, never from Gram matrices of both sides:
 Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
 input never changes a rank decision.
+
+Order decisions read eigenvalues only; eigenvectors are computed when a
+decision fails and its witness is reported.
 """
 
 from __future__ import annotations
@@ -165,9 +168,11 @@ def hermitian_part(P: MatrixLike) -> np.ndarray:
     m = as_matrix(P)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    h = 0.5 * (m + m.conj().T)
-    skew = np.linalg.norm(m - h)
-    if skew > 1e-8 * (1.0 + np.linalg.norm(h)):
+    h = 0.5 * m + 0.5 * m.conj().T  # halving first: no overflow near the double range
+    with np.errstate(over="ignore"):  # a norm past the double range is inf
+        skew = np.linalg.norm(m - h)
+        scale = np.linalg.norm(h)
+    if skew > 1e-8 * (1.0 + scale):
         warnings.warn(
             f"matrix symmetrized, asymmetry {skew:.3e}", RuntimeWarning, stacklevel=2
         )
@@ -195,14 +200,23 @@ def psd_order_check(
     Returns (ok, witness, lambda_min) where the witness is the unit
     eigenvector minimizing <(Q - P) f, f> whenever the order fails.  The
     slack is scale-aware: lambda_min >= -tol * (1 + ||Q - P||).
+
+    The eigenvalues alone decide a pass.  Only a failure computes the
+    eigenvectors, and their eigenvalues decide again, so a failing margin
+    and its witness come from one eigendecomposition.
     """
     diff = hermitian_part(Q) - hermitian_part(P)
-    w, v = np.linalg.eigh(diff)
-    lam_min = float(w[0])
-    slack = tol * (1.0 + float(np.abs(w).max(initial=0.0)))
-    if lam_min >= -slack:
+
+    def decide(w: np.ndarray) -> tuple[bool, float]:
+        lam_min = float(w[0])
+        return lam_min >= -tol * (1.0 + float(np.abs(w).max(initial=0.0))), lam_min
+
+    ok, lam_min = decide(np.linalg.eigvalsh(diff))
+    if ok:
         return True, None, lam_min
-    return False, v[:, 0], lam_min
+    w, v = np.linalg.eigh(diff)
+    ok, lam_min = decide(w)
+    return ok, None if ok else v[:, 0], lam_min
 
 
 def _thin_svd(
@@ -345,10 +359,14 @@ def _quotient_sup(
     top = float(w.max(initial=0.0))
     kernel = v[:, w <= RELATIVE_RANK_TOL * top] if top > 0.0 else v
     if kernel.shape[1] > 0:
-        cw, cv = np.linalg.eigh(_gram(kernel.conj().T @ M, what))
-        if float(cw[-1]) > RELATIVE_RANK_TOL * spectral_norm(M) ** 2:
-            f = kernel @ cv[:, -1]
-            return math.inf, f / np.linalg.norm(f)
+        energy = _gram(kernel.conj().T @ M, what)
+        floor = RELATIVE_RANK_TOL * spectral_norm(M) ** 2
+        # eigenvalues decide; the vectors are computed only for the witness
+        if float(np.linalg.eigvalsh(energy)[-1]) > floor:
+            cw, cv = np.linalg.eigh(energy)
+            if float(cw[-1]) > floor:
+                f = kernel @ cv[:, -1]
+                return math.inf, f / np.linalg.norm(f)
     if top <= 0.0:
         return -math.inf, None
     keep = w > RELATIVE_RANK_TOL * top

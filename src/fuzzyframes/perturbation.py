@@ -135,7 +135,8 @@ def check_operator_perturbation(
         _gram(m, what) for m, what in ((k1, "K1 K1*"), (k2, "K2 K2*"), (delta, "D D*"))
     )
     l1, l2 = lambda1 * lambda1, lambda2 * lambda2
-    slack = tol * (1.0 + l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = tol * (1.0 + l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
 
     def violation(f: np.ndarray) -> float:
         return float(
@@ -149,7 +150,12 @@ def check_operator_perturbation(
     def holds(x: float, y: float) -> bool:
         """lam1^2 x A + lam2^2 y B - C >= 0 within the slack."""
         nonlocal worst, extremal
-        q = (l1 * x) * a + (l2 * y) * b - c
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (l1 * x) * a + (l2 * y) * b - c
+        if not (np.isfinite(q).all() and math.isfinite(slack)):
+            raise OverflowError(
+                "Q_t = (lambda1^2/t) A + (lambda2^2/(1-t)) B - C or its slack overflows a double"
+            )
         w, v = np.linalg.eigh(0.5 * (q + q.conj().T))
         value = violation(v[:, 0])
         if value > worst:

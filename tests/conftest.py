@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
+from typing import Any, Optional
 
 import numpy as np
 import pytest
@@ -341,3 +343,36 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# Reference whole-array parser
+
+
+def reference_whole_array(
+    entries: Any, shape: tuple[int, ...], field_name: str
+) -> Optional[np.ndarray]:
+    """The whole-array parser of version 1.6.0: one nested ``np.array`` call,
+    a dtype and shape check, and a scan of the flattened lists for bools.
+    None where the per-entry parser has to decide."""
+    try:
+        arr = np.array(entries)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in "fi":
+        return None
+    pairs = arr.shape == shape + (2,)
+    if not (pairs or arr.shape == shape):
+        return None
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        return None
+    flat = entries
+    for _ in range(arr.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if bool in map(type, flat):
+        return None
+    if not pairs:
+        return arr.astype(np.complex128 if field_name == "complex" else np.float64)
+    if field_name == "real":
+        return None if arr[..., 1].any() else arr[..., 0].astype(np.float64)
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(shape)

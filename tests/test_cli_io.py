@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyframes
+from conftest import reference_whole_array
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.cli_io import (
     COMMANDS,
@@ -213,6 +214,17 @@ class TestParsing:
         assert problem_digest(parse_problem(paired)) == digest
         assert problem_digest(parse_problem(signed_zero)) == digest
 
+    @pytest.mark.parametrize(
+        "path, digest",
+        [
+            (R3_FILE, "455fe23900fa91add99709269056f7b2cefec2228e6d398b4be1b0af3987b394"),
+            (C3_FILE, "a9d34467c2cf809155a7f1ec6232f47a5802ac5a0756d70efe5e160fdd703ed7"),
+        ],
+    )
+    def test_digest_unchanged_by_zero_part_shortcut(self, path, digest):
+        # the digests of version 1.6.0, which rounded every all-zero part
+        assert problem_digest(parse_problem(load(path))) == digest
+
     def test_digest_resolves_twelve_significant_digits(self):
         data = load(R3_FILE)
         digest = problem_digest(parse_problem(data))
@@ -246,7 +258,9 @@ NUMBERS = st.one_of(
     st.integers(-(2**62), 2**62),
 )
 # valid numbers that numpy does not hold as int64 or float64
-WIDE_INTEGERS = st.sampled_from([2**63, 2**63 + 1, 2**64, -(2**63) - 1, 10**30])
+WIDE_INTEGERS = st.sampled_from(
+    [2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, -(2**63) - 1, -(2**64), 10**30, 2**1023]
+)
 BAD_SCALARS = st.sampled_from(
     [True, False, None, "1", math.nan, math.inf, -math.inf, 10**400, [1], [1, 2, 3], {}]
 )
@@ -322,6 +336,36 @@ def test_whole_array_parse_agrees_with_per_entry_parse(case):
     assert _outcome(fast, *args) == expected
     if expected is not None and uniform:
         assert _whole_array(entries, shape, field) is not None
+
+
+def _leaves(entries):
+    if isinstance(entries, list):
+        for e in entries:
+            yield from _leaves(e)
+    else:
+        yield entries
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(entry_lists())
+def test_flat_parser_matches_nested_reference(case):
+    entries, shape, field, _ = case
+    expected = reference_whole_array(entries, shape, field)
+    got = _whole_array(entries, shape, field)
+    if got is not None:
+        assert got.flags.c_contiguous
+        got = got.dtype, got.shape, got.tobytes()
+    if expected is not None:
+        assert got == (expected.dtype, expected.shape, expected.tobytes())
+    elif got is not None:
+        # the nested array holds an integer past int64 as uint64 or object and
+        # leaves it to the per-entry parser; the flat list converts it exactly
+        # as that parser does
+        assert any(type(x) is int and not -(2**63) <= x < 2**63 for x in _leaves(entries))
+        if len(shape) == 1:
+            assert got == _outcome(_parse_vector_entries, entries, shape[0], field, "v")
+        else:
+            assert got == _outcome(_parse_matrix_entries, entries, shape, field, "m")
 
 
 # Number literals that stress a float decoder: 17-25 digit mantissas, exact
@@ -650,6 +694,23 @@ class TestCommands:
         assert code == EXIT_PASS
         assert sum(linalg_calls.values()) <= 5
 
+    def test_bounds_with_k_decomposes_s_c_once(self, linalg_calls):
+        # eigh(S_c) for both certificates and eigh(C C*) for the K-frame bound
+        report, code = run_file(R3_FILE, command="bounds")
+        assert code == EXIT_PASS and "optimal_kframe" in report["body"]
+        assert dict(linalg_calls) == {"eigh": 2}
+
+    def test_invertible_transform_one_svd_of_t(self, tmp_path, linalg_calls):
+        # the SVD of T gives ||T||, invertibility and ||T^-1||; the other SVD
+        # is ||K|| of the commutation test
+        data = load(R3_FILE)
+        data.update(command="transform", variant="invertible", operator_T=np.eye(3).tolist())
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS
+        assert linalg_calls["svd"] == 2
+
     def test_douglas_decomposition_budget(self, tmp_path, linalg_calls):
         data = load(R3_FILE)
         data["operator_T"] = (0.5 * R3_K).tolist()
@@ -848,6 +909,27 @@ class TestErrors:
         expected, _ = run_file(R3_FILE)
         expected["input"]["path"] = str(path)
         assert code == EXIT_PASS and canonical_json(report) == canonical_json(expected)
+
+    def test_huge_requested_bound_is_checked_without_overflow(self, tmp_path):
+        # B I with B = 1e308 was symmetrized as 0.5 (Q + Q*), which overflows
+        data = load(R3_FILE)
+        data.update(command="check-frame", bounds=[1, 1e308])
+        path = tmp_path / "huge-bound.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["body"]["verification"]["passed"]
+
+    def test_overflowing_q_t_is_named(self, tmp_path):
+        data = load(R3_FILE)
+        data.update(
+            command="perturb-operator",
+            lambda1=1.7976931348623157e308,
+            operator_T=data["operator_K"],
+        )
+        path = tmp_path / "huge-lambda.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and "Q_t" in report["error"]
 
     def test_arithmetic_error_in_command_is_input_error(self, monkeypatch):
         def divide(_problem):

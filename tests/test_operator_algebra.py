@@ -128,6 +128,34 @@ class TestPsdOrder:
         with pytest.raises(ValueError):
             psd_order_check(np.ones((2, 3)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_verdict_matches_eigh_at_slack_boundary(self, field):
+        # Q - P has its smallest eigenvalue just inside or just outside the
+        # slack; the eigenvalues alone must decide as eigh does, and a failure
+        # must report eigh's margin and witness
+        rng = np.random.default_rng(23)
+        tol = 1e-9
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            u = np.linalg.qr(rand_matrix(rng, n, n, field))[0]
+            d = scale * rng.uniform(0.1, 1.0, n)
+            d[0] = -(1.0 + rng.choice([-0.5, -0.01, 0.01, 0.5])) * tol * (1.0 + d.max())
+            m = scale * rand_matrix(rng, n, n, field)
+            p = m + m.conj().T
+            q = p + (u * d) @ u.conj().T
+            diff = hermitian_part(q) - hermitian_part(p)
+            w, v = np.linalg.eigh(diff)
+            expected_ok = w[0] >= -tol * (1.0 + np.abs(w).max())
+            ok, witness, margin = psd_order_check(p, q, tol)
+            assert ok == expected_ok
+            if not ok:
+                assert margin == float(w[0])
+                assert np.array_equal(witness, v[:, 0])
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
 
 def family_with_synthesis(F: np.ndarray) -> FrameFamily:
     """The family whose synthesis matrix is F (columns are the vectors)."""
@@ -168,23 +196,32 @@ class TestSymmetrizationWarning:
 
 class TestDecompositionCounts:
     def test_psd_order_check_one_eigh(self, linalg_calls):
+        # a pass is decided by the eigenvalues alone; a failure adds the
+        # eigenvectors for its witness
         m = rand_matrix(np.random.default_rng(6), 4, 4, "complex")
-        psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
-        assert dict(linalg_calls) == {"eigh": 1}
+        ok, witness, _ = psd_order_check(m @ m.conj().T, 100.0 * np.eye(4))
+        assert ok and witness is None
+        assert dict(linalg_calls) == {"eigvalsh": 1}
+        linalg_calls.clear()
+        ok, witness, _ = psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
+        assert not ok and witness is not None
+        assert dict(linalg_calls) == {"eigvalsh": 1, "eigh": 1}
 
     def test_kframe_kernel_test_only_with_kernel(self, linalg_calls):
-        # eigh(S_c), eigh(C C*) on range(S_c), and the SVD of the tight test
+        # eigh(S_c) and eigh(C C*) on range(S_c); the Frobenius norm of
+        # S_c - A K K* decides the tight test without an SVD
         k = np.diag([2.0, 1.0, 0.0])
         full = family_with_synthesis(np.diag(np.sqrt([3.0, 2.0, 1.0])))
         cert = optimal_kframe_bounds(full, k)  # invertible S_c: no kernel
-        assert dict(linalg_calls) == {"eigh": 2, "svd": 1}
+        assert dict(linalg_calls) == {"eigh": 2}
         assert cert.A == pytest.approx(3.0 / 4.0)
+        assert not cert.tight
         linalg_calls.clear()
-        # kernel e3 of S_c lies in ker K*: one eigh of the kernel energy and
-        # one SVD for ||K|| on top
+        # kernel e3 of S_c lies in ker K*: the eigenvalues of the kernel
+        # energy and one SVD for ||K|| on top, no eigenvectors
         deficient = family_with_synthesis(np.diag(np.sqrt([3.0, 2.0, 0.0])))
         cert = optimal_kframe_bounds(deficient, k)
-        assert dict(linalg_calls) == {"eigh": 3, "svd": 2}
+        assert dict(linalg_calls) == {"eigh": 2, "eigvalsh": 1, "svd": 1}
         assert cert.A == pytest.approx(3.0 / 4.0)
 
     def test_douglas_factorize_one_svd_of_n(self, linalg_calls):
