@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -37,6 +38,7 @@ from .frame_core import (
     SingularFrameOperatorError,
     VerificationResult,
     _bounds_pair,
+    _optimal_bounds,
     _unit,
     atomic_system_equivalence_check,
     frame_sum,
@@ -47,10 +49,10 @@ from .frame_core import (
 )
 from .frame_transforms import operator_transfer, transform_family
 from .perturbation import (
+    _family_constant,
     check_operator_perturbation,
     derive_family_perturbed_bounds,
     derive_operator_perturbed_bounds,
-    family_perturbation_constant,
 )
 
 __all__ = [
@@ -376,6 +378,8 @@ def parse_problem(data: Any) -> Problem:
 
 
 def _fmt(x: float) -> Any:
+    """x rounded to 12 significant digits, -0.0 made 0.0; nan and inf as
+    the strings "nan", "inf" and "-inf"."""
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
@@ -384,32 +388,133 @@ def _fmt(x: float) -> Any:
     return 0.0 if v == 0.0 else v
 
 
-def _canon(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (bool, str, int)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+#: exponents that '.12g' writes in e-notation and float.__repr__ positionally
+_POSITIONAL_EXPONENTS = frozenset(("e+12", "e+13", "e+14", "e+15"))
+
+
+def _num(x: float) -> str:
+    """The JSON text of _fmt(x).
+
+    Twelve significant digits round-trip through a double, so '.12g' writes
+    the digits float.__repr__ writes for the rounded value.  The exceptions
+    go through _fmt: exponents 12 to 15, which repr writes positionally;
+    exponents -308 and below, where 12 digits need not round-trip through a
+    subnormal; integral values, which repr ends in '.0'; -0, nan and inf.
+    """
+    s = f"{x:.12g}"
+    if "e" in s:
+        if s[-4:] not in _POSITIONAL_EXPONENTS and (s[-5:-3] != "e-" or s[-3:] < "308"):
+            return s
+    elif "." in s:
+        return s
+    v = _fmt(x)
+    return _string(v) if type(v) is str else float.__repr__(v)
+
+
+def _pair(z: complex, nl: str) -> str:
+    inner = nl + "  "
+    return f"[{inner}{_num(z.real)},{inner}{_num(z.imag)}{nl}]"
+
+
+def _floats(a: np.ndarray, nl: str) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(_num, a.tolist())) + nl + "]"
+
+
+def _complexes(a: np.ndarray, nl: str) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_pair(z, inner) for z in a.tolist()]) + nl + "]"
+
+
+#: 1-D writers of the array dtypes reports hold, float64 and complex128
+_ROW_WRITERS = {"d": _floats, "D": _complexes}
+
+
+def _array(a: np.ndarray, nl: str) -> str:
+    """Nonempty float64 and complex128 vectors, and matrices row by row;
+    any other array (0-d, empty, another dtype) through the items of
+    tolist(), each written as the generic path writes it."""
+    row = _ROW_WRITERS.get(a.dtype.char)
+    if row is not None and a.size:
+        if a.ndim == 1:
+            return row(a, nl)
+        if a.ndim == 2:
+            inner = nl + "  "
+            return "[" + inner + ("," + inner).join([row(r, inner) for r in a]) + nl + "]"
+    return _list(list(a.tolist()), nl)
+
+
+def _list(items: Sequence, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_text(v, inner) for v in items]) + nl + "]"
+
+
+def _object(obj: dict, nl: str) -> str:
+    if not obj:
+        return "{}"
+    inner = nl + "  "
+    keys = sorted(obj)
+    if set(map(type, keys)) != {str}:  # later keys win where str(key) repeats
+        obj = {str(k): obj[k] for k in keys}
+        keys = sorted(obj)
+    members = [f"{_string(k)}: {_text(obj[k], inner)}" for k in keys]
+    return "{" + inner + ("," + inner).join(members) + nl + "}"
+
+
+def _text(obj: Any, nl: str) -> str:
+    """obj as canonical JSON; nl is the line break and indentation of its line.
+
+    The exact types reports hold come first; subclasses and numpy scalars
+    follow in the order of the isinstance tests that decide them.
+    """
+    t = type(obj)
+    if t is float:
+        return _num(obj)
+    if t is str:
+        return _string(obj)
+    if t is dict:
+        return _object(obj, nl)
+    if t is np.ndarray:
+        return _array(obj, nl)
+    if t is list or t is tuple:
+        return _list(obj, nl)
+    if obj is None:
+        return "null"
+    if t is bool or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _num(obj)
     if isinstance(obj, complex):
-        return [_fmt(obj.real), _fmt(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+        return _pair(obj, nl)
+    if isinstance(obj, np.floating):
+        return _num(float(obj))
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
     if isinstance(obj, np.complexfloating):
-        return [_fmt(float(obj.real)), _fmt(float(obj.imag))]
+        return _pair(complex(obj), nl)
     if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
+        return _list(list(obj.tolist()), nl)
     if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in sorted(obj.items())}
+        return _object(obj, nl)
     if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+        return _list(obj, nl)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)
+    """The canonical report text of obj, written in one pass.
+
+    It is the text json.dumps(sort_keys=True, indent=2, ensure_ascii=True)
+    prints once every number is rounded by _fmt, dict keys are made strings
+    with str and complex values are [re, im] pairs.
+    """
+    return _text(obj, "\n")
 
 
 def _round_significant(x: np.ndarray, digits: int = 12) -> np.ndarray:
@@ -428,25 +533,26 @@ def _round_significant(x: np.ndarray, digits: int = 12) -> np.ndarray:
 def problem_digest(problem: Problem) -> str:
     """Digest of the parsed problem, stable under reformatting.
 
-    SHA-256 over the canonical JSON of the scalar fields, then for each
-    array its name, its shape and the little-endian float64 bytes of its
-    real and imaginary parts rounded to 12 significant digits.
+    SHA-256 over the compact JSON, keys sorted, of the scalar fields with
+    their numbers rounded by _fmt, then for each array its name, its shape
+    and the little-endian float64 bytes of its real and imaginary parts
+    rounded to 12 significant digits.
     """
     scalars = {
         "dimension": problem.dimension,
         "field": problem.field,
         "profile": problem.profile,
-        "alphas": list(problem.alphas),
-        "bounds": list(problem.bounds) if problem.bounds else None,
+        "alphas": [_fmt(a) for a in problem.alphas],
+        "bounds": [_fmt(b) for b in problem.bounds] if problem.bounds else None,
         "convention": problem.convention,
         "seed": problem.seed,
-        "tolerance": problem.tolerance,
+        "tolerance": _fmt(problem.tolerance),
         "command": problem.command,
-        "lambda1": problem.lambda1,
-        "lambda2": problem.lambda2,
+        "lambda1": _fmt(problem.lambda1),
+        "lambda2": _fmt(problem.lambda2),
         "variant": problem.variant,
         "samples": problem.samples,
-        "claims": [{"kind": c["kind"], "value": c["value"]} for c in problem.claims],
+        "claims": [{"kind": c["kind"], "value": _fmt(c["value"])} for c in problem.claims],
     }
     arrays = {
         "family": problem.family,
@@ -456,7 +562,7 @@ def problem_digest(problem: Problem) -> str:
     }
     for i, c in enumerate(problem.claims):
         arrays[f"claims[{i}].vector"] = c["vector"]
-    h = hashlib.sha256(json.dumps(_canon(scalars), sort_keys=True, separators=(",", ":")).encode())
+    h = hashlib.sha256(json.dumps(scalars, sort_keys=True, separators=(",", ":")).encode())
     for name, arr in arrays.items():
         if arr is None:
             continue
@@ -637,7 +743,7 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
 def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     F = p.frame_family()
     G = p.second_family()
-    constant = family_perturbation_constant(F, G)
+    constant, s_f, eig_f = _family_constant(F, G)
     body: dict = {
         "M": constant.M,
         "finite": constant.finite,
@@ -647,10 +753,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     }
     if not constant.finite:
         return "fail", body
-    if p.operator_K is not None:
-        cert = optimal_kframe_bounds(F, p.operator_K, p.convention)
-    else:
-        cert = optimal_frame_bounds(F, p.convention)
+    cert = _optimal_bounds(F, p.operator_K, p.convention, s_f, eig_f)
     if not (cert.A > 0.0 and math.isfinite(cert.A)):
         body["note"] = "source family carries no positive lower bound to transfer"
         return "fail", body

@@ -311,6 +311,21 @@ def _kframe_bounds(
     )
 
 
+def _optimal_bounds(
+    family: FrameFamily,
+    K: Optional[MatrixLike],
+    convention: str,
+    s: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray],
+) -> BoundCertificate:
+    """optimal_kframe_bounds, or optimal_frame_bounds when K is None, from
+    S_c and its eigenpairs."""
+    _check_convention(convention)
+    if K is None:
+        return _frame_bounds(family, convention, eig)
+    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, s, eig)
+
+
 def _bounds_pair(
     family: FrameFamily, K: MatrixLike, convention: str
 ) -> tuple[BoundCertificate, BoundCertificate]:

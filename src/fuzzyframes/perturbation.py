@@ -245,18 +245,28 @@ def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPertur
     difference energy while one of the frame sums vanishes (the min is then
     zero).
     """
+    return _family_constant(F, G)[0]
+
+
+def _family_constant(
+    F: FrameFamily, G: FrameFamily
+) -> tuple[FamilyPerturbation, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """family_perturbation_constant(F, G), with S_F and its eigenpairs, from
+    which the bounds of F follow without a second eigendecomposition."""
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
     d = (F.vectors - G.vectors).T
+    s_f = classical_frame_operator(F)
+    eig_f = np.linalg.eigh(s_f)
     sups = [
-        _quotient_sup(d, *np.linalg.eigh(classical_frame_operator(fam)), "D D*")
-        for fam in (F, G)
+        _quotient_sup(d, *eig_f, "D D*"),
+        _quotient_sup(d, *np.linalg.eigh(classical_frame_operator(G)), "D D*"),
     ]
     value, witness = max(sups, key=lambda sup: sup[0])  # F's on a tie
     if value == math.inf:
-        return FamilyPerturbation(math.inf, False, witness, False)
+        return FamilyPerturbation(math.inf, False, witness, False), s_f, eig_f
     value = max(value, 0.0)  # -inf (zero frame operators: no f to test) -> 0
-    return FamilyPerturbation(value, True, witness, value <= 1.0)
+    return FamilyPerturbation(value, True, witness, value <= 1.0), s_f, eig_f
 
 
 def derive_family_perturbed_bounds(

@@ -8,6 +8,7 @@ of the spectral code paths they are used to check.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from itertools import chain
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
+from fuzzyframes.cli_io import _fmt
 from fuzzyframes.fuzzy_space import AxiomReport, AxiomResult, _axiom_draws
 
 
@@ -376,3 +378,40 @@ def reference_whole_array(
     if field_name == "real":
         return None if arr[..., 1].any() else arr[..., 0].astype(np.float64)
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Reference serializer
+
+
+def _canon(obj: Any) -> Any:
+    """obj as plain JSON values: numbers rounded by _fmt, complex values as
+    [re, im], arrays as lists, dict keys as str."""
+    if obj is None or isinstance(obj, (bool, str, int)):
+        return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, complex):
+        return [_fmt(obj.real), _fmt(obj.imag)]
+    if isinstance(obj, np.floating):
+        return _fmt(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.complexfloating):
+        return [_fmt(float(obj.real)), _fmt(float(obj.imag))]
+    if isinstance(obj, np.ndarray):
+        return [_canon(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _canon(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_canonical_json(obj: Any) -> str:
+    """The serializer of version 1.6.0: a walk that makes plain JSON values,
+    then the standard library encoder.  canonical_json must print the same
+    text wherever this one prints any."""
+    return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fuzzyframes
-from conftest import reference_whole_array
+from conftest import reference_canonical_json, reference_whole_array
+from fuzzyframes.frame_core import classical_frame_operator
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.cli_io import (
     COMMANDS,
@@ -23,7 +25,9 @@ from fuzzyframes.cli_io import (
     TOOL_VERSION,
     ProblemError,
     _error_report,
+    _fmt,
     _nesting_depth,
+    _num,
     _parse_matrix,
     _parse_matrix_entries,
     _parse_vector,
@@ -478,6 +482,148 @@ def test_decoded_reports_match_stdlib_decoder(tmp_path_factory, text, encoding):
     assert _run_outcome(run_file, path) == _run_outcome(_stdlib_run, text, path)
 
 
+# ---------------------------------------------------------------------------
+# Canonical serialization against the two-pass reference
+
+SWEEP_MANTISSAS = ("1", "1.5", "9.99999999999", "9.999999999995", "1.23456789012345")
+# every decimal exponent a double reaches, both signs: 0.0 and inf at the ends
+SWEEP = [
+    sign * float(f"{m}e{e}") for e in range(-324, 309) for m in SWEEP_MANTISSAS for sign in (1, -1)
+]
+
+DOUBLES = st.one_of(
+    st.floats(),  # the whole range: subnormals, +-0.0, nan and +-inf included
+    st.sampled_from(
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+         math.nan, math.inf, -math.inf, 1e-5, 1e-4, 1e12, 1e15, 1e16]
+    ),
+    # around the places where '.12g' and repr change notation
+    st.builds(
+        lambda m, e: m * 10.0**e,
+        st.floats(0.9, 10.1),
+        st.sampled_from([-6, -5, -4, 11, 12, 13, 14, 15, 16, -308, -309, -315, -323]),
+    ),
+    # 12-digit ties: a 13th significant digit of 5 and nothing after it
+    st.builds(lambda d, e: float(f"{d}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-335, 296)),
+    st.integers(-(10**17), 10**17).map(float),  # integral values
+)
+NUMPY_SCALARS = st.one_of(
+    DOUBLES.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.builds(complex, DOUBLES, DOUBLES).map(np.complex128),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.booleans().map(np.bool_),
+)
+ARRAY_ELEMENTS = {
+    np.float64: DOUBLES,
+    np.float32: st.floats(width=32),
+    np.complex128: st.builds(complex, DOUBLES, DOUBLES),
+    np.complex64: st.complex_numbers(width=64),
+    np.bool_: st.booleans(),
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+}
+ARRAYS = st.sampled_from(list(ARRAY_ELEMENTS)).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype,
+        st.integers(0, 9).flatmap(
+            lambda k: st.sampled_from([(), (0,), (0, 2), (3, 0)])  # 0-d and empty, 1 in 10
+            if k == 5
+            else hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6)
+        ),
+        elements=ARRAY_ELEMENTS[dtype],
+    )
+)
+TEXTS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),  # lone surrogates included
+    st.sampled_from(["", "\x7f", "\x00\x1f\n\t\"\\", "caf\u00e9 \u65e5\u672c", "\ud800", "a\udfff"]),
+)
+UNSUPPORTED = st.sampled_from(
+    [b"bytes", {1, 2}, frozenset(), object(), np.array(["2020-01-01"], dtype="datetime64[D]")]
+)
+SCALARS = st.one_of(
+    DOUBLES,
+    NUMPY_SCALARS,
+    TEXTS,
+    st.builds(complex, DOUBLES, DOUBLES),
+    st.integers(-(2**64) - 1, 2**64 + 1),
+    st.sampled_from([2**64, -(2**64) - 1, 10**30, None, True, False]),
+)
+REPORT_LEAVES = st.one_of(ARRAYS, SCALARS)  # witnesses and matrices as often as scalars
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            # str keys, int keys (sorted as their text) or both (unsortable)
+            st.dictionaries(st.one_of(TEXTS, st.integers(-20, 20)), children, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+def _serialized(serialize, obj):
+    try:
+        return serialize(obj)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.dictionaries(TEXTS, _trees(REPORT_LEAVES), max_size=6),  # report-shaped
+        _trees(REPORT_LEAVES),
+        _trees(st.one_of(REPORT_LEAVES, UNSUPPORTED)),
+    )
+)
+def test_canonical_json_matches_reference(tree):
+    assert _serialized(canonical_json, tree) == _serialized(reference_canonical_json, tree)
+
+
+def test_canonical_json_exponent_sweep():
+    assert canonical_json(SWEEP) == reference_canonical_json(SWEEP)
+    for x in SWEEP:
+        assert canonical_json(x) == reference_canonical_json(x)
+
+
+@pytest.mark.parametrize("dtype", list(ARRAY_ELEMENTS))
+@pytest.mark.parametrize("shape", [(), (0,), (0, 2), (3, 0), (1,), (2, 1)])
+def test_canonical_json_edge_arrays(dtype, shape):
+    a = np.ones(shape, dtype=dtype)
+    tree = {"array": a, "rows": [a, {"deeper": a}]}
+    assert _serialized(canonical_json, tree) == _serialized(reference_canonical_json, tree)
+
+
+def test_number_text_is_repr_of_rounded_value():
+    # _fmt is the one rounding rule; _num is only its text
+    for x in SWEEP:
+        if math.isfinite(x):
+            assert _num(x) == float.__repr__(_fmt(x))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_prints_reference_text(command, capsys):
+    for path in sorted(CORPUS.glob("*.json")):
+        report, code = run_file(path, command)
+        assert main([command, str(path)]) == code
+        assert capsys.readouterr().out == reference_canonical_json(report) + "\n"
+
+
+def test_batch_out_is_reference_text(tmp_path):
+    target = tmp_path / "batch.json"
+    code = main(["batch", str(CORPUS), "--out", str(target)])
+    result, expected_code = batch(sorted(CORPUS.glob("*.json")))
+    assert code == expected_code
+    assert target.read_text() == reference_canonical_json(result) + "\n"
+
+
 class TestCommands:
     def test_bounds_on_full_rank_instance(self):
         report, code = run_file(R3_FILE, command="bounds")
@@ -644,6 +790,29 @@ class TestCommands:
         assert code == EXIT_PASS
         assert report["body"]["finite"]
         assert report["body"]["verification"]["passed"]
+
+    @pytest.mark.parametrize("with_k", [True, False])
+    def test_perturb_family_decomposes_s_f_once(self, tmp_path, monkeypatch, with_k):
+        data = load(R3_FILE)
+        fam = np.array(data["family"], dtype=float)
+        data["family_g"] = (fam + 0.05 * np.random.default_rng(0).standard_normal(fam.shape)).tolist()
+        data["command"] = "perturb-family"
+        if not with_k:
+            del data["operator_K"]
+        path = tmp_path / "perturb_family.json"
+        path.write_text(json.dumps(data))
+        s_f = classical_frame_operator(parse_problem(data).frame_family())
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["body"]["finite"] and "derived" in report["body"]
+        assert sum(np.array_equal(a, s_f) for a in decomposed) == 1
 
     def test_transform_command_hypothesis_violation(self, tmp_path):
         data = load(R3_FILE)
