@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
@@ -30,7 +29,7 @@ import orjson
 
 from . import __version__
 from .fuzzy_space import MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
-from .operator_algebra import RangeInclusionError, douglas_factorize
+from .operator_algebra import EPS, RangeInclusionError, douglas_factorize
 from .frame_core import (
     DEFAULT_ALPHAS,
     BoundCertificate,
@@ -78,9 +77,6 @@ TOOL_VERSION = __version__
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-#: float64 unit roundoff; residual verdicts allow n * EPS * (conditioning)
-EPS = float(np.finfo(np.float64).eps)
 
 
 class ProblemError(Exception):
@@ -1004,6 +1000,10 @@ def batch(paths: Sequence[Path], parallelism: int = 1) -> tuple[dict, int]:
     if parallelism == 1:
         results = [run_file(f) for f in files]
     else:
+        # imported only here: it pulls in logging, traceback and queue, which
+        # every single-file run would otherwise pay for at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(run_file, files))
     reports = [r for r, _ in results]

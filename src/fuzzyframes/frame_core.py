@@ -34,10 +34,10 @@ from .operator_algebra import (
     RangeInclusionError,
     _douglas,
     _gram,
+    _order_decision,
     _quotient_sup,
     _thin_svd,
     as_matrix,
-    psd_order_check,
     spectral_norm,
 )
 
@@ -357,7 +357,9 @@ class BoundCheck:
     alpha: float
     side: str  # "lower" | "upper"
     ok: bool
-    margin: float
+    #: smallest eigenvalue of the difference; None for a pass certified
+    #: without eigenvalues
+    margin: Optional[float]
     witness: Optional[np.ndarray] = None
 
 
@@ -407,11 +409,12 @@ def verify_bounds(
         extra = 1.0 if convention == "once" else family.model.scale(alpha)
         if extra not in decided:
             s_eff = extra * s
+            # both differences are Hermitian as built: no symmetrizing
             if math.isinf(A):  # vacuous lower inequality (zero operator)
                 lower = (True, None, math.inf)
             else:
-                lower = psd_order_check(A * gram, s_eff, tol)
-            decided[extra] = (lower, psd_order_check(s_eff, B * eye, tol))
+                lower = _order_decision(s_eff - A * gram, tol)
+            decided[extra] = (lower, _order_decision(B * eye - s_eff, tol))
         (ok_lo, wit_lo, margin_lo), (ok_up, wit_up, margin_up) = decided[extra]
         checks.append(BoundCheck(alpha, "lower", ok_lo, margin_lo, _unit(wit_lo)))
         checks.append(BoundCheck(alpha, "upper", ok_up, margin_up, _unit(wit_up)))

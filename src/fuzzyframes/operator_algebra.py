@@ -1,8 +1,9 @@
 """Dense operator layer: adjoints, PSD order, range tests, factorization.
 
-All spectral work is done through Hermitian eigendecompositions and SVDs of
-small dense matrices (desk scale, n <= 64).  A majorization question is
-answered from the factor, never from Gram matrices of both sides:
+All spectral work is done through Hermitian eigendecompositions, SVDs and
+Cholesky factorizations of small dense matrices (desk scale, n <= 64).  A
+majorization question is answered from the factor, never from Gram matrices
+of both sides:
 
 * against a factor N (Douglas's lemma): when range(M) is inside range(N),
   the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||, so one thin
@@ -16,8 +17,10 @@ Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
 input never changes a rank decision.
 
-Order decisions read eigenvalues only; eigenvectors are computed when a
-decision fails and its witness is reported.
+An order decision P <= Q is certified by one Cholesky factorization of
+Q - P shifted by half its slack; no eigenvalue is computed for a pass.  Only
+when that factorization fails does one eigh of Q - P decide, and its bottom
+eigenvector is the witness of a failure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from .fuzzy_space import BaseSpace, FuzzyModel, check_alpha
 
 __all__ = [
     "RELATIVE_RANK_TOL",
+    "EPS",
     "PSD_TOL",
+    "CHOLESKY_TOL_FACTOR",
     "RangeInclusionError",
     "LinearOperator",
     "FactorizationResult",
@@ -55,8 +60,19 @@ __all__ = [
 #: largest count as zero
 RELATIVE_RANK_TOL = 1e-10
 
+#: float64 unit roundoff; rounding allowances are multiples of n * EPS
+EPS = float(np.finfo(np.float64).eps)
+
 #: default slack for positive-semidefinite order decisions
 PSD_TOL = 1e-9
+
+#: an order decision tries its Cholesky certificate only when tol is at least
+#: this multiple of n * EPS (n the dimension).  A factorization that succeeds
+#: has backward error at most n (n + 1) eps times the largest diagonal entry
+#: (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so up to
+#: n = 1023 that error stays under a quarter of the slack; below the cutoff
+#: eigh decides alone.
+CHOLESKY_TOL_FACTOR = 4096.0
 
 MatrixLike = Union[np.ndarray, "LinearOperator"]
 
@@ -192,31 +208,62 @@ def _gram(T: MatrixLike, what: str) -> np.ndarray:
     return g
 
 
+def _order_slack(tol: float, norm: float) -> float:
+    """The violation an order decision allows: tol * (1 + norm), for norm
+    ||Q - P|| or a lower bound of it."""
+    return tol * (1.0 + norm)
+
+
+def _order_decision(
+    diff: np.ndarray, tol: float
+) -> tuple[bool, Optional[np.ndarray], Optional[float]]:
+    """Decide diff >= 0 up to the slack, for a Hermitian diff = Q - P.
+
+    The certificate: when Cholesky factors diff + shift I, with shift half the
+    slack at max|diag diff| <= ||diff||, the order holds (see
+    CHOLESKY_TOL_FACTOR) and (True, None, None) is returned.  Otherwise the
+    eigenvalues of one eigh decide: lambda_min >= -slack at max|eig|, with the
+    bottom eigenvector as the witness of a failure.  A shifted matrix that is
+    not finite, or a factor that is not, leaves the decision to eigh.
+    """
+    n = diff.shape[0]
+    if tol >= CHOLESKY_TOL_FACTOR * n * EPS:
+        shift = 0.5 * _order_slack(tol, float(np.abs(diff.diagonal()).max(initial=0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = diff + shift * np.eye(n)
+        if np.isfinite(shifted).all():
+            try:
+                factor = np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                # the factorization reports no error for a NaN it makes
+                # itself (a multiplier overflowing against a tiny pivot); such
+                # a NaN runs down its column into the last pivot
+                if np.isfinite(factor[-1, -1]):
+                    return True, None, None
+    w, v = np.linalg.eigh(diff)
+    lam_min = float(w[0])
+    if lam_min >= -_order_slack(tol, float(np.abs(w).max(initial=0.0))):
+        return True, None, lam_min
+    return False, v[:, 0], lam_min
+
+
 def psd_order_check(
     P: MatrixLike, Q: MatrixLike, tol: float = PSD_TOL
-) -> tuple[bool, Optional[np.ndarray], float]:
+) -> tuple[bool, Optional[np.ndarray], Optional[float]]:
     """Decide P <= Q in the positive-semidefinite order.
 
     Returns (ok, witness, lambda_min) where the witness is the unit
     eigenvector minimizing <(Q - P) f, f> whenever the order fails.  The
     slack is scale-aware: lambda_min >= -tol * (1 + ||Q - P||).
 
-    The eigenvalues alone decide a pass.  Only a failure computes the
-    eigenvectors, and their eigenvalues decide again, so a failing margin
-    and its witness come from one eigendecomposition.
+    Both sides are symmetrized, then one Cholesky factorization of Q - P
+    shifted by half the slack certifies a pass with no eigenvalue computed;
+    lambda_min is then None.  When it does not, one eigh decides, so a
+    failing margin and its witness come from one eigendecomposition.
     """
-    diff = hermitian_part(Q) - hermitian_part(P)
-
-    def decide(w: np.ndarray) -> tuple[bool, float]:
-        lam_min = float(w[0])
-        return lam_min >= -tol * (1.0 + float(np.abs(w).max(initial=0.0))), lam_min
-
-    ok, lam_min = decide(np.linalg.eigvalsh(diff))
-    if ok:
-        return True, None, lam_min
-    w, v = np.linalg.eigh(diff)
-    ok, lam_min = decide(w)
-    return ok, None if ok else v[:, 0], lam_min
+    return _order_decision(hermitian_part(Q) - hermitian_part(P), tol)
 
 
 def _thin_svd(

@@ -926,6 +926,24 @@ class TestCommands:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
+        "bounds, verdict",
+        [
+            ([1e308, 1.5e308], "fail"),
+            # B I - S_c shifted by half its slack overflows: eigh decides
+            ([1.0, 1.7976931348623157e308], "pass"),
+            ([1.7e308, 1.7e308], "fail"),
+        ],
+    )
+    def test_bounds_near_double_range(self, bounds, verdict, tmp_path, recwarn):
+        data = load(R3_FILE)
+        data["bounds"] = bounds
+        path = tmp_path / "huge-bounds.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command="check-frame")
+        assert report["verdict"] == verdict
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
         "command", ["bounds", "check-frame", "check-kframe", "reconstruct"]
     )
     def test_rank_rules_are_scale_invariant(self, command, tmp_path):

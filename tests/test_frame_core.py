@@ -29,6 +29,7 @@ from fuzzyframes import (
     synthesis_matrix,
     verify_bounds,
 )
+from fuzzyframes.operator_algebra import _gram
 from conftest import (
     rand_family,
     rand_kframe_instance,
@@ -242,6 +243,30 @@ class TestVerifyBounds:
         lhs = 0.6 * np.linalg.norm(K.conj().T @ w) ** 2
         assert lhs > frame_sum(fam, w, 0.5) + 1e-12
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_checks_match_symmetrizing_order_check(self, field):
+        # verify_bounds decides S_c - A K K* and B I - S_c without
+        # symmetrizing them again; verdict, margin and witness must be those
+        # of psd_order_check, bit for bit
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(2, 17))
+            model = FuzzyModel(BaseSpace(n, field), "scaled")
+            fam = FrameFamily(rand_matrix(rng, 2 * n, n, field), model)
+            K = rand_matrix(rng, n, n, field)
+            s = classical_frame_operator(fam)
+            gram = _gram(K, "K K*")
+            A, B = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(0.5, 2.5)
+            lower, upper = verify_bounds(fam, A, B, K, [0.5]).checks
+            for check, (p, q) in (
+                (lower, (A * gram, s)),
+                (upper, (s, B * np.eye(n))),
+            ):
+                ok, witness, margin = psd_order_check(p, q)
+                assert check.ok == ok and check.margin == margin
+                if not ok:
+                    assert np.array_equal(check.witness, witness / np.linalg.norm(witness))
+
     def test_squared_convention_level_dependence(self):
         rng = np.random.default_rng(19)
         fam = rand_family(rng, 3, 5)
@@ -266,12 +291,12 @@ class TestVerifyBounds:
         linalg_calls.clear()
         alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
         five = verify_bounds(fam, 0.01, 1e3, K, alphas, convention)
-        assert calls_one == 2
-        assert sum(linalg_calls.values()) == 2 * pairs_for_five
+        assert calls_one == 2  # two certified passes: one Cholesky each
+        assert dict(linalg_calls) == {"cholesky": 2 * pairs_for_five}
         assert [(c.alpha, c.side) for c in five.checks] == [
             (a, side) for a in alphas for side in ("lower", "upper")
         ]
-        assert one.checks[0].margin == five.checks[4].margin
+        assert one.checks[0].margin is None and five.checks[4].margin is None
 
 
 class TestRescale:

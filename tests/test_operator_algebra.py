@@ -23,7 +23,12 @@ from fuzzyframes import (
     psd_order_check,
     spectral_norm,
 )
-from fuzzyframes.operator_algebra import hermitian_part
+from fuzzyframes.operator_algebra import (
+    CHOLESKY_TOL_FACTOR,
+    PSD_TOL,
+    _order_decision,
+    hermitian_part,
+)
 from conftest import operator_norm_sampled, rand_matrix, rand_vector
 
 
@@ -130,18 +135,23 @@ class TestPsdOrder:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_verdict_matches_eigh_at_slack_boundary(self, field):
-        # Q - P has its smallest eigenvalue just inside or just outside the
-        # slack; the eigenvalues alone must decide as eigh does, and a failure
-        # must report eigh's margin and witness
+        # Q - P has its smallest eigenvalue above zero, inside the shift of
+        # the Cholesky certificate, or just inside or just outside the
+        # slack, at tolerances on both sides of the certificate's cutoff;
+        # every verdict must be eigh's, and a failure must report eigh's
+        # margin and witness
         rng = np.random.default_rng(23)
-        tol = 1e-9
-        outcomes = set()
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
+        eps = np.finfo(np.float64).eps
+        routes = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 65))
+            cutoff = CHOLESKY_TOL_FACTOR * n * eps
+            tol = rng.choice([1e-9, 4.0 * cutoff, 0.25 * cutoff])
             scale = 10.0 ** rng.uniform(-6, 6)
             u = np.linalg.qr(rand_matrix(rng, n, n, field))[0]
             d = scale * rng.uniform(0.1, 1.0, n)
-            d[0] = -(1.0 + rng.choice([-0.5, -0.01, 0.01, 0.5])) * tol * (1.0 + d.max())
+            offset = rng.choice([-1.5, -0.9, -0.5, -0.01, 0.01, 0.5])
+            d[0] = -(1.0 + offset) * tol * (1.0 + d.max())
             m = scale * rand_matrix(rng, n, n, field)
             p = m + m.conj().T
             q = p + (u * d) @ u.conj().T
@@ -153,8 +163,41 @@ class TestPsdOrder:
             if not ok:
                 assert margin == float(w[0])
                 assert np.array_equal(witness, v[:, 0])
-            outcomes.add(ok)
-        assert outcomes == {True, False}
+            certified = margin is None
+            assert not certified or tol >= cutoff
+            routes.add((ok, certified))
+        # certified passes, passes decided by eigh, failures
+        assert routes == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 0)])
+    def test_non_finite_difference_never_passes(self, bad, entry):
+        # the decision on the difference itself: symmetrizing an inf warns
+        for sign in (1.0, -1.0):
+            diff = sign * 5.0 * np.eye(3)
+            diff[entry] = diff[entry[::-1]] = bad
+            try:
+                ok, _, _ = _order_decision(diff, PSD_TOL)
+            except np.linalg.LinAlgError:
+                ok = False
+            assert not ok
+
+    def test_nan_made_inside_the_factorization_never_passes(self, linalg_calls):
+        # Q - P is finite, but the shifted first pivot is 2^-82, so the
+        # multiplier 1e300 / 2^-41 overflows and a NaN reaches the last
+        # pivot without LAPACK reporting it; eigh must decide
+        q = np.array([[-1e-9 + 2.0**-82, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1.0]])
+        ok, witness, margin = psd_order_check(np.zeros((3, 3)), q)
+        assert not ok and witness is not None and margin == pytest.approx(-1e300)
+        assert dict(linalg_calls) == {"cholesky": 1, "eigh": 1}
+
+    def test_certificate_skipped_below_cutoff(self, linalg_calls):
+        n = 4
+        p, q = np.zeros((n, n)), np.eye(n)
+        cutoff = CHOLESKY_TOL_FACTOR * n * np.finfo(np.float64).eps
+        ok, _, margin = psd_order_check(p, q, 0.5 * cutoff)
+        assert ok and margin == 1.0
+        assert dict(linalg_calls) == {"eigh": 1}
 
 
 def family_with_synthesis(F: np.ndarray) -> FrameFamily:
@@ -196,16 +239,16 @@ class TestSymmetrizationWarning:
 
 class TestDecompositionCounts:
     def test_psd_order_check_one_eigh(self, linalg_calls):
-        # a pass is decided by the eigenvalues alone; a failure adds the
-        # eigenvectors for its witness
+        # a pass is certified by one Cholesky factorization; a failure adds
+        # one eigh for its margin and witness
         m = rand_matrix(np.random.default_rng(6), 4, 4, "complex")
-        ok, witness, _ = psd_order_check(m @ m.conj().T, 100.0 * np.eye(4))
-        assert ok and witness is None
-        assert dict(linalg_calls) == {"eigvalsh": 1}
+        ok, witness, margin = psd_order_check(m @ m.conj().T, 100.0 * np.eye(4))
+        assert ok and witness is None and margin is None
+        assert dict(linalg_calls) == {"cholesky": 1}
         linalg_calls.clear()
         ok, witness, _ = psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
         assert not ok and witness is not None
-        assert dict(linalg_calls) == {"eigvalsh": 1, "eigh": 1}
+        assert dict(linalg_calls) == {"cholesky": 1, "eigh": 1}
 
     def test_kframe_kernel_test_only_with_kernel(self, linalg_calls):
         # eigh(S_c) and eigh(C C*) on range(S_c); the Frobenius norm of
