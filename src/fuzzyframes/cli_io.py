@@ -36,8 +36,8 @@ from .frame_core import (
     FrameFamily,
     SingularFrameOperatorError,
     VerificationResult,
-    _bounds_pair,
     _optimal_bounds,
+    _synthesis_svd,
     _unit,
     atomic_system_equivalence_check,
     frame_sum,
@@ -608,10 +608,12 @@ def _verification_dict(res: VerificationResult) -> dict:
 
 def _cmd_bounds(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
-    if p.operator_K is None:
-        return "pass", {"optimal_frame": _cert_dict(optimal_frame_bounds(family, p.convention))}
-    frame, kframe = _bounds_pair(family, p.operator_K, p.convention)
-    return "pass", {"optimal_frame": _cert_dict(frame), "optimal_kframe": _cert_dict(kframe)}
+    svd = _synthesis_svd(family)  # one SVD of F for both certificates
+    body = {"optimal_frame": _cert_dict(_optimal_bounds(family, None, p.convention, *svd))}
+    if p.operator_K is not None:
+        kframe = _optimal_bounds(family, p.operator_K, p.convention, *svd)
+        body["optimal_kframe"] = _cert_dict(kframe)
+    return "pass", body
 
 
 def _cmd_check_frame(p: Problem) -> tuple[str, dict]:
@@ -654,23 +656,22 @@ def _cmd_check_kframe(p: Problem) -> tuple[str, dict]:
 def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
     K = p.need_K()
-    report = atomic_system_equivalence_check(family, K, p.tolerance)
+    report = atomic_system_equivalence_check(family, K, p.tolerance, p.alphas)
     body: dict = {
         "certificate": _cert_dict(report.certificate),
         "kframe_holds": report.kframe_holds,
         "atomic_holds": report.atomic_holds,
-        "equivalence_consistent": report.consistent,
         "projection_residual": report.projection_residual,
         "coefficient_norm_constant": report.C,
-        "lower_bound_consistent": report.lower_bound_ok,
     }
     if not report.atomic_holds:
         return "fail", body
     residual = report.reconstruction_residual
-    body["max_reconstruction_residual"] = residual
+    body["reconstruction_residual"] = residual
+    body["verification"] = _verification_dict(report.verification)
     # rounding allows n eps ||F|| ||F^dagger K|| on top of the tolerance
     limit = p.tolerance + p.dimension * EPS * math.sqrt(report.certificate.B) * report.C
-    ok = report.consistent and report.lower_bound_ok and residual <= limit
+    ok = report.verification.passed and residual <= limit
     return ("pass" if ok else "fail"), body
 
 
@@ -739,7 +740,7 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
 def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     F = p.frame_family()
     G = p.second_family()
-    constant, s_f, eig_f = _family_constant(F, G)
+    constant, svd_f = _family_constant(F, G)
     body: dict = {
         "M": constant.M,
         "finite": constant.finite,
@@ -749,7 +750,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     }
     if not constant.finite:
         return "fail", body
-    cert = _optimal_bounds(F, p.operator_K, p.convention, s_f, eig_f)
+    cert = _optimal_bounds(F, p.operator_K, p.convention, *svd_f)
     if not (cert.A > 0.0 and math.isfinite(cert.A)):
         body["note"] = "source family carries no positive lower bound to transfer"
         return "fail", body

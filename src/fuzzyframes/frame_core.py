@@ -9,13 +9,15 @@ arithmetic of the source material and makes every certificate independent
 of the level) or two (the ``squared`` convention, the literal reading of
 |<f, f_i>_a|^2).  Certificates record which convention produced them.
 
-Optimal constants are computed spectrally:
+Optimal constants come from one rank-cut SVD of the synthesis matrix F,
+never from an eigendecomposition of S_c, which squares its condition number:
 
-* ordinary frame bounds are the extreme eigenvalues of S_c;
-* the optimal K-frame lower bound is the largest A with S_c - A K K* still
-  positive semidefinite, 1 / sup ||K* f||^2 / <S_c f, f>, read from the
-  eigenpairs of S_c and the factor K with kernel directions accounted for
-  (A = 0 exactly when some f with K*f != 0 has zero frame sum).
+* ordinary frame bounds are sigma_min(F)^2 and sigma_max(F)^2, with A = 0
+  below full row rank;
+* the optimal K-frame lower bound, the largest A with S_c - A K K* still
+  positive semidefinite, is 1 / ||F^dagger K||^2 when range(K) lies inside
+  range(F) and 0 otherwise (Douglas's lemma): a K-frame is exactly an
+  atomic system for K.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .operator_algebra import (
     MatrixLike,
     RangeInclusionError,
     _douglas,
+    _douglas_sup,
+    _frobenius,
     _gram,
     _order_decision,
-    _quotient_sup,
+    _rank,
     _thin_svd,
     as_matrix,
     spectral_norm,
@@ -72,7 +76,8 @@ __all__ = [
 
 CONVENTIONS = ("once", "squared")
 
-#: |A - B| <= TIGHT_TOL * max(1, B) counts as a tight certificate
+#: relative tightness: |A - B| <= TIGHT_TOL * B for a frame, the same
+#: agreement of the singular values of F^dagger K for a K-frame
 TIGHT_TOL = 1e-9
 
 DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
@@ -154,7 +159,7 @@ def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     Entries so large that S_c overflows (about 1e154 and up) raise an
     OverflowError instead of feeding inf or NaN into later decisions.
     """
-    return _gram(family.vectors.T, "frame operator S_c = F F*")
+    return _gram(family.vectors.T, _S_C)
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
@@ -211,30 +216,53 @@ def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return v if n == 0 else v / n
 
 
+_S_C = "frame operator S_c = F F*"
+
+
+def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(u, s) of the synthesis matrix F, u square: S_c = u diag(s^2) u*.
+
+    More vectors than the dimension are reduced first: F* = Q R gives
+    F = R* Q*, with the left singular pairs of the square R*.
+    """
+    f = family.vectors.T
+    if f.shape[1] > f.shape[0]:
+        f = np.linalg.qr(family.vectors.conj(), mode="r").conj().T
+        if not np.isfinite(f).all():
+            raise OverflowError(f"{_S_C} overflows: entries too large")
+    u, s, _ = np.linalg.svd(f)
+    return u, s
+
+
+def _upper_bound(s: np.ndarray) -> float:
+    """B = sigma_max(F)^2 = ||S_c||.  Entries so large that S_c overflows
+    raise an OverflowError, as classical_frame_operator does."""
+    b = float(s[0]) * float(s[0])
+    if math.isinf(b):
+        raise OverflowError(f"{_S_C} overflows: entries too large")
+    return b
+
+
 def optimal_frame_bounds(
     family: FrameFamily, convention: str = "once"
 ) -> BoundCertificate:
     """Tightest constants A, B with A ||f||_a^2 <= frame sum <= B ||f||_a^2.
 
-    These are the extreme eigenvalues of S_c; witnesses are the extreme
-    eigenvectors.  A = 0 (kernel vector witness) means the family spans a
-    proper subspace and is merely a Bessel family.
+    These are sigma_min(F)^2 and sigma_max(F)^2; witnesses are the extreme
+    left singular vectors.  A = 0 (kernel vector witness) means the family
+    spans a proper subspace and is merely a Bessel family.
     """
-    _check_convention(convention)
-    return _frame_bounds(family, convention, np.linalg.eigh(classical_frame_operator(family)))
+    return _optimal_bounds(family, None, convention, *_synthesis_svd(family))
 
 
 def _frame_bounds(
-    family: FrameFamily, convention: str, eig: tuple[np.ndarray, np.ndarray]
+    family: FrameFamily, convention: str, u: np.ndarray, s: np.ndarray
 ) -> BoundCertificate:
-    """optimal_frame_bounds from the eigenpairs (w ascending, v) of S_c."""
-    w, v = eig
-    a = float(w[0])
-    b = float(w[-1])
-    if a < RELATIVE_RANK_TOL * b:
-        a = 0.0
+    """optimal_frame_bounds from the left singular pairs (u square, s) of F."""
+    b = _upper_bound(s)
+    a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
     kind = "frame" if a > 0.0 else "bessel"
-    tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * max(1.0, b)
+    tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
     parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     if parseval:
         kind = "parseval"
@@ -246,8 +274,8 @@ def _frame_bounds(
         B=b,
         alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
-        witness_lower=_unit(v[:, 0]),
-        witness_upper=_unit(v[:, -1]),
+        witness_lower=u[:, -1],
+        witness_upper=u[:, 0],
         tight=tight,
         parseval=parseval,
     )
@@ -256,16 +284,13 @@ def _frame_bounds(
 def optimal_kframe_bounds(
     family: FrameFamily, K: MatrixLike, convention: str = "once"
 ) -> BoundCertificate:
-    """Optimal K-frame constants: B = lambda_max(S_c), A = max{A : S_c >= A K K*}.
+    """Optimal K-frame constants: B = sigma_max(F)^2, A = max{A : S_c >= A K K*}.
 
-    A = 0 (with witness) when some f with K*f != 0 has zero frame sum; a
-    zero operator makes the lower inequality vacuous and A is reported as
-    +inf ("unconstrained").
+    A = 1 / ||F^dagger K||^2 when range(K) lies inside range(F), else 0
+    with the f outside range(F) maximizing ||K* f|| as witness; a zero
+    operator makes the lower inequality vacuous and A is +inf.
     """
-    _check_convention(convention)
-    k = _operator_on(K, family.dimension)
-    s = classical_frame_operator(family)
-    return _kframe_bounds(family, k, convention, s, np.linalg.eigh(s))
+    return _optimal_bounds(family, K, convention, *_synthesis_svd(family))
 
 
 def _operator_on(K: MatrixLike, n: int) -> np.ndarray:
@@ -280,76 +305,49 @@ def _kframe_bounds(
     family: FrameFamily,
     k: np.ndarray,
     convention: str,
+    u: np.ndarray,
     s: np.ndarray,
-    eig: tuple[np.ndarray, np.ndarray],
-) -> BoundCertificate:
-    """optimal_kframe_bounds from S_c and its eigenpairs (w ascending, v)."""
-    w, v = eig
-    b = float(w[-1])
-    sup, lower_witness = _quotient_sup(k, w, v, "K K*")
+    tol: float = PSD_TOL,
+) -> tuple[BoundCertificate, float]:
+    """optimal_kframe_bounds from the left singular pairs (u, s) of F, and
+    the inclusion residual of range(K) in range(F).  Tight means S_c = A K
+    K*, that is W W* = I / A: the r = rank F singular values of W agree."""
+    sup, witness, sq, residual = _douglas_sup(k, u, s, tol, "W W* for W = F^+ K")
     if sup == math.inf:  # some f with K*f != 0 has zero frame sum
         a = 0.0
-    elif sup <= 0.0:  # K* vanishes wherever the frame sum is positive
-        a, lower_witness = math.inf, None
+    elif sup == 0.0:  # K = 0: the lower inequality is vacuous
+        a = math.inf
     else:
         a = 1.0 / sup
-    tight = False
-    parseval = False
-    if math.isfinite(a) and a > 0.0:
-        tight = _norm_at_most(s - a * _gram(k, "K K*"), TIGHT_TOL * (1.0 + b))
-        parseval = tight and abs(a - 1.0) <= TIGHT_TOL
-    return BoundCertificate(
+    tight = 0.0 < a < math.inf and float(sq[0]) >= (1.0 - TIGHT_TOL) * float(sq[-1])
+    parseval = tight and abs(a - 1.0) <= TIGHT_TOL
+    cert = BoundCertificate(
         kind="k_frame",
         A=a,
-        B=b,
+        B=_upper_bound(s),
         alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
-        witness_lower=lower_witness,
-        witness_upper=_unit(v[:, -1]),
+        witness_lower=witness,
+        witness_upper=u[:, 0],
         tight=tight,
         parseval=parseval,
     )
+    return cert, residual
 
 
 def _optimal_bounds(
     family: FrameFamily,
     K: Optional[MatrixLike],
     convention: str,
+    u: np.ndarray,
     s: np.ndarray,
-    eig: tuple[np.ndarray, np.ndarray],
 ) -> BoundCertificate:
     """optimal_kframe_bounds, or optimal_frame_bounds when K is None, from
-    S_c and its eigenpairs."""
+    the left singular pairs of F."""
     _check_convention(convention)
     if K is None:
-        return _frame_bounds(family, convention, eig)
-    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, s, eig)
-
-
-def _bounds_pair(
-    family: FrameFamily, K: MatrixLike, convention: str
-) -> tuple[BoundCertificate, BoundCertificate]:
-    """optimal_frame_bounds and optimal_kframe_bounds from one
-    eigendecomposition of S_c."""
-    _check_convention(convention)
-    k = _operator_on(K, family.dimension)
-    s = classical_frame_operator(family)
-    eig = np.linalg.eigh(s)
-    return _frame_bounds(family, convention, eig), _kframe_bounds(family, k, convention, s, eig)
-
-
-def _norm_at_most(g: np.ndarray, limit: float) -> bool:
-    """||g||_2 <= limit, decided from ||g||_2 <= ||g||_F <= sqrt(n) ||g||_2
-    when the Frobenius norm can; the SVD runs only in the gap between the
-    two bounds or when the Frobenius norm is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius = float(np.linalg.norm(g))
-    if math.isfinite(frobenius):
-        if frobenius <= limit:
-            return True
-        if frobenius > math.sqrt(min(g.shape)) * limit:
-            return False
-    return spectral_norm(g) <= limit
+        return _frame_bounds(family, convention, u, s)
+    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, u, s)[0]
 
 
 @dataclass(frozen=True)
@@ -501,47 +499,51 @@ def atomic_coefficients(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Both routes of the atomic-system characterization, side by side."""
+    """Both sides of the atomic-system characterization from one SVD of F:
+    A = 1 / C^2 for C = ||F^dagger K||, and A > 0 exactly when range(K) lies
+    in range(F)."""
 
     certificate: BoundCertificate
     kframe_holds: bool
     atomic_holds: bool
     C: Optional[float]
     projection_residual: float
-    consistent: bool
-    lower_bound_ok: bool
-    #: ||K - F F^dagger K||, the worst residual of K f = sum beta_i f_i
-    #: over unit f; None when range(K) escapes range(F).  Rounding alone
-    #: leaves up to about n * eps * ||F|| * C = n * eps * sqrt(B) * C.
+    #: verify_bounds of (1 / C^2, B) against K; None without the inclusion
+    verification: Optional[VerificationResult]
+    #: ||K - F F^dagger K||_F, which bounds the residual of K f = sum beta_i
+    #: f_i over unit f; None without the inclusion.  Rounding alone leaves
+    #: about n * eps * ||F|| * C = n * eps * sqrt(B) * C.
     reconstruction_residual: Optional[float]
 
 
 def atomic_system_equivalence_check(
-    family: FrameFamily, K: MatrixLike, tol: float = PSD_TOL
+    family: FrameFamily,
+    K: MatrixLike,
+    tol: float = PSD_TOL,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> EquivalenceReport:
-    """Check that the K-frame certificate and the coefficient construction
-    succeed or fail together, and that A_opt >= 1/C^2 when both succeed."""
-    k = as_matrix(K)
-    cert = optimal_kframe_bounds(family, k)
-    kframe_holds = cert.A > 0.0  # +inf (K = 0) counts as holding
+    """The K-frame certificate, the coefficients beta = F^dagger K f with
+    their constant C and residual, and verify_bounds of (1 / C^2, B)."""
+    k = _operator_on(K, family.dimension)
     F = synthesis_matrix(family)
-    included, residual, coefficients, _ = _douglas(k, F, tol)
+    u, s, vh = np.linalg.svd(F, full_matrices=False)
+    cert, residual = _kframe_bounds(family, k, "once", u, s, tol)
     C: Optional[float] = None
+    verification: Optional[VerificationResult] = None
     rec_residual: Optional[float] = None
-    lower_ok = True
-    if included:
-        C = spectral_norm(coefficients)
-        rec_residual = spectral_norm(k - F @ coefficients)
-        if C > 0.0 and math.isfinite(cert.A):
-            lower_ok = cert.A >= 1.0 / (C * C) - tol
+    if cert.A > 0.0:  # +inf (K = 0) counts as holding
+        C = 1.0 / math.sqrt(cert.A)
+        r = _rank(s)  # F^dagger K = v_r s_r^-1 u_r* K is finite, as W W* is
+        coefficients = vh[:r].conj().T @ ((u[:, :r].conj().T @ k) / s[:r, None])
+        rec_residual = _frobenius(k - F @ coefficients)
+        verification = verify_bounds(family, cert.A, cert.B, k, alphas, tol=tol)
     return EquivalenceReport(
         certificate=cert,
-        kframe_holds=kframe_holds,
-        atomic_holds=included,
+        kframe_holds=cert.A > 0.0,
+        atomic_holds=residual <= tol,
         C=C,
         projection_residual=residual,
-        consistent=kframe_holds == included,
-        lower_bound_ok=lower_ok,
+        verification=verification,
         reconstruction_residual=rec_residual,
     )
 

@@ -35,6 +35,7 @@ from .operator_algebra import (
     RELATIVE_RANK_TOL,
     MatrixLike,
     RangeInclusionError,
+    _gram,
     as_matrix,
     douglas_lambda,
     douglas_range_inclusion,
@@ -305,7 +306,9 @@ def transform_family(
     invertible variant:  bounds (A ||T^-1||^-2, B ||T||^2), T full rank;
     coisometry variant:  bounds (A, B ||T||^2) with T T* = I.
 
-    Commutation T K = K T is a hypothesis; its failure is an error.
+    Commutation T K = K T is a hypothesis; its failure is an error.  A
+    commutator or co-isometry Gram matrix T T* that overflows a double
+    raises OverflowError.
     """
     if variant not in ("invertible", "coisometry"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -313,7 +316,11 @@ def transform_family(
     k = as_matrix(K)
     sv = np.linalg.svd(t, compute_uv=False)  # ||T||, invertibility and ||T^-1||
     norm_t = float(sv[0])
-    comm = spectral_norm(t @ k - k @ t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = t @ k - k @ t
+    if not np.isfinite(commutator).all():
+        raise OverflowError("the commutator T K - K T overflows a double")
+    comm = spectral_norm(commutator)
     if comm > tol * (1.0 + norm_t * spectral_norm(k)):
         raise ValueError(f"T and K do not commute (residual {comm:.3e})")
     c = _kframe_cert(family, k, cert)
@@ -324,7 +331,7 @@ def transform_family(
         inv_norm = 1.0 / float(sv[-1])
         lower = c.A / inv_norm**2
     else:
-        gram = t @ t.conj().T
+        gram = _gram(t, "T T*")
         res = spectral_norm(gram - np.eye(gram.shape[0]))
         if res > tol * (1.0 + spectral_norm(gram)):
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")

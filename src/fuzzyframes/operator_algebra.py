@@ -1,17 +1,12 @@
 """Dense operator layer: adjoints, PSD order, range tests, factorization.
 
-All spectral work is done through Hermitian eigendecompositions, SVDs and
-Cholesky factorizations of small dense matrices (desk scale, n <= 64).  A
-majorization question is answered from the factor, never from Gram matrices
-of both sides:
-
-* against a factor N (Douglas's lemma): when range(M) is inside range(N),
-  the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||, so one thin
-  SVD of N gives the inclusion residual, W = N^dagger M and lam = ||W||;
-* against a Hermitian PSD S given by its eigenpairs: sup ||M* f||^2 /
-  <S f, f> is +inf when some kernel direction of S carries M-energy, and
-  otherwise the top eigenvalue of C C* with C = (V_r / sqrt(w_r))* M on
-  range(S).
+All spectral work is done through Hermitian eigendecompositions, QR, SVD
+and Cholesky factorizations of small dense matrices (desk scale, n <= 64).
+A majorization question is answered from the factor N, never from Gram
+matrices of both sides (Douglas's lemma): when range(M) is inside range(N),
+the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||, so the left
+singular pairs (u, s) of N give the inclusion residual, W = s^-1 u* M and
+lam = ||W||.
 
 Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
@@ -261,9 +256,18 @@ def psd_order_check(
     Both sides are symmetrized, then one Cholesky factorization of Q - P
     shifted by half the slack certifies a pass with no eigenvalue computed;
     lambda_min is then None.  When it does not, one eigh decides, so a
-    failing margin and its witness come from one eigendecomposition.
+    failing margin and its witness come from one eigendecomposition.  A side
+    holding inf or NaN raises ValueError naming it.
     """
+    for name, side in (("P", P), ("Q", Q)):
+        if not np.isfinite(as_matrix(side)).all():
+            raise ValueError(f"{name} is not finite: no order decision")
     return _order_decision(hermitian_part(Q) - hermitian_part(P), tol)
+
+
+def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
+    """Numerical rank from singular values s in descending order."""
+    return int(np.sum(s > rtol * s[0])) if len(s) else 0
 
 
 def _thin_svd(
@@ -271,13 +275,8 @@ def _thin_svd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, s, vh) of the thin SVD of T, cut to its numerical rank."""
     u, s, vh = np.linalg.svd(as_matrix(T), full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = _rank(s, rtol)
     return u[:, :rank], s[:rank], vh[:rank]
-
-
-def _dagger(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse from a rank-cut thin SVD, built as numpy.linalg.pinv does."""
-    return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
 
 def range_basis(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> np.ndarray:
@@ -300,8 +299,35 @@ def pseudo_inverse(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> PseudoInve
     """
     u, s, vh = _thin_svd(T, rtol)
     return PseudoInverseResult(
-        dagger=_dagger(u, s, vh), rank=len(s), range_projector=u @ u.conj().T
+        dagger=vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T),  # as numpy.linalg.pinv
+        rank=len(s),
+        range_projector=u @ u.conj().T,
     )
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F, scaled by max|m_ij| first so that no square overflows."""
+    top = float(np.abs(m).max(initial=0.0))
+    return top * float(np.linalg.norm(m / top)) if top > 0.0 else 0.0
+
+
+def _coordinates(
+    M: np.ndarray, u: np.ndarray, tol: float
+) -> tuple[bool, float, np.ndarray, Optional[np.ndarray]]:
+    """(included, residual, z, outside) for M against the orthonormal
+    columns of u: z = u* M, outside = M - u z, residual = ||outside||_F /
+    ||M||_F and included = residual <= tol.  When u spans the whole space
+    nothing is computed outside: (True, 0.0, z, None)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = u.conj().T @ M
+        outside = None if u.shape[1] == M.shape[0] else M - u @ z
+    if not (np.isfinite(z).all() and (outside is None or np.isfinite(outside).all())):
+        raise OverflowError("the coordinates u* M of M overflow a double")
+    if outside is None:
+        return True, 0.0, z, None
+    scale = _frobenius(M)
+    residual = _frobenius(outside) / scale if scale > 0.0 else 0.0
+    return residual <= tol, residual, z, outside
 
 
 def _douglas(
@@ -310,26 +336,50 @@ def _douglas(
     """Decide M = N W from one thin SVD of N.
 
     Returns (included, residual, W, ||N||) with residual = ||(I - N N^dagger)
-    M|| / ||M|| (0 for M = 0), included = residual <= tol and W = N^dagger M.
-    A W that overflows (tiny singular values of N against a large M) raises
-    OverflowError.
+    M||_F / ||M||_F (0 for M = 0, and when N has full row rank),
+    included = residual <= tol and W = N^dagger M.  A W that overflows (tiny
+    singular values of N against a large M) raises OverflowError.
     """
     m = as_matrix(M)
     n = as_matrix(N)
     if m.shape[0] != n.shape[0]:
         raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
     u, s, vh = _thin_svd(n)
+    included, residual, z, _ = _coordinates(m, u, tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _dagger(u, s, vh) @ m
+        w = vh.conj().T @ (z / s[:, None])
     if not np.isfinite(w).all():
         raise OverflowError("the factor W = N^+ M overflows a double")
-    norm_n = float(s[0]) if len(s) else 0.0
-    scale = spectral_norm(m)
-    if scale == 0.0:
-        return True, 0.0, w, norm_n
-    proj = np.eye(n.shape[0], dtype=np.result_type(m, n)) - u @ u.conj().T
-    residual = float(spectral_norm(proj @ m) / scale)
-    return residual <= tol, residual, w, norm_n
+    return included, residual, w, float(s[0]) if len(s) else 0.0
+
+
+def _douglas_sup(
+    M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float, what: str
+) -> tuple[float, Optional[np.ndarray], np.ndarray, float]:
+    """(sup, witness, sq, residual): the sup of ||M* f||^2 / ||N* f||^2 over
+    N* f != 0, from the left singular pairs (u, s) of N.
+
+    With range(M) inside range(N) (see _coordinates for the residual) it is
+    ||N^dagger M||^2, the top of sq, the ascending eigenvalues of W W* for
+    W = s^-1 u* M; the witness u s^-1 y (y the top eigenvector) attains it,
+    and M = 0 gives (0, None).  Otherwise sup = +inf and the witness is the
+    f outside range(N) with the largest ||M* f||.  A W W* that overflows
+    raises an OverflowError naming ``what``.
+    """
+    r = _rank(s)
+    u, s = u[:, :r], s[:r]
+    included, residual, z, outside = _coordinates(M, u, tol)
+    if not included:
+        f = np.linalg.svd(outside)[0][:, 0]
+        return math.inf, f, np.empty(0), residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z / s[:, None]
+    sq, vecs = np.linalg.eigh(_gram(w, what))
+    top = float(sq[-1]) if len(sq) else 0.0
+    if top <= 0.0:
+        return 0.0, None, sq, residual
+    f = u @ (vecs[:, -1] / s)
+    return top, f / np.linalg.norm(f), sq, residual
 
 
 def douglas_range_inclusion(
@@ -389,35 +439,3 @@ def douglas_factorize(
         projection_residual=projection,
         norm_N=norm_n,
     )
-
-
-def _quotient_sup(
-    M: np.ndarray, w: np.ndarray, v: np.ndarray, what: str
-) -> tuple[float, Optional[np.ndarray]]:
-    """sup of ||M* f||^2 / <S f, f> over f with <S f, f> > 0, for S
-    Hermitian PSD given by its eigenpairs (w ascending, v as columns).
-
-    +inf with a unit kernel witness when some kernel direction of S carries
-    M-energy above RELATIVE_RANK_TOL ||M||^2; otherwise the sup is attained on
-    range(S), where it is lambda_max(C C*) with C = (V_r / sqrt(w_r))* M.
-    S = 0 yields -inf (no admissible f).  ``what`` names M M* in overflow
-    errors.
-    """
-    top = float(w.max(initial=0.0))
-    kernel = v[:, w <= RELATIVE_RANK_TOL * top] if top > 0.0 else v
-    if kernel.shape[1] > 0:
-        energy = _gram(kernel.conj().T @ M, what)
-        floor = RELATIVE_RANK_TOL * spectral_norm(M) ** 2
-        # eigenvalues decide; the vectors are computed only for the witness
-        if float(np.linalg.eigvalsh(energy)[-1]) > floor:
-            cw, cv = np.linalg.eigh(energy)
-            if float(cw[-1]) > floor:
-                f = kernel @ cv[:, -1]
-                return math.inf, f / np.linalg.norm(f)
-    if top <= 0.0:
-        return -math.inf, None
-    keep = w > RELATIVE_RANK_TOL * top
-    inv_sqrt = v[:, keep] / np.sqrt(w[keep])
-    cw, cv = np.linalg.eigh(_gram(inv_sqrt.conj().T @ M, what))
-    f = inv_sqrt @ cv[:, -1]
-    return max(float(cw[-1]), 0.0), f / np.linalg.norm(f)

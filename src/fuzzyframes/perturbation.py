@@ -18,8 +18,8 @@ so the operator hypothesis holds exactly when
 
 is positive semidefinite for every t in (0, 1) (Casazza and Christensen,
 J. Fourier Anal. Appl. 3, 1997).  The family hypothesis is the supremum
-of the difference energy ||D* f||^2 against each frame sum, read from the
-eigenpairs of each frame operator and the difference synthesis matrix D.
+of the difference energy ||D* f||^2 against each frame sum, ||F^dagger D||^2
+by Douglas's lemma, read from one SVD of each synthesis matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     VerificationResult,
-    classical_frame_operator,
+    _synthesis_svd,
     optimal_frame_bounds,
     optimal_kframe_bounds,
     verify_bounds,
@@ -43,8 +43,8 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     MatrixLike,
+    _douglas_sup,
     _gram,
-    _quotient_sup,
     as_matrix,
 )
 
@@ -241,32 +241,30 @@ def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPertur
     The pointwise ratio against the min is the max of the two ratios, so
     the minimal constant is the larger of the suprema of ||D* f||^2 /
     <S_F f, f> and ||D* f||^2 / <S_G f, f>, with D the synthesis matrix of
-    the difference family.  It is +inf exactly when some f carries positive
-    difference energy while one of the frame sums vanishes (the min is then
-    zero).
+    the difference family: max(||F^dagger D||^2, ||G^dagger D||^2).  It is
+    +inf exactly when range(D) escapes range(F) or range(G), where some f
+    carries difference energy while a frame sum vanishes.
     """
     return _family_constant(F, G)[0]
 
 
 def _family_constant(
     F: FrameFamily, G: FrameFamily
-) -> tuple[FamilyPerturbation, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """family_perturbation_constant(F, G), with S_F and its eigenpairs, from
-    which the bounds of F follow without a second eigendecomposition."""
+) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray]]:
+    """family_perturbation_constant(F, G), with the left singular pairs of
+    F, from which the bounds of F follow without a second decomposition."""
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
     d = (F.vectors - G.vectors).T
-    s_f = classical_frame_operator(F)
-    eig_f = np.linalg.eigh(s_f)
+    svd_f = _synthesis_svd(F)
     sups = [
-        _quotient_sup(d, *eig_f, "D D*"),
-        _quotient_sup(d, *np.linalg.eigh(classical_frame_operator(G)), "D D*"),
+        _douglas_sup(d, *svd, PSD_TOL, f"W W* for W = {name}^+ D")[:2]
+        for name, svd in (("F", svd_f), ("G", _synthesis_svd(G)))
     ]
     value, witness = max(sups, key=lambda sup: sup[0])  # F's on a tie
     if value == math.inf:
-        return FamilyPerturbation(math.inf, False, witness, False), s_f, eig_f
-    value = max(value, 0.0)  # -inf (zero frame operators: no f to test) -> 0
-    return FamilyPerturbation(value, True, witness, value <= 1.0), s_f, eig_f
+        return FamilyPerturbation(math.inf, False, witness, False), svd_f
+    return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f
 
 
 def derive_family_perturbed_bounds(

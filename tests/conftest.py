@@ -326,7 +326,7 @@ def r3_instance():
 # ---------------------------------------------------------------------------
 # Decomposition counter
 
-LINALG_DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "pinv", "solve", "cholesky")
+LINALG_DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "pinv", "solve", "cholesky", "qr")
 
 
 @pytest.fixture

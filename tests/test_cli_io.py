@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import fuzzyframes
 from conftest import reference_canonical_json, reference_whole_array
-from fuzzyframes.frame_core import classical_frame_operator
+from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.cli_io import (
     COMMANDS,
@@ -721,7 +721,9 @@ class TestCommands:
         path.write_text(json.dumps(data))
         report, code = run_file(path)
         assert code == EXIT_PASS
-        assert report["body"]["equivalence_consistent"]
+        body = report["body"]
+        assert body["kframe_holds"] and body["atomic_holds"]
+        assert body["verification"]["passed"]
 
     def test_perturb_operator_command(self, tmp_path):
         data = load(R3_FILE)
@@ -801,18 +803,19 @@ class TestCommands:
             del data["operator_K"]
         path = tmp_path / "perturb_family.json"
         path.write_text(json.dumps(data))
-        s_f = classical_frame_operator(parse_problem(data).frame_family())
+        # S_F = F F* is decomposed through the SVD of F (or a QR of F*)
+        f = synthesis_matrix(parse_problem(data).frame_family())
         decomposed = []
-        eigh = np.linalg.eigh
+        for name in ("qr", "svd"):
 
-        def recording_eigh(a, *args, **kwargs):
-            decomposed.append(np.array(a))
-            return eigh(a, *args, **kwargs)
+            def recording(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                decomposed.append(np.array(a))
+                return _fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+            monkeypatch.setattr(np.linalg, name, recording)
         report, code = run_file(path)
         assert code == EXIT_PASS and report["body"]["finite"] and "derived" in report["body"]
-        assert sum(np.array_equal(a, s_f) for a in decomposed) == 1
+        assert sum(np.array_equal(a, f) or np.array_equal(a, f.conj().T) for a in decomposed) == 1
 
     def test_transform_command_hypothesis_violation(self, tmp_path):
         data = load(R3_FILE)
@@ -859,26 +862,29 @@ class TestCommands:
             assert sum(calls) == 1  # one SVD of N feeds inclusion, W and lambda
 
     def test_check_kframe_corpus_decomposition_budget(self, linalg_calls):
+        # the SVD of F, the eigenvalues of W W* for W = F^+ K, and one
+        # Cholesky certificate per passing order check
         report, code = run_file(R3_FILE, command="check-kframe")
         assert code == EXIT_PASS
-        assert sum(linalg_calls.values()) <= 5
+        assert dict(linalg_calls) == {"svd": 1, "eigh": 1, "cholesky": 2}
 
     def test_bounds_with_k_decomposes_s_c_once(self, linalg_calls):
-        # eigh(S_c) for both certificates and eigh(C C*) for the K-frame bound
+        # one SVD of F for both certificates and eigh(W W*) for the K-frame
+        # bound
         report, code = run_file(R3_FILE, command="bounds")
         assert code == EXIT_PASS and "optimal_kframe" in report["body"]
-        assert dict(linalg_calls) == {"eigh": 2}
+        assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
 
     def test_invertible_transform_one_svd_of_t(self, tmp_path, linalg_calls):
-        # the SVD of T gives ||T||, invertibility and ||T^-1||; the other SVD
-        # is ||K|| of the commutation test
+        # the SVD of T gives ||T||, invertibility and ||T^-1||; the other SVDs
+        # are ||K|| of the commutation test and F's in the K-frame bounds
         data = load(R3_FILE)
         data.update(command="transform", variant="invertible", operator_T=np.eye(3).tolist())
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
         assert code == EXIT_PASS
-        assert linalg_calls["svd"] == 2
+        assert linalg_calls["svd"] == 3
 
     def test_douglas_decomposition_budget(self, tmp_path, linalg_calls):
         data = load(R3_FILE)
@@ -943,6 +949,42 @@ class TestCommands:
         assert report["verdict"] == verdict
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_atomic_probe_one_route(self, linalg_calls):
+        # synthesis singular values 1 down to 1e-6 and K = 100 I: the K-frame
+        # bound and the coefficient constant come from the same SVD of F
+        problem = parse_problem(
+            self._ill_conditioned("atomic", 1e-6, operator_K=(100.0 * np.eye(4)).tolist())
+        )
+        linalg_calls.clear()  # the QR factors that built the family
+        report, code = run_command("atomic", problem)
+        assert sum(linalg_calls.values()) <= 4
+        body = report["body"]
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        assert body["kframe_holds"] and body["atomic_holds"]
+        assert body["verification"]["passed"]
+        F = problem.family.T
+        expected = 1.0 / np.linalg.norm(np.linalg.pinv(F) @ problem.operator_K, 2) ** 2
+        assert body["certificate"]["A"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("path", [R3_FILE, C3_FILE])
+    def test_atomic_corpus_decomposition_budget(self, path, linalg_calls):
+        # the SVD of F, eigh(W W*) and the two Cholesky certificates of the
+        # verify_bounds check of (1 / C^2, B)
+        report, code = run_file(path, command="atomic")
+        assert code == EXIT_PASS and report["body"]["verification"]["passed"]
+        assert sum(linalg_calls.values()) <= 4
+
+    def test_overflowing_commutator_is_input_error(self, tmp_path, recwarn):
+        big = [[1e200, 1e200], [0.0, 1e200]]
+        data = {"command": "transform", "dimension": 2, "family": [[1.0, 0.0], [0.0, 1.0]],
+                "operator_K": big, "operator_T": big, "variant": "invertible"}
+        path = tmp_path / "commutator.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR and report["verdict"] == "error"
+        assert "commutator T K - K T" in report["error"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "command", ["bounds", "check-frame", "check-kframe", "reconstruct"]
     )
@@ -959,6 +1001,10 @@ class TestCommands:
         for key in ("optimal_frame", "optimal_kframe"):
             if key in report["body"]:
                 assert report["body"][key]["A"] == pytest.approx(1.8e-11, rel=1e-9)
+                # B = 5.4e-11: not tight, with no absolute floor on |A - B|
+                assert not report["body"][key]["tight"]
+        if "optimal_frame" in report["body"]:
+            assert report["body"]["optimal_frame"]["kind"] == "frame"
 
     @staticmethod
     def _ill_conditioned(command: str, smallest: float, **extra) -> dict:
@@ -983,7 +1029,7 @@ class TestCommands:
         K = (1e4 * np.eye(4)).tolist()
         problem = parse_problem(self._ill_conditioned("atomic", 1e-4, operator_K=K))
         report, code = run_command("atomic", problem)
-        assert report["body"]["max_reconstruction_residual"] > problem.tolerance
+        assert report["body"]["reconstruction_residual"] > problem.tolerance
         assert code == EXIT_PASS
 
     @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyframes import (
     BaseSpace,
@@ -299,6 +301,52 @@ class TestVerifyBounds:
         assert one.checks[0].margin is None and five.checks[4].margin is None
 
 
+class TestTightIsRelative:
+    """Tight and Parseval decisions carry no absolute floor: a tight family
+    stays tight, and a non-tight one non-tight, at any scale."""
+
+    @pytest.mark.parametrize("scale", [3e-6, 2.0**-40, 2.0**40])
+    def test_non_tight_family_at_scale(self, r3_instance, scale):
+        fam = r3_instance["family"].scaled(scale)
+        frame = optimal_frame_bounds(fam)
+        assert frame.kind == "frame" and not frame.tight and not frame.parseval
+        assert frame.A == pytest.approx(2.0 * scale**2, rel=1e-12)
+        kframe = optimal_kframe_bounds(fam, np.eye(3))
+        assert not kframe.tight and not kframe.parseval
+        assert kframe.A == pytest.approx(2.0 * scale**2, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [3e-6, 2.0**-40, 2.0**40])
+    def test_tight_family_at_scale(self, scale):
+        rng = np.random.default_rng(29)
+        K = rand_matrix(rng, 3, 3, "complex")
+        fam = FrameFamily(scale * K.T, FuzzyModel(BaseSpace(3, "complex"), "scaled"))
+        kframe = optimal_kframe_bounds(fam, K)  # frame sum = scale^2 ||K* f||^2
+        assert kframe.tight and kframe.A == pytest.approx(scale**2, rel=1e-9)
+        assert not kframe.parseval
+        frame = optimal_frame_bounds(FrameFamily(scale * np.eye(3), REAL3))
+        assert frame.kind == "tight" and frame.tight and not frame.parseval
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.integers(-3, 8),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+    in_range=st.booleans(),
+)
+def test_factor_route_bounds_pass_verify_bounds(n, extra, field, seed, in_range):
+    # columns scaled by 10^U(-3, 3); K either inside range(F) or random
+    rng = np.random.default_rng(seed)
+    m = max(1, n + extra)
+    F = rand_matrix(rng, n, m, field) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+    K = F @ rand_matrix(rng, m, n, field) if in_range else rand_matrix(rng, n, n, field)
+    fam = FrameFamily(F.T, FuzzyModel(BaseSpace(n, field), "scaled"))
+    for cert, op in ((optimal_frame_bounds(fam), None), (optimal_kframe_bounds(fam, K), K)):
+        if 0.0 < cert.A < math.inf:
+            assert verify_bounds(fam, cert.A, cert.B, op).passed
+
+
 class TestRescale:
     def test_tight_family_rescales_to_parseval(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
@@ -406,16 +454,17 @@ class TestAtomicCoefficients:
 class TestEquivalence:
     def test_c3_both_hold(self, c3_instance):
         report = atomic_system_equivalence_check(c3_instance["family"], c3_instance["K"])
-        assert report.kframe_holds and report.atomic_holds and report.consistent
+        assert report.kframe_holds and report.atomic_holds
+        assert 1.0 / report.C**2 == pytest.approx(report.certificate.A, rel=1e-12)
         assert 1.0 / report.C**2 <= 0.5 + 1e-9
-        assert report.lower_bound_ok
+        assert report.verification.passed
 
     def test_single_vector_no_atomic_system(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0.0]]), model)
         report = atomic_system_equivalence_check(fam, np.eye(2))
         assert not report.kframe_holds and not report.atomic_holds
-        assert report.consistent
+        assert report.C is None and report.verification is None
 
     def test_canonical_family_holds_with_unit_bound(self):
         rng = np.random.default_rng(37)
