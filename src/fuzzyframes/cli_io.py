@@ -29,7 +29,8 @@ import orjson
 
 from . import __version__
 from .fuzzy_space import MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
-from .operator_algebra import EPS, RangeInclusionError, douglas_factorize
+from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
+from .operator_algebra import _frobenius, within_tolerance
 from .frame_core import (
     DEFAULT_ALPHAS,
     BoundCertificate,
@@ -100,7 +101,7 @@ class Problem:
     bounds: Optional[tuple[float, float]] = None
     convention: str = "once"
     seed: int = 0
-    tolerance: float = 1e-9
+    tolerance: float = PSD_TOL
     command: str = "bounds"
     lambda1: float = 0.0
     lambda2: float = 0.0
@@ -318,7 +319,7 @@ def parse_problem(data: Any) -> Problem:
     if convention not in ("once", "squared"):
         raise ProblemError(f"'convention' must be 'once' or 'squared', got {convention!r}")
 
-    tolerance = _tolerance(data.get("tolerance", 1e-9), "'tolerance'")
+    tolerance = _tolerance(data.get("tolerance", PSD_TOL), "'tolerance'")
 
     command = data.get("command", "bounds")
     if not isinstance(command, str) or command not in COMMANDS:
@@ -611,7 +612,7 @@ def _cmd_bounds(p: Problem) -> tuple[str, dict]:
     svd = _synthesis_svd(family)  # one SVD of F for both certificates
     body = {"optimal_frame": _cert_dict(_optimal_bounds(family, None, p.convention, *svd))}
     if p.operator_K is not None:
-        kframe = _optimal_bounds(family, p.operator_K, p.convention, *svd)
+        kframe = _optimal_bounds(family, p.operator_K, p.convention, *svd, p.tolerance)
         body["optimal_kframe"] = _cert_dict(kframe)
     return "pass", body
 
@@ -637,7 +638,7 @@ def _cmd_check_frame(p: Problem) -> tuple[str, dict]:
 def _cmd_check_kframe(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
     K = p.need_K()
-    cert = optimal_kframe_bounds(family, K, p.convention)
+    cert = optimal_kframe_bounds(family, K, p.convention, p.tolerance)
     A, B = p.bounds if p.bounds is not None else (cert.A, cert.B)
     if p.bounds is None and cert.A == 0.0:
         return "fail", {
@@ -670,9 +671,9 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     body["reconstruction_residual"] = residual
     body["verification"] = _verification_dict(report.verification)
     # rounding allows n eps ||F|| ||F^dagger K|| on top of the tolerance
-    limit = p.tolerance + p.dimension * EPS * math.sqrt(report.certificate.B) * report.C
-    ok = report.verification.passed and residual <= limit
-    return ("pass" if ok else "fail"), body
+    rounding = p.dimension * EPS * math.sqrt(report.certificate.B) * report.C
+    ok = within_tolerance(residual - rounding, p.tolerance, _frobenius(K))
+    return ("pass" if ok and report.verification.passed else "fail"), body
 
 
 def _cmd_transform(p: Problem) -> tuple[str, dict]:
@@ -724,7 +725,7 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
     if not report.verified:
         return "fail", body
     family = p.frame_family()
-    cert = optimal_kframe_bounds(family, K1, p.convention)
+    cert = optimal_kframe_bounds(family, K1, p.convention, p.tolerance)
     if cert.A > 0.0 and math.isfinite(cert.A):
         derived = derive_operator_perturbed_bounds(
             cert.A, cert.B, p.lambda1, p.lambda2, family, K2,
@@ -740,7 +741,7 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
 def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     F = p.frame_family()
     G = p.second_family()
-    constant, svd_f = _family_constant(F, G)
+    constant, svd_f, _ = _family_constant(F, G, p.tolerance)
     body: dict = {
         "M": constant.M,
         "finite": constant.finite,
@@ -750,7 +751,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     }
     if not constant.finite:
         return "fail", body
-    cert = _optimal_bounds(F, p.operator_K, p.convention, *svd_f)
+    cert = _optimal_bounds(F, p.operator_K, p.convention, *svd_f, p.tolerance)
     if not (cert.A > 0.0 and math.isfinite(cert.A)):
         body["note"] = "source family carries no positive lower bound to transfer"
         return "fail", body
@@ -771,8 +772,8 @@ def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
             "witness": _unit(exc.witness),
         }
     body = {"max_residual": worst, "alphas": list(p.alphas)}
-    # rounding allows n eps cond(S_c) on top of the tolerance
-    ok = worst <= p.tolerance + p.dimension * EPS * cond
+    # rounding allows n eps cond(S_c) on top of the tolerance; ||I|| = 1
+    ok = within_tolerance(worst - p.dimension * EPS * cond, p.tolerance, 1.0)
     return ("pass" if ok else "fail"), body
 
 
@@ -791,8 +792,9 @@ def _cmd_douglas(p: Problem) -> tuple[str, dict]:
         "factorization_residual": result.residual,
     }
     # rounding allows n eps ||N|| ||W|| on top of the tolerance
-    limit = 10.0 * p.tolerance + p.dimension * EPS * result.norm_N * result.lam
-    return ("pass" if result.residual <= limit else "fail"), body
+    rounding = p.dimension * EPS * result.norm_N * result.lam
+    ok = within_tolerance(result.residual - rounding, p.tolerance, _frobenius(M))
+    return ("pass" if ok else "fail"), body
 
 
 def _cmd_axioms(p: Problem) -> tuple[str, dict]:
@@ -842,7 +844,7 @@ def _check_claims(p: Problem) -> tuple[list[str], list[dict]]:
         # under the 'once' convention.
         base = frame_sum(family, claim["vector"], 0.5, "once") / family.model.scale(0.5)
         claimed = claim["value"]
-        agrees = abs(base - claimed) <= p.tolerance * (1.0 + abs(base))
+        agrees = within_tolerance(abs(base - claimed), p.tolerance, max(abs(base), abs(claimed)))
         details.append(
             {
                 "kind": "frame_sum",

@@ -43,6 +43,7 @@ from .operator_algebra import (
     _thin_svd,
     as_matrix,
     spectral_norm,
+    within_tolerance,
 )
 
 __all__ = [
@@ -282,15 +283,17 @@ def _frame_bounds(
 
 
 def optimal_kframe_bounds(
-    family: FrameFamily, K: MatrixLike, convention: str = "once"
+    family: FrameFamily, K: MatrixLike, convention: str = "once", tol: float = PSD_TOL
 ) -> BoundCertificate:
     """Optimal K-frame constants: B = sigma_max(F)^2, A = max{A : S_c >= A K K*}.
 
-    A = 1 / ||F^dagger K||^2 when range(K) lies inside range(F), else 0
-    with the f outside range(F) maximizing ||K* f|| as witness; a zero
-    operator makes the lower inequality vacuous and A is +inf.
+    A = 1 / ||F^dagger K||^2 when range(K) lies inside range(F) (decided
+    within tol), else 0 with the f outside range(F) maximizing ||K* f|| as
+    witness; a zero operator makes the lower inequality vacuous and A is
+    +inf.  A nonzero K whose A is past the double range raises
+    OverflowError.
     """
-    return _optimal_bounds(family, K, convention, *_synthesis_svd(family))
+    return _optimal_bounds(family, K, convention, *_synthesis_svd(family), tol)
 
 
 def _operator_on(K: MatrixLike, n: int) -> np.ndarray:
@@ -315,10 +318,12 @@ def _kframe_bounds(
     sup, witness, sq, residual = _douglas_sup(k, u, s, tol, "W W* for W = F^+ K")
     if sup == math.inf:  # some f with K*f != 0 has zero frame sum
         a = 0.0
-    elif sup == 0.0:  # K = 0: the lower inequality is vacuous
+    elif not k.any():  # K = 0: the lower inequality is vacuous
         a = math.inf
     else:
-        a = 1.0 / sup
+        a = 1.0 / sup if sup > 0.0 else math.inf
+        if math.isinf(a):  # ||F^+ K||^2 underflows
+            raise OverflowError("the K-frame bound A = 1 / ||F^+ K||^2 overflows a double")
     tight = 0.0 < a < math.inf and float(sq[0]) >= (1.0 - TIGHT_TOL) * float(sq[-1])
     parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     cert = BoundCertificate(
@@ -341,13 +346,14 @@ def _optimal_bounds(
     convention: str,
     u: np.ndarray,
     s: np.ndarray,
+    tol: float = PSD_TOL,
 ) -> BoundCertificate:
     """optimal_kframe_bounds, or optimal_frame_bounds when K is None, from
     the left singular pairs of F."""
     _check_convention(convention)
     if K is None:
         return _frame_bounds(family, convention, u, s)
-    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, u, s)[0]
+    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, u, s, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -390,7 +396,8 @@ def verify_bounds(
     ``squared`` the frame-sum side keeps one extra power of scale(a).
     Levels with the same extra factor (all of them under ``once`` or the
     crisp profile) share one pair of PSD checks but are each listed.
-    The first failing level yields the eigen-witness.
+    The first failing level yields the eigen-witness.  Each check allows
+    the slack tol * max(max|diag P|, max|diag Q|) for its sides P <= Q.
     """
     _check_convention(convention)
     if not (A >= 0.0 or math.isinf(A)) or B < 0.0:
@@ -399,6 +406,8 @@ def verify_bounds(
     n = family.dimension
     eye = np.eye(n)
     gram = eye if K is None else _gram(K, "K K*")
+    # max|diag| of each side scales its check (see _order_decision)
+    s_top, g_top = (float(np.abs(m.diagonal()).max()) for m in (s, gram))
 
     checks: list[BoundCheck] = []
     passed = True
@@ -411,8 +420,8 @@ def verify_bounds(
             if math.isinf(A):  # vacuous lower inequality (zero operator)
                 lower = (True, None, math.inf)
             else:
-                lower = _order_decision(s_eff - A * gram, tol)
-            decided[extra] = (lower, _order_decision(B * eye - s_eff, tol))
+                lower = _order_decision(s_eff - A * gram, tol, max(extra * s_top, A * g_top))
+            decided[extra] = (lower, _order_decision(B * eye - s_eff, tol, max(extra * s_top, B)))
         (ok_lo, wit_lo, margin_lo), (ok_up, wit_up, margin_up) = decided[extra]
         checks.append(BoundCheck(alpha, "lower", ok_lo, margin_lo, _unit(wit_lo)))
         checks.append(BoundCheck(alpha, "upper", ok_up, margin_up, _unit(wit_up)))
@@ -493,7 +502,8 @@ def atomic_coefficients(
     beta = coefficients @ fvec
     C = spectral_norm(coefficients)
     rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
-    norm_ok = float(np.linalg.norm(beta)) <= C * float(np.linalg.norm(fvec)) + tol
+    norm_beta, bound = float(np.linalg.norm(beta)), C * float(np.linalg.norm(fvec))
+    norm_ok = within_tolerance(norm_beta - bound, tol, max(norm_beta, bound))
     return AtomicCoefficients(beta=beta, C=C, residual=rec_residual, norm_bound_ok=norm_ok)
 
 
@@ -540,7 +550,7 @@ def atomic_system_equivalence_check(
     return EquivalenceReport(
         certificate=cert,
         kframe_holds=cert.A > 0.0,
-        atomic_holds=residual <= tol,
+        atomic_holds=cert.A > 0.0,  # the same decision: range(K) lies in range(F)
         C=C,
         projection_residual=residual,
         verification=verification,
@@ -552,24 +562,18 @@ def atomic_system_equivalence_check(
 class SandwichReport:
     injective: bool
     dagger_norm: float
+    #: the largest excess of a side of each sandwich line over the other
     max_violation_forward: float
     max_violation_inverse: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.injective
-            and self.max_violation_forward <= self.tol
-            and self.max_violation_inverse <= self.tol
-        )
+    #: injective, and each inequality within tol of the size of its sides
+    passed: bool
 
 
 def restricted_inverse_check(
     family: FrameFamily,
     K: MatrixLike,
     certificate: Optional[BoundCertificate] = None,
-    tol: float = 1e-9,
+    tol: float = PSD_TOL,
 ) -> SandwichReport:
     """Invertibility of S_c on range(K) and the two sandwich inequalities.
 
@@ -579,13 +583,13 @@ def restricted_inverse_check(
     with S_r the restriction of S_c to range(K) and K+ the pseudo-inverse.
     Level scalings cancel pairwise, so the checks are classical.  With Q an
     orthonormal basis of range(K) and f = S_c u for unit u in range(K), each
-    violation is an extreme eigenvalue of a compression Q* M Q: M = S_c for
+    excess is an extreme eigenvalue of a compression Q* M Q: M = S_c for
     the first line, S_c^2 / B - S_c and S_c - (||K+||^2 / A) S_c^2 for the
-    second.  The slack tol * (1 + <S_c u, u>), resp. tol * (1 + ||S_c u||^2),
-    is subtracted from each violation.
+    second.  Each inequality passes within_tolerance of the larger
+    max|diag| of its two compressed sides, the scale of an order decision.
     """
     k = as_matrix(K)
-    cert = certificate or optimal_kframe_bounds(family, k)
+    cert = certificate or optimal_kframe_bounds(family, k, tol=tol)
     if not (math.isfinite(cert.A) and cert.A > 0.0):
         raise ValueError("not applicable: family is not a K-frame (lower bound 0)")
     s = classical_frame_operator(family)
@@ -593,32 +597,33 @@ def restricted_inverse_check(
     if q.shape[1] == 0:
         raise ValueError("operator K is zero; restriction is empty")
 
-    def compressed_spectrum(m: np.ndarray) -> np.ndarray:
+    def compressed(m: np.ndarray) -> tuple[np.ndarray, float]:
+        """Q* m Q, symmetrized, and its max|diag|, the size of that side."""
         c = q.conj().T @ m @ q
-        return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+        c = 0.5 * (c + c.conj().T)
+        return c, float(np.abs(c.diagonal()).max())
 
-    cw = compressed_spectrum(s)
+    c1, top1 = compressed(s)
+    cw = np.linalg.eigvalsh(c1)
     injective = bool(cw[0] > RELATIVE_RANK_TOL * float(cw[-1]))
     dagger_norm = 1.0 / float(k_sv[-1])  # ||K+||: K's smallest kept singular value
-    a, b = cert.A, cert.B
+    a, b = cert.A / dagger_norm**2, cert.B
     low, high = float(cw[0]), float(cw[-1])
-    worst_fwd = max(
-        a / dagger_norm**2 - low - tol * (1.0 + abs(low)),
-        high - b - tol * (1.0 + abs(high)),
-    )
-    worst_inv = -math.inf
+    # (excess, scale) of each inequality P <= Q, scaled as an order decision
+    forward = [(a - low, max(a, top1)), (high - b, max(top1, b))]
+    inverse = []
     if injective:
-        s2 = s @ s
-        worst_inv = max(
-            float(compressed_spectrum((1.0 / b - tol) * s2 - s)[-1]),
-            float(compressed_spectrum(s - (dagger_norm**2 / a + tol) * s2)[-1]),
-        ) - tol
+        c2, top2 = compressed(s @ s)
+        inverse = [
+            (float(np.linalg.eigvalsh(c2 / b - c1)[-1]), max(top2 / b, top1)),
+            (float(np.linalg.eigvalsh(c1 - c2 / a)[-1]), max(top1, top2 / a)),
+        ]
     return SandwichReport(
         injective=injective,
         dagger_norm=dagger_norm,
-        max_violation_forward=worst_fwd,
-        max_violation_inverse=worst_inv,
-        tol=tol,
+        max_violation_forward=max(e for e, _ in forward),
+        max_violation_inverse=max((e for e, _ in inverse), default=-math.inf),
+        passed=injective and all(within_tolerance(e, tol, sc) for e, sc in forward + inverse),
     )
 
 

@@ -40,6 +40,7 @@ from .operator_algebra import (
     douglas_lambda,
     douglas_range_inclusion,
     spectral_norm,
+    within_tolerance,
 )
 
 __all__ = [
@@ -84,9 +85,9 @@ class CombinationResult:
 
 
 def _kframe_cert(
-    family: FrameFamily, K: np.ndarray, cert: Optional[BoundCertificate]
+    family: FrameFamily, K: np.ndarray, cert: Optional[BoundCertificate], tol: float
 ) -> BoundCertificate:
-    out = cert if cert is not None else optimal_kframe_bounds(family, K)
+    out = cert if cert is not None else optimal_kframe_bounds(family, K, tol=tol)
     if not (out.A > 0.0):
         raise ValueError("family is not a K-frame for the supplied operator")
     return out
@@ -119,8 +120,8 @@ def combine_scalar(
         raise ValueError("scalar pair (a, b) must not both vanish")
     k1 = as_matrix(K1)
     k2 = as_matrix(K2)
-    c1 = _kframe_cert(family, k1, cert1)
-    c2 = _kframe_cert(family, k2, cert2)
+    c1 = _kframe_cert(family, k1, cert1, tol)
+    c2 = _kframe_cert(family, k2, cert2, tol)
     a1, b1 = c1.A, c1.B
     a2, b2 = c2.A, c2.B
     lower = 1.0 / (4.0 * max(abs(a) ** 2, abs(b) ** 2) * (1.0 / a1 + 1.0 / a2))
@@ -148,8 +149,8 @@ def combine_product(
     """
     k1 = as_matrix(K1)
     k2 = as_matrix(K2)
-    c1 = _kframe_cert(family, k1, cert1)
-    c2 = _kframe_cert(family, k2, cert2)
+    c1 = _kframe_cert(family, k1, cert1, tol)
+    c2 = _kframe_cert(family, k2, cert2, tol)
     norm2 = spectral_norm(k2) ** 2
     lower = c1.A / norm2 if norm2 > 0.0 else math.inf
     derived = DerivedBound(
@@ -190,7 +191,7 @@ def combine_many(
     if not mats:
         raise ValueError("need at least one operator")
     if certs is None:
-        certs = [optimal_kframe_bounds(family, k) for k in mats]
+        certs = [optimal_kframe_bounds(family, k, tol=tol) for k in mats]
     if len(certs) != len(mats):
         raise ValueError("one certificate per operator required")
     for c in certs:
@@ -198,9 +199,9 @@ def combine_many(
             raise ValueError("family is not a K-frame for every supplied operator")
     a_common = min(c.A for c in certs)
     b_common = max(c.B for c in certs)
-    substituted = any(
-        abs(c.A - a_common) > tol * max(1.0, a_common)
-        or abs(c.B - b_common) > tol * max(1.0, b_common)
+    substituted = not all(
+        (c.A == a_common or within_tolerance(c.A - a_common, tol, c.A))  # A = inf: K = 0
+        and within_tolerance(b_common - c.B, tol, b_common)
         for c in certs
     )
     sources = tuple((c.A, c.B) for c in certs)
@@ -258,13 +259,14 @@ def bessel_pair_kframe(
     tg = synthesis_matrix(G)
     if tf.shape[1] != tg.shape[1]:
         raise ValueError("families must share a coefficient space")
+    bessel_f = optimal_frame_bounds(F, convention)
+    bessel_g = optimal_frame_bounds(G, convention)
     residual = spectral_norm(tf @ tg.conj().T - k)
-    if residual > tol * (1.0 + spectral_norm(k)):
+    # ||T_F|| ||T_G|| = sqrt(B_F B_G) bounds the size of T_F T_G*
+    if not within_tolerance(residual, tol, math.sqrt(bessel_f.B) * math.sqrt(bessel_g.B)):
         raise ValueError(
             f"synthesis factorization does not reproduce K (residual {residual:.3e})"
         )
-    bessel_f = optimal_frame_bounds(F, convention)
-    bessel_g = optimal_frame_bounds(G, convention)
     lower = 1.0 / bessel_g.B
     derived = DerivedBound(
         ((bessel_f.A, bessel_f.B), (bessel_g.A, bessel_g.B)),
@@ -321,9 +323,9 @@ def transform_family(
     if not np.isfinite(commutator).all():
         raise OverflowError("the commutator T K - K T overflows a double")
     comm = spectral_norm(commutator)
-    if comm > tol * (1.0 + norm_t * spectral_norm(k)):
+    if not within_tolerance(comm, tol, norm_t * spectral_norm(k)):
         raise ValueError(f"T and K do not commute (residual {comm:.3e})")
-    c = _kframe_cert(family, k, cert)
+    c = _kframe_cert(family, k, cert, tol)
 
     if variant == "invertible":
         if sv[-1] <= RELATIVE_RANK_TOL * sv[0]:
@@ -333,7 +335,7 @@ def transform_family(
     else:
         gram = _gram(t, "T T*")
         res = spectral_norm(gram - np.eye(gram.shape[0]))
-        if res > tol * (1.0 + spectral_norm(gram)):
+        if not within_tolerance(res, tol, max(spectral_norm(gram), 1.0)):  # ||I|| = 1
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")
         lower = c.A
     upper = c.B * norm_t**2
@@ -382,7 +384,7 @@ def operator_transfer(
     """
     k = as_matrix(K)
     t = as_matrix(T)
-    c = _kframe_cert(family, k, cert)
+    c = _kframe_cert(family, k, cert, tol)
     lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
     lower = _over_lambda_squared(c.A, lam)
     derived = DerivedBound(((c.A, c.B),), "range-transfer", lower, c.B)
@@ -407,7 +409,7 @@ def synthesis_characterization(
     k = as_matrix(K)
     F = synthesis_matrix(family)
     included, residual = douglas_range_inclusion(k, F, tol)
-    cert = optimal_kframe_bounds(family, k)
+    cert = optimal_kframe_bounds(family, k, tol=tol)
     positive = math.isinf(cert.A) or cert.A > 0.0
     return CharacterizationReport(
         inclusion_holds=included,
@@ -437,8 +439,8 @@ def build_family(
     try:
         lam = douglas_lambda(K, t, tol)
     except RangeInclusionError:
-        cert = optimal_kframe_bounds(family, K)
+        cert = optimal_kframe_bounds(family, K, tol=tol)
         return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
-    cert = optimal_kframe_bounds(family, K)
     derived = _over_lambda_squared(1.0, lam)
+    cert = optimal_kframe_bounds(family, K, tol=tol)
     return BuiltFamily(family, cert, True, lam=lam, derived_lower=derived)

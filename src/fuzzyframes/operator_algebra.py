@@ -12,6 +12,11 @@ Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
 input never changes a rank decision.
 
+Every tolerance decision follows one rule, :func:`within_tolerance`: an
+excess passes when it is at most tol times the size of the operands it
+compares, with no absolute floor, so scaling the inputs by c scales both
+sides alike and never changes a verdict.
+
 An order decision P <= Q is certified by one Cholesky factorization of
 Q - P shifted by half its slack; no eigenvalue is computed for a pass.  Only
 when that factorization fails does one eigh of Q - P decide, and its bottom
@@ -42,6 +47,7 @@ __all__ = [
     "adjoint",
     "spectral_norm",
     "alpha_operator_norm",
+    "within_tolerance",
     "hermitian_part",
     "psd_order_check",
     "range_basis",
@@ -58,15 +64,19 @@ RELATIVE_RANK_TOL = 1e-10
 #: float64 unit roundoff; rounding allowances are multiples of n * EPS
 EPS = float(np.finfo(np.float64).eps)
 
-#: default slack for positive-semidefinite order decisions
+#: default relative tolerance of every decision (see within_tolerance)
 PSD_TOL = 1e-9
 
 #: an order decision tries its Cholesky certificate only when tol is at least
 #: this multiple of n * EPS (n the dimension).  A factorization that succeeds
 #: has backward error at most n (n + 1) eps times the largest diagonal entry
-#: (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so up to
-#: n = 1023 that error stays under a quarter of the slack; below the cutoff
-#: eigh decides alone.
+#: (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  The
+#: diagonal of Q - P + shift I is at most 2 scale + shift = 2 scale (1 +
+#: tol / 4) for the scale max(max|diag P|, max|diag Q|), so the error is at
+#: most 2 n (n + 1) eps scale (1 + tol / 4); at tol = CHOLESKY_TOL_FACTOR n
+#: eps that stays under a quarter of the slack tol * scale up to n = 510,
+#: and larger tol only widens the margin.  Below the cutoff eigh decides
+#: alone.
 CHOLESKY_TOL_FACTOR = 4096.0
 
 MatrixLike = Union[np.ndarray, "LinearOperator"]
@@ -174,16 +184,22 @@ def alpha_operator_norm(
     return math.inf
 
 
+def within_tolerance(excess: float, tol: float, scale: float) -> bool:
+    """The one tolerance rule: excess <= tol * scale, with scale the size of
+    the operands being compared and no absolute floor.  A NaN excess, or a
+    scale that is not finite, never passes."""
+    return math.isfinite(scale) and bool(excess <= tol * scale)
+
+
 def hermitian_part(P: MatrixLike) -> np.ndarray:
-    """Symmetrize; a Frobenius asymmetry beyond 1e-8 (relative) warns."""
+    """Symmetrize; an asymmetry max|m - m*| / 2 beyond 1e-8 of max|h| warns
+    (h the Hermitian part)."""
     m = as_matrix(P)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     h = 0.5 * m + 0.5 * m.conj().T  # halving first: no overflow near the double range
-    with np.errstate(over="ignore"):  # a norm past the double range is inf
-        skew = np.linalg.norm(m - h)
-        scale = np.linalg.norm(h)
-    if skew > 1e-8 * (1.0 + scale):
+    skew = float(np.abs(m - h).max(initial=0.0))
+    if not within_tolerance(skew, 1e-8, float(np.abs(h).max(initial=0.0))):
         warnings.warn(
             f"matrix symmetrized, asymmetry {skew:.3e}", RuntimeWarning, stacklevel=2
         )
@@ -203,29 +219,26 @@ def _gram(T: MatrixLike, what: str) -> np.ndarray:
     return g
 
 
-def _order_slack(tol: float, norm: float) -> float:
-    """The violation an order decision allows: tol * (1 + norm), for norm
-    ||Q - P|| or a lower bound of it."""
-    return tol * (1.0 + norm)
-
-
 def _order_decision(
-    diff: np.ndarray, tol: float
+    diff: np.ndarray, tol: float, scale: float
 ) -> tuple[bool, Optional[np.ndarray], Optional[float]]:
-    """Decide diff >= 0 up to the slack, for a Hermitian diff = Q - P.
+    """Decide diff >= 0 up to the slack tol * scale, for a Hermitian diff =
+    Q - P and scale the size of P and Q: the callers pass max(max|diag P|,
+    max|diag Q|), which is O(n), overflows no double and, for PSD sides,
+    lies within a factor n of max(||P||, ||Q||).
 
     The certificate: when Cholesky factors diff + shift I, with shift half the
-    slack at max|diag diff| <= ||diff||, the order holds (see
-    CHOLESKY_TOL_FACTOR) and (True, None, None) is returned.  Otherwise the
-    eigenvalues of one eigh decide: lambda_min >= -slack at max|eig|, with the
-    bottom eigenvector as the witness of a failure.  A shifted matrix that is
-    not finite, or a factor that is not, leaves the decision to eigh.
+    slack, the order holds (see CHOLESKY_TOL_FACTOR) and (True, None, None) is
+    returned.  Otherwise the eigenvalues of one eigh decide: lambda_min passes
+    within_tolerance(-lambda_min, tol, scale), with the bottom eigenvector as
+    the witness of a failure.  A shifted matrix that is not finite, or a
+    factor that is not, leaves the decision to eigh; a scale that is not
+    finite never passes.
     """
     n = diff.shape[0]
     if tol >= CHOLESKY_TOL_FACTOR * n * EPS:
-        shift = 0.5 * _order_slack(tol, float(np.abs(diff.diagonal()).max(initial=0.0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = diff + shift * np.eye(n)
+            shifted = diff + (0.5 * tol * scale) * np.eye(n)
         if np.isfinite(shifted).all():
             try:
                 factor = np.linalg.cholesky(shifted)
@@ -239,7 +252,7 @@ def _order_decision(
                     return True, None, None
     w, v = np.linalg.eigh(diff)
     lam_min = float(w[0])
-    if lam_min >= -_order_slack(tol, float(np.abs(w).max(initial=0.0))):
+    if within_tolerance(-lam_min, tol, scale):
         return True, None, lam_min
     return False, v[:, 0], lam_min
 
@@ -251,7 +264,9 @@ def psd_order_check(
 
     Returns (ok, witness, lambda_min) where the witness is the unit
     eigenvector minimizing <(Q - P) f, f> whenever the order fails.  The
-    slack is scale-aware: lambda_min >= -tol * (1 + ||Q - P||).
+    slack is relative to the operands: lambda_min >= -tol * scale with
+    scale = max(max|diag P|, max|diag Q|) of the symmetrized sides, which
+    for PSD sides lies within a factor n of max(||P||, ||Q||).
 
     Both sides are symmetrized, then one Cholesky factorization of Q - P
     shifted by half the slack certifies a pass with no eigenvalue computed;
@@ -262,7 +277,9 @@ def psd_order_check(
     for name, side in (("P", P), ("Q", Q)):
         if not np.isfinite(as_matrix(side)).all():
             raise ValueError(f"{name} is not finite: no order decision")
-    return _order_decision(hermitian_part(Q) - hermitian_part(P), tol)
+    p, q = hermitian_part(P), hermitian_part(Q)
+    scale = max(float(np.abs(m.diagonal()).max(initial=0.0)) for m in (p, q))
+    return _order_decision(q - p, tol, scale)
 
 
 def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
@@ -316,8 +333,9 @@ def _coordinates(
 ) -> tuple[bool, float, np.ndarray, Optional[np.ndarray]]:
     """(included, residual, z, outside) for M against the orthonormal
     columns of u: z = u* M, outside = M - u z, residual = ||outside||_F /
-    ||M||_F and included = residual <= tol.  When u spans the whole space
-    nothing is computed outside: (True, 0.0, z, None)."""
+    ||M||_F and included = within_tolerance(||outside||_F, tol, ||M||_F).
+    When u spans the whole space nothing is computed outside: (True, 0.0,
+    z, None)."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = u.conj().T @ M
         outside = None if u.shape[1] == M.shape[0] else M - u @ z
@@ -325,9 +343,9 @@ def _coordinates(
         raise OverflowError("the coordinates u* M of M overflow a double")
     if outside is None:
         return True, 0.0, z, None
-    scale = _frobenius(M)
-    residual = _frobenius(outside) / scale if scale > 0.0 else 0.0
-    return residual <= tol, residual, z, outside
+    excess, scale = _frobenius(outside), _frobenius(M)
+    residual = excess / scale if scale > 0.0 else 0.0
+    return within_tolerance(excess, tol, scale), residual, z, outside
 
 
 def _douglas(

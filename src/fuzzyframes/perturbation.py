@@ -35,8 +35,8 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     VerificationResult,
+    _frame_bounds,
     _synthesis_svd,
-    optimal_frame_bounds,
     optimal_kframe_bounds,
     verify_bounds,
 )
@@ -46,6 +46,7 @@ from .operator_algebra import (
     _douglas_sup,
     _gram,
     as_matrix,
+    within_tolerance,
 )
 
 __all__ = [
@@ -114,10 +115,13 @@ def check_operator_perturbation(
     and each half whose corner fails is halved again, at most MAX_DEPTH
     times.
 
-    Every test shares the slack tol * (1 + lam1^2 |A| + lam2^2 |B| + |C|)
-    (Frobenius norms).  ``max_violation`` is the violation functional
-    ||D* f|| - lam1 ||K1* f|| - lam2 ||K2* f|| at the extremal vector: the
-    bottom eigenvector, over every test run, with the largest violation.
+    Every test shares one slack, tol * (lam1^2 |A| + lam2^2 |B| + |C|)
+    (Frobenius norms), the size of the operands of the test at (1, 1):
+    Q_t passes when within_tolerance(-lambda_min(Q_t), tol, that size).
+    There is no absolute floor, so scaling K1 and K2 changes no verdict.
+    ``max_violation`` is the violation functional ||D* f|| - lam1 ||K1* f||
+    - lam2 ||K2* f|| at the extremal vector: the bottom eigenvector, over
+    every test run, with the largest violation.
     A refutation reports it as the witness, which violates the hypothesis:
     the bottom eigenvector f of a failing Q_t already has
     ||D* f||^2 > (lam1 ||K1* f|| + lam2 ||K2* f||)^2.
@@ -136,7 +140,7 @@ def check_operator_perturbation(
     )
     l1, l2 = lambda1 * lambda1, lambda2 * lambda2
     with np.errstate(over="ignore", invalid="ignore"):
-        slack = tol * (1.0 + l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
+        scale = float(l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
 
     def violation(f: np.ndarray) -> float:
         return float(
@@ -152,7 +156,7 @@ def check_operator_perturbation(
         nonlocal worst, extremal
         with np.errstate(over="ignore", invalid="ignore"):
             q = (l1 * x) * a + (l2 * y) * b - c
-        if not (np.isfinite(q).all() and math.isfinite(slack)):
+        if not (np.isfinite(q).all() and math.isfinite(scale)):
             raise OverflowError(
                 "Q_t = (lambda1^2/t) A + (lambda2^2/(1-t)) B - C or its slack overflows a double"
             )
@@ -160,7 +164,7 @@ def check_operator_perturbation(
         value = violation(v[:, 0])
         if value > worst:
             worst, extremal = value, v[:, 0]
-        return bool(w[0] >= -slack)
+        return within_tolerance(-float(w[0]), tol, scale)
 
     verified, method = holds(1.0, 1.0), "spectral"
     if not verified and lambda1 > 0.0 and lambda2 > 0.0:
@@ -245,26 +249,27 @@ def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPertur
     +inf exactly when range(D) escapes range(F) or range(G), where some f
     carries difference energy while a frame sum vanishes.
     """
-    return _family_constant(F, G)[0]
+    return _family_constant(F, G, PSD_TOL)[0]
 
 
 def _family_constant(
-    F: FrameFamily, G: FrameFamily
-) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray]]:
-    """family_perturbation_constant(F, G), with the left singular pairs of
-    F, from which the bounds of F follow without a second decomposition."""
+    F: FrameFamily, G: FrameFamily, tol: float
+) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """family_perturbation_constant(F, G) with range inclusion decided
+    within tol, and the left singular pairs of F and of G, from which their
+    bounds follow without a second decomposition."""
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
     d = (F.vectors - G.vectors).T
-    svd_f = _synthesis_svd(F)
+    svd_f, svd_g = _synthesis_svd(F), _synthesis_svd(G)
     sups = [
-        _douglas_sup(d, *svd, PSD_TOL, f"W W* for W = {name}^+ D")[:2]
-        for name, svd in (("F", svd_f), ("G", _synthesis_svd(G)))
+        _douglas_sup(d, *svd, tol, f"W W* for W = {name}^+ D")[:2]
+        for name, svd in (("F", svd_f), ("G", svd_g))
     ]
     value, witness = max(sups, key=lambda sup: sup[0])  # F's on a tie
     if value == math.inf:
-        return FamilyPerturbation(math.inf, False, witness, False), svd_f
-    return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f
+        return FamilyPerturbation(math.inf, False, witness, False), svd_f, svd_g
+    return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f, svd_g
 
 
 def derive_family_perturbed_bounds(
@@ -313,23 +318,21 @@ def frame_equivalence_constant(
 
     with (A, B) the frame bounds of F and (C, D) those of G.  The family
     hypothesis holds at M exactly when M is at least the minimal constant
-    of :func:`family_perturbation_constant`.
+    of :func:`family_perturbation_constant`.  Each family is decomposed once.
     """
-    if F.size != G.size or F.dimension != G.dimension:
-        raise ValueError("families must have equal lengths and spaces")
-    cf = optimal_frame_bounds(F)
-    cg = optimal_frame_bounds(G)
+    constant, svd_f, svd_g = _family_constant(F, G, tol)
+    cf = _frame_bounds(F, "once", *svd_f)
+    cg = _frame_bounds(G, "once", *svd_g)
     if cf.A <= 0.0 or cg.A <= 0.0:
         raise ValueError("both families must be frames (positive lower bounds)")
     a, b = cf.A, cf.B
     c, d = cg.A, cg.B
     m = max((1.0 + math.sqrt(b) / math.sqrt(c)) ** 2, (1.0 + math.sqrt(d) / math.sqrt(a)) ** 2)
-    minimal = family_perturbation_constant(F, G).M
     return EquivalenceConstant(
         M=m,
         source_bounds=((a, b), (c, d)),
-        minimal_M=minimal,
-        verified=minimal <= m * (1.0 + tol) + tol,
+        minimal_M=constant.M,
+        verified=within_tolerance(constant.M - m, tol, m),
     )
 
 
@@ -365,7 +368,7 @@ def identity_perturbation_check(
     report = check_operator_perturbation(k, eye, lambda1, lambda2, tol)
     if not report.verified:
         return IdentityPerturbation(report, None, None)
-    base = cert if cert is not None else optimal_kframe_bounds(family, k, convention)
+    base = cert if cert is not None else optimal_kframe_bounds(family, k, convention, tol)
     if not base.A > 0.0:
         raise ValueError("family is not a K-frame; nothing to transfer")
     a_new = base.A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2

@@ -1054,6 +1054,9 @@ class TestCommands:
             # W = N^+ M = 1e600
             ({"command": "douglas", "family": [[1.0]], "operator_K": [[1e-300]],
               "operator_T": [[1e300]]}, "W = N^+ M"),
+            # ||F^+ K||^2 = 1e-340 underflows to 0 although K is not zero
+            ({"command": "check-kframe", "family": [[1e100]], "operator_K": [[1e-70]]},
+             "1 / ||F^+ K||^2"),
         ],
     )
     def test_overflowing_derived_quantity_is_input_error(self, data, quantity, tmp_path, recwarn):

@@ -31,7 +31,7 @@ from fuzzyframes import (
     synthesis_matrix,
     verify_bounds,
 )
-from fuzzyframes.operator_algebra import _gram
+from fuzzyframes.operator_algebra import _gram, range_basis
 from conftest import (
     rand_family,
     rand_kframe_instance,
@@ -524,24 +524,33 @@ class TestRestrictedInverse:
 
             dagger2 = 1.0 / extreme(K @ K.conj().T, "min")
             low, high = extreme(s, "min"), extreme(s, "max")
+            q = range_basis(K)
+
+            def top(m):
+                # the size of a side: max|diag| of its compression to range(K)
+                return float(np.abs(np.diagonal(q.conj().T @ m @ q)).max())
+
             opt = optimal_kframe_bounds(fam, K)
             # the optimal pair passes; the lower side fails above low ||K+||^2,
             # the upper side below high
             for a, b in ((opt.A, opt.B), (1.1 * low * dagger2, opt.B), (opt.A, 0.9 * high)):
                 cert = BoundCertificate(kind="k_frame", A=a, B=b, alpha_independent=True)
                 report = restricted_inverse_check(fam, K, cert, tol)
-                forward = max(
-                    a / dagger2 - low - tol * (1.0 + abs(low)),
-                    high - b - tol * (1.0 + abs(high)),
-                )
-                inverse = max(
-                    extreme((1.0 / b - tol) * s @ s - s, "max"),
-                    extreme(s - (dagger2 / a + tol) * s @ s, "max"),
-                ) - tol
+                # (excess, size of the two sides) of each inequality
+                s2 = s @ s
+                sides = [
+                    (a / dagger2 - low, max(a / dagger2, top(s))),
+                    (high - b, max(top(s), b)),
+                    (extreme(s2 / b - s, "max"), max(top(s2) / b, top(s))),
+                    (extreme(s - (dagger2 / a) * s2, "max"), max(top(s), dagger2 * top(s2) / a)),
+                ]
+                forward = max(e for e, _ in sides[:2])
+                inverse = max(e for e, _ in sides[2:])
                 assert report.dagger_norm**2 == pytest.approx(dagger2, rel=1e-6)
                 assert report.max_violation_forward == pytest.approx(forward, rel=1e-6, abs=1e-8)
                 assert report.max_violation_inverse == pytest.approx(inverse, rel=1e-6, abs=1e-8)
-                assert report.passed == (report.injective and max(forward, inverse) <= tol)
+                expected = all(e <= tol * size for e, size in sides)
+                assert report.passed == (report.injective and expected)
                 verdicts.append(report.passed)
         assert verdicts == [True, False, False] * 4
 

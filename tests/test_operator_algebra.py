@@ -150,14 +150,18 @@ class TestPsdOrder:
             scale = 10.0 ** rng.uniform(-6, 6)
             u = np.linalg.qr(rand_matrix(rng, n, n, field))[0]
             d = scale * rng.uniform(0.1, 1.0, n)
-            offset = rng.choice([-1.5, -0.9, -0.5, -0.01, 0.01, 0.5])
-            d[0] = -(1.0 + offset) * tol * (1.0 + d.max())
             m = scale * rand_matrix(rng, n, n, field)
             p = m + m.conj().T
+            # the slack is tol times the largest |diagonal entry| of either
+            # side; setting d[0] moves that scale by a relative O(tol) only
+            size = np.abs(np.concatenate([p.diagonal(), (p + (u * d) @ u.conj().T).diagonal()]))
+            offset = rng.choice([-1.5, -0.9, -0.5, -0.01, 0.01, 0.5])
+            d[0] = -(1.0 + offset) * tol * size.max()
             q = p + (u * d) @ u.conj().T
-            diff = hermitian_part(q) - hermitian_part(p)
-            w, v = np.linalg.eigh(diff)
-            expected_ok = w[0] >= -tol * (1.0 + np.abs(w).max())
+            hp, hq = hermitian_part(p), hermitian_part(q)
+            w, v = np.linalg.eigh(hq - hp)
+            slack = tol * max(np.abs(hp.diagonal()).max(), np.abs(hq.diagonal()).max())
+            expected_ok = w[0] >= -slack
             ok, witness, margin = psd_order_check(p, q, tol)
             assert ok == expected_ok
             if not ok:
@@ -172,15 +176,24 @@ class TestPsdOrder:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (2, 0)])
     def test_non_finite_difference_never_passes(self, bad, entry):
-        # the decision on the difference itself: symmetrizing an inf warns
+        # the decision on the difference itself: symmetrizing an inf warns.
+        # The scale is tried both non-finite (as max|diag| is for a bad
+        # diagonal entry) and finite
         for sign in (1.0, -1.0):
             diff = sign * 5.0 * np.eye(3)
             diff[entry] = diff[entry[::-1]] = bad
-            try:
-                ok, _, _ = _order_decision(diff, PSD_TOL)
-            except np.linalg.LinAlgError:
-                ok = False
-            assert not ok
+            for scale in (abs(diff[entry]), 5.0):
+                try:
+                    ok, _, _ = _order_decision(diff, PSD_TOL, scale)
+                except np.linalg.LinAlgError:
+                    ok = False
+                assert not ok
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_never_passes(self, scale):
+        # a finite, positive definite difference still fails: no slack is known
+        ok, witness, margin = _order_decision(5.0 * np.eye(3), PSD_TOL, scale)
+        assert not ok and witness is not None and margin == 5.0
 
     def test_nan_made_inside_the_factorization_never_passes(self, linalg_calls):
         # Q - P is finite, but the shifted first pivot is 2^-82, so the

@@ -1,0 +1,237 @@
+"""The one tolerance rule: every decision compares an excess with the file's
+``tolerance`` times the size of its operands, so verdicts do not depend on
+the units of the input."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzyframes.cli_io import EXIT_FAIL, EXIT_PASS, parse_problem, run_command
+
+ROOT = Path(__file__).resolve().parents[1]
+R3 = json.loads((ROOT / "src" / "fuzzyframes" / "corpus" / "r3_full_rank_kframe.json").read_text())
+
+#: a complex 2-dimensional family of 4 vectors and a rank-1 K; S_c - A K K*
+#: cancels at the optimal A, so ||S_c - A K K*|| is far below ||S_c||
+RANKDEF_KFRAME = {
+    "command": "check-kframe",
+    "dimension": 2,
+    "field": "complex",
+    "family": [
+        [[0.09530834058060311, -0.004104703356765521], [-0.03474004708692591, 0.0020920356615931196]],
+        [[-0.8450278655607982, 0.3386438492305207], [0.30612788701188903, -0.12880055887616965]],
+        [[0.37981894105288183, 0.14026008791010686], [-0.1394219870038631, -0.04879251027260477]],
+        [[0.9378589945369903, 0.7711687591788745], [-0.34691560068508637, -0.2754469337567324]],
+    ],
+    "operator_K": [
+        [[-1.2369066597930964, 0.5587398626232591], [0.4546736993395224, -0.1960929845235484]],
+        [[0.4477001884171383, -0.21153054801067833], [-0.16462781270167512, 0.07436625934918019]],
+    ],
+}
+
+
+def _run(data: dict) -> tuple[dict, int]:
+    problem = parse_problem(data)
+    return run_command(problem.command, problem)
+
+
+def _scaled(x, c: float):
+    return [_scaled(e, c) for e in x] if isinstance(x, list) else x * c
+
+
+class TestProbes:
+    def test_wrong_bounds_of_a_small_frame_fail(self):
+        # the corpus frame scaled by 3e-6 has A = 1.8e-11 and B = 5.4e-11
+        data = {**R3, "command": "check-frame", "bounds": [1e-10, 1e-10]}
+        data["family"] = _scaled(R3["family"], 3e-6)
+        report, code = _run(data)
+        assert code == EXIT_FAIL
+        failures = report["body"]["verification"]["failures"]
+        assert failures and {c["side"] for c in failures} == {"lower"}
+
+    def test_large_kframe_passes_its_own_optimal_bound(self):
+        data = dict(RANKDEF_KFRAME, family=_scaled(RANKDEF_KFRAME["family"], 2.0**40))
+        report, code = _run(data)
+        assert code == EXIT_PASS and report["body"]["verification"]["passed"]
+        assert report["body"]["optimal_kframe"]["A"] > 0.0
+
+    @pytest.mark.parametrize("command", ["atomic", "check-kframe"])
+    def test_file_tolerance_reaches_the_kframe_bound(self, command):
+        # range(K) escapes span(e1, e2) by 3e-7 / sqrt(2) (relative), inside
+        # the file's tolerance 1e-6 but not inside the default 1e-9
+        data = {
+            "command": command,
+            "dimension": 3,
+            "family": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            "operator_K": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3e-7]],
+            "tolerance": 1e-6,
+        }
+        report, code = _run(data)
+        cert = report["body"].get("certificate") or report["body"]["optimal_kframe"]
+        assert code == EXIT_PASS and cert["A"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Scale covariance: F -> 2^k F (and K, T where both sides scale)
+
+KINDS = [
+    "bounds",
+    "check-frame",
+    "check-kframe",
+    "atomic",
+    "transfer",
+    "invertible",
+    "coisometry",
+    "perturb-operator",
+    "perturb-family",
+    "reconstruct",
+    "douglas",
+]
+
+#: power j of 2^k by which a body constant scales
+POWERS = {
+    "optimal_frame.A": 2,
+    "optimal_frame.B": 2,
+    "optimal_kframe.A": 2,
+    "optimal_kframe.B": 2,
+    "requested.A": 2,
+    "requested.B": 2,
+    "certificate.A": 2,
+    "certificate.B": 2,
+    "coefficient_norm_constant": -1,
+    "derived.A": 2,
+    "derived.B": 2,
+    "lambda": 0,
+    "M": 0,
+    "max_residual": 0,
+    "max_violation": 1,
+    "factorization_residual": 1,
+}
+
+
+def _entries(x: np.ndarray) -> list:
+    """Entries as a problem file writes them: numbers or [re, im] pairs."""
+    if np.iscomplexobj(x):
+        return np.stack([x.real, x.imag], axis=-1).tolist()
+    return x.tolist()
+
+
+def _problem(kind: str, seed: int) -> dict:
+    """A random problem of the given kind at n = 2..4, real or complex."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    field = str(rng.choice(["real", "complex"]))
+
+    def mat(rows: int, cols: int) -> np.ndarray:
+        m = rng.standard_normal((rows, cols))
+        return m + 1j * rng.standard_normal((rows, cols)) if field == "complex" else m
+
+    def low_rank(rows: int, cols: int) -> np.ndarray:
+        r = int(rng.integers(1, min(rows, cols) + 1))
+        return mat(rows, r) @ mat(r, cols)
+
+    m = n + int(rng.integers(0, 3))
+    vectors = low_rank(m, n) if rng.random() < 0.3 else mat(m, n)
+    K = low_rank(n, n)
+    data = {
+        "command": kind,
+        "dimension": n,
+        "field": field,
+        "profile": str(rng.choice(["scaled", "crisp"])),
+        "convention": str(rng.choice(["once", "squared"])),
+        "family": _entries(vectors),
+    }
+    if kind == "bounds":
+        v = mat(1, n)[0]
+        exact = float(np.sum(np.abs(vectors.conj() @ v) ** 2))
+        value = exact if rng.random() < 0.5 else exact * (1.0 + 1e-6)
+        data.update(operator_K=_entries(K), claims={"frame_sum": [{"vector": _entries(v), "value": value}]})
+    elif kind == "check-frame":
+        s = np.linalg.svd(vectors.T, compute_uv=False)
+        shift = rng.choice([-1e-6, -1e-12, 0.0, 1e-12, 1e-6], size=2)
+        a, b = s[-1] ** 2 * (1.0 + shift[0]), s[0] ** 2 * (1.0 + shift[1])
+        if a <= b and rng.random() < 0.7:
+            data["bounds"] = [a, b]
+    elif kind in ("check-kframe", "atomic"):
+        data["operator_K"] = _entries(K)
+    elif kind == "transfer":
+        T = K @ mat(n, n) if rng.random() < 0.7 else mat(n, n)
+        data.update(command="transform", operator_K=_entries(K), operator_T=_entries(T))
+    elif kind in ("invertible", "coisometry"):
+        u = np.linalg.qr(mat(n, n))[0]
+        d = rng.standard_normal(n)
+        t = np.sign(d) if kind == "coisometry" else d
+        K = (u * rng.standard_normal(n)) @ u.conj().T
+        T = (u * t) @ u.conj().T
+        data.update(command="transform", variant=kind, operator_K=_entries(K), operator_T=_entries(T))
+    elif kind == "perturb-operator":
+        K1 = mat(n, n)
+        K2 = K1 + rng.uniform(0.01, 1.0) * mat(n, n)
+        data.update(
+            operator_K=_entries(K1),
+            operator_T=_entries(K2),
+            lambda1=float(rng.uniform(0.0, 1.5)),
+            lambda2=float(rng.choice([0.0, rng.uniform(0.0, 0.9)])),
+        )
+    elif kind == "perturb-family":
+        data["family_g"] = _entries(vectors + rng.uniform(0.01, 0.5) * mat(m, n))
+        if rng.random() < 0.5:
+            data["operator_K"] = _entries(K)
+    elif kind == "douglas":
+        M = K @ mat(n, n) if rng.random() < 0.7 else mat(n, n)
+        data.update(operator_K=_entries(K), operator_T=_entries(M))
+    return data
+
+
+def _scale_problem(data: dict, k: int) -> dict:
+    """Family and family_g times 2^k, and K and T where both sides of the
+    command scale; bounds and claimed frame sums times 2^2k."""
+    c = 2.0**k
+    out = json.loads(json.dumps(data))
+    for key in ("family", "family_g"):
+        if key in out:
+            out[key] = _scaled(out[key], c)
+    if out["command"] in ("douglas", "perturb-operator"):
+        for key in ("operator_K", "operator_T"):
+            out[key] = _scaled(out[key], c)
+    if "bounds" in out:
+        out["bounds"] = _scaled(out["bounds"], c * c)
+    for claim in out.get("claims", {}).get("frame_sum", []):
+        claim["value"] *= c * c
+    return out
+
+
+def _outcome(report: dict) -> tuple:
+    claims = tuple(c["agrees"] for c in report.get("body", {}).get("claims", []))
+    return report["verdict"], report["exit_code"], claims
+
+
+def _constants(body: dict, prefix: str = ""):
+    for key, value in body.items():
+        if isinstance(value, dict):
+            yield from _constants(value, f"{prefix}{key}.")
+        elif f"{prefix}{key}" in POWERS and isinstance(value, float):
+            yield f"{prefix}{key}", value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-60, 60),
+)
+def test_verdicts_and_constants_are_scale_covariant(kind, seed, k):
+    data = _problem(kind, seed)
+    base, _ = _run(data)
+    scaled, _ = _run(_scale_problem(data, k))
+    assert _outcome(scaled) == _outcome(base)
+    scaled_constants = dict(_constants(scaled.get("body", {})))
+    for path, value in _constants(base.get("body", {})):
+        power = 0 if (kind, path) == ("perturb-operator", "derived.A") else POWERS[path]
+        expected = value * 2.0 ** (power * k) if math.isfinite(value) else value
+        assert scaled_constants[path] == expected, path
