@@ -7,28 +7,15 @@ closures, and derives perturbation-stable bounds.  See README.md for the CLI
 and the problem-file schema.
 """
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
-from .fuzzy_space import (
-    BaseSpace,
-    FuzzyModel,
-    alpha_inner_polarization,
-    alpha_norm_bisect,
-    check_fip_axioms,
-    orthonormal_check,
-    orthonormal_expansion_check,
-)
+from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
     FactorizationResult,
-    LinearOperator,
-    PseudoInverseResult,
     RangeInclusionError,
-    adjoint,
     alpha_operator_norm,
     douglas_factorize,
     douglas_lambda,
-    douglas_range_inclusion,
-    pseudo_inverse,
     psd_order_check,
     spectral_norm,
 )
@@ -36,7 +23,6 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     SingularFrameOperatorError,
-    analysis_apply,
     atomic_coefficients,
     atomic_system_equivalence_check,
     atomic_system_from_operator,
@@ -45,8 +31,7 @@ from .frame_core import (
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    reconstruct,
-    rescale_to_parseval,
+    reconstruction_residual,
     restricted_inverse_check,
     synthesis_matrix,
     verify_bounds,
@@ -59,7 +44,6 @@ from .frame_transforms import (
     combine_product,
     combine_scalar,
     operator_transfer,
-    synthesis_characterization,
     transform_family,
 )
 from .perturbation import (
@@ -75,27 +59,17 @@ __all__ = [
     "__version__",
     "BaseSpace",
     "FuzzyModel",
-    "alpha_inner_polarization",
-    "alpha_norm_bisect",
     "check_fip_axioms",
-    "orthonormal_check",
-    "orthonormal_expansion_check",
     "FactorizationResult",
-    "LinearOperator",
-    "PseudoInverseResult",
     "RangeInclusionError",
-    "adjoint",
     "alpha_operator_norm",
     "douglas_factorize",
     "douglas_lambda",
-    "douglas_range_inclusion",
-    "pseudo_inverse",
     "psd_order_check",
     "spectral_norm",
     "BoundCertificate",
     "FrameFamily",
     "SingularFrameOperatorError",
-    "analysis_apply",
     "atomic_coefficients",
     "atomic_system_equivalence_check",
     "atomic_system_from_operator",
@@ -104,8 +78,7 @@ __all__ = [
     "frame_sum",
     "optimal_frame_bounds",
     "optimal_kframe_bounds",
-    "reconstruct",
-    "rescale_to_parseval",
+    "reconstruction_residual",
     "restricted_inverse_check",
     "synthesis_matrix",
     "verify_bounds",
@@ -116,7 +89,6 @@ __all__ = [
     "combine_product",
     "combine_scalar",
     "operator_transfer",
-    "synthesis_characterization",
     "transform_family",
     "check_operator_perturbation",
     "derive_family_perturbed_bounds",

@@ -311,9 +311,10 @@ def parse_problem(data: Any) -> Problem:
         b = data["bounds"]
         if not isinstance(b, (list, tuple)) or len(b) != 2:
             raise ProblemError("'bounds' must be [A, B]")
+        # no order between A and B: a K-frame may have A > B (see DerivedBound)
         bounds = (_real(b[0], "'bounds' A"), _real(b[1], "'bounds' B"))
-        if bounds[0] < 0.0 or bounds[1] < bounds[0]:
-            raise ProblemError("'bounds' must satisfy 0 <= A <= B")
+        if bounds[0] < 0.0 or bounds[1] < 0.0:
+            raise ProblemError("'bounds' must satisfy A >= 0 and B >= 0")
 
     convention = data.get("convention", "once")
     if convention not in ("once", "squared"):
@@ -660,7 +661,6 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     report = atomic_system_equivalence_check(family, K, p.tolerance, p.alphas)
     body: dict = {
         "certificate": _cert_dict(report.certificate),
-        "kframe_holds": report.kframe_holds,
         "atomic_holds": report.atomic_holds,
         "projection_residual": report.projection_residual,
         "coefficient_norm_constant": report.C,

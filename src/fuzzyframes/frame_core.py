@@ -1,5 +1,5 @@
-"""Frame engine: synthesis/analysis operators, spectral bound certificates,
-atomic systems, restricted invertibility, and dual reconstruction.
+"""Frame engine: synthesis operators, spectral bound certificates, atomic
+systems, restricted invertibility, and dual reconstruction.
 
 A finite family {f_i} in a fuzzy model has synthesis matrix F with the f_i
 as columns and classical frame operator S_c = F F*.  At level a the frame
@@ -28,11 +28,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy_space import FuzzyModel, check_alpha
+from .fuzzy_space import FuzzyModel
 from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
-    MatrixLike,
     RangeInclusionError,
     _douglas,
     _douglas_sup,
@@ -57,21 +56,17 @@ __all__ = [
     "AtomicCoefficients",
     "EquivalenceReport",
     "SandwichReport",
-    "ReconstructionResult",
     "synthesis_matrix",
-    "analysis_apply",
     "classical_frame_operator",
     "frame_operator",
     "frame_sum",
     "optimal_frame_bounds",
     "optimal_kframe_bounds",
     "verify_bounds",
-    "rescale_to_parseval",
     "atomic_system_from_operator",
     "atomic_coefficients",
     "atomic_system_equivalence_check",
     "restricted_inverse_check",
-    "reconstruct",
     "reconstruction_residual",
 ]
 
@@ -147,13 +142,6 @@ def synthesis_matrix(family: FrameFamily) -> np.ndarray:
     return family.vectors.T.copy()
 
 
-def analysis_apply(family: FrameFamily, f, alpha: float) -> np.ndarray:
-    """Level analysis coefficients {<f, f_i>_a} = scale(a) * F* f."""
-    fvec = family.model.check_vector(f)
-    coeffs = family.vectors.conj() @ fvec
-    return family.model.scale(alpha) * coeffs
-
-
 def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     """S_c = F F*, Hermitian positive semidefinite.
 
@@ -164,7 +152,7 @@ def classical_frame_operator(family: FrameFamily) -> np.ndarray:
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
-    """Level frame operator scale(a) * S_c."""
+    """Level frame operator scale(a) * S_c, the S_a = T_a T_a* of the paper."""
     return family.model.scale(alpha) * classical_frame_operator(family)
 
 
@@ -283,7 +271,7 @@ def _frame_bounds(
 
 
 def optimal_kframe_bounds(
-    family: FrameFamily, K: MatrixLike, convention: str = "once", tol: float = PSD_TOL
+    family: FrameFamily, K: np.ndarray, convention: str = "once", tol: float = PSD_TOL
 ) -> BoundCertificate:
     """Optimal K-frame constants: B = sigma_max(F)^2, A = max{A : S_c >= A K K*}.
 
@@ -296,7 +284,7 @@ def optimal_kframe_bounds(
     return _optimal_bounds(family, K, convention, *_synthesis_svd(family), tol)
 
 
-def _operator_on(K: MatrixLike, n: int) -> np.ndarray:
+def _operator_on(K: np.ndarray, n: int) -> np.ndarray:
     """K as an n x n matrix; another shape raises ValueError."""
     k = as_matrix(K)
     if k.shape != (n, n):
@@ -342,7 +330,7 @@ def _kframe_bounds(
 
 def _optimal_bounds(
     family: FrameFamily,
-    K: Optional[MatrixLike],
+    K: Optional[np.ndarray],
     convention: str,
     u: np.ndarray,
     s: np.ndarray,
@@ -383,7 +371,7 @@ def verify_bounds(
     family: FrameFamily,
     A: float,
     B: float,
-    K: Optional[MatrixLike] = None,
+    K: Optional[np.ndarray] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -429,34 +417,12 @@ def verify_bounds(
     return VerificationResult(passed=passed, checks=tuple(checks))
 
 
-def rescale_to_parseval(
-    family: FrameFamily,
-    certificate: BoundCertificate,
-    K: Optional[MatrixLike] = None,
-) -> tuple[FrameFamily, BoundCertificate]:
-    """Scale a tight family by 1/sqrt(A) so the tight constant becomes 1.
-
-    For ordinary tight frames the rescaled certificate is Parseval
-    (A = B = 1); for tight K-frames the rescaled frame sum equals
-    ||K* f||_a^2 exactly.  Requires a tight certificate with A > 0.
-    """
-    if not (certificate.tight or certificate.kind in ("tight", "parseval")):
-        raise ValueError("rescaling requires a tight certificate")
-    if not (math.isfinite(certificate.A) and certificate.A > 0.0):
-        raise ValueError(f"degenerate tight bound A={certificate.A}")
-    scaled = family.scaled(1.0 / math.sqrt(certificate.A))
-    if K is None:
-        new_cert = optimal_frame_bounds(scaled, certificate.convention)
-    else:
-        new_cert = optimal_kframe_bounds(scaled, K, certificate.convention)
-    return scaled, new_cert
-
-
 def atomic_system_from_operator(
-    model: FuzzyModel, K: MatrixLike, convention: str = "once"
+    model: FuzzyModel, K: np.ndarray, convention: str = "once"
 ) -> tuple[FrameFamily, BoundCertificate]:
     """Canonical coefficient system {K e_i} for an operator K.
 
+    States that every bounded K has an atomic system (Gavruta 2012).
     Its synthesis matrix is K itself, so the frame sum equals
     ||K* f||_a^2 identically: a Parseval K-frame with (A, B) = (1, ||K||^2)
     and the lower inequality an equality.
@@ -484,10 +450,12 @@ class AtomicCoefficients:
 
 
 def atomic_coefficients(
-    family: FrameFamily, K: MatrixLike, f, tol: float = PSD_TOL
+    family: FrameFamily, K: np.ndarray, f, tol: float = PSD_TOL
 ) -> AtomicCoefficients:
     """Minimal-norm coefficients with K f = sum beta_i f_i.
 
+    States the atomic-system side of the theorem that K-frames for K are
+    exactly the atomic systems for K.
     beta = F^dagger K f, and C = ||F^dagger K|| bounds ||beta|| <= C ||f||
     (coefficient space carries the crisp norm, so C is level-free).
     Requires range(K) inside range(F); otherwise the family is not an
@@ -514,7 +482,6 @@ class EquivalenceReport:
     in range(F)."""
 
     certificate: BoundCertificate
-    kframe_holds: bool
     atomic_holds: bool
     C: Optional[float]
     projection_residual: float
@@ -528,7 +495,7 @@ class EquivalenceReport:
 
 def atomic_system_equivalence_check(
     family: FrameFamily,
-    K: MatrixLike,
+    K: np.ndarray,
     tol: float = PSD_TOL,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> EquivalenceReport:
@@ -549,8 +516,7 @@ def atomic_system_equivalence_check(
         verification = verify_bounds(family, cert.A, cert.B, k, alphas, tol=tol)
     return EquivalenceReport(
         certificate=cert,
-        kframe_holds=cert.A > 0.0,
-        atomic_holds=cert.A > 0.0,  # the same decision: range(K) lies in range(F)
+        atomic_holds=cert.A > 0.0,  # range(K) lies in range(F)
         C=C,
         projection_residual=residual,
         verification=verification,
@@ -571,12 +537,14 @@ class SandwichReport:
 
 def restricted_inverse_check(
     family: FrameFamily,
-    K: MatrixLike,
+    K: np.ndarray,
     certificate: Optional[BoundCertificate] = None,
     tol: float = PSD_TOL,
 ) -> SandwichReport:
     """Invertibility of S_c on range(K) and the two sandwich inequalities.
 
+    States the theorem that the frame operator of a K-frame is invertible
+    on range(K), with the bounds of its inverse there.
     For f in range(K):          A ||K+||^-2 ||f||^2 <= <S_c f, f> <= B ||f||^2
     For f in S_c(range(K)):     B^-1 ||f||^2 <= <S_r^-1 f, f> <= A^-1 ||K+||^2 ||f||^2
 
@@ -627,15 +595,6 @@ def restricted_inverse_check(
     )
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    alpha: float
-    via_dual_coefficients: np.ndarray
-    via_dual_vectors: np.ndarray
-    residual_dual_coefficients: float
-    residual_dual_vectors: float
-
-
 def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]:
     """(F, S_c^-1 F, cond(S_c)): the synthesis matrix, the canonical dual
     vectors as columns and the condition number of S_c.  A singular S_c
@@ -652,31 +611,6 @@ def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]
     return F, np.linalg.solve(s, F), float(w[-1] / w[0])
 
 
-def reconstruct(family: FrameFamily, f, alpha: float) -> ReconstructionResult:
-    """Both dual expansions of f through the inverse frame operator.
-
-    f = sum <f, S^-1 f_i>_a f_i   and   f = sum <f, f_i>_a S^-1 f_i.
-
-    S^-1 at level a carries scale(a)^-1, so the level scalings cancel and
-    both reconstructions are level-independent.  A rank-deficient S_c means
-    the frame operator is not invertible; the error names a kernel witness.
-    """
-    a = check_alpha(alpha)
-    fvec = family.model.check_vector(f)
-    F, dual, _ = _canonical_dual(family)
-    coeffs_dual = dual.conj().T @ fvec  # <f, S^-1 f_i>, scale cancelled
-    recon1 = F @ coeffs_dual
-    coeffs_plain = F.conj().T @ fvec
-    recon2 = dual @ coeffs_plain
-    return ReconstructionResult(
-        alpha=a,
-        via_dual_coefficients=recon1,
-        via_dual_vectors=recon2,
-        residual_dual_coefficients=float(np.linalg.norm(recon1 - fvec)),
-        residual_dual_vectors=float(np.linalg.norm(recon2 - fvec)),
-    )
-
-
 def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
     """Worst residual of both dual expansions over unit f, at every level,
     and the condition number of S_c.
@@ -685,7 +619,8 @@ def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
     of each other, so both worst residuals equal ||F (S^-1 F)* - I||.  In
     floating point that residual is only known up to about n * eps *
     cond(S_c) (n the dimension), so a tolerance on it must include that
-    term.  Raises SingularFrameOperatorError as :func:`reconstruct` does.
+    term.  A singular S_c raises SingularFrameOperatorError with a unit
+    kernel witness.
     """
     F, dual, cond = _canonical_dual(family)
     return spectral_norm(F @ dual.conj().T - np.eye(F.shape[0])), cond

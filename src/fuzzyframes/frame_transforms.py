@@ -2,8 +2,8 @@
 family by an operator, and certifying frames from factorizations.
 
 Every derived bound produced here is validated through
-:func:`fuzzyframes.frame_core.verify_bounds` before being reported, and is
-returned next to the optimal constants so looseness stays visible.
+:func:`fuzzyframes.frame_core.verify_bounds` before being reported, except
+the bound of :func:`build_family`, which comes next to the optimal one.
 
 Two derived constants deviate from their sources, which contain arithmetic
 slips (the quoted constants fail on equal-operator instances; see the
@@ -33,12 +33,10 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
-    MatrixLike,
     RangeInclusionError,
     _gram,
     as_matrix,
     douglas_lambda,
-    douglas_range_inclusion,
     spectral_norm,
     within_tolerance,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "BesselPairResult",
     "TransformResult",
     "TransferResult",
-    "CharacterizationReport",
     "BuiltFamily",
     "combine_scalar",
     "combine_product",
@@ -57,7 +54,6 @@ __all__ = [
     "bessel_pair_kframe",
     "transform_family",
     "operator_transfer",
-    "synthesis_characterization",
     "build_family",
 ]
 
@@ -95,8 +91,8 @@ def _kframe_cert(
 
 def combine_scalar(
     family: FrameFamily,
-    K1: MatrixLike,
-    K2: MatrixLike,
+    K1: np.ndarray,
+    K2: np.ndarray,
     a: complex,
     b: complex,
     cert1: Optional[BoundCertificate] = None,
@@ -107,6 +103,7 @@ def combine_scalar(
 ) -> CombinationResult:
     """Certify the family for the combination a K1 + b K2.
 
+    States the paper's closure of K-frames under scalar combinations.
     Derived constants:
 
         A' = [ 4 max(|a|^2, |b|^2) (1/A1 + 1/A2) ]^-1,     B' = (B1 + B2) / 2.
@@ -134,8 +131,8 @@ def combine_scalar(
 
 def combine_product(
     family: FrameFamily,
-    K1: MatrixLike,
-    K2: MatrixLike,
+    K1: np.ndarray,
+    K2: np.ndarray,
     cert1: Optional[BoundCertificate] = None,
     cert2: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -144,6 +141,7 @@ def combine_product(
 ) -> CombinationResult:
     """Certify the family for the product K1 K2.
 
+    States the paper's closure of K-frames under the product of operators.
     ||(K1 K2)* f|| <= ||K2|| ||K1* f|| gives A' = A1 / ||K2||^2, B' = B1.
     A zero K2 makes the lower inequality vacuous (A' = inf).
     """
@@ -163,7 +161,7 @@ def combine_product(
 
 def combine_many(
     family: FrameFamily,
-    operators: Sequence[MatrixLike],
+    operators: Sequence[np.ndarray],
     coefficients: Optional[Sequence[complex]] = None,
     certs: Optional[Sequence[BoundCertificate]] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -173,6 +171,7 @@ def combine_many(
     """n-ary closure: sum a_j K_j (coefficients given) or the composition of
     the K_j applied in list order (coefficients absent).
 
+    States both closures of the paper for n operators.
     The hypothesis wants one common pair (A, B) for every operator; when the
     individual certificates differ, the weakest common pair
     (min A_j, max B_j) is substituted and flagged.
@@ -243,13 +242,14 @@ class BesselPairResult:
 def bessel_pair_kframe(
     F: FrameFamily,
     G: FrameFamily,
-    K: MatrixLike,
+    K: np.ndarray,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
 ) -> BesselPairResult:
     """Certify F as a K-frame from the factorization T_F T_G* = K.
 
+    States the construction of K-frames from a pair of Bessel sequences.
     With Bessel bounds C for F and D for G, the factorization forces the
     lower bound 1/D for F (swap the arguments for the twin statement with
     1/C).  A failed factorization identity is an error with the residual.
@@ -295,8 +295,8 @@ class TransformResult:
 
 def transform_family(
     family: FrameFamily,
-    T: MatrixLike,
-    K: MatrixLike,
+    T: np.ndarray,
+    K: np.ndarray,
     variant: str = "invertible",
     cert: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -368,8 +368,8 @@ class TransferResult:
 
 def operator_transfer(
     family: FrameFamily,
-    K: MatrixLike,
-    T: MatrixLike,
+    K: np.ndarray,
+    T: np.ndarray,
     cert: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
@@ -393,33 +393,6 @@ def operator_transfer(
 
 
 @dataclass(frozen=True)
-class CharacterizationReport:
-    inclusion_holds: bool
-    projection_residual: float
-    lower_bound: float
-    equivalence_holds: bool
-
-
-def synthesis_characterization(
-    family: FrameFamily, K: MatrixLike, tol: float = PSD_TOL
-) -> CharacterizationReport:
-    """K-frame property through the synthesis operator: the family is a
-    K-frame exactly when range(K) sits inside the range of its synthesis
-    matrix (whose columns reproduce the family by construction)."""
-    k = as_matrix(K)
-    F = synthesis_matrix(family)
-    included, residual = douglas_range_inclusion(k, F, tol)
-    cert = optimal_kframe_bounds(family, k, tol=tol)
-    positive = math.isinf(cert.A) or cert.A > 0.0
-    return CharacterizationReport(
-        inclusion_holds=included,
-        projection_residual=residual,
-        lower_bound=cert.A,
-        equivalence_holds=included == positive,
-    )
-
-
-@dataclass(frozen=True)
 class BuiltFamily:
     family: FrameFamily
     certificate: BoundCertificate
@@ -429,10 +402,11 @@ class BuiltFamily:
 
 
 def build_family(
-    model, T: MatrixLike, K: MatrixLike, tol: float = PSD_TOL
+    model, T: np.ndarray, K: np.ndarray, tol: float = PSD_TOL
 ) -> BuiltFamily:
     """Inverse direction: family = columns of T, certified as a K-frame when
     range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*.
+    States the characterization of K-frames as images T e_i with R(K) <= R(T).
     A bound 1/lam^2 that is not a finite double raises OverflowError."""
     t = as_matrix(T)
     family = FrameFamily(t.T, model)

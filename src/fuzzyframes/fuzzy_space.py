@@ -19,7 +19,7 @@ vectors and values, so the axiom check evaluates all its samples at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +30,8 @@ __all__ = [
     "FuzzyModel",
     "AxiomResult",
     "AxiomReport",
-    "OrthonormalResult",
-    "ExpansionReport",
     "check_alpha",
-    "alpha_norm_bisect",
-    "alpha_inner_polarization",
     "check_fip_axioms",
-    "orthonormal_check",
-    "orthonormal_expansion_check",
 ]
 
 PROFILES = ("scaled", "crisp")
@@ -45,16 +39,9 @@ PROFILES = ("scaled", "crisp")
 #: imaginary part below this (relative) threshold counts as a positive real
 IMAG_TOL = 1e-12
 
-#: absolute tolerance and iteration cap for the generic level-set bisection
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 200
-
 #: largest sample budget of the axiom check, ten times the default of 1000;
 #: at n = 64 over the complex field one samples x n draw is then 10 MB
 MAX_SAMPLES = 10_000
-
-Scalar = Union[float, complex]
-
 
 def check_alpha(alpha):
     """Validate a level value, or an array of them, each strictly inside (0, 1).
@@ -84,7 +71,7 @@ class BaseSpace:
     def dtype(self) -> np.dtype:
         return np.dtype(np.complex128 if self.field == "complex" else np.float64)
 
-    def vector(self, entries: Sequence[Scalar]) -> np.ndarray:
+    def vector(self, entries: Sequence[complex]) -> np.ndarray:
         """Coerce entries to a validated vector of this space."""
         x = np.asarray(entries, dtype=self.dtype)
         if x.shape != (self.dimension,):
@@ -150,33 +137,6 @@ class FuzzyModel:
             value = above.astype(np.float64)
         return float(value) if value.ndim == 0 else value
 
-    def norm_membership(self, x, t: float) -> float:
-        """Fuzzy norm N(x, t) = mu(x, x, t^2) for t > 0, else 0."""
-        t = float(t)
-        if t <= 0.0:
-            return 0.0
-        return self.mu(x, x, t * t)
-
-    def level_membership(self, x, t: float) -> float:
-        """Smooth branch of the norm membership used by the level-set solver.
-
-        For the scaled profile this is t^2 / (t^2 + ||x||^2) on t > 0, i.e.
-        the expression whose alpha level set gives sqrt(a/(1-a)) ||x||.  The
-        printed membership clips values at or below the norm threshold to 0,
-        which would freeze the level norm at ||x|| for alpha < 1/2 and
-        contradict the closed form, so the solver bisects this branch
-        instead.  For the crisp profile the indicator is already consistent
-        and is used as is.
-        """
-        x = self.check_vector(x)
-        t = float(t)
-        if t <= 0.0:
-            return 0.0
-        nx = float(np.linalg.norm(x))
-        if self.profile == "scaled":
-            return t * t / (t * t + nx * nx)
-        return 1.0 if t > nx else 0.0
-
     def alpha_norm(self, x, alpha):
         """Closed-form level norm sqrt(scale(alpha)) * ||x||.
 
@@ -190,71 +150,6 @@ class FuzzyModel:
             raise ValueError(f"level norm undefined: level scale {scale!r}")
         value = np.sqrt(scale) * np.linalg.norm(x, axis=-1)
         return float(value) if value.ndim == 0 else value
-
-    def alpha_inner(self, x, y, alpha: float) -> Scalar:
-        """Level inner product scale(alpha) * <x, y>.
-
-        Linear in the first argument, conjugate-linear in the second.
-        """
-        x = self.check_vector(x)
-        y = self.check_vector(y)
-        value = self.scale(alpha) * np.vdot(y, x)
-        if self.space.field == "real":
-            return float(value.real) if np.iscomplexobj(value) else float(value)
-        return complex(value)
-
-
-def alpha_norm_bisect(
-    model: FuzzyModel,
-    x,
-    alpha: float,
-    tol: float = BISECT_TOL,
-    max_iter: int = BISECT_MAX_ITER,
-) -> float:
-    """Level norm via bisection of inf{t > 0 : level_membership >= alpha}.
-
-    Independent cross-check of :meth:`FuzzyModel.alpha_norm`; the level
-    function is nondecreasing in t so plain bisection applies.
-    """
-    x = model.check_vector(x)
-    a = check_alpha(alpha)
-    if not np.any(x):
-        return 0.0
-
-    nx = float(np.linalg.norm(x))
-    lo = 0.0
-    hi = max(nx, 1.0)
-    while model.level_membership(x, hi) < a:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ArithmeticError("level membership never reaches alpha")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if model.level_membership(x, mid) >= a:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def alpha_inner_polarization(model: FuzzyModel, x, y, alpha: float) -> Scalar:
-    """Level inner product recovered from level norms via polarization.
-
-    Real field:      (||x+y||^2 - ||x-y||^2) / 4
-    Complex field:   + i (||x+iy||^2 - ||x-iy||^2) / 4
-    """
-    x = model.check_vector(x)
-    y = model.check_vector(y)
-    np2 = model.alpha_norm(x + y, alpha) ** 2
-    nm2 = model.alpha_norm(x - y, alpha) ** 2
-    real_part = 0.25 * (np2 - nm2)
-    if model.space.field == "real":
-        return real_part
-    ni2 = model.alpha_norm(x + 1j * y, alpha) ** 2
-    nj2 = model.alpha_norm(x - 1j * y, alpha) ** 2
-    return complex(real_part, 0.25 * (ni2 - nj2))
 
 
 # ---------------------------------------------------------------------------
@@ -495,94 +390,3 @@ def check_fip_axioms(
         seed=seed,
         results=results,
     )
-
-
-# ---------------------------------------------------------------------------
-# Orthonormality
-
-
-@dataclass(frozen=True)
-class OrthonormalResult:
-    ok: bool
-    witness: Optional[tuple[int, int]] = None
-    value: Optional[Scalar] = None
-    clause: Optional[str] = None  # "unit" | "orthogonal"
-    alpha: Optional[float] = None
-
-
-#: default grid used when orthonormality is requested at every level
-ALL_ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
-
-
-def orthonormal_check(
-    model: FuzzyModel,
-    vectors: Sequence,
-    alpha: Optional[float] = None,
-    tol: float = 1e-10,
-) -> OrthonormalResult:
-    """Test <f_i, f_j>_a = delta_ij at one level, or across a level grid.
-
-    With ``alpha=None`` the test must hold at every grid level.  Under the
-    scaled profile the unit clause <x, x>_a = scale(a) ||x||^2 = 1 can hold
-    at one level only, so all-level success is possible only for the crisp
-    profile; the result names the failing clause and level.
-    """
-    vecs = [model.check_vector(v) for v in vectors]
-    if not vecs:
-        raise ValueError("family must be nonempty")
-    levels = ALL_ALPHA_GRID if alpha is None else (check_alpha(alpha),)
-
-    for a in levels:
-        for i, vi in enumerate(vecs):
-            val = model.alpha_inner(vi, vi, a)
-            if abs(val - 1.0) > tol:
-                return OrthonormalResult(False, (i, i), val, "unit", a)
-            for j in range(i + 1, len(vecs)):
-                val = model.alpha_inner(vi, vecs[j], a)
-                if abs(val) > tol:
-                    return OrthonormalResult(False, (i, j), val, "orthogonal", a)
-    return OrthonormalResult(True)
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    reconstruction_residual: float
-    parseval_residual: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.reconstruction_residual <= self.tol
-            and self.parseval_residual <= self.tol
-        )
-
-
-def orthonormal_expansion_check(
-    model: FuzzyModel,
-    basis: Sequence,
-    x,
-    alpha: float,
-    tol: float = 1e-9,
-) -> ExpansionReport:
-    """Residuals of x = sum <x, e_k>_a e_k and of the Parseval identity.
-
-    Requires the crisp profile (scaled coefficients rescale the expansion,
-    so the identity cannot hold there) and an all-level orthonormal basis.
-    """
-    if model.profile != "crisp":
-        raise ValueError("expansion identity requires the crisp profile")
-    check = orthonormal_check(model, basis, alpha=None)
-    if not check.ok:
-        raise ValueError(
-            f"basis is not orthonormal at every level: clause={check.clause!r} "
-            f"witness={check.witness!r}"
-        )
-    x = model.check_vector(x)
-    a = check_alpha(alpha)
-
-    coeffs = np.array([model.alpha_inner(x, e, a) for e in basis])
-    recon = sum(c * model.check_vector(e) for c, e in zip(coeffs, basis))
-    rec_res = float(np.linalg.norm(x - recon))
-    par_res = abs(model.alpha_norm(x, a) ** 2 - float(np.sum(np.abs(coeffs) ** 2)))
-    return ExpansionReport(rec_res, par_res, tol)

@@ -1,4 +1,4 @@
-"""Dense operator layer: adjoints, PSD order, range tests, factorization.
+"""Dense operator layer: PSD order, range tests, factorization.
 
 All spectral work is done through Hermitian eigendecompositions, QR, SVD
 and Cholesky factorizations of small dense matrices (desk scale, n <= 64).
@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .fuzzy_space import BaseSpace, FuzzyModel, check_alpha
+from .fuzzy_space import FuzzyModel, check_alpha
 
 __all__ = [
     "RELATIVE_RANK_TOL",
@@ -40,19 +40,13 @@ __all__ = [
     "PSD_TOL",
     "CHOLESKY_TOL_FACTOR",
     "RangeInclusionError",
-    "LinearOperator",
     "FactorizationResult",
-    "PseudoInverseResult",
     "as_matrix",
-    "adjoint",
     "spectral_norm",
     "alpha_operator_norm",
     "within_tolerance",
     "hermitian_part",
     "psd_order_check",
-    "range_basis",
-    "pseudo_inverse",
-    "douglas_range_inclusion",
     "douglas_lambda",
     "douglas_factorize",
 ]
@@ -79,8 +73,6 @@ PSD_TOL = 1e-9
 #: alone.
 CHOLESKY_TOL_FACTOR = 4096.0
 
-MatrixLike = Union[np.ndarray, "LinearOperator"]
-
 
 class RangeInclusionError(Exception):
     """Raised when a range-inclusion hypothesis fails.
@@ -94,65 +86,15 @@ class RangeInclusionError(Exception):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """Dense matrix acting between two finite-dimensional spaces."""
-
-    matrix: np.ndarray
-    domain: Optional[BaseSpace] = None
-    codomain: Optional[BaseSpace] = None
-
-    def __post_init__(self) -> None:
-        m = np.atleast_2d(np.asarray(self.matrix))
-        if m.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
-        m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        rows, cols = m.shape
-        field = "complex" if np.iscomplexobj(m) else "real"
-        if self.domain is None:
-            object.__setattr__(self, "domain", BaseSpace(cols, field))
-        elif self.domain.dimension != cols:
-            raise ValueError(f"domain dimension {self.domain.dimension} != {cols}")
-        if self.codomain is None:
-            object.__setattr__(self, "codomain", BaseSpace(rows, field))
-        elif self.codomain.dimension != rows:
-            raise ValueError(f"codomain dimension {self.codomain.dimension} != {rows}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.matrix.conj().T, self.codomain, self.domain)
-
-    def norm(self) -> float:
-        return spectral_norm(self.matrix)
-
-    def __matmul__(self, other: MatrixLike) -> "LinearOperator":
-        return LinearOperator(self.matrix @ as_matrix(other))
-
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x)
-
-
-def as_matrix(T: MatrixLike) -> np.ndarray:
-    """Coerce an operator or array-like to a 2-D ndarray."""
-    if isinstance(T, LinearOperator):
-        return T.matrix
+def as_matrix(T: np.ndarray) -> np.ndarray:
+    """Coerce an array-like to a 2-D ndarray."""
     m = np.atleast_2d(np.asarray(T))
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     return m
 
 
-def adjoint(T: MatrixLike) -> np.ndarray:
-    """Conjugate transpose; satisfies <x, T y>_a = <T* x, y>_a at all levels."""
-    return as_matrix(T).conj().T
-
-
-def spectral_norm(T: MatrixLike) -> float:
+def spectral_norm(T: np.ndarray) -> float:
     m = as_matrix(T)
     if not np.any(m):
         return 0.0
@@ -160,12 +102,15 @@ def spectral_norm(T: MatrixLike) -> float:
 
 
 def alpha_operator_norm(
-    T: MatrixLike,
+    T: np.ndarray,
     alpha: float,
     domain_model: Optional[FuzzyModel] = None,
     codomain_model: Optional[FuzzyModel] = None,
 ) -> float:
     """Level operator norm sup_{beta <= alpha} sup_x ||Tx||_beta / ||x||_beta.
+
+    States the norm of a strongly fuzzy bounded operator, the bound every K
+    and transfer operator of the paper carries.
 
     With matching profiles on both sides the per-level ratio is the largest
     singular value for every beta, so the sup is level-independent.  A crisp
@@ -191,7 +136,7 @@ def within_tolerance(excess: float, tol: float, scale: float) -> bool:
     return math.isfinite(scale) and bool(excess <= tol * scale)
 
 
-def hermitian_part(P: MatrixLike) -> np.ndarray:
+def hermitian_part(P: np.ndarray) -> np.ndarray:
     """Symmetrize; an asymmetry max|m - m*| / 2 beyond 1e-8 of max|h| warns
     (h the Hermitian part)."""
     m = as_matrix(P)
@@ -206,7 +151,7 @@ def hermitian_part(P: MatrixLike) -> np.ndarray:
     return h
 
 
-def _gram(T: MatrixLike, what: str) -> np.ndarray:
+def _gram(T: np.ndarray, what: str) -> np.ndarray:
     """T T*, symmetrized.  An entry that overflows a double raises an
     OverflowError naming ``what``, instead of feeding inf or NaN into a
     decomposition."""
@@ -258,9 +203,12 @@ def _order_decision(
 
 
 def psd_order_check(
-    P: MatrixLike, Q: MatrixLike, tol: float = PSD_TOL
+    P: np.ndarray, Q: np.ndarray, tol: float = PSD_TOL
 ) -> tuple[bool, Optional[np.ndarray], Optional[float]]:
     """Decide P <= Q in the positive-semidefinite order.
+
+    States the operator order of every frame and K-frame inequality of the
+    paper, A K K* <= S_c <= B I; ``verify_bounds`` runs the same decision.
 
     Returns (ok, witness, lambda_min) where the witness is the unit
     eigenvector minimizing <(Q - P) f, f> whenever the order fails.  The
@@ -288,38 +236,12 @@ def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
 
 
 def _thin_svd(
-    T: MatrixLike, rtol: float = RELATIVE_RANK_TOL
+    T: np.ndarray, rtol: float = RELATIVE_RANK_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, s, vh) of the thin SVD of T, cut to its numerical rank."""
     u, s, vh = np.linalg.svd(as_matrix(T), full_matrices=False)
     rank = _rank(s, rtol)
     return u[:, :rank], s[:rank], vh[:rank]
-
-
-def range_basis(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of range(T) as columns, via SVD with relative cutoff."""
-    return _thin_svd(T, rtol)[0]
-
-
-@dataclass(frozen=True)
-class PseudoInverseResult:
-    dagger: np.ndarray
-    rank: int
-    range_projector: np.ndarray
-
-
-def pseudo_inverse(T: MatrixLike, rtol: float = RELATIVE_RANK_TOL) -> PseudoInverseResult:
-    """Moore-Penrose inverse with numerical rank and the range projector.
-
-    T @ dagger acts as the identity on range(T); closed range is automatic
-    in finite dimension.
-    """
-    u, s, vh = _thin_svd(T, rtol)
-    return PseudoInverseResult(
-        dagger=vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T),  # as numpy.linalg.pinv
-        rank=len(s),
-        range_projector=u @ u.conj().T,
-    )
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -349,7 +271,7 @@ def _coordinates(
 
 
 def _douglas(
-    M: MatrixLike, N: MatrixLike, tol: float
+    M: np.ndarray, N: np.ndarray, tol: float
 ) -> tuple[bool, float, np.ndarray, float]:
     """Decide M = N W from one thin SVD of N.
 
@@ -400,20 +322,8 @@ def _douglas_sup(
     return top, f / np.linalg.norm(f), sq, residual
 
 
-def douglas_range_inclusion(
-    M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
-) -> tuple[bool, float]:
-    """Test range(M) subseteq range(N) by projection residual.
-
-    Returns (included, residual) with residual = ||(I - N N^dagger) M||
-    measured relative to ||M||.
-    """
-    included, residual, _, _ = _douglas(M, N, tol)
-    return included, residual
-
-
 def douglas_lambda(
-    M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
+    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
 ) -> float:
     """Minimal lam >= 0 with M M* <= lam^2 N N*, which is ||N^dagger M||.
 
@@ -439,7 +349,7 @@ class FactorizationResult:
 
 
 def douglas_factorize(
-    M: MatrixLike, N: MatrixLike, tol: float = PSD_TOL
+    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
 ) -> FactorizationResult:
     """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||.
 

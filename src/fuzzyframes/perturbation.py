@@ -42,7 +42,6 @@ from .frame_core import (
 )
 from .operator_algebra import (
     PSD_TOL,
-    MatrixLike,
     _douglas_sup,
     _gram,
     as_matrix,
@@ -92,8 +91,8 @@ def _corner(lo: float, hi: float) -> tuple[float, float]:
 
 
 def check_operator_perturbation(
-    K1: MatrixLike,
-    K2: MatrixLike,
+    K1: np.ndarray,
+    K2: np.ndarray,
     lambda1: float,
     lambda2: float,
     tol: float = PSD_TOL,
@@ -202,7 +201,7 @@ def derive_operator_perturbed_bounds(
     lambda1: float,
     lambda2: float,
     family: Optional[FrameFamily] = None,
-    K2: Optional[MatrixLike] = None,
+    K2: Optional[np.ndarray] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -242,6 +241,7 @@ class FamilyPerturbation:
 def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPerturbation:
     """Minimal M with sum |<f, f_i - g_i>_a|^2 <= M min(frame sums of F, G).
 
+    States the constant of the paper's family-perturbation stability theorem.
     The pointwise ratio against the min is the max of the two ratios, so
     the minimal constant is the larger of the suprema of ||D* f||^2 /
     <S_F f, f> and ||D* f||^2 / <S_G f, f>, with D the synthesis matrix of
@@ -276,7 +276,7 @@ def derive_family_perturbed_bounds(
     A: float,
     B: float,
     M: float,
-    K: Optional[MatrixLike] = None,
+    K: Optional[np.ndarray] = None,
     perturbed: Optional[FrameFamily] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
@@ -314,6 +314,7 @@ def frame_equivalence_constant(
 ) -> EquivalenceConstant:
     """Perturbation constant linking any two frames of the same space:
 
+    States that any two frames are perturbations of each other.
         M = max( (1 + sqrt(B)/sqrt(C))^2, (1 + sqrt(D)/sqrt(A))^2 )
 
     with (A, B) the frame bounds of F and (C, D) those of G.  The family
@@ -344,7 +345,7 @@ class IdentityPerturbation:
 
 
 def identity_perturbation_check(
-    K: MatrixLike,
+    K: np.ndarray,
     lambda1: float,
     lambda2: float,
     family: FrameFamily,
@@ -355,6 +356,7 @@ def identity_perturbation_check(
 ) -> IdentityPerturbation:
     """Specialize the operator perturbation to the identity:
 
+    States that a K-frame for K close to I is a frame.
         ||K* f - f||_a <= lam1 ||K* f||_a + lam2 ||f||_a
 
     with 0 <= lam1, lam2 < 1.  When the hypothesis verifies, a K-frame

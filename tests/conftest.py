@@ -1,5 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
+The level-norm oracles recover the closed forms of ``FuzzyModel`` from the
+membership function: a bisection of its level sets and the polarization
+identity.
+
 The sphere-search helpers evaluate quadratic-form quotients directly on
 seeded unit-sphere samples and polish the best candidate by projected
 gradient steps; they never touch an eigensolver, so they stay independent
@@ -19,7 +23,7 @@ import pytest
 
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
 from fuzzyframes.cli_io import _fmt
-from fuzzyframes.fuzzy_space import AxiomReport, AxiomResult, _axiom_draws
+from fuzzyframes.fuzzy_space import AxiomReport, AxiomResult, _axiom_draws, check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,109 @@ def rand_deficient_instance(
     vectors[:, -1] = 0.0  # family misses the last coordinate direction
     K = rand_matrix(rng, n, n, field) + n * np.eye(n)
     return FrameFamily(vectors, model), K
+
+
+# ---------------------------------------------------------------------------
+# Level-norm oracles
+
+#: absolute tolerance and iteration cap of the level-set bisection
+BISECT_TOL = 1e-10
+BISECT_MAX_ITER = 200
+
+
+def norm_membership(model: FuzzyModel, x, t: float) -> float:
+    """Fuzzy norm N(x, t) = mu(x, x, t^2) for t > 0, else 0."""
+    t = float(t)
+    if t <= 0.0:
+        return 0.0
+    return model.mu(x, x, t * t)
+
+
+def level_membership(model: FuzzyModel, x, t: float) -> float:
+    """Smooth branch of the norm membership used by the level-set solver.
+
+    For the scaled profile this is t^2 / (t^2 + ||x||^2) on t > 0, i.e.
+    the expression whose alpha level set gives sqrt(a/(1-a)) ||x||.  The
+    printed membership clips values at or below the norm threshold to 0,
+    which would freeze the level norm at ||x|| for alpha < 1/2 and
+    contradict the closed form, so the solver bisects this branch
+    instead.  For the crisp profile the indicator is already consistent
+    and is used as is.
+    """
+    x = model.check_vector(x)
+    t = float(t)
+    if t <= 0.0:
+        return 0.0
+    nx = float(np.linalg.norm(x))
+    if model.profile == "scaled":
+        return t * t / (t * t + nx * nx)
+    return 1.0 if t > nx else 0.0
+
+
+def alpha_inner(model: FuzzyModel, x, y, alpha: float):
+    """Level inner product scale(alpha) * <x, y>.
+
+    Linear in the first argument, conjugate-linear in the second.
+    """
+    x = model.check_vector(x)
+    y = model.check_vector(y)
+    value = model.scale(alpha) * np.vdot(y, x)
+    if model.space.field == "real":
+        return float(value.real) if np.iscomplexobj(value) else float(value)
+    return complex(value)
+
+
+def alpha_norm_bisect(
+    model: FuzzyModel,
+    x,
+    alpha: float,
+    tol: float = BISECT_TOL,
+    max_iter: int = BISECT_MAX_ITER,
+) -> float:
+    """Level norm via bisection of inf{t > 0 : level_membership >= alpha}.
+
+    Independent cross-check of ``FuzzyModel.alpha_norm``; the level
+    function is nondecreasing in t so plain bisection applies.
+    """
+    x = model.check_vector(x)
+    a = check_alpha(alpha)
+    if not np.any(x):
+        return 0.0
+
+    nx = float(np.linalg.norm(x))
+    lo = 0.0
+    hi = max(nx, 1.0)
+    while level_membership(model, x, hi) < a:
+        hi *= 2.0
+        if hi > 1e30:
+            raise ArithmeticError("level membership never reaches alpha")
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if level_membership(model, x, mid) >= a:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def alpha_inner_polarization(model: FuzzyModel, x, y, alpha: float):
+    """Level inner product recovered from level norms via polarization.
+
+    Real field:      (||x+y||^2 - ||x-y||^2) / 4
+    Complex field:   + i (||x+iy||^2 - ||x-iy||^2) / 4
+    """
+    x = model.check_vector(x)
+    y = model.check_vector(y)
+    np2 = model.alpha_norm(x + y, alpha) ** 2
+    nm2 = model.alpha_norm(x - y, alpha) ** 2
+    real_part = 0.25 * (np2 - nm2)
+    if model.space.field == "real":
+        return real_part
+    ni2 = model.alpha_norm(x + 1j * y, alpha) ** 2
+    nj2 = model.alpha_norm(x - 1j * y, alpha) ** 2
+    return complex(real_part, 0.25 * (ni2 - nj2))
 
 
 # ---------------------------------------------------------------------------

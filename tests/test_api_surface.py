@@ -1,0 +1,71 @@
+"""Every top-level function and class in src/ is reached from the command
+line, or it states a result of the paper and is listed in KEPT."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes"
+
+#: the library-only names and the paper statement each one implements
+KEPT = {
+    "frame_operator": "the level frame operator S_a = T_a T_a*",
+    "atomic_system_from_operator": "every bounded K has an atomic system",
+    "atomic_coefficients": "a K-frame for K is an atomic system for K",
+    "restricted_inverse_check": "the frame operator is invertible on range(K)",
+    "combine_scalar": "K-frames are closed under scalar combinations",
+    "combine_product": "K-frames are closed under products of operators",
+    "combine_many": "both closures for n operators",
+    "bessel_pair_kframe": "a Bessel pair factoring K gives a K-frame",
+    "build_family": "the K-frames are the families T e_i with R(K) in R(T)",
+    "family_perturbation_constant": "stability under family perturbation",
+    "frame_equivalence_constant": "two frames are perturbations of each other",
+    "identity_perturbation_check": "a K-frame for K near I is a frame",
+    "alpha_operator_norm": "the norm of a strongly fuzzy bounded operator",
+    "psd_order_check": "the operator order of every frame inequality",
+}
+
+
+def _definitions() -> dict:
+    """The top-level statements of src/ by the names they bind."""
+    defs: dict = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, []).append(node)
+    return defs
+
+
+def _reach(defs: dict, roots) -> set:
+    """The names reached from roots through Name and Attribute references."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for sub in (s for node in defs[name] for s in ast.walk(node)):
+            if isinstance(sub, ast.Name):
+                todo.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                todo.append(sub.attr)
+    return seen
+
+
+def test_every_definition_is_reached_or_kept():
+    defs = _definitions()
+    commands = _reach(defs, ["main", "COMMANDS"])
+    assert [name for name in KEPT if name not in defs] == [], "KEPT names nothing in src/"
+    assert [name for name in KEPT if name in commands] == [], "a command already reaches it"
+    reached = _reach(defs, ["main", "COMMANDS", *KEPT])
+    unreached = [
+        node.name
+        for nodes in defs.values()
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached
+    ]
+    assert unreached == []

@@ -108,7 +108,7 @@ class TestParsing:
             {"profile": "other"},
             {"family": []},
             {"alphas": [0.0, 0.5]},
-            {"bounds": [3, 1]},
+            {"bounds": [1, -1]},
             {"convention": "twice"},
             {"tolerance": -1.0},
             {"command": "explode"},
@@ -125,6 +125,7 @@ class TestParsing:
             {"command": ["bounds"]},
             {"family_g": 5},
             {"claims": {"frame_sum": 3}},
+            {"bounds": [-1, 1]},
         ],
     )
     def test_invalid_fields_rejected(self, mutation):
@@ -693,6 +694,35 @@ class TestCommands:
         lhs = 0.6 * model.scale(0.5) * np.linalg.norm(K.conj().T @ w) ** 2
         assert lhs > frame_sum(fam, w, 0.5) + 1e-12
 
+    def test_kframe_bounds_with_a_above_b_pass(self, tmp_path):
+        # K = I / 10 on the standard basis of R^2: ||K* f||^2 = ||f||^2 / 100,
+        # so the optimal K-frame pair (100, 1) has A > B
+        data = {
+            "command": "check-kframe",
+            "dimension": 2,
+            "family": [[1.0, 0.0], [0.0, 1.0]],
+            "operator_K": [[0.1, 0.0], [0.0, 0.1]],
+            "bounds": [100, 1],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        assert report["body"]["requested"] == {"A": 100.0, "B": 1.0}
+        assert report["body"]["optimal_kframe"]["A"] == pytest.approx(100.0)
+
+    def test_frame_bounds_with_a_above_b_fail_with_witness(self, tmp_path):
+        # S_c = diag(2, 3, 6): A = 2 holds, B = 1 fails along e3
+        data = load(R3_FILE)
+        data.update(command="check-frame", bounds=[2, 1])
+        path = tmp_path / "crossed.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_FAIL and report["verdict"] == "fail"
+        failures = report["body"]["verification"]["failures"]
+        assert failures and {c["side"] for c in failures} == {"upper"}
+        assert abs(failures[0]["witness"][2]) == pytest.approx(1.0)
+
     def test_douglas_command(self, tmp_path):
         data = load(R3_FILE)
         K = np.array(data["operator_K"], dtype=float)
@@ -722,7 +752,7 @@ class TestCommands:
         report, code = run_file(path)
         assert code == EXIT_PASS
         body = report["body"]
-        assert body["kframe_holds"] and body["atomic_holds"]
+        assert body["atomic_holds"] and "kframe_holds" not in body
         assert body["verification"]["passed"]
 
     def test_perturb_operator_command(self, tmp_path):
@@ -960,7 +990,7 @@ class TestCommands:
         assert sum(linalg_calls.values()) <= 4
         body = report["body"]
         assert code == EXIT_PASS and report["verdict"] == "pass"
-        assert body["kframe_holds"] and body["atomic_holds"]
+        assert body["atomic_holds"]
         assert body["verification"]["passed"]
         F = problem.family.T
         expected = 1.0 / np.linalg.norm(np.linalg.pinv(F) @ problem.operator_K, 2) ** 2

@@ -10,14 +10,16 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
+    atomic_system_equivalence_check,
     bessel_pair_kframe,
     build_family,
     combine_many,
     combine_product,
     combine_scalar,
+    douglas_factorize,
     operator_transfer,
     optimal_kframe_bounds,
-    synthesis_characterization,
+    synthesis_matrix,
     transform_family,
     verify_bounds,
 )
@@ -274,20 +276,32 @@ class TestOperatorTransfer:
                 assert result.derived.A <= optimal.A + 1e-9
 
 
+def synthesis_inclusion(family: FrameFamily, K: np.ndarray) -> bool:
+    """range(K) inside the range of the synthesis matrix, by Douglas's
+    factorization K = F W."""
+    try:
+        douglas_factorize(K, synthesis_matrix(family))
+    except RangeInclusionError:
+        return False
+    return True
+
+
 class TestSynthesisCharacterization:
+    """A family is a K-frame exactly when range(K) lies in the range of its
+    synthesis matrix; the atomic report decides the K-frame side."""
+
     def test_c3_equivalence_confirmed(self, c3_instance):
-        report = synthesis_characterization(c3_instance["family"], c3_instance["K"])
-        assert report.inclusion_holds
-        assert report.lower_bound == pytest.approx(0.5, abs=1e-9)
-        assert report.equivalence_holds
+        fam, K = c3_instance["family"], c3_instance["K"]
+        report = atomic_system_equivalence_check(fam, K)
+        assert synthesis_inclusion(fam, K) and report.atomic_holds
+        assert report.certificate.A == pytest.approx(0.5, abs=1e-9)
 
     def test_missing_direction_fails_both_sides(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0, 0], [0, 1, 0]]), model)
-        report = synthesis_characterization(fam, np.eye(3))
-        assert not report.inclusion_holds
-        assert report.lower_bound == 0.0
-        assert report.equivalence_holds  # both sides fail together
+        report = atomic_system_equivalence_check(fam, np.eye(3))
+        assert not synthesis_inclusion(fam, np.eye(3)) and not report.atomic_holds
+        assert report.certificate.A == 0.0
 
     def test_equivalence_coupling_random(self):
         rng = np.random.default_rng(41)
@@ -300,8 +314,9 @@ class TestSynthesisCharacterization:
                 vectors[:, -1] = 0.0
                 fam = FrameFamily(vectors, model)
                 K = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-            report = synthesis_characterization(fam, K)
-            assert report.equivalence_holds
+            report = atomic_system_equivalence_check(fam, K)
+            assert synthesis_inclusion(fam, K) == report.atomic_holds
+            assert report.atomic_holds == (k % 2 == 1)
 
     def test_build_family_underflowing_lambda_squared_overflows(self):
         # lambda = 1e-170, so lambda^2 underflows to 0 and 1 / lambda^2 is no double

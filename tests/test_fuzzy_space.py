@@ -8,15 +8,22 @@ import pytest
 
 from fuzzyframes import (
     BaseSpace,
+    FrameFamily,
     FuzzyModel,
-    alpha_inner_polarization,
-    alpha_norm_bisect,
     check_fip_axioms,
-    orthonormal_check,
-    orthonormal_expansion_check,
+    optimal_frame_bounds,
+    reconstruction_residual,
+    verify_bounds,
 )
 from fuzzyframes.fuzzy_space import MAX_SAMPLES, PROFILES
-from conftest import fip_axioms_oracle, rand_vector
+from conftest import (
+    alpha_inner,
+    alpha_inner_polarization,
+    alpha_norm_bisect,
+    fip_axioms_oracle,
+    norm_membership,
+    rand_vector,
+)
 
 SCALED_R2 = FuzzyModel(BaseSpace(2, "real"), "scaled")
 SCALED_R3 = FuzzyModel(BaseSpace(3, "real"), "scaled")
@@ -59,15 +66,15 @@ class TestMembership:
 
 class TestFuzzyNorm:
     def test_scaled_value(self):
-        assert SCALED_R2.norm_membership(np.array([3.0, 4.0]), 10.0) == pytest.approx(0.8)
+        assert norm_membership(SCALED_R2, np.array([3.0, 4.0]), 10.0) == pytest.approx(0.8)
 
     def test_zero_vector_full_membership(self):
         for model in (SCALED_R3, CRISP_R3):
-            assert model.norm_membership(np.zeros(3), 0.001) == 1.0
+            assert norm_membership(model, np.zeros(3), 0.001) == 1.0
 
     def test_nonpositive_t(self):
-        assert SCALED_R2.norm_membership(np.array([1.0, 1.0]), -1.0) == 0.0
-        assert SCALED_R2.norm_membership(np.array([1.0, 1.0]), 0.0) == 0.0
+        assert norm_membership(SCALED_R2, np.array([1.0, 1.0]), -1.0) == 0.0
+        assert norm_membership(SCALED_R2, np.array([1.0, 1.0]), 0.0) == 0.0
 
 
 class TestAlphaNorm:
@@ -118,10 +125,10 @@ class TestAlphaNorm:
 class TestAlphaInner:
     def test_orthogonality_survives_scaling(self):
         for a in (0.1, 0.5, 0.9):
-            assert SCALED_R2.alpha_inner(np.array([1.0, 0.0]), np.array([0.0, 1.0]), a) == 0.0
+            assert alpha_inner(SCALED_R2, np.array([1.0, 0.0]), np.array([0.0, 1.0]), a) == 0.0
 
     def test_midpoint_dot_product(self):
-        v = SCALED_R2.alpha_inner(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.5)
+        v = alpha_inner(SCALED_R2, np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.5)
         assert v == pytest.approx(11.0)
 
     def test_self_pairing_is_squared_norm(self):
@@ -130,7 +137,7 @@ class TestAlphaInner:
             for _ in range(20):
                 x = rand_vector(rng, 3)
                 a = float(rng.uniform(0.05, 0.95))
-                assert model.alpha_inner(x, x, a) == pytest.approx(
+                assert alpha_inner(model, x, x, a) == pytest.approx(
                     model.alpha_norm(x, a) ** 2, rel=1e-12
                 )
 
@@ -142,7 +149,7 @@ class TestAlphaInner:
             x = rand_vector(rng, 4, field)
             y = rand_vector(rng, 4, field)
             a = float(rng.uniform(0.05, 0.95))
-            direct = model.alpha_inner(x, y, a)
+            direct = alpha_inner(model, x, y, a)
             polar = alpha_inner_polarization(model, x, y, a)
             assert abs(direct - polar) <= 1e-8 * max(1.0, abs(direct))
 
@@ -151,8 +158,8 @@ class TestAlphaInner:
         x = np.array([1.0 + 2.0j, -1.0j])
         y = np.array([0.5, 1.0 + 1.0j])
         lam = 0.7 - 1.3j
-        lhs = model.alpha_inner(x, lam * y, 0.5)
-        rhs = np.conj(lam) * model.alpha_inner(x, y, 0.5)
+        lhs = alpha_inner(model, x, lam * y, 0.5)
+        rhs = np.conj(lam) * alpha_inner(model, x, y, 0.5)
         assert lhs == pytest.approx(rhs)
 
 
@@ -268,42 +275,38 @@ class TestBroadcastMembership:
 
 
 class TestOrthonormality:
+    """<e_i, e_j>_a = delta_ij says that {e_i} is a Parseval frame at level
+    a in the literal reading of the frame sum, sum |<f, e_i>_a|^2 against
+    ||f||_a^2 (the ``squared`` convention), and that f = sum <f, e_k> e_k."""
+
     def test_crisp_standard_basis_all_levels(self):
-        assert orthonormal_check(CRISP_R3, np.eye(3), alpha=None).ok
+        cert = optimal_frame_bounds(FrameFamily(np.eye(3), CRISP_R3), "squared")
+        assert cert.parseval and cert.alpha_independent
 
     def test_scaled_basis_at_midpoint(self):
-        assert orthonormal_check(SCALED_R3, np.eye(3), alpha=0.5).ok
+        fam = FrameFamily(np.eye(3), SCALED_R3)
+        assert verify_bounds(fam, 1.0, 1.0, None, [0.5], "squared").passed
 
     def test_scaled_basis_fails_off_midpoint(self):
-        result = orthonormal_check(SCALED_R3, np.eye(3), alpha=0.8)
-        assert not result.ok
-        assert result.witness == (0, 0)
-        assert result.clause == "unit"
-        assert result.value == pytest.approx(4.0)
+        # <e_1, e_1>_0.8 = scale(0.8) = 4, so the frame sum is 4 ||f||_a^2
+        fam = FrameFamily(np.eye(3), SCALED_R3)
+        assert not optimal_frame_bounds(fam, "squared").alpha_independent
+        failure = verify_bounds(fam, 1.0, 1.0, None, [0.8], "squared").first_failure()
+        assert failure.side == "upper" and failure.margin == pytest.approx(1.0 - 4.0)
 
     def test_expansion_standard_basis(self):
-        report = orthonormal_expansion_check(CRISP_R3, np.eye(3), np.array([1.0, 2.0, 3.0]), 0.3)
-        assert report.reconstruction_residual == pytest.approx(0.0, abs=1e-12)
-        assert report.parseval_residual == pytest.approx(0.0, abs=1e-10)
+        worst, cond = reconstruction_residual(FrameFamily(np.eye(3), CRISP_R3))
+        assert worst == pytest.approx(0.0, abs=1e-12) and cond == 1.0
 
     def test_expansion_rotated_basis(self):
         rng = np.random.default_rng(31)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         basis = q.T  # rows are an orthonormal basis
         x = rand_vector(rng, 3)
-        report = orthonormal_expansion_check(CRISP_R3, basis, x, 0.7)
-        assert report.ok
+        assert reconstruction_residual(FrameFamily(basis, CRISP_R3))[0] <= 1e-9
         # independent oracle: accumulate the expansion term by term
         recon = sum((e @ x) * e for e in basis)
         assert np.linalg.norm(recon - x) <= 1e-9
-
-    def test_expansion_zero_vector(self):
-        report = orthonormal_expansion_check(CRISP_R3, np.eye(3), np.zeros(3), 0.5)
-        assert report.reconstruction_residual == 0.0
-
-    def test_expansion_requires_crisp(self):
-        with pytest.raises(ValueError, match="crisp"):
-            orthonormal_expansion_check(SCALED_R3, np.eye(3), np.ones(3), 0.5)
 
 
 def test_scale_profile_values():

@@ -77,7 +77,8 @@ class TestProbes:
 
 
 # ---------------------------------------------------------------------------
-# Scale covariance: F -> 2^k F (and K, T where both sides scale)
+# Scale covariance: F -> 2^k F (and K, T where both sides scale), and K
+# alone -> 2^k K, under which the K-frame lower bound scales by 2^-2k
 
 KINDS = [
     "bounds",
@@ -91,6 +92,7 @@ KINDS = [
     "perturb-family",
     "reconstruct",
     "douglas",
+    "kframe-K",
 ]
 
 #: power j of 2^k by which a body constant scales
@@ -111,6 +113,14 @@ POWERS = {
     "max_residual": 0,
     "max_violation": 1,
     "factorization_residual": 1,
+}
+
+#: the powers under K -> 2^k K with F fixed: A against ||K* f||^2, B against ||f||^2
+K_ALONE_POWERS = {
+    "optimal_kframe.A": -2,
+    "optimal_kframe.B": 0,
+    "requested.A": -2,
+    "requested.B": 0,
 }
 
 
@@ -155,7 +165,7 @@ def _problem(kind: str, seed: int) -> dict:
         s = np.linalg.svd(vectors.T, compute_uv=False)
         shift = rng.choice([-1e-6, -1e-12, 0.0, 1e-12, 1e-6], size=2)
         a, b = s[-1] ** 2 * (1.0 + shift[0]), s[0] ** 2 * (1.0 + shift[1])
-        if a <= b and rng.random() < 0.7:
+        if rng.random() < 0.7:
             data["bounds"] = [a, b]
     elif kind in ("check-kframe", "atomic"):
         data["operator_K"] = _entries(K)
@@ -185,6 +195,12 @@ def _problem(kind: str, seed: int) -> dict:
     elif kind == "douglas":
         M = K @ mat(n, n) if rng.random() < 0.7 else mat(n, n)
         data.update(operator_K=_entries(K), operator_T=_entries(M))
+    elif kind == "kframe-K":
+        # bounds around the optimal pair, which may have A > B
+        data.update(command="check-kframe", operator_K=_entries(K))
+        optimal = _run(data)[0]["body"]["optimal_kframe"]
+        shift = rng.choice([-1e-6, -1e-12, 0.0, 1e-12, 1e-6], size=2)
+        data["bounds"] = [float(optimal[side] * (1.0 + d)) for side, d in zip("AB", shift)]
     return data
 
 
@@ -206,16 +222,24 @@ def _scale_problem(data: dict, k: int) -> dict:
     return out
 
 
+def _scale_operator(data: dict, k: int) -> dict:
+    """K alone times 2^k and the requested A times 2^-2k."""
+    out = json.loads(json.dumps(data))
+    out["operator_K"] = _scaled(out["operator_K"], 2.0**k)
+    out["bounds"][0] *= 2.0 ** (-2 * k)
+    return out
+
+
 def _outcome(report: dict) -> tuple:
     claims = tuple(c["agrees"] for c in report.get("body", {}).get("claims", []))
     return report["verdict"], report["exit_code"], claims
 
 
-def _constants(body: dict, prefix: str = ""):
+def _constants(body: dict, powers: dict, prefix: str = ""):
     for key, value in body.items():
         if isinstance(value, dict):
-            yield from _constants(value, f"{prefix}{key}.")
-        elif f"{prefix}{key}" in POWERS and isinstance(value, float):
+            yield from _constants(value, powers, f"{prefix}{key}.")
+        elif f"{prefix}{key}" in powers and isinstance(value, float):
             yield f"{prefix}{key}", value
 
 
@@ -228,10 +252,12 @@ def _constants(body: dict, prefix: str = ""):
 def test_verdicts_and_constants_are_scale_covariant(kind, seed, k):
     data = _problem(kind, seed)
     base, _ = _run(data)
-    scaled, _ = _run(_scale_problem(data, k))
+    k_alone = kind == "kframe-K"
+    scaled, _ = _run(_scale_operator(data, k) if k_alone else _scale_problem(data, k))
     assert _outcome(scaled) == _outcome(base)
-    scaled_constants = dict(_constants(scaled.get("body", {})))
-    for path, value in _constants(base.get("body", {})):
-        power = 0 if (kind, path) == ("perturb-operator", "derived.A") else POWERS[path]
+    powers = K_ALONE_POWERS if k_alone else POWERS
+    scaled_constants = dict(_constants(scaled.get("body", {}), powers))
+    for path, value in _constants(base.get("body", {}), powers):
+        power = 0 if (kind, path) == ("perturb-operator", "derived.A") else powers[path]
         expected = value * 2.0 ** (power * k) if math.isfinite(value) else value
         assert scaled_constants[path] == expected, path
