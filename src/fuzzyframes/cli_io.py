@@ -28,7 +28,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .fuzzy_space import MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
+from .fuzzy_space import MAX_DIMENSION, MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
 from .operator_algebra import _frobenius, within_tolerance
 from .frame_core import (
@@ -270,8 +270,8 @@ def parse_problem(data: Any) -> Problem:
         raise ProblemError(f"unsupported schema {data.get('schema')!r}")
 
     dim = _integer(data.get("dimension"), "'dimension'")
-    if dim < 1:
-        raise ProblemError("'dimension' must be >= 1")
+    if not 1 <= dim <= MAX_DIMENSION:
+        raise ProblemError(f"'dimension' must lie in [1, {MAX_DIMENSION}], got {dim}")
     fieldname = data.get("field", "real")
     if fieldname not in ("real", "complex"):
         raise ProblemError(f"'field' must be 'real' or 'complex', got {fieldname!r}")

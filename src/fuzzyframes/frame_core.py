@@ -35,6 +35,7 @@ from .operator_algebra import (
     RangeInclusionError,
     _douglas,
     _douglas_sup,
+    _finite,
     _frobenius,
     _gram,
     _order_decision,
@@ -133,9 +134,6 @@ class FrameFamily:
     def dimension(self) -> int:
         return self.vectors.shape[1]
 
-    def scaled(self, factor: float) -> "FrameFamily":
-        return FrameFamily(factor * self.vectors, self.model)
-
 
 def synthesis_matrix(family: FrameFamily) -> np.ndarray:
     """n x m matrix with f_i as the i-th column; maps coefficients to sums."""
@@ -148,7 +146,7 @@ def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     Entries so large that S_c overflows (about 1e154 and up) raise an
     OverflowError instead of feeding inf or NaN into later decisions.
     """
-    return _gram(family.vectors.T, _S_C)
+    return _finite(_S_C, lambda: _gram(family.vectors.T))
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
@@ -193,10 +191,6 @@ class BoundCertificate:
     tight: bool = False
     parseval: bool = False
 
-    @property
-    def is_frame(self) -> bool:
-        return self.A > 0.0
-
 
 def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
     if v is None:
@@ -216,19 +210,18 @@ def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
     """
     f = family.vectors.T
     if f.shape[1] > f.shape[0]:
-        f = np.linalg.qr(family.vectors.conj(), mode="r").conj().T
-        if not np.isfinite(f).all():
-            raise OverflowError(f"{_S_C} overflows: entries too large")
+        f = _finite(_S_C, lambda: np.linalg.qr(family.vectors.conj(), mode="r").conj().T)
     u, s, _ = np.linalg.svd(f)
     return u, s
 
 
 def _upper_bound(s: np.ndarray) -> float:
-    """B = sigma_max(F)^2 = ||S_c||.  Entries so large that S_c overflows
-    raise an OverflowError, as classical_frame_operator does."""
-    b = float(s[0]) * float(s[0])
-    if math.isinf(b):
-        raise OverflowError(f"{_S_C} overflows: entries too large")
+    """B = sigma_max(F)^2 = ||S_c||; OverflowError naming S_c when B
+    overflows, as in classical_frame_operator, or rounds to 0 for F != 0."""
+    top = float(s[0])
+    b = _finite(_S_C, lambda: top * top)
+    if b == 0.0 < top:
+        raise OverflowError(f"{_S_C} underflows a double: sigma_max(F)^2 rounds to 0")
     return b
 
 
@@ -308,10 +301,8 @@ def _kframe_bounds(
         a = 0.0
     elif not k.any():  # K = 0: the lower inequality is vacuous
         a = math.inf
-    else:
-        a = 1.0 / sup if sup > 0.0 else math.inf
-        if math.isinf(a):  # ||F^+ K||^2 underflows
-            raise OverflowError("the K-frame bound A = 1 / ||F^+ K||^2 overflows a double")
+    else:  # ||F^+ K||^2 may underflow to 0
+        a = _finite("the K-frame bound A = 1 / ||F^+ K||^2", lambda: 1.0 / sup)
     tight = 0.0 < a < math.inf and float(sq[0]) >= (1.0 - TIGHT_TOL) * float(sq[-1])
     parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     cert = BoundCertificate(
@@ -360,12 +351,6 @@ class VerificationResult:
     passed: bool
     checks: tuple[BoundCheck, ...]
 
-    def first_failure(self) -> Optional[BoundCheck]:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
-
 
 def verify_bounds(
     family: FrameFamily,
@@ -393,7 +378,7 @@ def verify_bounds(
     s = classical_frame_operator(family)
     n = family.dimension
     eye = np.eye(n)
-    gram = eye if K is None else _gram(K, "K K*")
+    gram = eye if K is None else _finite("K K*", lambda: _gram(K))
     # max|diag| of each side scales its check (see _order_decision)
     s_top, g_top = (float(np.abs(m.diagonal()).max()) for m in (s, gram))
 
@@ -403,13 +388,15 @@ def verify_bounds(
     for alpha in alphas:
         extra = 1.0 if convention == "once" else family.model.scale(alpha)
         if extra not in decided:
-            s_eff = extra * s
+            s_eff = s if extra == 1.0 else _finite("scale(a) S_c", lambda: extra * s)
             # both differences are Hermitian as built: no symmetrizing
             if math.isinf(A):  # vacuous lower inequality (zero operator)
                 lower = (True, None, math.inf)
             else:
-                lower = _order_decision(s_eff - A * gram, tol, max(extra * s_top, A * g_top))
-            decided[extra] = (lower, _order_decision(B * eye - s_eff, tol, max(extra * s_top, B)))
+                diff = _finite("A K K*", lambda: s_eff - A * gram)
+                lower = _order_decision(diff, tol, max(extra * s_top, A * g_top))
+            upper = _finite("B I", lambda: B * eye - s_eff)  # B = inf: NaN off the diagonal
+            decided[extra] = (lower, _order_decision(upper, tol, max(extra * s_top, B)))
         (ok_lo, wit_lo, margin_lo), (ok_up, wit_up, margin_up) = decided[extra]
         checks.append(BoundCheck(alpha, "lower", ok_lo, margin_lo, _unit(wit_lo)))
         checks.append(BoundCheck(alpha, "upper", ok_up, margin_up, _unit(wit_up)))

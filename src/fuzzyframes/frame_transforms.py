@@ -34,6 +34,7 @@ from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
     RangeInclusionError,
+    _finite,
     _gram,
     as_matrix,
     douglas_lambda,
@@ -318,11 +319,7 @@ def transform_family(
     k = as_matrix(K)
     sv = np.linalg.svd(t, compute_uv=False)  # ||T||, invertibility and ||T^-1||
     norm_t = float(sv[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        commutator = t @ k - k @ t
-    if not np.isfinite(commutator).all():
-        raise OverflowError("the commutator T K - K T overflows a double")
-    comm = spectral_norm(commutator)
+    comm = spectral_norm(_finite("the commutator T K - K T", lambda: t @ k - k @ t))
     if not within_tolerance(comm, tol, norm_t * spectral_norm(k)):
         raise ValueError(f"T and K do not commute (residual {comm:.3e})")
     c = _kframe_cert(family, k, cert, tol)
@@ -333,7 +330,7 @@ def transform_family(
         inv_norm = 1.0 / float(sv[-1])
         lower = c.A / inv_norm**2
     else:
-        gram = _gram(t, "T T*")
+        gram = _finite("T T*", lambda: _gram(t))
         res = spectral_norm(gram - np.eye(gram.shape[0]))
         if not within_tolerance(res, tol, max(spectral_norm(gram), 1.0)):  # ||I|| = 1
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")
@@ -351,12 +348,8 @@ def _over_lambda_squared(A: float, lam: float) -> float:
     lam = 0, OverflowError when it is not a finite double (lam^2 underflows)."""
     if lam == 0.0:
         return math.inf
-    lower = A / lam**2 if lam**2 > 0.0 else math.inf
-    if not math.isfinite(lower):
-        raise OverflowError(
-            f"the lower bound A / lambda^2 overflows a double (A = {A:.3g}, lambda = {lam:.3g})"
-        )
-    return lower
+    what = f"the lower bound A / lambda^2 (A = {A:.3g}, lambda = {lam:.3g})"
+    return _finite(what, lambda: A / lam**2)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "PROFILES",
     "MAX_SAMPLES",
+    "MAX_DIMENSION",
     "BaseSpace",
     "FuzzyModel",
     "AxiomResult",
@@ -42,6 +43,12 @@ IMAG_TOL = 1e-12
 #: largest sample budget of the axiom check, ten times the default of 1000;
 #: at n = 64 over the complex field one samples x n draw is then 10 MB
 MAX_SAMPLES = 10_000
+
+#: largest dimension, the largest n for which operator_algebra's Cholesky
+#: certificate is proved (see CHOLESKY_TOL_FACTOR); there, with MAX_SAMPLES
+#: complex samples, one draw is 82 MB and the axiom check peaks near 1.1 GB
+#: (tracemalloc at n = 17 and 51, extrapolated linearly; real takes half)
+MAX_DIMENSION = 510
 
 def check_alpha(alpha):
     """Validate a level value, or an array of them, each strictly inside (0, 1).
@@ -174,9 +181,6 @@ class AxiomReport:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def failed(self) -> tuple[AxiomResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
 
 
 class _AxiomDraws(NamedTuple):

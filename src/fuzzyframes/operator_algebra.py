@@ -21,6 +21,9 @@ An order decision P <= Q is certified by one Cholesky factorization of
 Q - P shifted by half its slack; no eigenvalue is computed for a pass.  Only
 when that factorization fails does one eigh of Q - P decide, and its bottom
 eigenvector is the witness of a failure.
+
+Every quantity that can leave the double range is formed through
+``_finite``, which raises an OverflowError naming it (exit 2 on the CLI).
 """
 
 from __future__ import annotations
@@ -151,17 +154,26 @@ def hermitian_part(P: np.ndarray) -> np.ndarray:
     return h
 
 
-def _gram(T: np.ndarray, what: str) -> np.ndarray:
-    """T T*, symmetrized.  An entry that overflows a double raises an
-    OverflowError naming ``what``, instead of feeding inf or NaN into a
-    decomposition."""
+def _finite(what: str, compute):
+    """compute(), or an OverflowError naming ``what`` when any entry of it is
+    inf or NaN, with numpy's floating-point warnings silenced meanwhile.  A
+    Python float that raises instead (x**2 past the range, x / 0.0) counts
+    as inf."""
+    with np.errstate(all="ignore"):
+        try:
+            value = compute()
+        except ArithmeticError:
+            value = math.inf
+    if not np.isfinite(value).all():
+        raise OverflowError(f"{what} overflows a double")
+    return value
+
+
+def _gram(T: np.ndarray) -> np.ndarray:
+    """T T*, symmetrized; callers form it through _finite."""
     m = as_matrix(T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = m @ m.conj().T
-        g = 0.5 * (g + g.conj().T)
-    if not np.isfinite(g).all():
-        raise OverflowError(f"{what} overflows: entries too large")
-    return g
+    g = m @ m.conj().T
+    return 0.5 * (g + g.conj().T)
 
 
 def _order_decision(
@@ -245,9 +257,14 @@ def _thin_svd(
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """||m||_F, scaled by max|m_ij| first so that no square overflows."""
+    """||m||_F, scaled by max|m_ij| first so that no square overflows; a
+    complex m part by part, as numpy's complex division by a subnormal
+    overflows."""
     top = float(np.abs(m).max(initial=0.0))
-    return top * float(np.linalg.norm(m / top)) if top > 0.0 else 0.0
+    if top == 0.0:
+        return 0.0
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+    return top * math.hypot(*(float(np.linalg.norm(p / top)) for p in parts))
 
 
 def _coordinates(
@@ -258,13 +275,11 @@ def _coordinates(
     ||M||_F and included = within_tolerance(||outside||_F, tol, ||M||_F).
     When u spans the whole space nothing is computed outside: (True, 0.0,
     z, None)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = u.conj().T @ M
-        outside = None if u.shape[1] == M.shape[0] else M - u @ z
-    if not (np.isfinite(z).all() and (outside is None or np.isfinite(outside).all())):
-        raise OverflowError("the coordinates u* M of M overflow a double")
-    if outside is None:
+    what = "the coordinates u* M of M"
+    z = _finite(what, lambda: u.conj().T @ M)
+    if u.shape[1] == M.shape[0]:
         return True, 0.0, z, None
+    outside = _finite(what, lambda: M - u @ z)
     excess, scale = _frobenius(outside), _frobenius(M)
     residual = excess / scale if scale > 0.0 else 0.0
     return within_tolerance(excess, tol, scale), residual, z, outside
@@ -286,10 +301,7 @@ def _douglas(
         raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
     u, s, vh = _thin_svd(n)
     included, residual, z, _ = _coordinates(m, u, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = vh.conj().T @ (z / s[:, None])
-    if not np.isfinite(w).all():
-        raise OverflowError("the factor W = N^+ M overflows a double")
+    w = _finite("the factor W = N^+ M", lambda: vh.conj().T @ (z / s[:, None]))
     return included, residual, w, float(s[0]) if len(s) else 0.0
 
 
@@ -312,13 +324,13 @@ def _douglas_sup(
     if not included:
         f = np.linalg.svd(outside)[0][:, 0]
         return math.inf, f, np.empty(0), residual
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = z / s[:, None]
-    sq, vecs = np.linalg.eigh(_gram(w, what))
+    sq, vecs = np.linalg.eigh(_finite(what, lambda: _gram(z / s[:, None])))
     top = float(sq[-1]) if len(sq) else 0.0
     if top <= 0.0:
         return 0.0, None, sq, residual
-    f = u @ (vecs[:, -1] / s)
+    # u s^-1 y scaled by s_min: no entry exceeds |y|, and the rank cut keeps
+    # s_min / s_max >= RELATIVE_RANK_TOL, so nothing overflows or underflows
+    f = u @ (vecs[:, -1] * (s[-1] / s))
     return top, f / np.linalg.norm(f), sq, residual
 
 

@@ -43,6 +43,7 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     _douglas_sup,
+    _finite,
     _gram,
     as_matrix,
     within_tolerance,
@@ -135,11 +136,14 @@ def check_operator_perturbation(
         raise ValueError("operators must be square and share a space")
     delta = k1 - k2
     a, b, c = (
-        _gram(m, what) for m, what in ((k1, "K1 K1*"), (k2, "K2 K2*"), (delta, "D D*"))
+        _finite(what, lambda: _gram(m))
+        for m, what in ((k1, "K1 K1*"), (k2, "K2 K2*"), (delta, "D D*"))
     )
     l1, l2 = lambda1 * lambda1, lambda2 * lambda2
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
+    what = "Q_t = (lambda1^2/t) A + (lambda2^2/(1-t)) B - C or its slack"
+    scale = float(
+        _finite(what, lambda: l1 * np.linalg.norm(a) + l2 * np.linalg.norm(b) + np.linalg.norm(c))
+    )
 
     def violation(f: np.ndarray) -> float:
         return float(
@@ -153,12 +157,7 @@ def check_operator_perturbation(
     def holds(x: float, y: float) -> bool:
         """lam1^2 x A + lam2^2 y B - C >= 0 within the slack."""
         nonlocal worst, extremal
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = (l1 * x) * a + (l2 * y) * b - c
-        if not (np.isfinite(q).all() and math.isfinite(scale)):
-            raise OverflowError(
-                "Q_t = (lambda1^2/t) A + (lambda2^2/(1-t)) B - C or its slack overflows a double"
-            )
+        q = _finite(what, lambda: (l1 * x) * a + (l2 * y) * b - c)
         w, v = np.linalg.eigh(0.5 * (q + q.conj().T))
         value = violation(v[:, 0])
         if value > worst:

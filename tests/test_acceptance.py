@@ -185,7 +185,7 @@ def test_criterion_04_level_independence():
             level_op = frame_operator(fam, a)
             # level constant: largest A with scale(a) S_c >= A scale(a) K K*
             root = math.sqrt(s)
-            a_level = optimal_kframe_bounds(fam.scaled(root), root * K).A
+            a_level = optimal_kframe_bounds(FrameFamily(root * fam.vectors, fam.model), root * K).A
             b_level = float(np.linalg.eigvalsh(level_op)[-1]) / s
             if math.isfinite(a_ref) and a_ref > 0:
                 worst_dev = max(worst_dev, abs(a_level - a_ref) / a_ref)

@@ -1,5 +1,6 @@
 """Every top-level function and class in src/ is reached from the command
-line, or it states a result of the paper and is listed in KEPT."""
+line, or it states a result of the paper and is listed in KEPT; every
+method of a class in src/ other than a dunder is reached the same way."""
 
 import ast
 from pathlib import Path
@@ -41,14 +42,15 @@ def _definitions() -> dict:
 
 
 def _reach(defs: dict, roots) -> set:
-    """The names reached from roots through Name and Attribute references."""
+    """The names reached from roots through Name and Attribute references:
+    the roots and every name that a reached definition refers to."""
     seen, todo = set(), list(roots)
     while todo:
         name = todo.pop()
-        if name in seen or name not in defs:
+        if name in seen:
             continue
         seen.add(name)
-        for sub in (s for node in defs[name] for s in ast.walk(node)):
+        for sub in (s for node in defs.get(name, ()) for s in ast.walk(node)):
             if isinstance(sub, ast.Name):
                 todo.append(sub.id)
             elif isinstance(sub, ast.Attribute):
@@ -67,5 +69,23 @@ def test_every_definition_is_reached_or_kept():
         for nodes in defs.values()
         for node in nodes
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached
+    ]
+    assert unreached == []
+
+
+def test_every_method_is_reached():
+    """A method counts as reached when a reached definition refers to its
+    name as an attribute (or a name); dunders are called by Python itself."""
+    defs = _definitions()
+    reached = _reach(defs, ["main", "COMMANDS", *KEPT])
+    unreached = [
+        f"{cls.name}.{item.name}"
+        for nodes in defs.values()
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in reached
     ]
     assert unreached == []

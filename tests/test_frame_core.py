@@ -237,7 +237,7 @@ class TestVerifyBounds:
     def test_c3_too_large_lower_fails_at_e2(self, c3_instance):
         res = verify_bounds(c3_instance["family"], 0.6, 4.0, c3_instance["K"], [0.5])
         assert not res.passed
-        failure = res.first_failure()
+        failure = next(c for c in res.checks if not c.ok)
         assert failure.side == "lower"
         assert abs(failure.witness[1]) == pytest.approx(1.0, abs=1e-8)
 
@@ -249,7 +249,7 @@ class TestVerifyBounds:
     def test_fail_witness_replays(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
         res = verify_bounds(fam, 0.6, 4.0, K, [0.5])
-        w = res.first_failure().witness
+        w = next(c for c in res.checks if not c.ok).witness
         lhs = 0.6 * np.linalg.norm(K.conj().T @ w) ** 2
         assert lhs > frame_sum(fam, w, 0.5) + 1e-12
 
@@ -265,7 +265,7 @@ class TestVerifyBounds:
             fam = FrameFamily(rand_matrix(rng, 2 * n, n, field), model)
             K = rand_matrix(rng, n, n, field)
             s = classical_frame_operator(fam)
-            gram = _gram(K, "K K*")
+            gram = _gram(K)
             A, B = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(0.5, 2.5)
             lower, upper = verify_bounds(fam, A, B, K, [0.5]).checks
             for check, (p, q) in (
@@ -315,7 +315,7 @@ class TestTightIsRelative:
 
     @pytest.mark.parametrize("scale", [3e-6, 2.0**-40, 2.0**40])
     def test_non_tight_family_at_scale(self, r3_instance, scale):
-        fam = r3_instance["family"].scaled(scale)
+        fam = FrameFamily(scale * r3_instance["family"].vectors, r3_instance["model"])
         frame = optimal_frame_bounds(fam)
         assert frame.kind == "frame" and not frame.tight and not frame.parseval
         assert frame.A == pytest.approx(2.0 * scale**2, rel=1e-12)
@@ -364,14 +364,14 @@ class TestRescale:
         fam = FrameFamily(2.0 * np.eye(3), model)  # tight with bound 4
         cert = optimal_frame_bounds(fam)
         assert cert.kind == "tight" and cert.A == pytest.approx(4.0)
-        scaled = fam.scaled(1.0 / math.sqrt(cert.A))
+        scaled = FrameFamily(fam.vectors / math.sqrt(cert.A), fam.model)
         assert optimal_frame_bounds(scaled).kind == "parseval"
         assert np.allclose(scaled.vectors, np.eye(3))
 
     def test_already_parseval_unchanged(self):
         fam = standard_basis_family()
         cert = optimal_frame_bounds(fam)
-        scaled = fam.scaled(1.0 / math.sqrt(cert.A))
+        scaled = FrameFamily(fam.vectors / math.sqrt(cert.A), fam.model)
         assert np.array_equal(scaled.vectors, fam.vectors)
         new_cert = optimal_frame_bounds(scaled)
         assert cert.parseval and (new_cert.A, new_cert.B) == (cert.A, cert.B)
@@ -379,7 +379,7 @@ class TestRescale:
     def test_non_tight_rejected(self, r3_instance):
         fam = r3_instance["family"]
         for bound in (optimal_frame_bounds(fam).A, optimal_frame_bounds(fam).B):
-            cert = optimal_frame_bounds(fam.scaled(1.0 / math.sqrt(bound)))
+            cert = optimal_frame_bounds(FrameFamily(fam.vectors / math.sqrt(bound), fam.model))
             assert cert.kind == "frame" and not cert.tight and not cert.parseval
 
     def test_tight_kframe_rescale(self):
@@ -389,7 +389,7 @@ class TestRescale:
         fam = FrameFamily(3.0 * K.T, model)  # frame sum = 9 ||K* f||^2
         cert = optimal_kframe_bounds(fam, K)
         assert cert.tight and cert.A == pytest.approx(9.0)
-        new_cert = optimal_kframe_bounds(fam.scaled(1.0 / math.sqrt(cert.A)), K)
+        new_cert = optimal_kframe_bounds(FrameFamily(fam.vectors / math.sqrt(cert.A), model), K)
         assert new_cert.parseval and new_cert.A == pytest.approx(1.0)
 
 
@@ -563,7 +563,7 @@ class TestScaleInvariantRankRules:
 
     @pytest.mark.parametrize("scale", [3e-6, 1.0, 1e6])
     def test_frame_dual_and_restriction(self, r3_instance, scale):
-        fam = r3_instance["family"].scaled(scale)
+        fam = FrameFamily(scale * r3_instance["family"].vectors, r3_instance["model"])
         assert optimal_frame_bounds(fam).A == pytest.approx(2.0 * scale**2, rel=1e-9)
         worst, _ = reconstruction_residual(fam)  # S_c invertible
         assert worst <= 1e-12

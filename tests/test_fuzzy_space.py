@@ -168,7 +168,7 @@ class TestAxioms:
     def test_profiles_pass(self, profile):
         model = FuzzyModel(BaseSpace(3, "complex"), profile)
         report = check_fip_axioms(model, sample_count=1000, seed=0)
-        assert report.all_passed, [r.axiom for r in report.failed()]
+        assert report.all_passed, [r.axiom for r in report.results if not r.passed]
 
     def test_corrupted_profile_reports_fip5_fip6(self):
         class Corrupted(FuzzyModel):
@@ -181,7 +181,7 @@ class TestAxioms:
 
         model = Corrupted(BaseSpace(3, "real"), "scaled")
         report = check_fip_axioms(model, sample_count=200, seed=1)
-        failed = {r.axiom for r in report.failed()}
+        failed = {r.axiom for r in report.results if not r.passed}
         assert "FIP5" in failed and "FIP6" in failed
 
     def test_sample_count_validation(self):
@@ -233,7 +233,7 @@ class TestWholeArrayAxioms:
     def test_corrupted_models_fail_their_axioms(self):
         space = BaseSpace(3, "complex")
         asym = check_fip_axioms(Asymmetric(space, "scaled"), 200, seed=3)
-        assert {"FIP1", "FIP3"} <= {r.axiom for r in asym.failed()}
+        assert {"FIP1", "FIP3"} <= {r.axiom for r in asym.results if not r.passed}
         # complex t lies off the axis, where both sides vanish: the positive
         # real sub-check is the first to fire
         fip3 = asym.results[2]
@@ -291,7 +291,8 @@ class TestOrthonormality:
         # <e_1, e_1>_0.8 = scale(0.8) = 4, so the frame sum is 4 ||f||_a^2
         fam = FrameFamily(np.eye(3), SCALED_R3)
         assert not optimal_frame_bounds(fam, "squared").alpha_independent
-        failure = verify_bounds(fam, 1.0, 1.0, None, [0.8], "squared").first_failure()
+        checks = verify_bounds(fam, 1.0, 1.0, None, [0.8], "squared").checks
+        failure = next(c for c in checks if not c.ok)
         assert failure.side == "upper" and failure.margin == pytest.approx(1.0 - 4.0)
 
     def test_expansion_standard_basis(self):
