@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -143,13 +143,6 @@ def _real(value: Any, what: str) -> float:
     if not math.isfinite(x):
         raise ProblemError(f"{what} must be finite, got {value!r}")
     return x
-
-
-def _tolerance(value: Any, what: str) -> float:
-    tolerance = _real(value, what)
-    if not tolerance > 0.0:
-        raise ProblemError(f"{what} must be positive")
-    return tolerance
 
 
 #: the largest magnitude up to which a double holds every integer
@@ -320,7 +313,9 @@ def parse_problem(data: Any) -> Problem:
     if convention not in ("once", "squared"):
         raise ProblemError(f"'convention' must be 'once' or 'squared', got {convention!r}")
 
-    tolerance = _tolerance(data.get("tolerance", PSD_TOL), "'tolerance'")
+    tolerance = _real(data.get("tolerance", PSD_TOL), "'tolerance'")
+    if not tolerance > 0.0:
+        raise ProblemError("'tolerance' must be positive")
 
     command = data.get("command", "bounds")
     if not isinstance(command, str) or command not in COMMANDS:
@@ -772,7 +767,7 @@ def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
             "witness": _unit(exc.witness),
         }
     body = {"max_residual": worst, "alphas": list(p.alphas)}
-    # rounding allows n eps cond(S_c) on top of the tolerance; ||I|| = 1
+    # rounding allows n eps cond(F) on top of the tolerance; ||I|| = 1
     ok = within_tolerance(worst - p.dimension * EPS * cond, p.tolerance, 1.0)
     return ("pass" if ok else "fail"), body
 
@@ -942,7 +937,9 @@ def run_file(
     command: Optional[str] = None,
     overrides: Optional[dict] = None,
 ) -> tuple[dict, int]:
-    """Load, validate, and execute one problem file."""
+    """Load, validate, and execute one problem file.  ``overrides`` (the
+    command-line options; None values are ignored) replace the file's
+    entries before parse_problem validates them."""
     try:
         raw = _decode(Path(path).read_bytes())
     except FileNotFoundError:
@@ -951,26 +948,14 @@ def run_file(
         return _error_report(path, f"cannot read {path}: {exc.strerror or exc}"), EXIT_ERROR
     except (ValueError, RecursionError) as exc:  # JSON, text encoding or nesting depth
         return _error_report(path, f"malformed JSON: {exc}"), EXIT_ERROR
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     try:
         problem = parse_problem(raw)
-        if overrides:
-            problem = _apply_overrides(problem, overrides)
         cmd = command or problem.command
         return run_command(cmd, problem, str(path))
     except ProblemError as exc:
         return _error_report(path, str(exc)), EXIT_ERROR
-
-
-def _apply_overrides(problem: Problem, overrides: dict) -> Problem:
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if "alphas" in clean:
-        for a in clean["alphas"]:
-            if not 0.0 < a < 1.0:
-                raise ProblemError(f"alpha override {a} outside (0, 1)")
-        clean["alphas"] = tuple(clean["alphas"])
-    if "tolerance" in clean:
-        clean["tolerance"] = _tolerance(clean["tolerance"], "tolerance override")
-    return replace(problem, **clean)
 
 
 def _error_report(path, message: str) -> dict:
@@ -1051,6 +1036,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _levels(text: str) -> list[float]:
+    """The numbers of --alpha, for parse_problem to check as 'alphas'."""
+    return [float(a) for a in text.split(",") if a]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -1059,7 +1049,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--alpha", help="comma-separated levels in (0,1)")
+        sp.add_argument("--alpha", type=_levels, help="comma-separated levels in (0,1)")
         sp.add_argument("--convention", choices=["once", "squared"])
         sp.add_argument("--seed", type=int)
         sp.add_argument("--tol", type=float)
@@ -1110,20 +1100,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(canonical_json(result) + "\n", args.out)
         return code
 
-    overrides: dict = {
+    overrides = {
+        "alphas": args.alpha,
         "convention": args.convention,
         "seed": args.seed,
         "tolerance": args.tol,
     }
-    if args.alpha:
-        try:
-            overrides["alphas"] = [float(a) for a in args.alpha.split(",") if a]
-        except ValueError:
-            _emit(
-                canonical_json({"verdict": "error", "error": "bad --alpha list"}) + "\n",
-                args.out,
-            )
-            return EXIT_ERROR
     report, code = run_file(args.file, args.subcommand, overrides)
     if args.format == "text":
         _emit(_format_text(report), args.out)

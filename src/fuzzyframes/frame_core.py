@@ -33,14 +33,13 @@ from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
     RangeInclusionError,
+    _Douglas,
     _douglas,
-    _douglas_sup,
     _finite,
     _frobenius,
     _gram,
     _order_decision,
     _rank,
-    _thin_svd,
     as_matrix,
     spectral_norm,
     within_tolerance,
@@ -215,14 +214,14 @@ def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
     return u, s
 
 
-def _upper_bound(s: np.ndarray) -> float:
-    """B = sigma_max(F)^2 = ||S_c||; OverflowError naming S_c when B
-    overflows, as in classical_frame_operator, or rounds to 0 for F != 0."""
-    top = float(s[0])
-    b = _finite(_S_C, lambda: top * top)
-    if b == 0.0 < top:
-        raise OverflowError(f"{_S_C} underflows a double: sigma_max(F)^2 rounds to 0")
-    return b
+def _squared(sigma: float, extreme: str) -> float:
+    """The frame bound sigma^2 for sigma = sigma_max(F) (B = ||S_c||) or
+    sigma_min(F) (A); OverflowError naming S_c when it overflows, as in
+    classical_frame_operator, or rounds to 0 although sigma > 0."""
+    bound = _finite(_S_C, lambda: sigma * sigma)
+    if bound == 0.0 < sigma:
+        raise OverflowError(f"{_S_C} underflows a double: sigma_{extreme}(F)^2 rounds to 0")
+    return bound
 
 
 def optimal_frame_bounds(
@@ -241,8 +240,8 @@ def _frame_bounds(
     family: FrameFamily, convention: str, u: np.ndarray, s: np.ndarray
 ) -> BoundCertificate:
     """optimal_frame_bounds from the left singular pairs (u square, s) of F."""
-    b = _upper_bound(s)
-    a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
+    b = _squared(float(s[0]), "max")
+    a = _squared(float(s[-1]), "min") if _rank(s) == family.dimension else 0.0
     kind = "frame" if a > 0.0 else "bessel"
     tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
     parseval = tight and abs(a - 1.0) <= TIGHT_TOL
@@ -292,31 +291,31 @@ def _kframe_bounds(
     u: np.ndarray,
     s: np.ndarray,
     tol: float = PSD_TOL,
-) -> tuple[BoundCertificate, float]:
+) -> tuple[BoundCertificate, _Douglas]:
     """optimal_kframe_bounds from the left singular pairs (u, s) of F, and
-    the inclusion residual of range(K) in range(F).  Tight means S_c = A K
-    K*, that is W W* = I / A: the r = rank F singular values of W agree."""
-    sup, witness, sq, residual = _douglas_sup(k, u, s, tol, "W W* for W = F^+ K")
-    if sup == math.inf:  # some f with K*f != 0 has zero frame sum
+    Douglas's lemma for K against F behind it.  Tight means S_c = A K K*,
+    that is W W* = I / A: the r = rank F singular values of W agree."""
+    d = _douglas(k, u, s, tol, "W = F^+ K")
+    if not d.included:  # some f with K*f != 0 has zero frame sum
         a = 0.0
     elif not k.any():  # K = 0: the lower inequality is vacuous
         a = math.inf
     else:  # ||F^+ K||^2 may underflow to 0
-        a = _finite("the K-frame bound A = 1 / ||F^+ K||^2", lambda: 1.0 / sup)
-    tight = 0.0 < a < math.inf and float(sq[0]) >= (1.0 - TIGHT_TOL) * float(sq[-1])
+        a = _finite("the K-frame bound A = 1 / ||F^+ K||^2", lambda: 1.0 / d.sup)
+    tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
     parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     cert = BoundCertificate(
         kind="k_frame",
         A=a,
-        B=_upper_bound(s),
+        B=_squared(float(s[0]), "max"),
         alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
-        witness_lower=witness,
+        witness_lower=d.witness,
         witness_upper=u[:, 0],
         tight=tight,
         parseval=parseval,
     )
-    return cert, residual
+    return cert, d
 
 
 def _optimal_bounds(
@@ -371,10 +370,14 @@ def verify_bounds(
     crisp profile) share one pair of PSD checks but are each listed.
     The first failing level yields the eigen-witness.  Each check allows
     the slack tol * max(max|diag P|, max|diag Q|) for its sides P <= Q.
+    A = inf is the vacuous bound of K = 0; for any other K it is a lower
+    bound past the double range and raises OverflowError.
     """
     _check_convention(convention)
-    if not (A >= 0.0 or math.isinf(A)) or B < 0.0:
+    if not A >= 0.0 or B < 0.0:
         raise ValueError("bounds must be nonnegative")
+    if A == math.inf and (K is None or np.any(K)):
+        raise OverflowError("the lower bound A overflows a double (K is not zero)")
     s = classical_frame_operator(family)
     n = family.dimension
     eye = np.eye(n)
@@ -390,7 +393,7 @@ def verify_bounds(
         if extra not in decided:
             s_eff = s if extra == 1.0 else _finite("scale(a) S_c", lambda: extra * s)
             # both differences are Hermitian as built: no symmetrizing
-            if math.isinf(A):  # vacuous lower inequality (zero operator)
+            if A == math.inf:  # vacuous lower inequality (zero operator)
                 lower = (True, None, math.inf)
             else:
                 diff = _finite("A K K*", lambda: s_eff - A * gram)
@@ -448,14 +451,16 @@ def atomic_coefficients(
     Requires range(K) inside range(F); otherwise the family is not an
     atomic system for K and a RangeInclusionError carries the residual.
     """
-    k = as_matrix(K)
+    k = _operator_on(K, family.dimension)
     F = synthesis_matrix(family)
-    included, residual, coefficients, _ = _douglas(k, F, tol)
-    if not included:
-        raise RangeInclusionError("not an atomic system for K", residual)
+    u, s, vh = np.linalg.svd(F, full_matrices=False)
+    d = _douglas(k, u, s, tol, "W = F^+ K")
+    if not d.included:
+        raise RangeInclusionError("not an atomic system for K", d.residual)
+    coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
     fvec = family.model.check_vector(f)
     beta = coefficients @ fvec
-    C = spectral_norm(coefficients)
+    C = d.norm
     rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
     norm_beta, bound = float(np.linalg.norm(beta)), C * float(np.linalg.norm(fvec))
     norm_ok = within_tolerance(norm_beta - bound, tol, max(norm_beta, bound))
@@ -491,21 +496,20 @@ def atomic_system_equivalence_check(
     k = _operator_on(K, family.dimension)
     F = synthesis_matrix(family)
     u, s, vh = np.linalg.svd(F, full_matrices=False)
-    cert, residual = _kframe_bounds(family, k, "once", u, s, tol)
+    cert, d = _kframe_bounds(family, k, "once", u, s, tol)
     C: Optional[float] = None
     verification: Optional[VerificationResult] = None
     rec_residual: Optional[float] = None
     if cert.A > 0.0:  # +inf (K = 0) counts as holding
         C = 1.0 / math.sqrt(cert.A)
-        r = _rank(s)  # F^dagger K = v_r s_r^-1 u_r* K is finite, as W W* is
-        coefficients = vh[:r].conj().T @ ((u[:, :r].conj().T @ k) / s[:r, None])
+        coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
         rec_residual = _frobenius(k - F @ coefficients)
         verification = verify_bounds(family, cert.A, cert.B, k, alphas, tol=tol)
     return EquivalenceReport(
         certificate=cert,
         atomic_holds=cert.A > 0.0,  # range(K) lies in range(F)
         C=C,
-        projection_residual=residual,
+        projection_residual=d.residual,
         verification=verification,
         reconstruction_residual=rec_residual,
     )
@@ -548,20 +552,21 @@ def restricted_inverse_check(
     if not (math.isfinite(cert.A) and cert.A > 0.0):
         raise ValueError("not applicable: family is not a K-frame (lower bound 0)")
     s = classical_frame_operator(family)
-    q, k_sv, _ = _thin_svd(k)
-    if q.shape[1] == 0:
+    q, k_sv, _ = np.linalg.svd(k)
+    r = _rank(k_sv)
+    if r == 0:
         raise ValueError("operator K is zero; restriction is empty")
 
     def compressed(m: np.ndarray) -> tuple[np.ndarray, float]:
         """Q* m Q, symmetrized, and its max|diag|, the size of that side."""
-        c = q.conj().T @ m @ q
+        c = q[:, :r].conj().T @ m @ q[:, :r]
         c = 0.5 * (c + c.conj().T)
         return c, float(np.abs(c.diagonal()).max())
 
     c1, top1 = compressed(s)
     cw = np.linalg.eigvalsh(c1)
     injective = bool(cw[0] > RELATIVE_RANK_TOL * float(cw[-1]))
-    dagger_norm = 1.0 / float(k_sv[-1])  # ||K+||: K's smallest kept singular value
+    dagger_norm = 1.0 / float(k_sv[r - 1])  # ||K+||: K's smallest kept singular value
     a, b = cert.A / dagger_norm**2, cert.B
     low, high = float(cw[0]), float(cw[-1])
     # (excess, scale) of each inequality P <= Q, scaled as an order decision
@@ -582,32 +587,24 @@ def restricted_inverse_check(
     )
 
 
-def _canonical_dual(family: FrameFamily) -> tuple[np.ndarray, np.ndarray, float]:
-    """(F, S_c^-1 F, cond(S_c)): the synthesis matrix, the canonical dual
-    vectors as columns and the condition number of S_c.  A singular S_c
-    raises with a unit kernel witness."""
-    s = classical_frame_operator(family)
-    w = np.linalg.eigvalsh(s)
-    if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):  # the vectors only for the witness
-        w, v = np.linalg.eigh(s)
-        if w[0] <= RELATIVE_RANK_TOL * float(w[-1]):
-            raise SingularFrameOperatorError(
-                "frame operator is singular; no dual reconstruction", _unit(v[:, 0])
-            )
-    F = synthesis_matrix(family)
-    return F, np.linalg.solve(s, F), float(w[-1] / w[0])
-
-
 def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
     """Worst residual of both dual expansions over unit f, at every level,
-    and the condition number of S_c.
+    and the condition number of F, from one SVD F = u diag(s) vh.
 
-    The two expansions apply F (S^-1 F)* and S^-1 F F*, which are adjoints
-    of each other, so both worst residuals equal ||F (S^-1 F)* - I||.  In
-    floating point that residual is only known up to about n * eps *
-    cond(S_c) (n the dimension), so a tolerance on it must include that
-    term.  A singular S_c raises SingularFrameOperatorError with a unit
-    kernel witness.
+    S_c is singular exactly when F has rank below n (n the dimension), as
+    for A = 0 in optimal_frame_bounds; SingularFrameOperatorError then
+    carries the unit kernel witness u[:, -1].  Otherwise the dual vectors
+    S_c^-1 f_i are the columns of u (vh / s).  The two expansions apply
+    F (S^-1 F)* and its adjoint, so both worst residuals equal
+    ||F (S^-1 F)* - I||, known only up to about n * eps * cond(F).
     """
-    F, dual, cond = _canonical_dual(family)
-    return spectral_norm(F @ dual.conj().T - np.eye(F.shape[0])), cond
+    F = synthesis_matrix(family)
+    n, m = F.shape
+    u, s, vh = np.linalg.svd(F, full_matrices=m < n)  # u square
+    _squared(float(s[0]), "max")  # S_c past the double range, as in bounds
+    if _rank(s) < n:
+        raise SingularFrameOperatorError(
+            "frame operator is singular; no dual reconstruction", u[:, -1]
+        )
+    dual = u @ (vh / s[:, None])
+    return spectral_norm(F @ dual.conj().T - np.eye(n)), float(s[0] / s[-1])

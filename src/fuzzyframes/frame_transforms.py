@@ -35,6 +35,7 @@ from .operator_algebra import (
     RELATIVE_RANK_TOL,
     RangeInclusionError,
     _finite,
+    _frobenius,
     _gram,
     as_matrix,
     douglas_lambda,
@@ -262,9 +263,9 @@ def bessel_pair_kframe(
         raise ValueError("families must share a coefficient space")
     bessel_f = optimal_frame_bounds(F, convention)
     bessel_g = optimal_frame_bounds(G, convention)
-    residual = spectral_norm(tf @ tg.conj().T - k)
-    # ||T_F|| ||T_G|| = sqrt(B_F B_G) bounds the size of T_F T_G*
-    if not within_tolerance(residual, tol, math.sqrt(bessel_f.B) * math.sqrt(bessel_g.B)):
+    residual = _frobenius(tf @ tg.conj().T - k)
+    # ||T_F||_F ||T_G||_F bounds the size of T_F T_G*
+    if not within_tolerance(residual, tol, _frobenius(tf) * _frobenius(tg)):
         raise ValueError(
             f"synthesis factorization does not reproduce K (residual {residual:.3e})"
         )
@@ -309,9 +310,10 @@ def transform_family(
     invertible variant:  bounds (A ||T^-1||^-2, B ||T||^2), T full rank;
     coisometry variant:  bounds (A, B ||T||^2) with T T* = I.
 
-    Commutation T K = K T is a hypothesis; its failure is an error.  A
-    commutator or co-isometry Gram matrix T T* that overflows a double
-    raises OverflowError.
+    Commutation T K = K T is a hypothesis; its failure is an error.  It and
+    T T* = I are decided in Frobenius norms, against ||T||_F ||K||_F and
+    max(||T T*||_F, ||I||_F).  A commutator or co-isometry Gram matrix T T*
+    that overflows a double raises OverflowError.
     """
     if variant not in ("invertible", "coisometry"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -319,8 +321,8 @@ def transform_family(
     k = as_matrix(K)
     sv = np.linalg.svd(t, compute_uv=False)  # ||T||, invertibility and ||T^-1||
     norm_t = float(sv[0])
-    comm = spectral_norm(_finite("the commutator T K - K T", lambda: t @ k - k @ t))
-    if not within_tolerance(comm, tol, norm_t * spectral_norm(k)):
+    comm = _frobenius(_finite("the commutator T K - K T", lambda: t @ k - k @ t))
+    if not within_tolerance(comm, tol, _frobenius(t) * _frobenius(k)):
         raise ValueError(f"T and K do not commute (residual {comm:.3e})")
     c = _kframe_cert(family, k, cert, tol)
 
@@ -331,8 +333,8 @@ def transform_family(
         lower = c.A / inv_norm**2
     else:
         gram = _finite("T T*", lambda: _gram(t))
-        res = spectral_norm(gram - np.eye(gram.shape[0]))
-        if not within_tolerance(res, tol, max(spectral_norm(gram), 1.0)):  # ||I|| = 1
+        res = _frobenius(gram - np.eye(gram.shape[0]))
+        if not within_tolerance(res, tol, max(_frobenius(gram), math.sqrt(gram.shape[0]))):
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")
         lower = c.A
     upper = c.B * norm_t**2

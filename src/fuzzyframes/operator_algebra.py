@@ -4,9 +4,10 @@ All spectral work is done through Hermitian eigendecompositions, QR, SVD
 and Cholesky factorizations of small dense matrices (desk scale, n <= 64).
 A majorization question is answered from the factor N, never from Gram
 matrices of both sides (Douglas's lemma): when range(M) is inside range(N),
-the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||, so the left
-singular pairs (u, s) of N give the inclusion residual, W = s^-1 u* M and
-lam = ||W||.
+the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||.  One helper,
+_douglas, reads it from the left singular pairs (u, s) of N: the inclusion
+residual, the coordinates s^-1 u* M of N^dagger M and lam^2 with its
+witness; every range inclusion and K-frame bound goes through it.
 
 Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
@@ -164,7 +165,9 @@ def _finite(what: str, compute):
             value = compute()
         except ArithmeticError:
             value = math.inf
-    if not np.isfinite(value).all():
+    # math.isfinite decides a Python float about 50 times faster than numpy
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not finite:
         raise OverflowError(f"{what} overflows a double")
     return value
 
@@ -247,15 +250,6 @@ def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
     return int(np.sum(s > rtol * s[0])) if len(s) else 0
 
 
-def _thin_svd(
-    T: np.ndarray, rtol: float = RELATIVE_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, s, vh) of the thin SVD of T, cut to its numerical rank."""
-    u, s, vh = np.linalg.svd(as_matrix(T), full_matrices=False)
-    rank = _rank(s, rtol)
-    return u[:, :rank], s[:rank], vh[:rank]
-
-
 def _frobenius(m: np.ndarray) -> float:
     """||m||_F, scaled by max|m_ij| first so that no square overflows; a
     complex m part by part, as numpy's complex division by a subnormal
@@ -285,53 +279,75 @@ def _coordinates(
     return within_tolerance(excess, tol, scale), residual, z, outside
 
 
+@dataclass(frozen=True)
+class _Douglas:
+    """Douglas's lemma for M against N, as _douglas reads it.
+
+    ``included`` and ``residual`` decide range(M) inside range(N) (see
+    _coordinates).  With the inclusion, ``z`` = s_r^-1 u_r* M are the
+    coordinates of N^dagger M = V_r z (V_r the right singular vectors of N
+    kept by the rank cut) and ``sq`` the ascending eigenvalues of z z* /
+    c^2 (c a power of two).  Without it z is None and sq is empty.
+    """
+
+    included: bool
+    residual: float
+    z: Optional[np.ndarray]
+    sq: np.ndarray
+    _c: float
+    _what: str
+    #: the witness with the inclusion, else the part of M outside range(N)
+    _found: Optional[np.ndarray]
+
+    @property
+    def sup(self) -> float:
+        """||N^dagger M||^2, the sup of ||M* f||^2 / ||N* f||^2 over N* f
+        != 0; +inf without the inclusion.  One past the double range raises
+        an OverflowError naming W W*."""
+        top = self._c * self._c * float(self.sq[-1]) if len(self.sq) else 0.0
+        return _finite(f"W W* for {self._what}", lambda: top) if self.included else math.inf
+
+    @property
+    def norm(self) -> float:
+        """||N^dagger M|| = ||z||, computed without squaring it; +inf without
+        the inclusion."""
+        top = self._c * math.sqrt(float(self.sq[-1])) if len(self.sq) else 0.0
+        return _finite(f"the factor {self._what}", lambda: top) if self.included else math.inf
+
+    @property
+    def witness(self) -> Optional[np.ndarray]:
+        """A unit f attaining sup: u_r s_r^-1 y for the top eigenvector y of
+        z z*, None for M = 0.  Without the inclusion, the f outside range(N)
+        with the largest ||M* f||, from one SVD run at each access."""
+        if self.included:
+            return self._found
+        return np.linalg.svd(self._found)[0][:, 0]
+
+
 def _douglas(
-    M: np.ndarray, N: np.ndarray, tol: float
-) -> tuple[bool, float, np.ndarray, float]:
-    """Decide M = N W from one thin SVD of N.
-
-    Returns (included, residual, W, ||N||) with residual = ||(I - N N^dagger)
-    M||_F / ||M||_F (0 for M = 0, and when N has full row rank),
-    included = residual <= tol and W = N^dagger M.  A W that overflows (tiny
-    singular values of N against a large M) raises OverflowError.
-    """
-    m = as_matrix(M)
-    n = as_matrix(N)
-    if m.shape[0] != n.shape[0]:
-        raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
-    u, s, vh = _thin_svd(n)
-    included, residual, z, _ = _coordinates(m, u, tol)
-    w = _finite("the factor W = N^+ M", lambda: vh.conj().T @ (z / s[:, None]))
-    return included, residual, w, float(s[0]) if len(s) else 0.0
-
-
-def _douglas_sup(
     M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float, what: str
-) -> tuple[float, Optional[np.ndarray], np.ndarray, float]:
-    """(sup, witness, sq, residual): the sup of ||M* f||^2 / ||N* f||^2 over
-    N* f != 0, from the left singular pairs (u, s) of N.
-
-    With range(M) inside range(N) (see _coordinates for the residual) it is
-    ||N^dagger M||^2, the top of sq, the ascending eigenvalues of W W* for
-    W = s^-1 u* M; the witness u s^-1 y (y the top eigenvector) attains it,
-    and M = 0 gives (0, None).  Otherwise sup = +inf and the witness is the
-    f outside range(N) with the largest ||M* f||.  A W W* that overflows
-    raises an OverflowError naming ``what``.
-    """
+) -> _Douglas:
+    """Douglas's lemma (Douglas 1966) for M against N, from the left
+    singular pairs (u, s) of N, s descending, cut by _rank.  One eigh of
+    z z* gives sup, norm and the witness.  ``what`` names the factor W =
+    N^dagger M: a z that overflows raises an OverflowError naming it."""
     r = _rank(s)
     u, s = u[:, :r], s[:r]
     included, residual, z, outside = _coordinates(M, u, tol)
     if not included:
-        f = np.linalg.svd(outside)[0][:, 0]
-        return math.inf, f, np.empty(0), residual
-    sq, vecs = np.linalg.eigh(_finite(what, lambda: _gram(z / s[:, None])))
-    top = float(sq[-1]) if len(sq) else 0.0
-    if top <= 0.0:
-        return 0.0, None, sq, residual
+        return _Douglas(False, residual, None, np.empty(0), 1.0, what, outside)
+    z = _finite(f"the factor {what}", lambda: z / s[:, None])
+    # the power of two c = 2^e scales z exactly into [-2, 2] (a normal 1 / c
+    # also for a subnormal z), so z z* / c^2 neither overflows nor underflows
+    e = min(max(math.frexp(float(np.abs(z).max(initial=0.0)))[1], -1021), 1023)
+    c = math.ldexp(1.0, e)
+    sq, vecs = np.linalg.eigh(_gram(z * math.ldexp(1.0, -e)))
+    if not len(sq) or sq[-1] <= 0.0:
+        return _Douglas(True, residual, z, sq, c, what, None)
     # u s^-1 y scaled by s_min: no entry exceeds |y|, and the rank cut keeps
     # s_min / s_max >= RELATIVE_RANK_TOL, so nothing overflows or underflows
     f = u @ (vecs[:, -1] * (s[-1] / s))
-    return top, f / np.linalg.norm(f), sq, residual
+    return _Douglas(True, residual, z, sq, c, what, f / np.linalg.norm(f))
 
 
 def douglas_lambda(
@@ -342,19 +358,16 @@ def douglas_lambda(
     Requires range(M) subseteq range(N); without it no finite lam exists and
     a RangeInclusionError is raised.
     """
-    included, residual, w, _ = _douglas(M, N, tol)
-    if not included:
-        raise RangeInclusionError("range(M) is not contained in range(N)", residual)
-    return spectral_norm(w)
+    return douglas_factorize(M, N, tol).lam
 
 
 @dataclass(frozen=True)
 class FactorizationResult:
     lam: float
     W: np.ndarray
-    #: ||N W - M||
+    #: ||N W - M||_F
     residual: float
-    #: ||(I - N N^dagger) M|| / ||M|| from the range-inclusion test
+    #: ||(I - N N^dagger) M||_F / ||M||_F from the range-inclusion test
     projection_residual: float
     #: ||N||, the largest singular value of N
     norm_N: float
@@ -365,17 +378,23 @@ def douglas_factorize(
 ) -> FactorizationResult:
     """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||.
 
-    Range inclusion is a hypothesis; its failure raises RangeInclusionError
+    One SVD of N feeds _douglas: W = V_r z and lam = ||z||.  Range
+    inclusion is a hypothesis; its failure raises RangeInclusionError
     carrying the projection residual.  Rounding leaves a residual of about
     n * eps * ||N|| * ||W|| (n the dimension).
     """
-    included, projection, w, norm_n = _douglas(M, N, tol)
-    if not included:
-        raise RangeInclusionError("cannot factor through N", projection)
+    m, n = as_matrix(M), as_matrix(N)
+    if m.shape[0] != n.shape[0]:
+        raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
+    u, s, vh = np.linalg.svd(n, full_matrices=False)
+    d = _douglas(m, u, s, tol, "W = N^+ M")
+    if not d.included:
+        raise RangeInclusionError("range(M) is not contained in range(N)", d.residual)
+    w = vh[: len(d.z)].conj().T @ d.z
     return FactorizationResult(
-        lam=spectral_norm(w),
+        lam=d.norm,
         W=w,
-        residual=spectral_norm(as_matrix(N) @ w - as_matrix(M)),
-        projection_residual=projection,
-        norm_N=norm_n,
+        residual=_frobenius(_finite("the residual N W - M", lambda: n @ w - m)),
+        projection_residual=d.residual,
+        norm_N=float(s[0]) if len(s) else 0.0,
     )

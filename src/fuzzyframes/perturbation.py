@@ -42,7 +42,7 @@ from .frame_core import (
 )
 from .operator_algebra import (
     PSD_TOL,
-    _douglas_sup,
+    _douglas,
     _finite,
     _gram,
     as_matrix,
@@ -261,11 +261,10 @@ def _family_constant(
         raise ValueError("families must have equal lengths and spaces")
     d = (F.vectors - G.vectors).T
     svd_f, svd_g = _synthesis_svd(F), _synthesis_svd(G)
-    sups = [
-        _douglas_sup(d, *svd, tol, f"W W* for W = {name}^+ D")[:2]
-        for name, svd in (("F", svd_f), ("G", svd_g))
-    ]
-    value, witness = max(sups, key=lambda sup: sup[0])  # F's on a tie
+    sides = [_douglas(d, *svd, tol, f"W = {n}^+ D") for n, svd in (("F", svd_f), ("G", svd_g))]
+    # F's on a tie; sup is read once per side
+    value, side = max(((side.sup, side) for side in sides), key=lambda pair: pair[0])
+    witness = side.witness
     if value == math.inf:
         return FamilyPerturbation(math.inf, False, witness, False), svd_f, svd_g
     return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f, svd_g

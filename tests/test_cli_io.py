@@ -17,6 +17,7 @@ import fuzzyframes
 from conftest import reference_canonical_json, reference_whole_array
 from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
+from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
 from fuzzyframes.cli_io import (
     COMMANDS,
     EXIT_ERROR,
@@ -906,24 +907,75 @@ class TestCommands:
         assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
 
     def test_invertible_transform_one_svd_of_t(self, tmp_path, linalg_calls):
-        # the SVD of T gives ||T||, invertibility and ||T^-1||; the other SVDs
-        # are ||K|| of the commutation test and F's in the K-frame bounds
+        # the SVD of T gives ||T||, invertibility and ||T^-1||; the other SVD
+        # is F's in the K-frame bounds (the commutation test is Frobenius)
         data = load(R3_FILE)
         data.update(command="transform", variant="invertible", operator_T=np.eye(3).tolist())
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
         assert code == EXIT_PASS
-        assert linalg_calls["svd"] == 3
+        assert linalg_calls["svd"] == 2
+
+    @pytest.mark.parametrize("variant", ["invertible", "coisometry"])
+    def test_transform_variant_decomposition_budget(self, variant, tmp_path, linalg_calls):
+        # the SVD of T and the SVD of F; the hypothesis tests are Frobenius
+        data = load(R3_FILE)
+        data.update(command="transform", variant=variant, operator_T=np.eye(3).tolist())
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_PASS and report["body"]["variant"] == variant
+        assert linalg_calls["svd"] == 2
 
     def test_douglas_decomposition_budget(self, tmp_path, linalg_calls):
+        # the SVD of N and eigh(W W*) for lambda; the residual is Frobenius
         data = load(R3_FILE)
         data["operator_T"] = (0.5 * R3_K).tolist()
         path = tmp_path / "douglas.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path, command="douglas")
         assert code == EXIT_PASS
-        assert sum(linalg_calls.values()) <= 4
+        assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
+
+    def test_douglas_escape_decomposition_budget(self, tmp_path, linalg_calls):
+        # e3 escapes range(K): the SVD of N decides, and the report prints no
+        # witness, so none is computed
+        data = load(R3_FILE)
+        data["operator_T"] = np.eye(3).tolist()
+        path = tmp_path / "douglas.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command="douglas")
+        assert code == EXIT_FAIL and report["body"]["inclusion"] is False
+        assert dict(linalg_calls) == {"svd": 1}
+
+    @pytest.mark.parametrize("path, verdict", [(R3_FILE, "pass"), (C3_FILE, "not_applicable")])
+    def test_reconstruct_decomposition_budget(self, path, verdict, linalg_calls):
+        # one SVD of F decides and builds the dual, one more gives the exact
+        # residual norm; S_c is never decomposed or solved
+        report, _ = run_file(path, command="reconstruct")
+        assert report["verdict"] == verdict
+        assert set(linalg_calls) == {"svd"} and linalg_calls["svd"] <= 2
+
+    @pytest.mark.parametrize("power", [-40, 0, 40])
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-9, 1e-11])
+    def test_reconstruct_and_bounds_share_the_rank_rule(self, ratio, power):
+        # singular values 2^power (1, ratio) along rotated axes, as three
+        # vectors: reconstruct is not_applicable exactly when bounds finds a
+        # Bessel family, and both print the same kernel witness
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        f = 2.0**power * rotation @ np.diag([1.0, ratio]) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        problem = parse_problem({"dimension": 2, "family": f.T.tolist()})
+        bounds, _ = run_command("bounds", problem)
+        reconstruct, code = run_command("reconstruct", problem)
+        cert = bounds["body"]["optimal_frame"]
+        assert (cert["kind"] == "bessel") == (reconstruct["verdict"] == "not_applicable")
+        assert (cert["kind"] == "bessel") == (ratio < RELATIVE_RANK_TOL)
+        if cert["kind"] == "bessel":
+            overlap = abs(np.vdot(cert["witness_lower"], reconstruct["body"]["witness"]))
+            assert overlap == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert code == EXIT_PASS and reconstruct["verdict"] == "pass"
 
     @pytest.mark.parametrize(
         "N, M, lam",
@@ -1048,8 +1100,8 @@ class TestCommands:
                 "profile": "scaled", "family": F.T.tolist(), **extra}
 
     def test_ill_conditioned_reconstruct_passes(self):
-        # exact residual ~1.8e-9 > tolerance 1e-9, inside n eps cond = 8.9e-8
-        problem = parse_problem(self._ill_conditioned("reconstruct", 1e-4))
+        # residual ~2.9e-9 > tolerance 1e-9, inside n eps cond(F) = 8.9e-8
+        problem = parse_problem(self._ill_conditioned("reconstruct", 1e-8))
         report, code = run_command("reconstruct", problem)
         assert report["body"]["max_residual"] > problem.tolerance
         assert code == EXIT_PASS
@@ -1283,14 +1335,37 @@ class TestMain:
         assert "pass: 2" in out and "erratum-flagged: 1" in out
 
     def test_main_bad_alpha_list(self, capsys):
+        # a word is a usage error, as it is for --tol; a number outside (0, 1)
+        # gets the message of a file's 'alphas' from parse_problem
         code = main(["bounds", str(R3_FILE), "--alpha", "0.1,zebra"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == "" and "--alpha" in captured.err
+        code = main(["bounds", str(R3_FILE), "--alpha", "0.1,1.5"])
+        report = json.loads(capsys.readouterr().out)
         assert code == EXIT_ERROR
+        assert report["error"] == "'alphas' entries must lie in (0, 1), got 1.5"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_main_bad_tolerance(self, tol, capsys):
+        # the messages a file's 'tolerance' gets from parse_problem
         code = main(["bounds", str(R3_FILE), "--tol", tol])
         report = json.loads(capsys.readouterr().out)
-        assert code == EXIT_ERROR and "tolerance" in report["error"]
+        finite = tol in ("-1", "0")
+        message = "must be positive" if finite else f"must be finite, got {tol}"
+        assert code == EXIT_ERROR and report["error"] == f"'tolerance' {message}"
+
+    @pytest.mark.parametrize("levels", [",", ""])
+    def test_main_empty_alpha_list_is_input_error(self, levels, tmp_path, capsys):
+        # the orthonormal basis of R^2 has A = B = 1, so bounds [5, 6] fail;
+        # an empty level list must not turn that into a pass with no check
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"command": "check-frame", "dimension": 2,
+                                    "family": [[1.0, 0.0], [0.0, 1.0]], "bounds": [5, 6]}))
+        assert main(["check-frame", str(path)]) == EXIT_FAIL
+        capsys.readouterr()
+        code = main(["check-frame", str(path), "--alpha", levels])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ERROR and report["error"] == "'alphas' must be a nonempty list"
 
     def test_exit_codes_match_verdicts(self):
         for path, expected in ((C3_FILE, "pass"), (CLAIM_FILE, "not_applicable")):

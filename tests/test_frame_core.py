@@ -586,7 +586,7 @@ class TestReconstruct:
         # through an independent inverse stay below it
         fam = r3_instance["family"]
         worst, cond = reconstruction_residual(fam)
-        assert worst <= 1e-9 and cond == pytest.approx(3.0)
+        assert worst <= 1e-9 and cond == pytest.approx(math.sqrt(3.0))
         F = synthesis_matrix(fam)
         for a in (0.2, 0.5, 0.9):
             s = fam.model.scale(a)

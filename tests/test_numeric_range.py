@@ -3,6 +3,7 @@ gives exit 2 with an error naming it, every other run a finite report, and
 no run warns or prints "nan"."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,27 @@ class TestReproducers:
         for command in ("check-kframe", "bounds"):
             report, code = _run({**data, "command": command})
             assert code == EXIT_ERROR and "S_c" in report["error"]
+
+    def test_underflowing_lower_frame_bound_is_input_error(self):
+        # sigma_min / sigma_max = 1e-8, a frame, but A = sigma_min(F)^2 =
+        # 1e-326 rounds to 0, which reported kind bessel and A = 0 with exit 0
+        data = {"dimension": 2, "family": [[1e-155, 0.0], [0.0, 1e-163]]}
+        for command in ("bounds", "check-frame"):
+            report, code = _run({**data, "command": command})
+            assert code == EXIT_ERROR and "S_c" in report["error"]
+            assert "sigma_min(F)^2" in report["error"]
+
+    def test_overflowing_derived_lower_bound_is_input_error(self):
+        # A sigma_min(T)^2 = 1e100 * 1e300 is inf for K != 0, which passed as
+        # the vacuous bound of K = 0 and printed "A": "inf" with exit 0
+        data = {"command": "transform", "dimension": 1, "family": [[1e-100]],
+                "operator_K": [[1e-150]], "operator_T": [[1e150]], "variant": "invertible"}
+        report, code = _run(data)
+        assert code == EXIT_ERROR and "lower bound A" in report["error"]
+        # the vacuous A = inf stays: K = 0, and lambda = 0 (T = 0) in a transfer
+        for vacuous in ({"operator_K": [[0.0]]}, {"operator_T": [[0.0]], "variant": None}):
+            report, code = _run({**data, **vacuous})
+            assert code == EXIT_PASS and report["body"]["derived"]["A"] == math.inf
 
     def test_douglas_witness_is_a_unit_vector(self):
         # W = diag(1, 2): the witness u s^-1 y is e2 / 1e-155, whose norm

@@ -271,12 +271,13 @@ class TestDecompositionCounts:
         assert cert.A == pytest.approx(3.0 / 4.0)
 
     def test_douglas_factorize_one_svd_of_n(self, linalg_calls):
-        # SVD of N, then the norms ||W|| and ||N W - M||; N has full row
-        # rank, so no inclusion residual is computed
+        # SVD of N, then eigh(W W*) for lambda = ||W||; the residual
+        # ||N W - M||_F needs no decomposition, and N has full row rank, so
+        # no inclusion residual is computed
         rng = np.random.default_rng(9)
         n = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
         douglas_factorize(rand_matrix(rng, 4, 4), n)
-        assert dict(linalg_calls) == {"svd": 3}
+        assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
 
 
 class TestDouglas:
