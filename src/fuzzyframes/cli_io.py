@@ -8,6 +8,9 @@ reports at any parallelism level.
 
 Exit codes: 0 verdict pass, 1 mathematical negative (fail or
 not_applicable, with witness where one exists), 2 input or usage error.
+
+Every problem is decided at unit scale (see parse_problem and _scaled): a
+reported bound or operator past the double range is an input error naming it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -30,7 +33,7 @@ import orjson
 from . import __version__
 from .fuzzy_space import MAX_DIMENSION, MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
-from .operator_algebra import _frobenius, within_tolerance
+from .operator_algebra import _ldexp, within_tolerance
 from .frame_core import (
     DEFAULT_ALPHAS,
     BoundCertificate,
@@ -42,7 +45,6 @@ from .frame_core import (
     _unit,
     atomic_system_equivalence_check,
     frame_sum,
-    optimal_frame_bounds,
     optimal_kframe_bounds,
     reconstruction_residual,
     verify_bounds,
@@ -88,12 +90,21 @@ class ProblemError(Exception):
 # Problem files
 
 
+#: the array operands of a problem file
+OPERANDS = ("family", "family_g", "operator_K", "operator_T")
+
+
 @dataclass(frozen=True)
 class Problem:
+    """A validated problem file.  Each array operand X, and each claim
+    vector, is held at unit scale, 2^-e X with e = exponents[name] (the
+    claim's "exponent"): its largest real or imaginary part is in [1/2, 1)."""
+
     dimension: int
     field: str
     profile: str
     family: np.ndarray
+    exponents: dict[str, int]
     family_g: Optional[np.ndarray] = None
     operator_K: Optional[np.ndarray] = None
     operator_T: Optional[np.ndarray] = None
@@ -116,20 +127,12 @@ class Problem:
     def frame_family(self) -> FrameFamily:
         return FrameFamily(self.family, self.model)
 
-    def second_family(self) -> FrameFamily:
-        if self.family_g is None:
-            raise ProblemError("this command needs a second family 'family_g'")
-        return FrameFamily(self.family_g, self.model)
-
-    def need_K(self) -> np.ndarray:
-        if self.operator_K is None:
-            raise ProblemError("this command needs 'operator_K'")
-        return self.operator_K
-
-    def need_T(self) -> np.ndarray:
-        if self.operator_T is None:
-            raise ProblemError("this command needs 'operator_T'")
-        return self.operator_T
+    def need(self, name: str) -> np.ndarray:
+        """The operand ``name``, which the command cannot do without."""
+        if getattr(self, name) is None:
+            what = "a second family 'family_g'" if name == "family_g" else f"'{name}'"
+            raise ProblemError(f"this command needs {what}")
+        return getattr(self, name)
 
 
 def _real(value: Any, what: str) -> float:
@@ -255,8 +258,15 @@ def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str
     return _parse_matrix_entries(rows, shape, field_name, where) if arr is None else arr
 
 
+def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e x, e), e the exponent of x's largest part (0 for x = 0); exact
+    but for entries 2^1022 and more below the largest."""
+    e = math.frexp(float(np.abs(np.ascontiguousarray(x).view(np.float64)).max(initial=0.0)))[1]
+    return _ldexp(x, -e), e
+
+
 def parse_problem(data: Any) -> Problem:
-    """Validate a decoded problem file into a Problem value."""
+    """Validate a decoded problem file into a Problem at unit scale."""
     if not isinstance(data, dict):
         raise ProblemError("problem file must be a JSON object")
     if data.get("schema", 1) != 1:
@@ -340,18 +350,21 @@ def parse_problem(data: Any) -> Problem:
         for entry in frame_sums:
             if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
                 raise ProblemError("frame_sum claims need 'vector' and 'value'")
-            vec = _parse_vector(entry["vector"], dim, fieldname, "claims.frame_sum.vector")
+            vec, e = _unit_scale(
+                _parse_vector(entry["vector"], dim, fieldname, "claims.frame_sum.vector")
+            )
             value = _real(entry["value"], "claims.frame_sum.value")
-            claims.append({"kind": "frame_sum", "vector": vec, "value": value})
+            claims.append({"kind": "frame_sum", "vector": vec, "exponent": e, "value": value})
 
+    operands, exponents = {}, {}
+    for name, x in zip(OPERANDS, (family, family_g, operator_K, operator_T)):
+        operands[name], exponents[name] = (None, 0) if x is None else _unit_scale(x)
     return Problem(
         dimension=dim,
         field=fieldname,
         profile=profile,
-        family=family,
-        family_g=family_g,
-        operator_K=operator_K,
-        operator_T=operator_T,
+        exponents=exponents,
+        **operands,
         alphas=alphas,
         bounds=bounds,
         convention=convention,
@@ -528,8 +541,8 @@ def problem_digest(problem: Problem) -> str:
 
     SHA-256 over the compact JSON, keys sorted, of the scalar fields with
     their numbers rounded by _fmt, then for each array its name, its shape
-    and the little-endian float64 bytes of its real and imaginary parts
-    rounded to 12 significant digits.
+    and the little-endian float64 bytes of its real and imaginary parts, at
+    the file's scale, rounded to 12 significant digits.
     """
     scalars = {
         "dimension": problem.dimension,
@@ -547,18 +560,14 @@ def problem_digest(problem: Problem) -> str:
         "samples": problem.samples,
         "claims": [{"kind": c["kind"], "value": _fmt(c["value"])} for c in problem.claims],
     }
-    arrays = {
-        "family": problem.family,
-        "family_g": problem.family_g,
-        "operator_K": problem.operator_K,
-        "operator_T": problem.operator_T,
-    }
+    arrays = {name: (getattr(problem, name), problem.exponents[name]) for name in OPERANDS}
     for i, c in enumerate(problem.claims):
-        arrays[f"claims[{i}].vector"] = c["vector"]
+        arrays[f"claims[{i}].vector"] = (c["vector"], c["exponent"])
     h = hashlib.sha256(json.dumps(scalars, sort_keys=True, separators=(",", ":")).encode())
-    for name, arr in arrays.items():
+    for name, (arr, e) in arrays.items():
         if arr is None:
             continue
+        arr = _ldexp(arr, e)
         h.update(f"\n{name}{list(arr.shape)}\n".encode())
         for part in (arr.real, arr.imag):
             if part.any():
@@ -568,7 +577,40 @@ def problem_digest(problem: Problem) -> str:
     return h.hexdigest()
 
 
-def _cert_dict(cert: BoundCertificate) -> dict:
+# ---------------------------------------------------------------------------
+# Command handlers: each returns (verdict, body), from operands held at unit
+# scale by the exponents f of F, g of G, k of K and t of T; the maps below
+# move every constant between the scales
+
+
+#: the largest exponent a requested constant keeps at unit scale
+BOUND_EXPONENT = 1000
+
+
+def _scaled(x, power: int, what: Optional[str]):
+    """x 2^power, correctly rounded, for a float or an array.  A margin or
+    residual (``what`` None) saturates to +-inf; a bound or operator past
+    the double range, or rounding to 0, raises OverflowError naming it."""
+    if isinstance(x, np.ndarray):
+        y = _ldexp(x, power)
+        if what is not None and not np.isfinite(y).all():
+            raise OverflowError(f"{what} overflows a double")
+        return y
+    try:
+        y = math.ldexp(x, power)
+    except OverflowError:
+        y = math.copysign(math.inf, x)
+    if what is not None and (y == 0.0 != x or math.isinf(y) and math.isfinite(x)):
+        raise OverflowError(f"{what} {'underflows' if y == 0.0 else 'overflows'} a double")
+    return y
+
+
+def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int) -> dict:
+    """The certificate at the caller's scale, A = cert.A 2^power_A and B =
+    cert.B 2^power_B, where Parseval (A = 1) is decided."""
+    lower = "1 / ||F^+ K||^2" if cert.kind == "k_frame" else "lambda_min(S_c) = sigma_min(F)^2"
+    B = _scaled(cert.B, power_B, "the upper bound B = ||S_c|| = sigma_max(F)^2")
+    cert = replace(cert, A=_scaled(cert.A, power_A, f"the lower bound A = {lower}"), B=B)
     return {
         "kind": cert.kind,
         "A": cert.A,
@@ -582,7 +624,16 @@ def _cert_dict(cert: BoundCertificate) -> dict:
     }
 
 
-def _verification_dict(res: VerificationResult) -> dict:
+def _derived(formula: str, A: float, power_A: int, B: float, power_B: int) -> dict:
+    """A derived pair at the caller's scale, A 2^power_A and B 2^power_B."""
+    return {
+        "A": _scaled(A, power_A, f"the derived lower bound {formula}"),
+        "B": _scaled(B, power_B, "the derived upper bound B'"),
+    }
+
+
+def _verification_dict(res: VerificationResult, power: int, left_out: int) -> dict:
+    """The verification, failing margins scaled by 2^power (lower ones 2^left_out more)."""
     return {
         "passed": res.passed,
         "checks_run": len(res.checks),
@@ -590,7 +641,7 @@ def _verification_dict(res: VerificationResult) -> dict:
             {
                 "alpha": c.alpha,
                 "side": c.side,
-                "margin": c.margin,
+                "margin": _scaled(c.margin, power + (left_out if c.side == "lower" else 0), None),
                 "witness": _unit(c.witness),
             }
             for c in res.checks
@@ -599,94 +650,106 @@ def _verification_dict(res: VerificationResult) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Command handlers: each returns (verdict, body)
+def _verify(p: Problem, family: FrameFamily, e: int, bounds: tuple, K, k: int) -> tuple[bool, dict]:
+    """verify_bounds of A = a 2^pa and B = b 2^pb, ((a, pa), (b, pb)) = bounds,
+    for F held at 2^-e and K at 2^-k.  At unit scale each keeps an exponent
+    of at most BOUND_EXPONENT: a held A dwarfs S_c, so its check and margin
+    are A K K*'s, linear in A; a held B exceeds ||S_c||.  A zero family holds
+    A at 2^-BOUND_EXPONENT or more, as its check is linear in A; otherwise
+    max diag S_c >= 1/4, and an A that rounds lies below the slack."""
+    floor = -math.inf if family.vectors.any() else -BOUND_EXPONENT
+    unit = []
+    for (x, power), shift in zip(bounds, (2 * k - 2 * e, -2 * e)):
+        ex = math.frexp(x)[1] + power + shift if x else 0
+        held = min(max(ex, floor), BOUND_EXPONENT)
+        unit.append((_scaled(x, power + shift + held - ex, None), ex - held))
+    (A, left_out), (B, _) = unit
+    res = verify_bounds(family, A, B, K, p.alphas, p.convention, p.tolerance)
+    return res.passed, _verification_dict(res, 2 * e, left_out)
 
 
 def _cmd_bounds(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
+    f, k = p.exponents["family"], p.exponents["operator_K"]
     svd = _synthesis_svd(family)  # one SVD of F for both certificates
-    body = {"optimal_frame": _cert_dict(_optimal_bounds(family, None, p.convention, *svd))}
+    frame = _optimal_bounds(family, None, p.convention, *svd)
+    body = {"optimal_frame": _cert_dict(frame, 2 * f, 2 * f)}
     if p.operator_K is not None:
         kframe = _optimal_bounds(family, p.operator_K, p.convention, *svd, p.tolerance)
-        body["optimal_kframe"] = _cert_dict(kframe)
+        body["optimal_kframe"] = _cert_dict(kframe, 2 * f - 2 * k, 2 * f)
     return "pass", body
 
 
-def _cmd_check_frame(p: Problem) -> tuple[str, dict]:
+def _check_bounds(p: Problem, key: str, K: Optional[np.ndarray], reason: str) -> tuple[str, dict]:
+    """check-frame (K None) and check-kframe of the file's bounds, or else
+    of the optimal ones."""
     family = p.frame_family()
-    cert = optimal_frame_bounds(family, p.convention)
-    A, B = p.bounds if p.bounds is not None else (cert.A, cert.B)
-    if A == 0.0 and p.bounds is None:
-        return "fail", {
-            "optimal_frame": _cert_dict(cert),
-            "reason": "family is not a frame: optimal lower bound is 0",
-        }
-    res = verify_bounds(family, A, B, None, p.alphas, p.convention, p.tolerance)
-    body = {
-        "requested": {"A": A, "B": B},
-        "optimal_frame": _cert_dict(cert),
-        "verification": _verification_dict(res),
-    }
-    return ("pass" if res.passed else "fail"), body
+    f, k = p.exponents["family"], 0 if K is None else p.exponents["operator_K"]
+    cert = _optimal_bounds(family, K, p.convention, *_synthesis_svd(family), p.tolerance)
+    optimal = _cert_dict(cert, 2 * f - 2 * k, 2 * f)
+    if p.bounds is None and cert.A == 0.0:
+        return "fail", {key: optimal, "reason": reason}
+    if p.bounds is None:  # the optimal pair, verified exactly at unit scale
+        A, B, bounds = optimal["A"], optimal["B"], ((cert.A, 2 * f - 2 * k), (cert.B, 2 * f))
+    else:
+        A, B, bounds = *p.bounds, ((p.bounds[0], 0), (p.bounds[1], 0))
+    passed, verification = _verify(p, family, f, bounds, K, k)
+    body = {"requested": {"A": A, "B": B}, key: optimal, "verification": verification}
+    return ("pass" if passed else "fail"), body
+
+
+def _cmd_check_frame(p: Problem) -> tuple[str, dict]:
+    reason = "family is not a frame: optimal lower bound is 0"
+    return _check_bounds(p, "optimal_frame", None, reason)
 
 
 def _cmd_check_kframe(p: Problem) -> tuple[str, dict]:
-    family = p.frame_family()
-    K = p.need_K()
-    cert = optimal_kframe_bounds(family, K, p.convention, p.tolerance)
-    A, B = p.bounds if p.bounds is not None else (cert.A, cert.B)
-    if p.bounds is None and cert.A == 0.0:
-        return "fail", {
-            "optimal_kframe": _cert_dict(cert),
-            "reason": "not a K-frame: some f with K*f != 0 has zero frame sum",
-        }
-    res = verify_bounds(family, A, B, K, p.alphas, p.convention, p.tolerance)
-    body = {
-        "requested": {"A": A, "B": B},
-        "optimal_kframe": _cert_dict(cert),
-        "verification": _verification_dict(res),
-    }
-    return ("pass" if res.passed else "fail"), body
+    reason = "not a K-frame: some f with K*f != 0 has zero frame sum"
+    return _check_bounds(p, "optimal_kframe", p.need("operator_K"), reason)
 
 
 def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
-    K = p.need_K()
+    K = p.need("operator_K")
+    f, k = p.exponents["family"], p.exponents["operator_K"]
     report = atomic_system_equivalence_check(family, K, p.tolerance, p.alphas)
+    C = report.C
     body: dict = {
-        "certificate": _cert_dict(report.certificate),
+        "certificate": _cert_dict(report.certificate, 2 * f - 2 * k, 2 * f),
         "atomic_holds": report.atomic_holds,
         "projection_residual": report.projection_residual,
-        "coefficient_norm_constant": report.C,
+        "coefficient_norm_constant": C if C is None else _scaled(C, k - f, "the constant C"),
     }
     if not report.atomic_holds:
         return "fail", body
     residual = report.reconstruction_residual
-    body["reconstruction_residual"] = residual
-    body["verification"] = _verification_dict(report.verification)
+    body["reconstruction_residual"] = _scaled(residual, k, None)
+    body["verification"] = _verification_dict(report.verification, 2 * f, 0)
     # rounding allows n eps ||F|| ||F^dagger K|| on top of the tolerance
-    rounding = p.dimension * EPS * math.sqrt(report.certificate.B) * report.C
-    ok = within_tolerance(residual - rounding, p.tolerance, _frobenius(K))
+    rounding = p.dimension * EPS * math.sqrt(report.certificate.B) * C
+    ok = within_tolerance(residual - rounding, p.tolerance, float(np.linalg.norm(K)))
     return ("pass" if ok and report.verification.passed else "fail"), body
 
 
 def _cmd_transform(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
-    K = p.need_K()
-    T = p.need_T()
+    K, T = p.need("operator_K"), p.need("operator_T")
+    f, k, t = (p.exponents[name] for name in ("family", "operator_K", "operator_T"))
     if p.variant is not None:
+        # ||T|| = 1 for a co-isometry: T T* = I is decided at the file's scale,
+        # held within 2^+-64, past which T T* - I is T T* or I to the last bit
+        held = min(max(t, -64), 64)
+        T, t = (_ldexp(T, held), t - held) if p.variant == "coisometry" else (T, t)
         try:
-            result = transform_family(
-                family, T, K, p.variant, None, p.alphas, p.convention, p.tolerance
-            )
+            result = transform_family(family, T, K, p.variant, p.alphas, p.convention, p.tolerance)
         except ValueError as exc:
             return "fail", {"reason": str(exc)}
+        moved = 2 * (t + f)  # the moved family T F is held at 2^-(t + f)
         body = {
             "variant": result.variant,
-            "derived": {"A": result.derived.A, "B": result.derived.B},
-            "verification": _verification_dict(result.verification),
-            "transformed_family": result.family.vectors,
+            "derived": _derived("A", result.derived.A, moved - 2 * k, result.derived.B, moved),
+            "verification": _verification_dict(result.verification, moved, 0),
+            "transformed_family": _scaled(result.family.vectors, t + f, "the transformed family"),
         }
         return ("pass" if result.verification.passed else "fail"), body
     try:
@@ -699,20 +762,23 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
     except ValueError as exc:
         return "fail", {"reason": str(exc)}
     body = {
-        "lambda": result.lam,
-        "derived": {"A": result.derived.A, "B": result.derived.B},
-        "verification": _verification_dict(result.verification),
+        "lambda": _scaled(result.lam, t - k, "lambda = ||K^+ T||"),
+        "derived": _derived("A / lambda^2", result.derived.A, 2 * (f - t), result.derived.B, 2 * f),
+        "verification": _verification_dict(result.verification, 2 * f, 0),
     }
     return ("pass" if result.verification.passed else "fail"), body
 
 
 def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
-    K1 = p.need_K()
-    K2 = p.need_T()
-    report = check_operator_perturbation(K1, K2, p.lambda1, p.lambda2, p.tolerance)
+    K1, K2 = p.need("operator_K"), p.need("operator_T")
+    k1, k2 = p.exponents["operator_K"], p.exponents["operator_T"]
+    top = max(k1, k2)  # D = K1 - K2 is formed at the larger scale
+    report = check_operator_perturbation(
+        _ldexp(K1, k1 - top), _ldexp(K2, k2 - top), p.lambda1, p.lambda2, p.tolerance
+    )
     body: dict = {
         "constants": {"lambda1": p.lambda1, "lambda2": p.lambda2},
-        "max_violation": report.max_violation,
+        "max_violation": _scaled(report.max_violation, top, None),
         "method": report.method,
         "hypothesis_verified": report.verified,
         "witness": _unit(report.witness),
@@ -720,23 +786,23 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
     if not report.verified:
         return "fail", body
     family = p.frame_family()
+    f = p.exponents["family"]
     cert = optimal_kframe_bounds(family, K1, p.convention, p.tolerance)
     if cert.A > 0.0 and math.isfinite(cert.A):
-        derived = derive_operator_perturbed_bounds(
-            cert.A, cert.B, p.lambda1, p.lambda2, family, K2,
-            p.alphas, p.convention, p.tolerance,
-        )
-        body["derived"] = {"A": derived.A, "B": derived.B}
-        body["verification"] = _verification_dict(derived.verification)
-        return ("pass" if derived.verification.passed else "fail"), body
+        derived = derive_operator_perturbed_bounds(cert.A, cert.B, p.lambda1, p.lambda2)
+        bounds = ((derived.A, 2 * f - 2 * k1), (derived.B, 2 * f))
+        passed, body["verification"] = _verify(p, family, f, bounds, K2, k2)
+        body["derived"] = _derived("A ((1 - lambda2) / (1 + lambda1))^2", *bounds[0], *bounds[1])
+        return ("pass" if passed else "fail"), body
     body["note"] = "family carries no positive K1-frame bound to transfer"
     return "pass", body
 
 
 def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     F = p.frame_family()
-    G = p.second_family()
-    constant, svd_f, _ = _family_constant(F, G, p.tolerance)
+    G = FrameFamily(p.need("family_g"), p.model)
+    f, g, k = (p.exponents[name] for name in ("family", "family_g", "operator_K"))
+    constant, svd_f, _ = _family_constant(F, G, f - g, p.tolerance)
     body: dict = {
         "M": constant.M,
         "finite": constant.finite,
@@ -750,12 +816,13 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     if not (cert.A > 0.0 and math.isfinite(cert.A)):
         body["note"] = "source family carries no positive lower bound to transfer"
         return "fail", body
-    derived = derive_family_perturbed_bounds(
-        cert.A, cert.B, constant.M, p.operator_K, G, p.alphas, p.convention, p.tolerance
-    )
-    body["derived"] = {"A": derived.A, "B": derived.B}
-    body["verification"] = _verification_dict(derived.verification)
-    return ("pass" if derived.verification.passed else "fail"), body
+    # (sqrt(M) + 1)^2 < 2^1024 keeps A' and B' exact for A 2^500 and B 2^-500
+    a, b = math.ldexp(cert.A, 500), math.ldexp(cert.B, -500)
+    derived = derive_family_perturbed_bounds(a, b, constant.M)
+    bounds = ((derived.A, 2 * f - 2 * k - 500), (derived.B, 2 * f + 500))
+    passed, body["verification"] = _verify(p, G, g, bounds, p.operator_K, k)
+    body["derived"] = _derived("A / (sqrt(M) + 1)^2", *bounds[0], *bounds[1])
+    return ("pass" if passed else "fail"), body
 
 
 def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
@@ -773,22 +840,24 @@ def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
 
 
 def _cmd_douglas(p: Problem) -> tuple[str, dict]:
-    M = p.need_T()
-    N = p.need_K()
+    M = p.need("operator_T")
+    N = p.need("operator_K")
+    t, k = p.exponents["operator_T"], p.exponents["operator_K"]
     try:
         result = douglas_factorize(M, N, p.tolerance)
     except RangeInclusionError as exc:
         return "fail", {"inclusion": False, "projection_residual": exc.residual}
+    W = _scaled(result.W, t - k, "the factor W = N^+ M")
     body = {
         "inclusion": True,
         "projection_residual": result.projection_residual,
-        "lambda": result.lam,
-        "factor_W": result.W,
-        "factorization_residual": result.residual,
+        "lambda": _scaled(result.lam, t - k, "lambda = ||N^+ M||"),
+        "factor_W": W,
+        "factorization_residual": _scaled(result.residual, t, None),
     }
     # rounding allows n eps ||N|| ||W|| on top of the tolerance
     rounding = p.dimension * EPS * result.norm_N * result.lam
-    ok = within_tolerance(result.residual - rounding, p.tolerance, _frobenius(M))
+    ok = within_tolerance(result.residual - rounding, p.tolerance, float(np.linalg.norm(M)))
     return ("pass" if ok else "fail"), body
 
 
@@ -832,14 +901,17 @@ def _check_claims(p: Problem) -> tuple[list[str], list[dict]]:
     notes: list[str] = []
     details: list[dict] = []
     family = p.frame_family()
-    for claim in p.claims:
-        if claim["kind"] != "frame_sum":
-            continue
-        # Base value at unit scale; the level value is base * scale(alpha)
-        # under the 'once' convention.
-        base = frame_sum(family, claim["vector"], 0.5, "once") / family.model.scale(0.5)
+    for claim in p.claims:  # parse_problem reads frame_sum claims only
+        # Base value at level scale 1; the level value is base * scale(alpha)
+        # under the 'once' convention.  The sum is read at the operands'
+        # unit scale, 2^-power times the file's.
+        power = 2 * (p.exponents["family"] + claim["exponent"])
+        unit = frame_sum(family, claim["vector"], 0.5, "once") / family.model.scale(0.5)
         claimed = claim["value"]
-        agrees = within_tolerance(abs(base - claimed), p.tolerance, max(abs(base), abs(claimed)))
+        # |0 - c| <= tol |c| at every scale of c: a zero sum takes the claim as is
+        held = claimed if unit == 0.0 else _scaled(claimed, -power, None)
+        agrees = within_tolerance(abs(unit - held), p.tolerance, max(abs(unit), abs(held)))
+        base = _scaled(unit, power, None)
         details.append(
             {
                 "kind": "frame_sum",

@@ -18,6 +18,8 @@ never from an eigendecomposition of S_c, which squares its condition number:
   positive semidefinite, is 1 / ||F^dagger K||^2 when range(K) lies inside
   range(F) and 0 otherwise (Douglas's lemma): a K-frame is exactly an
   atomic system for K.
+
+Operands are expected at unit scale (see ``operator_algebra``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .operator_algebra import (
     RangeInclusionError,
     _Douglas,
     _douglas,
-    _finite,
-    _frobenius,
     _gram,
     _order_decision,
     _rank,
@@ -140,12 +140,8 @@ def synthesis_matrix(family: FrameFamily) -> np.ndarray:
 
 
 def classical_frame_operator(family: FrameFamily) -> np.ndarray:
-    """S_c = F F*, Hermitian positive semidefinite.
-
-    Entries so large that S_c overflows (about 1e154 and up) raise an
-    OverflowError instead of feeding inf or NaN into later decisions.
-    """
-    return _finite(_S_C, lambda: _gram(family.vectors.T))
+    """S_c = F F*, Hermitian positive semidefinite."""
+    return _gram(family.vectors.T)
 
 
 def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
@@ -177,7 +173,8 @@ class BoundCertificate:
     lower witness; ``A = inf`` marks a vacuous lower inequality (K = 0).
     For K-frames ``tight`` means S_c is proportional to K K* (frame sum a
     constant multiple of ||K* f||_a^2) and ``parseval`` that the constant
-    is 1; for ordinary frames these coincide with A = B (= 1).
+    is 1, decided for the A given (and the kind of a tight frame with it);
+    for ordinary frames these coincide with A = B (= 1).
     """
 
     kind: str  # "bessel" | "frame" | "k_frame" | "tight" | "parseval"
@@ -188,7 +185,14 @@ class BoundCertificate:
     witness_lower: Optional[np.ndarray] = None
     witness_upper: Optional[np.ndarray] = None
     tight: bool = False
-    parseval: bool = False
+
+    def __post_init__(self):
+        if self.kind in ("tight", "parseval"):
+            object.__setattr__(self, "kind", "parseval" if self.parseval else "tight")
+
+    @property
+    def parseval(self) -> bool:
+        return self.tight and abs(self.A - 1.0) <= TIGHT_TOL
 
 
 def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -196,9 +200,6 @@ def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None
     n = np.linalg.norm(v)
     return v if n == 0 else v / n
-
-
-_S_C = "frame operator S_c = F F*"
 
 
 def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -209,19 +210,9 @@ def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
     """
     f = family.vectors.T
     if f.shape[1] > f.shape[0]:
-        f = _finite(_S_C, lambda: np.linalg.qr(family.vectors.conj(), mode="r").conj().T)
+        f = np.linalg.qr(family.vectors.conj(), mode="r").conj().T
     u, s, _ = np.linalg.svd(f)
     return u, s
-
-
-def _squared(sigma: float, extreme: str) -> float:
-    """The frame bound sigma^2 for sigma = sigma_max(F) (B = ||S_c||) or
-    sigma_min(F) (A); OverflowError naming S_c when it overflows, as in
-    classical_frame_operator, or rounds to 0 although sigma > 0."""
-    bound = _finite(_S_C, lambda: sigma * sigma)
-    if bound == 0.0 < sigma:
-        raise OverflowError(f"{_S_C} underflows a double: sigma_{extreme}(F)^2 rounds to 0")
-    return bound
 
 
 def optimal_frame_bounds(
@@ -240,17 +231,11 @@ def _frame_bounds(
     family: FrameFamily, convention: str, u: np.ndarray, s: np.ndarray
 ) -> BoundCertificate:
     """optimal_frame_bounds from the left singular pairs (u square, s) of F."""
-    b = _squared(float(s[0]), "max")
-    a = _squared(float(s[-1]), "min") if _rank(s) == family.dimension else 0.0
-    kind = "frame" if a > 0.0 else "bessel"
+    b = float(s[0]) ** 2
+    a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
     tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
-    parseval = tight and abs(a - 1.0) <= TIGHT_TOL
-    if parseval:
-        kind = "parseval"
-    elif tight:
-        kind = "tight"
     return BoundCertificate(
-        kind=kind,
+        kind="tight" if tight else "frame" if a > 0.0 else "bessel",
         A=a,
         B=b,
         alpha_independent=_alpha_independent(family.model, convention),
@@ -258,7 +243,6 @@ def _frame_bounds(
         witness_lower=u[:, -1],
         witness_upper=u[:, 0],
         tight=tight,
-        parseval=parseval,
     )
 
 
@@ -270,8 +254,7 @@ def optimal_kframe_bounds(
     A = 1 / ||F^dagger K||^2 when range(K) lies inside range(F) (decided
     within tol), else 0 with the f outside range(F) maximizing ||K* f|| as
     witness; a zero operator makes the lower inequality vacuous and A is
-    +inf.  A nonzero K whose A is past the double range raises
-    OverflowError.
+    +inf.
     """
     return _optimal_bounds(family, K, convention, *_synthesis_svd(family), tol)
 
@@ -295,25 +278,23 @@ def _kframe_bounds(
     """optimal_kframe_bounds from the left singular pairs (u, s) of F, and
     Douglas's lemma for K against F behind it.  Tight means S_c = A K K*,
     that is W W* = I / A: the r = rank F singular values of W agree."""
-    d = _douglas(k, u, s, tol, "W = F^+ K")
+    d = _douglas(k, u, s, tol)
     if not d.included:  # some f with K*f != 0 has zero frame sum
         a = 0.0
     elif not k.any():  # K = 0: the lower inequality is vacuous
         a = math.inf
-    else:  # ||F^+ K||^2 may underflow to 0
-        a = _finite("the K-frame bound A = 1 / ||F^+ K||^2", lambda: 1.0 / d.sup)
+    else:
+        a = 1.0 / d.sup
     tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
-    parseval = tight and abs(a - 1.0) <= TIGHT_TOL
     cert = BoundCertificate(
         kind="k_frame",
         A=a,
-        B=_squared(float(s[0]), "max"),
+        B=float(s[0]) ** 2,
         alpha_independent=_alpha_independent(family.model, convention),
         convention=convention,
         witness_lower=d.witness,
         witness_upper=u[:, 0],
         tight=tight,
-        parseval=parseval,
     )
     return cert, d
 
@@ -370,18 +351,17 @@ def verify_bounds(
     crisp profile) share one pair of PSD checks but are each listed.
     The first failing level yields the eigen-witness.  Each check allows
     the slack tol * max(max|diag P|, max|diag Q|) for its sides P <= Q.
-    A = inf is the vacuous bound of K = 0; for any other K it is a lower
-    bound past the double range and raises OverflowError.
+    A = inf is the vacuous bound of K = 0 and a ValueError for any other K.
     """
     _check_convention(convention)
     if not A >= 0.0 or B < 0.0:
         raise ValueError("bounds must be nonnegative")
     if A == math.inf and (K is None or np.any(K)):
-        raise OverflowError("the lower bound A overflows a double (K is not zero)")
+        raise ValueError("A = inf is the vacuous lower bound of K = 0 only")
     s = classical_frame_operator(family)
     n = family.dimension
     eye = np.eye(n)
-    gram = eye if K is None else _finite("K K*", lambda: _gram(K))
+    gram = eye if K is None else _gram(K)
     # max|diag| of each side scales its check (see _order_decision)
     s_top, g_top = (float(np.abs(m.diagonal()).max()) for m in (s, gram))
 
@@ -391,14 +371,13 @@ def verify_bounds(
     for alpha in alphas:
         extra = 1.0 if convention == "once" else family.model.scale(alpha)
         if extra not in decided:
-            s_eff = s if extra == 1.0 else _finite("scale(a) S_c", lambda: extra * s)
+            s_eff = s if extra == 1.0 else extra * s
             # both differences are Hermitian as built: no symmetrizing
             if A == math.inf:  # vacuous lower inequality (zero operator)
                 lower = (True, None, math.inf)
             else:
-                diff = _finite("A K K*", lambda: s_eff - A * gram)
-                lower = _order_decision(diff, tol, max(extra * s_top, A * g_top))
-            upper = _finite("B I", lambda: B * eye - s_eff)  # B = inf: NaN off the diagonal
+                lower = _order_decision(s_eff - A * gram, tol, max(extra * s_top, A * g_top))
+            upper = B * eye - s_eff
             decided[extra] = (lower, _order_decision(upper, tol, max(extra * s_top, B)))
         (ok_lo, wit_lo, margin_lo), (ok_up, wit_up, margin_up) = decided[extra]
         checks.append(BoundCheck(alpha, "lower", ok_lo, margin_lo, _unit(wit_lo)))
@@ -427,7 +406,6 @@ def atomic_system_from_operator(
         alpha_independent=_alpha_independent(model, convention),
         convention=convention,
         tight=True,
-        parseval=True,
     )
 
 
@@ -454,13 +432,13 @@ def atomic_coefficients(
     k = _operator_on(K, family.dimension)
     F = synthesis_matrix(family)
     u, s, vh = np.linalg.svd(F, full_matrices=False)
-    d = _douglas(k, u, s, tol, "W = F^+ K")
+    d = _douglas(k, u, s, tol)
     if not d.included:
         raise RangeInclusionError("not an atomic system for K", d.residual)
     coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
     fvec = family.model.check_vector(f)
     beta = coefficients @ fvec
-    C = d.norm
+    C = math.sqrt(d.sup)
     rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
     norm_beta, bound = float(np.linalg.norm(beta)), C * float(np.linalg.norm(fvec))
     norm_ok = within_tolerance(norm_beta - bound, tol, max(norm_beta, bound))
@@ -503,7 +481,7 @@ def atomic_system_equivalence_check(
     if cert.A > 0.0:  # +inf (K = 0) counts as holding
         C = 1.0 / math.sqrt(cert.A)
         coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
-        rec_residual = _frobenius(k - F @ coefficients)
+        rec_residual = float(np.linalg.norm(k - F @ coefficients))
         verification = verify_bounds(family, cert.A, cert.B, k, alphas, tol=tol)
     return EquivalenceReport(
         certificate=cert,
@@ -601,7 +579,6 @@ def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
     F = synthesis_matrix(family)
     n, m = F.shape
     u, s, vh = np.linalg.svd(F, full_matrices=m < n)  # u square
-    _squared(float(s[0]), "max")  # S_c past the double range, as in bounds
     if _rank(s) < n:
         raise SingularFrameOperatorError(
             "frame operator is singular; no dual reconstruction", u[:, -1]

@@ -9,6 +9,8 @@ Two derived constants deviate from their sources, which contain arithmetic
 slips (the quoted constants fail on equal-operator instances; see the
 docstrings of :func:`combine_scalar` and :func:`combine_many`).  The
 corrected constants keep the same structure and pass verification.
+
+Operands are expected at unit scale (see ``operator_algebra``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
     RangeInclusionError,
-    _finite,
-    _frobenius,
     _gram,
     as_matrix,
     douglas_lambda,
@@ -263,9 +263,9 @@ def bessel_pair_kframe(
         raise ValueError("families must share a coefficient space")
     bessel_f = optimal_frame_bounds(F, convention)
     bessel_g = optimal_frame_bounds(G, convention)
-    residual = _frobenius(tf @ tg.conj().T - k)
+    residual = float(np.linalg.norm(tf @ tg.conj().T - k))
     # ||T_F||_F ||T_G||_F bounds the size of T_F T_G*
-    if not within_tolerance(residual, tol, _frobenius(tf) * _frobenius(tg)):
+    if not within_tolerance(residual, tol, float(np.linalg.norm(tf) * np.linalg.norm(tg))):
         raise ValueError(
             f"synthesis factorization does not reproduce K (residual {residual:.3e})"
         )
@@ -300,7 +300,6 @@ def transform_family(
     T: np.ndarray,
     K: np.ndarray,
     variant: str = "invertible",
-    cert: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -312,8 +311,7 @@ def transform_family(
 
     Commutation T K = K T is a hypothesis; its failure is an error.  It and
     T T* = I are decided in Frobenius norms, against ||T||_F ||K||_F and
-    max(||T T*||_F, ||I||_F).  A commutator or co-isometry Gram matrix T T*
-    that overflows a double raises OverflowError.
+    max(||T T*||_F, ||I||_F).
     """
     if variant not in ("invertible", "coisometry"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -321,10 +319,11 @@ def transform_family(
     k = as_matrix(K)
     sv = np.linalg.svd(t, compute_uv=False)  # ||T||, invertibility and ||T^-1||
     norm_t = float(sv[0])
-    comm = _frobenius(_finite("the commutator T K - K T", lambda: t @ k - k @ t))
-    if not within_tolerance(comm, tol, _frobenius(t) * _frobenius(k)):
-        raise ValueError(f"T and K do not commute (residual {comm:.3e})")
-    c = _kframe_cert(family, k, cert, tol)
+    comm = float(np.linalg.norm(t @ k - k @ t))
+    scale = float(np.linalg.norm(t) * np.linalg.norm(k))
+    if not within_tolerance(comm, tol, scale):
+        raise ValueError(f"T and K do not commute (relative residual {comm / scale:.3e})")
+    c = _kframe_cert(family, k, None, tol)
 
     if variant == "invertible":
         if sv[-1] <= RELATIVE_RANK_TOL * sv[0]:
@@ -332,9 +331,9 @@ def transform_family(
         inv_norm = 1.0 / float(sv[-1])
         lower = c.A / inv_norm**2
     else:
-        gram = _finite("T T*", lambda: _gram(t))
-        res = _frobenius(gram - np.eye(gram.shape[0]))
-        if not within_tolerance(res, tol, max(_frobenius(gram), math.sqrt(gram.shape[0]))):
+        gram = _gram(t)
+        res = float(np.linalg.norm(gram - np.eye(gram.shape[0])))
+        if not within_tolerance(res, tol, max(float(np.linalg.norm(gram)), math.sqrt(len(gram)))):
             raise ValueError(f"T T* is not the identity (residual {res:.3e})")
         lower = c.A
     upper = c.B * norm_t**2
@@ -343,15 +342,6 @@ def transform_family(
     derived = DerivedBound(((c.A, c.B),), f"{variant}-transform", lower, upper)
     verification = verify_bounds(moved, lower, upper, k, alphas, convention, tol)
     return TransformResult(moved, derived, verification, variant)
-
-
-def _over_lambda_squared(A: float, lam: float) -> float:
-    """The lower bound A / lam^2 from T T* <= lam^2 K K*: +inf (vacuous) when
-    lam = 0, OverflowError when it is not a finite double (lam^2 underflows)."""
-    if lam == 0.0:
-        return math.inf
-    what = f"the lower bound A / lambda^2 (A = {A:.3g}, lambda = {lam:.3g})"
-    return _finite(what, lambda: A / lam**2)
 
 
 @dataclass(frozen=True)
@@ -374,14 +364,13 @@ def operator_transfer(
 
     T T* <= lam^2 K K* with lam from the factorization gives the lower
     bound A / lam^2 (vacuous when T = 0); range escape is a hypothesis
-    violation and raises RangeInclusionError.  A bound A / lam^2 that is
-    not a finite double (lam^2 underflows) raises OverflowError.
+    violation and raises RangeInclusionError.
     """
     k = as_matrix(K)
     t = as_matrix(T)
     c = _kframe_cert(family, k, cert, tol)
     lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
-    lower = _over_lambda_squared(c.A, lam)
+    lower = c.A / lam**2 if lam > 0.0 else math.inf
     derived = DerivedBound(((c.A, c.B),), "range-transfer", lower, c.B)
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)
@@ -401,8 +390,7 @@ def build_family(
 ) -> BuiltFamily:
     """Inverse direction: family = columns of T, certified as a K-frame when
     range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*.
-    States the characterization of K-frames as images T e_i with R(K) <= R(T).
-    A bound 1/lam^2 that is not a finite double raises OverflowError."""
+    States the characterization of K-frames as images T e_i with R(K) <= R(T)."""
     t = as_matrix(T)
     family = FrameFamily(t.T, model)
     try:
@@ -410,6 +398,6 @@ def build_family(
     except RangeInclusionError:
         cert = optimal_kframe_bounds(family, K, tol=tol)
         return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
-    derived = _over_lambda_squared(1.0, lam)
+    derived = 1.0 / lam**2 if lam > 0.0 else math.inf
     cert = optimal_kframe_bounds(family, K, tol=tol)
     return BuiltFamily(family, cert, True, lam=lam, derived_lower=derived)

@@ -23,8 +23,10 @@ Q - P shifted by half its slack; no eigenvalue is computed for a pass.  Only
 when that factorization fails does one eigh of Q - P decide, and its bottom
 eigenvector is the witness of a failure.
 
-Every quantity that can leave the double range is formed through
-``_finite``, which raises an OverflowError naming it (exit 2 on the CLI).
+Range safety is a precondition: operands come at unit scale, their largest
+entry in [1/2, 1), where nothing here leaves the double range (``cli_io``
+scales each by a power of two).  Off it a call can raise or fail, but
+:func:`within_tolerance` never passes a NaN.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _finite(what: str, compute):
     """compute(), or an OverflowError naming ``what`` when any entry of it is
     inf or NaN, with numpy's floating-point warnings silenced meanwhile.  A
     Python float that raises instead (x**2 past the range, x / 0.0) counts
-    as inf."""
+    as inf.  Only quantities that unit scale does not bound need it."""
     with np.errstate(all="ignore"):
         try:
             value = compute()
@@ -172,8 +174,16 @@ def _finite(what: str, compute):
     return value
 
 
+def _ldexp(x: np.ndarray, power: int) -> np.ndarray:
+    """x 2^power entry by entry, a complex x part by part: exact unless an
+    entry leaves the normal range (inf past it, with no warning)."""
+    x = np.ascontiguousarray(x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x.view(np.float64), power).view(x.dtype)
+
+
 def _gram(T: np.ndarray) -> np.ndarray:
-    """T T*, symmetrized; callers form it through _finite."""
+    """T T*, symmetrized."""
     m = as_matrix(T)
     g = m @ m.conj().T
     return 0.5 * (g + g.conj().T)
@@ -250,17 +260,6 @@ def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
     return int(np.sum(s > rtol * s[0])) if len(s) else 0
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """||m||_F, scaled by max|m_ij| first so that no square overflows; a
-    complex m part by part, as numpy's complex division by a subnormal
-    overflows."""
-    top = float(np.abs(m).max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
-    return top * math.hypot(*(float(np.linalg.norm(p / top)) for p in parts))
-
-
 def _coordinates(
     M: np.ndarray, u: np.ndarray, tol: float
 ) -> tuple[bool, float, np.ndarray, Optional[np.ndarray]]:
@@ -269,12 +268,11 @@ def _coordinates(
     ||M||_F and included = within_tolerance(||outside||_F, tol, ||M||_F).
     When u spans the whole space nothing is computed outside: (True, 0.0,
     z, None)."""
-    what = "the coordinates u* M of M"
-    z = _finite(what, lambda: u.conj().T @ M)
+    z = u.conj().T @ M
     if u.shape[1] == M.shape[0]:
         return True, 0.0, z, None
-    outside = _finite(what, lambda: M - u @ z)
-    excess, scale = _frobenius(outside), _frobenius(M)
+    outside = M - u @ z
+    excess, scale = float(np.linalg.norm(outside)), float(np.linalg.norm(M))
     residual = excess / scale if scale > 0.0 else 0.0
     return within_tolerance(excess, tol, scale), residual, z, outside
 
@@ -286,33 +284,24 @@ class _Douglas:
     ``included`` and ``residual`` decide range(M) inside range(N) (see
     _coordinates).  With the inclusion, ``z`` = s_r^-1 u_r* M are the
     coordinates of N^dagger M = V_r z (V_r the right singular vectors of N
-    kept by the rank cut) and ``sq`` the ascending eigenvalues of z z* /
-    c^2 (c a power of two).  Without it z is None and sq is empty.
+    kept by the rank cut) and ``sq`` the ascending eigenvalues of z z*.
+    Without it z is None and sq is empty.
     """
 
     included: bool
     residual: float
     z: Optional[np.ndarray]
     sq: np.ndarray
-    _c: float
-    _what: str
     #: the witness with the inclusion, else the part of M outside range(N)
     _found: Optional[np.ndarray]
 
     @property
     def sup(self) -> float:
         """||N^dagger M||^2, the sup of ||M* f||^2 / ||N* f||^2 over N* f
-        != 0; +inf without the inclusion.  One past the double range raises
-        an OverflowError naming W W*."""
-        top = self._c * self._c * float(self.sq[-1]) if len(self.sq) else 0.0
-        return _finite(f"W W* for {self._what}", lambda: top) if self.included else math.inf
-
-    @property
-    def norm(self) -> float:
-        """||N^dagger M|| = ||z||, computed without squaring it; +inf without
-        the inclusion."""
-        top = self._c * math.sqrt(float(self.sq[-1])) if len(self.sq) else 0.0
-        return _finite(f"the factor {self._what}", lambda: top) if self.included else math.inf
+        != 0; +inf without the inclusion."""
+        if not self.included:
+            return math.inf
+        return float(self.sq[-1]) if len(self.sq) else 0.0
 
     @property
     def witness(self) -> Optional[np.ndarray]:
@@ -324,30 +313,23 @@ class _Douglas:
         return np.linalg.svd(self._found)[0][:, 0]
 
 
-def _douglas(
-    M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float, what: str
-) -> _Douglas:
+def _douglas(M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float) -> _Douglas:
     """Douglas's lemma (Douglas 1966) for M against N, from the left
     singular pairs (u, s) of N, s descending, cut by _rank.  One eigh of
-    z z* gives sup, norm and the witness.  ``what`` names the factor W =
-    N^dagger M: a z that overflows raises an OverflowError naming it."""
+    z z* gives sup and the witness; at unit scale s_r >= s_1
+    RELATIVE_RANK_TOL >= 5e-11 keeps z z* in range."""
     r = _rank(s)
     u, s = u[:, :r], s[:r]
     included, residual, z, outside = _coordinates(M, u, tol)
     if not included:
-        return _Douglas(False, residual, None, np.empty(0), 1.0, what, outside)
-    z = _finite(f"the factor {what}", lambda: z / s[:, None])
-    # the power of two c = 2^e scales z exactly into [-2, 2] (a normal 1 / c
-    # also for a subnormal z), so z z* / c^2 neither overflows nor underflows
-    e = min(max(math.frexp(float(np.abs(z).max(initial=0.0)))[1], -1021), 1023)
-    c = math.ldexp(1.0, e)
-    sq, vecs = np.linalg.eigh(_gram(z * math.ldexp(1.0, -e)))
+        return _Douglas(False, residual, None, np.empty(0), outside)
+    z = z / s[:, None]
+    sq, vecs = np.linalg.eigh(_gram(z))
     if not len(sq) or sq[-1] <= 0.0:
-        return _Douglas(True, residual, z, sq, c, what, None)
-    # u s^-1 y scaled by s_min: no entry exceeds |y|, and the rank cut keeps
-    # s_min / s_max >= RELATIVE_RANK_TOL, so nothing overflows or underflows
+        return _Douglas(True, residual, z, sq, None)
+    # u s^-1 y scaled by s_min: no entry exceeds |y|
     f = u @ (vecs[:, -1] * (s[-1] / s))
-    return _Douglas(True, residual, z, sq, c, what, f / np.linalg.norm(f))
+    return _Douglas(True, residual, z, sq, f / np.linalg.norm(f))
 
 
 def douglas_lambda(
@@ -387,14 +369,14 @@ def douglas_factorize(
     if m.shape[0] != n.shape[0]:
         raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
     u, s, vh = np.linalg.svd(n, full_matrices=False)
-    d = _douglas(m, u, s, tol, "W = N^+ M")
+    d = _douglas(m, u, s, tol)
     if not d.included:
         raise RangeInclusionError("range(M) is not contained in range(N)", d.residual)
     w = vh[: len(d.z)].conj().T @ d.z
     return FactorizationResult(
-        lam=d.norm,
+        lam=math.sqrt(d.sup),
         W=w,
-        residual=_frobenius(_finite("the residual N W - M", lambda: n @ w - m)),
+        residual=float(np.linalg.norm(n @ w - m)),
         projection_residual=d.residual,
         norm_N=float(s[0]) if len(s) else 0.0,
     )

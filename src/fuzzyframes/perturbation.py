@@ -20,6 +20,9 @@ is positive semidefinite for every t in (0, 1) (Casazza and Christensen,
 J. Fourier Anal. Appl. 3, 1997).  The family hypothesis is the supremum
 of the difference energy ||D* f||^2 against each frame sum, ||F^dagger D||^2
 by Douglas's lemma, read from one SVD of each synthesis matrix.
+
+Operands are expected at unit scale (see ``operator_algebra``); only lam1^2
+in Q_t and the ratio of two families' scales in M can leave the range.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .operator_algebra import (
     _douglas,
     _finite,
     _gram,
+    _ldexp,
     as_matrix,
     within_tolerance,
 )
@@ -135,10 +139,7 @@ def check_operator_perturbation(
     if k1.shape != k2.shape or k1.shape[0] != k1.shape[1]:
         raise ValueError("operators must be square and share a space")
     delta = k1 - k2
-    a, b, c = (
-        _finite(what, lambda: _gram(m))
-        for m, what in ((k1, "K1 K1*"), (k2, "K2 K2*"), (delta, "D D*"))
-    )
+    a, b, c = _gram(k1), _gram(k2), _gram(delta)
     l1, l2 = lambda1 * lambda1, lambda2 * lambda2
     what = "Q_t = (lambda1^2/t) A + (lambda2^2/(1-t)) B - C or its slack"
     scale = float(
@@ -191,35 +192,22 @@ def check_operator_perturbation(
 class PerturbedBounds:
     A: float
     B: float
-    verification: Optional[VerificationResult] = None
 
 
 def derive_operator_perturbed_bounds(
-    A: float,
-    B: float,
-    lambda1: float,
-    lambda2: float,
-    family: Optional[FrameFamily] = None,
-    K2: Optional[np.ndarray] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
+    A: float, B: float, lambda1: float, lambda2: float
 ) -> PerturbedBounds:
     """Bounds transferred to the perturbed operator once the hypothesis holds:
 
         A' = A ((1 - lam2) / (1 + lam1))^2,    B' = B.
 
-    Passing the family and K2 also verifies the derived pair.
+    verify_bounds of the pair against K2 checks them.
     """
     if lambda2 >= 1.0:
         raise ValueError("lambda2 must be < 1")
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("perturbation constants must be nonnegative")
-    a_new = A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2
-    verification = None
-    if family is not None and K2 is not None:
-        verification = verify_bounds(family, a_new, B, K2, alphas, convention, tol)
-    return PerturbedBounds(a_new, B, verification)
+    return PerturbedBounds(A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2, B)
 
 
 @dataclass(frozen=True)
@@ -248,53 +236,44 @@ def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPertur
     +inf exactly when range(D) escapes range(F) or range(G), where some f
     carries difference energy while a frame sum vanishes.
     """
-    return _family_constant(F, G, PSD_TOL)[0]
+    return _family_constant(F, G, 0, PSD_TOL)[0]
 
 
 def _family_constant(
-    F: FrameFamily, G: FrameFamily, tol: float
+    F: FrameFamily, G: FrameFamily, shift: int, tol: float
 ) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """family_perturbation_constant(F, G) with range inclusion decided
-    within tol, and the left singular pairs of F and of G, from which their
-    bounds follow without a second decomposition."""
+    """family_perturbation_constant(2^shift F, G) with range inclusion
+    decided within tol, and the left singular pairs of F and of G.  D is
+    formed at the larger scale; each side reads Douglas's lemma against its
+    own family, as ||(2^e F)^+ D||^2 = 4^-e ||F^+ D||^2 holds exactly."""
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
-    d = (F.vectors - G.vectors).T
+    top = max(shift, 0)
+    d = (_ldexp(F.vectors, shift - top) - _ldexp(G.vectors, -top)).T
     svd_f, svd_g = _synthesis_svd(F), _synthesis_svd(G)
-    sides = [_douglas(d, *svd, tol, f"W = {n}^+ D") for n, svd in (("F", svd_f), ("G", svd_g))]
-    # F's on a tie; sup is read once per side
-    value, side = max(((side.sup, side) for side in sides), key=lambda pair: pair[0])
+    value, side = -1.0, None
+    for svd, power in ((svd_f, 2 * (top - shift)), (svd_g, 2 * top)):
+        s = _douglas(d, *svd, tol)
+        sup = _finite("the constant M", lambda: math.ldexp(s.sup, power)) if s.included else s.sup
+        if sup > value:  # F's on a tie
+            value, side = sup, s
     witness = side.witness
     if value == math.inf:
         return FamilyPerturbation(math.inf, False, witness, False), svd_f, svd_g
     return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f, svd_g
 
 
-def derive_family_perturbed_bounds(
-    A: float,
-    B: float,
-    M: float,
-    K: Optional[np.ndarray] = None,
-    perturbed: Optional[FrameFamily] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
-) -> PerturbedBounds:
+def derive_family_perturbed_bounds(A: float, B: float, M: float) -> PerturbedBounds:
     """Bounds carried by the perturbed family under a finite constant M:
 
         A' = A / (sqrt(M) + 1)^2,    B' = B (sqrt(M) + 1)^2.
 
-    Passing the perturbed family (and K) also verifies the derived pair.
+    verify_bounds of the pair against the perturbed family checks them.
     """
     if not math.isfinite(M) or M < 0.0:
         raise ValueError(f"finite nonnegative M required, got {M}")
     factor = (math.sqrt(M) + 1.0) ** 2
-    a_new = A / factor
-    b_new = B * factor
-    verification = None
-    if perturbed is not None:
-        verification = verify_bounds(perturbed, a_new, b_new, K, alphas, convention, tol)
-    return PerturbedBounds(a_new, b_new, verification)
+    return PerturbedBounds(A / factor, B * factor)
 
 
 @dataclass(frozen=True)
@@ -319,7 +298,7 @@ def frame_equivalence_constant(
     hypothesis holds at M exactly when M is at least the minimal constant
     of :func:`family_perturbation_constant`.  Each family is decomposed once.
     """
-    constant, svd_f, svd_g = _family_constant(F, G, tol)
+    constant, svd_f, svd_g = _family_constant(F, G, 0, tol)
     cf = _frame_bounds(F, "once", *svd_f)
     cg = _frame_bounds(G, "once", *svd_g)
     if cf.A <= 0.0 or cg.A <= 0.0:

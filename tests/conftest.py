@@ -522,3 +522,142 @@ def reference_canonical_json(obj: Any) -> str:
     then the standard library encoder.  canonical_json must print the same
     text wherever this one prints any."""
     return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)
+
+
+# ---------------------------------------------------------------------------
+# Problem files scaled by powers of two
+
+
+#: the operand each problem-file array belongs to: F, K or T
+OPERAND_OF = {"family": "F", "family_g": "F", "operator_K": "K", "operator_T": "T"}
+
+
+def constant_powers(data: dict) -> dict:
+    """The powers (pF, pK, pT) of every reported constant of the problem:
+    under F -> 2^kF F (with G), K -> 2^kK K and T -> 2^kT T it scales by
+    2^(pF kF + pK kK + pT kT).  A lower bound is against ||K* f||^2 and an
+    upper one against ||f||^2; a transform's derived pair belongs to the
+    moved family T F, perturb-operator's to K2, which is T."""
+    command = data.get("command", "bounds")
+    if command == "transform" and data.get("variant"):
+        derived = {"derived.A": (2, -2, 2), "derived.B": (2, 0, 2)}
+    elif command in ("transform", "perturb-operator"):
+        derived = {"derived.A": (2, 0, -2), "derived.B": (2, 0, 0)}
+    else:
+        derived = {"derived.A": (2, -2, 0), "derived.B": (2, 0, 0)}
+    return {
+        "optimal_frame.A": (2, 0, 0),
+        "optimal_frame.B": (2, 0, 0),
+        "optimal_kframe.A": (2, -2, 0),
+        "optimal_kframe.B": (2, 0, 0),
+        "requested.A": (2, -2, 0) if command == "check-kframe" else (2, 0, 0),
+        "requested.B": (2, 0, 0),
+        "certificate.A": (2, -2, 0),
+        "certificate.B": (2, 0, 0),
+        "coefficient_norm_constant": (-1, 1, 0),
+        "lambda": (0, -1, 1),
+        "M": (0, 0, 0),
+        "max_residual": (0, 0, 0),
+        "max_violation": (0, 1, 0),
+        "factorization_residual": (0, 0, 1),
+        **derived,
+    }
+
+
+def _power(powers: tuple, shifts: dict) -> int:
+    return sum(p * shifts.get(op, 0) for p, op in zip(powers, "FKT"))
+
+
+def _ldexp_entries(x, k: int):
+    """A problem-file number, vector or matrix (numbers or [re, im] pairs)
+    times 2^k."""
+    return [_ldexp_entries(e, k) for e in x] if isinstance(x, list) else math.ldexp(x, k)
+
+
+def scale_operands(data: dict, shifts: dict) -> dict:
+    """The problem with F and G times 2^shifts["F"], K times 2^shifts["K"]
+    and T times 2^shifts["T"] (absent keys 0), and the requested bounds of
+    check-frame and check-kframe and the claimed frame sums scaled to
+    match."""
+    out = json.loads(json.dumps(data))
+    for key, op in OPERAND_OF.items():
+        if out.get(key) is not None:
+            out[key] = _ldexp_entries(out[key], shifts.get(op, 0))
+    powers = constant_powers(data)
+    if out.get("bounds") is not None and out.get("command") in ("check-frame", "check-kframe"):
+        a, b = out["bounds"]
+        out["bounds"] = [
+            math.ldexp(a, _power(powers["requested.A"], shifts)),
+            math.ldexp(b, _power(powers["requested.B"], shifts)),
+        ]
+    for claim in out.get("claims", {}).get("frame_sum", []):
+        claim["value"] = math.ldexp(claim["value"], 2 * shifts.get("F", 0))
+    return out
+
+
+def _numbers(x):
+    """The numbers of a problem-file entry, flattened."""
+    if isinstance(x, list):
+        for e in x:
+            yield from _numbers(e)
+    else:
+        yield x
+
+
+def report_constants(body: dict, powers: dict, prefix: str = ""):
+    """(path, value) of every float in the report body named in powers."""
+    for key, value in body.items():
+        if isinstance(value, dict):
+            yield from report_constants(value, powers, f"{prefix}{key}.")
+        elif f"{prefix}{key}" in powers and isinstance(value, float):
+            yield f"{prefix}{key}", value
+
+
+#: frexp exponents of the normal doubles
+NORMAL_EXPONENTS = (-1021, 1024)
+
+
+def exact_shift_range(data: dict, body: dict, group: str) -> tuple[int, int]:
+    """The k for which scale_operands(data, {op: k for op in group}) is
+    exact and its report's constants are those of ``body`` times their
+    powers of two, exactly: every nonzero entry, scaled bound, claimed sum
+    and reported constant stays a normal double."""
+    shifts = {op: 1 for op in group}
+    powers = constant_powers(data)
+    items = [
+        (x, shifts.get(op, 0))
+        for key, op in OPERAND_OF.items()
+        if data.get(key) is not None
+        for x in _numbers(data[key])
+    ]
+    if data.get("bounds") is not None and data.get("command") in ("check-frame", "check-kframe"):
+        items += zip(data["bounds"], (_power(powers[f"requested.{s}"], shifts) for s in "AB"))
+    claims = data.get("claims", {}).get("frame_sum", [])
+    items += [(c["value"], 2 * shifts.get("F", 0)) for c in claims]
+    items += [(v, _power(powers[path], shifts)) for path, v in report_constants(body, powers)]
+    lo, hi = -(2**11), 2**11  # past 2^11 every nonzero double leaves the range
+    for x, p in items:
+        if p == 0 or x == 0.0 or not math.isfinite(x):
+            continue
+        e = math.frexp(x)[1]
+        ends = sorted(((NORMAL_EXPONENTS[0] - e) / p, (NORMAL_EXPONENTS[1] - e) / p))
+        lo, hi = max(lo, math.ceil(ends[0])), min(hi, math.floor(ends[1]))
+    return lo, hi
+
+
+def report_outcome(report: dict) -> tuple:
+    claims = tuple(c["agrees"] for c in report.get("body", {}).get("claims", []))
+    return report["verdict"], report["exit_code"], claims
+
+
+def assert_scaled_report(base: dict, scaled: dict, data: dict, shifts: dict) -> None:
+    """``scaled`` is the report of scale_operands(data, shifts) and ``base``
+    that of data: the same verdict, exit code and claim outcomes, and every
+    constant scaled by its power of two, exactly."""
+    assert report_outcome(scaled) == report_outcome(base)
+    powers = constant_powers(data)
+    scaled_constants = dict(report_constants(scaled.get("body", {}), powers))
+    for path, value in report_constants(base.get("body", {}), powers):
+        power = _power(powers[path], shifts)
+        expected = math.ldexp(value, power) if math.isfinite(value) else value
+        assert scaled_constants[path] == expected, path

@@ -324,9 +324,9 @@ def test_criterion_09_perturbation_suite():
         hyp = check_operator_perturbation(K1, K2, eps, 0.0)
         ok &= hyp.verified
         cert = optimal_kframe_bounds(fam, K1)
-        out = derive_operator_perturbed_bounds(cert.A, cert.B, eps, 0.0, fam, K2)
+        out = derive_operator_perturbed_bounds(cert.A, cert.B, eps, 0.0)
         ok &= out.A == pytest.approx(cert.A / (1 + eps) ** 2)
-        ok &= out.verification.passed
+        ok &= verify_bounds(fam, out.A, out.B, K2).passed
 
     # family case: pencil constant matches brute-force sphere search
     for n in (2, 3, 4):
@@ -340,8 +340,8 @@ def test_criterion_09_perturbation_suite():
         )
         ok &= abs(constant.M - brute) <= 1e-4 * max(1.0, abs(brute))
         cert = optimal_frame_bounds(F)
-        out = derive_family_perturbed_bounds(cert.A, cert.B, constant.M, None, G)
-        ok &= out.verification.passed
+        out = derive_family_perturbed_bounds(cert.A, cert.B, constant.M)
+        ok &= verify_bounds(G, out.A, out.B).passed
 
     # two-frame case: the max formula verifies the hypothesis on samples
     for k in range(50):

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fuzzyframes
-from conftest import reference_canonical_json, reference_whole_array
+from conftest import (
+    assert_scaled_report,
+    reference_canonical_json,
+    reference_whole_array,
+    scale_operands,
+)
 from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
@@ -92,8 +97,8 @@ class TestParsing:
     def test_complex_entries_as_pairs(self):
         data = load(C3_FILE)
         data["family"][0] = [[2, 0], [0, 0], [0, 0]]
-        problem = parse_problem(data)
-        assert problem.family[0, 0] == 2.0 + 0.0j
+        problem = parse_problem(data)  # held at unit scale, 2^-2 F
+        assert problem.family[0, 0] * 2.0 ** problem.exponents["family"] == 2.0 + 0.0j
 
     def test_complex_entry_in_real_problem_rejected(self):
         data = load(R3_FILE)
@@ -873,7 +878,7 @@ class TestCommands:
     def test_douglas_tests_range_inclusion_once(self, tmp_path, monkeypatch):
         data = load(R3_FILE)
         data["command"] = "douglas"
-        K = np.array(data["operator_K"], dtype=float)
+        K = parse_problem(data).operator_K  # N as the SVD reads it, at unit scale
         svd = np.linalg.svd
         calls = []
 
@@ -1002,15 +1007,25 @@ class TestCommands:
         "command", ["bounds", "check-kframe", "atomic", "transform", "perturb-operator"]
     )
     def test_overflowing_operator_gram_is_input_error(self, command, tmp_path, recwarn):
+        # K K* overflows a double, and the problem is decided at unit scale:
+        # with K = 1e200 K0 the reported lower bound, near 1e-400, leaves
+        # the range and is named; with F = 2^100 F0 and K = 2^512 K0 it
+        # stays a double, and the report is that of F0 and K0
         data = load(R3_FILE)
-        K = 1e154 * R3_K
+        data.update(command=command, lambda1=1.0)  # K2 = K1 / 2 meets the hypothesis
+        K = 1e200 * R3_K
         data["operator_K"] = K.tolist()
         data["operator_T"] = (0.5 * K).tolist()
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
-        report, code = run_file(path, command=command)
+        report, code = run_file(path)
         assert code == EXIT_ERROR and report["verdict"] == "error"
-        assert "overflows" in report["error"]
+        assert "bound A" in report["error"] and "underflows" in report["error"]
+        data.update(operator_K=R3_K.tolist(), operator_T=(0.5 * R3_K).tolist())
+        shifts = {"F": 100, "K": 512, "T": 512}
+        scaled = scale_operands(data, shifts)
+        base = run_command(command, parse_problem(data))[0]
+        assert_scaled_report(base, run_command(command, parse_problem(scaled))[0], data, shifts)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
@@ -1034,9 +1049,8 @@ class TestCommands:
     def test_atomic_probe_one_route(self, linalg_calls):
         # synthesis singular values 1 down to 1e-6 and K = 100 I: the K-frame
         # bound and the coefficient constant come from the same SVD of F
-        problem = parse_problem(
-            self._ill_conditioned("atomic", 1e-6, operator_K=(100.0 * np.eye(4)).tolist())
-        )
+        data = self._ill_conditioned("atomic", 1e-6, operator_K=(100.0 * np.eye(4)).tolist())
+        problem = parse_problem(data)
         linalg_calls.clear()  # the QR factors that built the family
         report, code = run_command("atomic", problem)
         assert sum(linalg_calls.values()) <= 4
@@ -1044,8 +1058,8 @@ class TestCommands:
         assert code == EXIT_PASS and report["verdict"] == "pass"
         assert body["atomic_holds"]
         assert body["verification"]["passed"]
-        F = problem.family.T
-        expected = 1.0 / np.linalg.norm(np.linalg.pinv(F) @ problem.operator_K, 2) ** 2
+        F, K = np.array(data["family"]).T, np.array(data["operator_K"])
+        expected = 1.0 / np.linalg.norm(np.linalg.pinv(F) @ K, 2) ** 2
         assert body["certificate"]["A"] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("path", [R3_FILE, C3_FILE])
@@ -1057,6 +1071,8 @@ class TestCommands:
         assert sum(linalg_calls.values()) <= 4
 
     def test_overflowing_commutator_is_input_error(self, tmp_path, recwarn):
+        # T K - K T overflowed; at unit scale T = K commutes, and what leaves
+        # the range is the derived B' = ||T||^2 = 2.6e400
         big = [[1e200, 1e200], [0.0, 1e200]]
         data = {"command": "transform", "dimension": 2, "family": [[1.0, 0.0], [0.0, 1.0]],
                 "operator_K": big, "operator_T": big, "variant": "invertible"}
@@ -1064,7 +1080,7 @@ class TestCommands:
         path.write_text(json.dumps(data))
         report, code = run_file(path)
         assert code == EXIT_ERROR and report["verdict"] == "error"
-        assert "commutator T K - K T" in report["error"]
+        assert "derived upper bound" in report["error"] and "overflows" in report["error"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
@@ -1118,14 +1134,21 @@ class TestCommands:
         "command", ["bounds", "check-frame", "check-kframe", "reconstruct", "transform"]
     )
     def test_overflowing_frame_operator_is_input_error(self, command, tmp_path):
+        # S_c = F F* overflows, and so does a reported bound of each command
+        # that reports one; reconstruct reports none and is decided as F 2^-512
         data = load(R3_FILE)
         data["family"] = [[1e154, 1e154, 0.0], [1e154, -1e154, 0.0], [0.0, 0.0, 1.0]]
         data["operator_T"] = (0.5 * np.array(data["operator_K"])).tolist()
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path, command=command)
+        if command == "reconstruct":
+            data.update(command=command, family=np.ldexp(data["family"], -512).tolist())
+            base = run_command(command, parse_problem(data))[0]
+            assert_scaled_report(base, report, data, {"F": 512})
+            return
         assert code == EXIT_ERROR and report["verdict"] == "error"
-        assert "overflows" in report["error"]
+        assert "bound" in report["error"] and "overflows" in report["error"]
 
     @pytest.mark.parametrize(
         "data, quantity",

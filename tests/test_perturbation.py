@@ -122,9 +122,9 @@ class TestOperatorDerivedBounds:
         K2 = 0.9 * K
         hyp = check_operator_perturbation(K, K2, 0.1, 0.0)
         assert hyp.verified
-        out = derive_operator_perturbed_bounds(cert.A, cert.B, 0.1, 0.0, fam, K2)
+        out = derive_operator_perturbed_bounds(cert.A, cert.B, 0.1, 0.0)
         assert out.A == pytest.approx(cert.A / 1.21)
-        assert out.verification.passed
+        assert verify_bounds(fam, out.A, out.B, K2).passed
 
     def test_monotone_in_constants(self):
         grid = np.linspace(0.0, 0.9, 7)
@@ -210,8 +210,8 @@ class TestFamilyDerivedBounds:
         moved = FrameFamily(fam.vectors + 0.05 * rng.standard_normal((3, 3)), fam.model)
         cert = optimal_kframe_bounds(fam, K)
         m = family_perturbation_constant(fam, moved)
-        out = derive_family_perturbed_bounds(cert.A, cert.B, m.M, K, moved)
-        assert out.verification.passed
+        out = derive_family_perturbed_bounds(cert.A, cert.B, m.M)
+        assert verify_bounds(moved, out.A, out.B, K).passed
 
     def test_monotone_in_m(self):
         grid = np.linspace(0.0, 4.0, 9)
@@ -353,7 +353,5 @@ class TestValidityChain:
             K2 = (1.0 - eps) * K1
             hyp = check_operator_perturbation(K1, K2, eps, 0.0)
             assert hyp.verified
-            out = derive_operator_perturbed_bounds(
-                cert.A, cert.B, eps, 0.0, fam, K2
-            )
-            assert out.verification.passed
+            out = derive_operator_perturbed_bounds(cert.A, cert.B, eps, 0.0)
+            assert verify_bounds(fam, out.A, out.B, K2).passed

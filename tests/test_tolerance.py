@@ -3,7 +3,6 @@
 the units of the input."""
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_scaled_report, exact_shift_range, scale_operands
 from fuzzyframes.cli_io import EXIT_FAIL, EXIT_PASS, parse_problem, run_command
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,8 +77,9 @@ class TestProbes:
 
 
 # ---------------------------------------------------------------------------
-# Scale covariance: F -> 2^k F (and K, T where both sides scale), and K
-# alone -> 2^k K, under which the K-frame lower bound scales by 2^-2k
+# Scale covariance: each group of operands scaled by its own power of two,
+# F with G, K alone, T alone, and K with T where both sides of a hypothesis
+# hold them; the constants scale by the powers of conftest.constant_powers
 
 KINDS = [
     "bounds",
@@ -95,32 +96,14 @@ KINDS = [
     "kframe-K",
 ]
 
-#: power j of 2^k by which a body constant scales
-POWERS = {
-    "optimal_frame.A": 2,
-    "optimal_frame.B": 2,
-    "optimal_kframe.A": 2,
-    "optimal_kframe.B": 2,
-    "requested.A": 2,
-    "requested.B": 2,
-    "certificate.A": 2,
-    "certificate.B": 2,
-    "coefficient_norm_constant": -1,
-    "derived.A": 2,
-    "derived.B": 2,
-    "lambda": 0,
-    "M": 0,
-    "max_residual": 0,
-    "max_violation": 1,
-    "factorization_residual": 1,
-}
-
-#: the powers under K -> 2^k K with F fixed: A against ||K* f||^2, B against ||f||^2
-K_ALONE_POWERS = {
-    "optimal_kframe.A": -2,
-    "optimal_kframe.B": 0,
-    "requested.A": -2,
-    "requested.B": 0,
+#: the operand groups scaled together: T alone would break T T* = I, and
+#: the perturbation hypothesis is homogeneous in K1 and K2 together only
+GROUPS = {
+    "coisometry": ("F", "K"),
+    "perturb-operator": ("F", "KT"),
+    "douglas": ("K", "T"),
+    "transfer": ("F", "K", "T"),
+    "invertible": ("F", "K", "T"),
 }
 
 
@@ -204,60 +187,16 @@ def _problem(kind: str, seed: int) -> dict:
     return data
 
 
-def _scale_problem(data: dict, k: int) -> dict:
-    """Family and family_g times 2^k, and K and T where both sides of the
-    command scale; bounds and claimed frame sums times 2^2k."""
-    c = 2.0**k
-    out = json.loads(json.dumps(data))
-    for key in ("family", "family_g"):
-        if key in out:
-            out[key] = _scaled(out[key], c)
-    if out["command"] in ("douglas", "perturb-operator"):
-        for key in ("operator_K", "operator_T"):
-            out[key] = _scaled(out[key], c)
-    if "bounds" in out:
-        out["bounds"] = _scaled(out["bounds"], c * c)
-    for claim in out.get("claims", {}).get("frame_sum", []):
-        claim["value"] *= c * c
-    return out
-
-
-def _scale_operator(data: dict, k: int) -> dict:
-    """K alone times 2^k and the requested A times 2^-2k."""
-    out = json.loads(json.dumps(data))
-    out["operator_K"] = _scaled(out["operator_K"], 2.0**k)
-    out["bounds"][0] *= 2.0 ** (-2 * k)
-    return out
-
-
-def _outcome(report: dict) -> tuple:
-    claims = tuple(c["agrees"] for c in report.get("body", {}).get("claims", []))
-    return report["verdict"], report["exit_code"], claims
-
-
-def _constants(body: dict, powers: dict, prefix: str = ""):
-    for key, value in body.items():
-        if isinstance(value, dict):
-            yield from _constants(value, powers, f"{prefix}{key}.")
-        elif f"{prefix}{key}" in powers and isinstance(value, float):
-            yield f"{prefix}{key}", value
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(-60, 60),
-)
-def test_verdicts_and_constants_are_scale_covariant(kind, seed, k):
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1), draw=st.data())
+def test_verdicts_and_constants_are_scale_covariant(kind, seed, draw):
     data = _problem(kind, seed)
     base, _ = _run(data)
-    k_alone = kind == "kframe-K"
-    scaled, _ = _run(_scale_operator(data, k) if k_alone else _scale_problem(data, k))
-    assert _outcome(scaled) == _outcome(base)
-    powers = K_ALONE_POWERS if k_alone else POWERS
-    scaled_constants = dict(_constants(scaled.get("body", {}), powers))
-    for path, value in _constants(base.get("body", {}), powers):
-        power = 0 if (kind, path) == ("perturb-operator", "derived.A") else powers[path]
-        expected = value * 2.0 ** (power * k) if math.isfinite(value) else value
-        assert scaled_constants[path] == expected, path
+    groups = GROUPS.get(kind, ("F", "K"))
+    group = draw.draw(st.sampled_from([g for g in groups if g != "K" or "operator_K" in data]))
+    # a scaled file that rounds states a different problem: k ranges over
+    # every shift for which it, and the report it implies, are exact
+    k = draw.draw(st.integers(*exact_shift_range(data, base.get("body", {}), group)))
+    shifts = {op: k for op in group}
+    scaled, _ = _run(scale_operands(data, shifts))
+    assert_scaled_report(base, scaled, data, shifts)
