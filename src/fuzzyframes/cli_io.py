@@ -3,14 +3,16 @@ certificate reports out.
 
 Reports are canonical: keys sorted, numbers printed to 12 significant
 digits, complex scalars as [re, im] pairs, witnesses normalized to unit
-norm.  Identical (file, seed, version) triples produce byte-identical
-reports at any parallelism level.
+norm.  Identical (file, version) pairs produce byte-identical reports at
+any parallelism level.
 
 Exit codes: 0 verdict pass, 1 mathematical negative (fail or
 not_applicable, with witness where one exists), 2 input or usage error.
 
 Every problem is decided at unit scale (see parse_problem and _scaled): a
-reported bound or operator past the double range is an input error naming it.
+reported bound or operator past the double range is an input error naming it,
+except an optimal constant of check-frame or check-kframe with the file's
+bounds, which is null.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .fuzzy_space import MAX_DIMENSION, MAX_SAMPLES, BaseSpace, FuzzyModel, check_fip_axioms
+from .fuzzy_space import MAX_DIMENSION, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
 from .operator_algebra import _ldexp, within_tolerance
 from .frame_core import (
@@ -111,13 +113,11 @@ class Problem:
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     bounds: Optional[tuple[float, float]] = None
     convention: str = "once"
-    seed: int = 0
     tolerance: float = PSD_TOL
     command: str = "bounds"
     lambda1: float = 0.0
     lambda2: float = 0.0
     variant: Optional[str] = None
-    samples: int = 1000
     claims: tuple[dict, ...] = field(default_factory=tuple)
 
     @property
@@ -148,27 +148,12 @@ def _real(value: Any, what: str) -> float:
     return x
 
 
-#: the largest magnitude up to which a double holds every integer
-EXACT_FLOAT_INTEGER = 2**53
-
-
 def _integer(value: Any, what: str) -> int:
-    """A JSON integer (bool excluded).
-
-    An integral float such as 3.0 is accepted up to EXACT_FLOAT_INTEGER in
-    magnitude.  Past it a double no longer holds every integer, and the
-    decoder reads integer literals outside [-2**63, 2**64) as doubles, so the
-    value may differ from the one in the file.
-    """
+    """A JSON integer (bool excluded) or an integral number such as 3.0."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
-        if abs(value) <= EXACT_FLOAT_INTEGER:
-            return int(value)
-        raise ProblemError(
-            f"{what} must be an integer literal in [-2**63, 2**64) or an integral "
-            f"number of magnitude at most 2**53, got {value!r}"
-        )
+        return int(value)
     raise ProblemError(f"{what} must be an integer, got {value!r}")
 
 
@@ -335,10 +320,6 @@ def parse_problem(data: Any) -> Problem:
     if variant is not None and variant not in ("invertible", "coisometry"):
         raise ProblemError(f"'variant' must be 'invertible' or 'coisometry', got {variant!r}")
 
-    samples = _integer(data.get("samples", 1000), "'samples'")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ProblemError(f"'samples' must lie in [1, {MAX_SAMPLES}], got {samples}")
-
     claims_raw = data.get("claims", {})
     claims: list[dict] = []
     if claims_raw:
@@ -368,13 +349,11 @@ def parse_problem(data: Any) -> Problem:
         alphas=alphas,
         bounds=bounds,
         convention=convention,
-        seed=_integer(data.get("seed", 0), "'seed'"),
         tolerance=tolerance,
         command=command,
         lambda1=_real(data.get("lambda1", 0.0), "'lambda1'"),
         lambda2=_real(data.get("lambda2", 0.0), "'lambda2'"),
         variant=variant,
-        samples=samples,
         claims=tuple(claims),
     )
 
@@ -551,13 +530,11 @@ def problem_digest(problem: Problem) -> str:
         "alphas": [_fmt(a) for a in problem.alphas],
         "bounds": [_fmt(b) for b in problem.bounds] if problem.bounds else None,
         "convention": problem.convention,
-        "seed": problem.seed,
         "tolerance": _fmt(problem.tolerance),
         "command": problem.command,
         "lambda1": _fmt(problem.lambda1),
         "lambda2": _fmt(problem.lambda2),
         "variant": problem.variant,
-        "samples": problem.samples,
         "claims": [{"kind": c["kind"], "value": _fmt(c["value"])} for c in problem.claims],
     }
     arrays = {name: (getattr(problem, name), problem.exponents[name]) for name in OPERANDS}
@@ -605,16 +582,27 @@ def _scaled(x, power: int, what: Optional[str]):
     return y
 
 
-def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int) -> dict:
+def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int, null: bool = False) -> dict:
     """The certificate at the caller's scale, A = cert.A 2^power_A and B =
-    cert.B 2^power_B, where Parseval (A = 1) is decided."""
+    cert.B 2^power_B, where Parseval (A = 1) is decided.  A constant past
+    the double range raises OverflowError, or with ``null`` is None."""
+
+    def scaled(x: float, power: int, what: str) -> Optional[float]:
+        try:
+            return _scaled(x, power, what)
+        except OverflowError:
+            if null:
+                return None
+            raise
+
     lower = "1 / ||F^+ K||^2" if cert.kind == "k_frame" else "lambda_min(S_c) = sigma_min(F)^2"
-    B = _scaled(cert.B, power_B, "the upper bound B = ||S_c|| = sigma_max(F)^2")
-    cert = replace(cert, A=_scaled(cert.A, power_A, f"the lower bound A = {lower}"), B=B)
+    B = scaled(cert.B, power_B, "the upper bound B = ||S_c|| = sigma_max(F)^2")
+    A = scaled(cert.A, power_A, f"the lower bound A = {lower}")
+    cert = replace(cert, A=math.inf if A is None else A)  # an A out of range is not 1
     return {
         "kind": cert.kind,
-        "A": cert.A,
-        "B": cert.B,
+        "A": A,
+        "B": B,
         "alpha_independent": cert.alpha_independent,
         "convention": cert.convention,
         "tight": cert.tight,
@@ -682,11 +670,12 @@ def _cmd_bounds(p: Problem) -> tuple[str, dict]:
 
 def _check_bounds(p: Problem, key: str, K: Optional[np.ndarray], reason: str) -> tuple[str, dict]:
     """check-frame (K None) and check-kframe of the file's bounds, or else
-    of the optimal ones."""
+    of the optimal ones.  With the file's bounds an optimal constant past
+    the double range is reported as null: verify_bounds decides alone."""
     family = p.frame_family()
     f, k = p.exponents["family"], 0 if K is None else p.exponents["operator_K"]
     cert = _optimal_bounds(family, K, p.convention, *_synthesis_svd(family), p.tolerance)
-    optimal = _cert_dict(cert, 2 * f - 2 * k, 2 * f)
+    optimal = _cert_dict(cert, 2 * f - 2 * k, 2 * f, null=p.bounds is not None)
     if p.bounds is None and cert.A == 0.0:
         return "fail", {key: optimal, "reason": reason}
     if p.bounds is None:  # the optimal pair, verified exactly at unit scale
@@ -862,18 +851,13 @@ def _cmd_douglas(p: Problem) -> tuple[str, dict]:
 
 
 def _cmd_axioms(p: Problem) -> tuple[str, dict]:
-    report = check_fip_axioms(p.model, p.samples, p.seed)
+    report = check_fip_axioms(p.model)
     body = {
         "profile": report.profile,
-        "samples": p.samples,
+        "method": "reduction",
         "all_passed": report.all_passed,
         "results": [
-            {
-                "axiom": r.axiom,
-                "passed": r.passed,
-                "violations": r.violations,
-                "witness": r.witness,
-            }
+            {"axiom": r.axiom, "statement": r.statement, "passed": r.passed, "witness": r.witness}
             for r in report.results
         ],
     }
@@ -939,7 +923,6 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
             "name": command,
             "alphas": list(problem.alphas),
             "convention": problem.convention,
-            "seed": problem.seed,
             "tolerance": problem.tolerance,
         },
         "input": {"path": str(path), "digest": problem_digest(problem)},
@@ -1123,7 +1106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--alpha", type=_levels, help="comma-separated levels in (0,1)")
         sp.add_argument("--convention", choices=["once", "squared"])
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--format", choices=["json", "text"], default="json")
@@ -1175,7 +1157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {
         "alphas": args.alpha,
         "convention": args.convention,
-        "seed": args.seed,
         "tolerance": args.tol,
     }
     report, code = run_file(args.file, args.subcommand, overrides)

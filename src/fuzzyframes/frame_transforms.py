@@ -35,7 +35,6 @@ from .frame_core import (
 from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
-    RangeInclusionError,
     _gram,
     as_matrix,
     douglas_lambda,
@@ -390,14 +389,11 @@ def build_family(
 ) -> BuiltFamily:
     """Inverse direction: family = columns of T, certified as a K-frame when
     range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*.
-    States the characterization of K-frames as images T e_i with R(K) <= R(T)."""
-    t = as_matrix(T)
-    family = FrameFamily(t.T, model)
-    try:
-        lam = douglas_lambda(K, t, tol)
-    except RangeInclusionError:
-        cert = optimal_kframe_bounds(family, K, tol=tol)
-        return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
-    derived = 1.0 / lam**2 if lam > 0.0 else math.inf
+    States the characterization of K-frames as images T e_i with R(K) <= R(T).
+    The family's synthesis operator is T, so its optimal K-frame bound is
+    that lower bound, A = 1 / ||T^+ K||^2, and 0 exactly without inclusion."""
+    family = FrameFamily(as_matrix(T).T, model)
     cert = optimal_kframe_bounds(family, K, tol=tol)
-    return BuiltFamily(family, cert, True, lam=lam, derived_lower=derived)
+    if cert.A == 0.0:
+        return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
+    return BuiltFamily(family, cert, True, lam=1.0 / math.sqrt(cert.A), derived_lower=cert.A)

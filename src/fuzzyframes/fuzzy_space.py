@@ -1,32 +1,34 @@
 """Concrete fuzzy inner product models on finite-dimensional spaces.
 
-Two membership profiles are supported.  The ``scaled`` profile is induced
-by a classical inner product through
+Two membership profiles are supported.  Both define the membership of t as
+a value for the inner product of x and y through c = ||x|| ||y|| alone,
+mu(x, y, t) = phi(c, t).  The ``scaled`` profile is induced by a classical
+inner product through
 
-    mu(x, y, t) = |t| / (|t| + ||x|| ||y||)   for real t > ||x|| ||y||,
-    mu(x, y, t) = 0                           otherwise,
+    phi(c, t) = |t| / (|t| + c)   for real t > c,
+    phi(c, t) = 0                 otherwise,
 
 and carries level norms ||x||_a = sqrt(a / (1 - a)) * ||x||.  The ``crisp``
-profile is the 0/1 indicator mu = [t > ||x|| ||y||], whose level norms all
-equal the classical norm.  Level inner products follow the same rule:
+profile is the 0/1 indicator phi = [t > c], whose level norms all equal the
+classical norm.  Level inner products follow the same rule:
 <x, y>_a = scale(a) * <x, y> with scale(a) = a/(1-a) or 1.
 
 Every operation here is a pure function of immutable values.  The
 membership, the level scale and the level norm broadcast over arrays of
-vectors and values, so the axiom check evaluates all its samples at once.
+vectors and values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "PROFILES",
-    "MAX_SAMPLES",
     "MAX_DIMENSION",
+    "REDUCTIONS",
     "BaseSpace",
     "FuzzyModel",
     "AxiomResult",
@@ -40,15 +42,28 @@ PROFILES = ("scaled", "crisp")
 #: imaginary part below this (relative) threshold counts as a positive real
 IMAG_TOL = 1e-12
 
-#: largest sample budget of the axiom check, ten times the default of 1000;
-#: at n = 64 over the complex field one samples x n draw is then 10 MB
-MAX_SAMPLES = 10_000
-
 #: largest dimension, the largest n for which operator_algebra's Cholesky
-#: certificate is proved (see CHOLESKY_TOL_FACTOR); there, with MAX_SAMPLES
-#: complex samples, one draw is 82 MB and the axiom check peaks near 1.1 GB
-#: (tracemalloc at n = 17 and 51, extrapolated linearly; real takes half)
+#: certificate is proved (see CHOLESKY_TOL_FACTOR)
 MAX_DIMENSION = 510
+
+
+def _phi(profile: str, c, t):
+    """The membership phi(c, t) of the value t, real or complex, where
+    c = ||x|| ||y|| >= 0; broadcasts over arrays of c and t."""
+    t = np.asarray(t)
+    tv = t.real
+    above = tv > c  # c >= 0, so t is also positive here
+    if np.iscomplexobj(t):
+        above &= np.abs(t.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(t))
+    if profile == "scaled":
+        return np.divide(tv, tv + c, out=np.zeros(above.shape), where=above)
+    return above.astype(np.float64)
+
+
+def _level_scale(profile: str, a):
+    """scale(a) = a/(1-a) for scaled, 1 for crisp, at levels a in (0, 1)."""
+    return a / (1.0 - a) if profile == "scaled" else 1.0
+
 
 def check_alpha(alpha):
     """Validate a level value, or an array of them, each strictly inside (0, 1).
@@ -113,16 +128,14 @@ class FuzzyModel:
 
         Takes one level (giving a float) or an array of levels.
         """
-        a = check_alpha(alpha)
-        if self.profile == "scaled":
-            return a / (1.0 - a)
-        return 1.0
+        return _level_scale(self.profile, check_alpha(alpha))
 
     def check_vector(self, x) -> np.ndarray:
         return self.space.vector(x)
 
     def mu(self, x, y, t):
-        """Membership of t as a value for the inner product of x and y.
+        """Membership phi(||x|| ||y||, t) of t as a value for the inner
+        product of x and y.
 
         Vanishes off the positive real axis and at or below the product of
         the classical norms; above that threshold the scaled profile takes
@@ -133,15 +146,7 @@ class FuzzyModel:
         """
         nx = np.linalg.norm(self.space.vectors(x), axis=-1)
         cut = nx * (nx if y is x else np.linalg.norm(self.space.vectors(y), axis=-1))
-        t = np.asarray(t)
-        tv = t.real
-        above = tv > cut  # cut >= 0, so t is also positive here
-        if np.iscomplexobj(t):
-            above &= np.abs(t.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(t))
-        if self.profile == "scaled":
-            value = np.divide(tv, tv + cut, out=np.zeros(above.shape), where=above)
-        else:
-            value = above.astype(np.float64)
+        value = _phi(self.profile, cut, t)
         return float(value) if value.ndim == 0 else value
 
     def alpha_norm(self, x, alpha):
@@ -154,7 +159,7 @@ class FuzzyModel:
         x = self.space.vectors(x)
         scale = np.asarray(self.scale(alpha), dtype=np.float64)
         if not (np.isfinite(scale) & (scale >= 0.0)).all():
-            raise ValueError(f"level norm undefined: level scale {scale!r}")
+            raise ValueError(f"level norm undefined: level scale {scale}")
         value = np.sqrt(scale) * np.linalg.norm(x, axis=-1)
         return float(value) if value.ndim == 0 else value
 
@@ -163,234 +168,109 @@ class FuzzyModel:
 # Axiom checking
 
 
+#: FIP1-FIP9, each reduced to a statement about phi(c, t) that holds for
+#: both profiles and implies the axiom
+REDUCTIONS = {
+    "FIP1": "phi(a + b, t + s) >= min(phi(a, t), phi(b, s)) and phi falls in c, "
+    "where a = ||x|| ||z||, b = ||y|| ||z|| and ||x + y|| ||z|| <= a + b",
+    "FIP2": "phi(sqrt(p q), sqrt(u v)) >= min(phi(p, u), phi(q, v)): phi falls in "
+    "c / t, and sqrt(p q / (u v)) <= max(p / u, q / v)",
+    "FIP3": "phi(c, conj t) = phi(c, t), and c = ||x|| ||y|| is symmetric in x and y",
+    "FIP4": "phi(|a| c, t) = phi(c, t / |a|) for a != 0: phi depends on c / t alone",
+    "FIP5": "phi(c, t) = 0 unless t is real and t > c >= 0",
+    "FIP6": "phi(0, t) = 1 for every t > 0, and phi(c, c / 2) = 0 for c > 0",
+    "FIP7": "phi(c, t) does not fall as t grows, and tends to 1",
+    "FIP8": "phi(c, t) = 0 for 0 < t <= c, so only c = 0 is positive at every t > 0",
+    "FIP9": "||x||_a^2 = scale(a) ||x||^2 with scale(a) = a / (1 - a) (scaled) or 1 "
+    "(crisp), so the level norms keep the parallelogram law of ||.||",
+}
+
+#: the norms of x and y at the critical points: 0 and powers of two, so
+#: that every product c = ||x|| ||y|| is exact
+_NORMS = (0.0, 0.5, 1.0, 4.0)
+
+#: the levels at which FIP9 reads the level norm
+_LEVELS = (0.25, 0.5, 0.75)
+
+
 @dataclass(frozen=True)
 class AxiomResult:
     axiom: str
+    statement: str
     passed: bool
-    violations: int = 0
     witness: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class AxiomReport:
     profile: str
-    sample_count: int
-    seed: int
-    results: tuple[AxiomResult, ...] = field(default_factory=tuple)
+    results: tuple[AxiomResult, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
 
-class _AxiomDraws(NamedTuple):
-    """The random points of an axiom check, one row or entry per sample."""
-
-    x: np.ndarray  # samples x n, in the space's field
-    y: np.ndarray
-    z: np.ndarray
-    s: np.ndarray  # complex
-    t: np.ndarray  # complex
-    tpos: np.ndarray  # uniform on [0.05, 8)
-    spos: np.ndarray  # uniform on [0.05, 8)
-    a: np.ndarray  # the FIP9 level, uniform on [0.02, 0.98)
+def _first_mismatch(got, want) -> Optional[int]:
+    """The first index where got differs from want (NaN always does)."""
+    bad = np.flatnonzero(~(got == want))
+    return int(bad[0]) if bad.size else None
 
 
-def _axiom_draws(rng: np.random.Generator, space: BaseSpace, count: int) -> _AxiomDraws:
-    """Draw every sample of the axiom check at once, in a fixed order."""
+def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
+    """Decide the inner-product membership axioms FIP1-FIP9 of the model.
 
-    def vectors() -> np.ndarray:
-        v = rng.standard_normal((count, space.dimension))
-        if space.field == "complex":
-            v = v + 1j * rng.standard_normal((count, space.dimension))
-        return v
-
-    def complex_scalars() -> np.ndarray:
-        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
-
-    return _AxiomDraws(
-        x=vectors(),
-        y=vectors(),
-        z=vectors(),
-        s=complex_scalars(),
-        t=complex_scalars(),
-        tpos=rng.uniform(0.05, 8.0, count),
-        spos=rng.uniform(0.05, 8.0, count),
-        a=rng.uniform(0.02, 0.98, count),
-    )
-
-
-def _axiom_result(name: str, checks, witness, per_sample: bool = False) -> AxiomResult:
-    """Fold the violation masks of one axiom's sub-checks into its result.
-
-    ``checks`` lists one boolean mask over the samples per sub-check.  Each
-    firing sub-check counts, or with ``per_sample`` each sample with any
-    firing sub-check counts once.  ``witness(k, j)`` describes the earliest
-    violating sample k through the first sub-check j that fires there.
+    Each axiom reduces to a statement about phi (REDUCTIONS), which is its
+    proof; what is left to decide is whether the model implements phi.
+    FIP1-FIP8 pass iff one broadcast call of ``model.mu`` equals phi exactly
+    at the critical points: every pair of norms from _NORMS in both orders,
+    x along the first axis (phase 1j over the complex field) and y along the
+    last, each with t at -1, 0, c and one ulp either side of it, 2c + 1,
+    1e12 (1 + c), and 2c + 1 moved off the real axis by more than IMAG_TOL
+    and by less.  FIP9 passes iff ``model.alpha_norm`` of a unit vector is
+    sqrt(scale(a)) exactly at the levels _LEVELS, with the profile's
+    scale(a).  A failing axiom's witness is the first point that disagrees.
     """
-    hits = np.stack(checks)
-    hit_samples = hits.any(axis=0)
-    count = int(hit_samples.sum() if per_sample else hits.sum())
-    if count == 0:
-        return AxiomResult(name, True)
-    k = int(np.argmax(hit_samples))
-    j = int(np.argmax(hits[:, k]))
-    return AxiomResult(name, False, count, f"sample {k}: {witness(k, j)}")
-
-
-def check_fip_axioms(
-    model: FuzzyModel, sample_count: int = 1000, seed: int = 0
-) -> AxiomReport:
-    """Evaluate the inner-product membership axioms at seeded sample points.
-
-    Checked at every sample of random vectors and scalars:
-
-    * FIP1  superadditivity of memberships under vector addition
-    * FIP2  product bound mu(x, y, |st|) >= min of the diagonal values
-    * FIP3  conjugate symmetry mu(x, y, t) = mu(y, x, conj t)
-    * FIP4  homogeneity mu(cx, y, t) = mu(x, y, t/|c|)
-    * FIP5  zero membership off the positive real axis
-    * FIP6  membership 1 at every t > 0 exactly for the zero vector
-    * FIP7  monotonicity in t and limit 1 as t grows
-    * FIP8  strictly positive diagonal membership at all t > 0 forces x = 0
-    * FIP9  parallelogram law of the induced level norms (the pointwise
-      min-form of this axiom is unsatisfiable for either profile, so the
-      level-norm identity it exists to guarantee is what gets checked)
-
-    All samples are drawn at once and each axiom is one whole-array
-    expression over ``model.mu``.  FIP3 and FIP5 count a sample once, FIP6
-    and FIP7 count each of their two sub-checks.  Violations are collected
-    into the report, never raised; the witness names the first violating
-    sample.
-    """
-    if not 1 <= sample_count <= MAX_SAMPLES:
-        raise ValueError(f"sample_count must lie in [1, {MAX_SAMPLES}], got {sample_count}")
+    nx, ny = (g.reshape(-1, 1) for g in np.meshgrid(_NORMS, _NORMS))
+    c = nx * ny
+    above = 2.0 * c + 1.0
+    t = np.hstack(np.broadcast_arrays(
+        -1.0, 0.0, c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf), above,
+        1e12 * (1.0 + c), above * (1.0 + 1.0j), above * (1.0 + 0.5j * IMAG_TOL),
+    ))
+    nx, ny, c, t = (a.ravel() for a in np.broadcast_arrays(nx, ny, c, t))
     space = model.space
-    x, y, z, s, t, tpos, spos, a = _axiom_draws(
-        np.random.default_rng(seed), space, sample_count
-    )
-    mu = model.mu
-    eq_tol = 1e-9
-    abs_s, abs_t = np.abs(s), np.abs(t)
-    nx = np.linalg.norm(x, axis=-1)
-    nonzero = nx > 1e-9
-    zero = np.zeros(space.dimension)
-
-    # FIP1 at nonnegative arguments |t|, |s|
-    lhs1 = mu(x + y, z, abs_t + abs_s)
-    rhs1 = np.minimum(mu(x, z, abs_t), mu(y, z, abs_s))
-    fip1 = _axiom_result(
-        "FIP1",
-        [lhs1 < rhs1 - eq_tol],
-        lambda k, j: f"mu(x+y)={float(lhs1[k]):.6g} < min={float(rhs1[k]):.6g}",
-    )
-
-    # FIP2
-    lhs2 = mu(x, y, np.abs(s * t))
-    rhs2 = np.minimum(mu(x, x, abs_s**2), mu(y, y, abs_t**2))
-    fip2 = _axiom_result(
-        "FIP2",
-        [lhs2 < rhs2 - eq_tol],
-        lambda k, j: f"mu(x,y,|st|)={float(lhs2[k]):.6g} < min={float(rhs2[k]):.6g}",
-    )
-
-    # FIP3 at a complex argument and at a positive real one
-    fip3 = _axiom_result(
-        "FIP3",
-        [np.abs(mu(x, y, targ) - mu(y, x, np.conj(targ))) > eq_tol for targ in (t, tpos)],
-        lambda k, j: f"asymmetric at t={(t[k], tpos[k])[j].item()!r}",
-        per_sample=True,
-    )
-
-    # FIP4 with a nonzero scalar from the model's field
-    c = s if space.field == "complex" else np.where(s.real == 0.0, 1.0, s.real)
-    abs_c = np.abs(c)
-    scalable = abs_c > 1e-6
-    mismatch = np.abs(
-        mu(c[:, None] * x, y, tpos) - mu(x, y, tpos / np.where(scalable, abs_c, 1.0))
-    )
-    fip4 = _axiom_result(
-        "FIP4",
-        [scalable & (mismatch > eq_tol)],
-        lambda k, j: f"scaling mismatch at c={c[k].item()!r}",
-    )
-
-    # FIP5: vanishing off R+
-    fip5 = _axiom_result(
-        "FIP5",
-        [mu(x, x, bad) != 0.0 for bad in (-tpos, tpos * 1j, -tpos + spos * 1j)],
-        lambda k, j: "mu(x,x,{!r}) != 0".format(
-            (-float(tpos[k]), complex(0.0, tpos[k]), complex(-tpos[k], spos[k]))[j]
-        ),
-        per_sample=True,
-    )
-
-    # FIP6: the zero vector has full membership, nonzero vectors do not
-    fip6 = _axiom_result(
-        "FIP6",
-        [
-            np.abs(mu(zero, zero, tpos) - 1.0) > eq_tol,
-            nonzero & (np.abs(mu(x, x, 0.5 * nx * nx) - 1.0) <= eq_tol),
-        ],
-        lambda k, j: (
-            f"mu(0,0,{float(tpos[k]):.4g}) != 1",
-            "nonzero x with full membership",
-        )[j],
-    )
-
-    # FIP7: monotone in t, limit 1
-    t_lo, t_hi = np.minimum(tpos, spos), np.maximum(tpos, spos)
-    limit = mu(x, x, 1e12 * (1.0 + nx * nx))
-    fip7 = _axiom_result(
-        "FIP7",
-        [mu(x, x, t_lo) > mu(x, x, t_hi) + eq_tol, limit < 1.0 - 1e-6],
-        lambda k, j: (
-            f"not monotone on [{float(t_lo[k]):.4g},{float(t_hi[k]):.4g}]",
-            f"limit at large t is {float(limit[k]):.6g}",
-        )[j],
-    )
-
-    # FIP8: positive diagonal membership at all t>0 only for x = 0; the probe
-    # N(x, nx/2) = mu(x, x, nx^2/4) lies below the cut
-    probe_t = 0.5 * nx
-    fip8 = _axiom_result(
-        "FIP8",
-        [nonzero & (mu(x, x, probe_t * probe_t) > 0.0)],
-        lambda k, j: "positive membership below threshold",
-    )
-
-    # FIP9 via the parallelogram identity of the level norms; a sample whose
-    # level norm is undefined (negative or non-finite scale, or a square
-    # that overflows) is a violation
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.broadcast_to(model.scale(a), a.shape)
-        defined = np.isfinite(scale) & (scale >= 0.0)
-        squares = np.full((4, sample_count), np.inf)
-        if defined.any():
-            xd, yd = x[defined], y[defined]
-            pairs = np.stack((xd + yd, xd - yd, xd, yd))
-            squares[:, defined] = model.alpha_norm(pairs, a[defined]) ** 2
-        undefined = ~np.isfinite(squares).all(axis=0)
-        lhs9 = squares[0] + squares[1]
-        rhs9 = 2.0 * squares[2] + 2.0 * squares[3]
-        residual = lhs9 - rhs9
-        bad9 = undefined | ~np.isfinite(lhs9) | (
-            np.abs(residual) > 1e-8 * np.maximum(1.0, np.abs(rhs9))
+    x = np.zeros((t.size, space.dimension), dtype=space.dtype)
+    y = np.zeros_like(x)
+    x[:, 0] = nx * (1j if space.field == "complex" else 1.0)
+    y[:, -1] = ny
+    got = np.broadcast_to(model.mu(x, y, t), t.shape)
+    want = _phi(model.profile, c, t)
+    k = _first_mismatch(got, want)
+    mu_witness = None
+    if k is not None:
+        tk = complex(t[k])
+        shown = repr(tk.real) if tk.imag == 0.0 else repr(tk)
+        mu_witness = (
+            f"mu = {float(got[k]):.6g}, not phi = {want[k]:.6g}, "
+            f"at ||x|| = {nx[k]:g}, ||y|| = {ny[k]:g}, t = {shown}"
         )
-    fip9 = _axiom_result(
-        "FIP9",
-        [bad9],
-        lambda k, j: (
-            f"level norm undefined at alpha={float(a[k]):.3g}"
-            if undefined[k]
-            else f"parallelogram residual {float(residual[k]):.3g}"
-        ),
-    )
 
-    results = (fip1, fip2, fip3, fip4, fip5, fip6, fip7, fip8, fip9)
-    return AxiomReport(
-        profile=model.profile,
-        sample_count=sample_count,
-        seed=seed,
-        results=results,
-    )
+    levels = np.array(_LEVELS)
+    want = np.sqrt(np.broadcast_to(_level_scale(model.profile, levels), levels.shape))
+    unit = x[-1] / nx[-1]  # the first axis, with its phase
+    norm_witness = None
+    try:
+        got = np.broadcast_to(model.alpha_norm(unit, levels), levels.shape)
+    except ValueError as exc:  # a negative or non-finite level scale
+        norm_witness = str(exc)
+    else:
+        k = _first_mismatch(got, want)
+        if k is not None:
+            norm_witness = f"||e||_a = {float(got[k]):.6g}, not {want[k]:.6g}, at a = {levels[k]:g}"
+
+    results = []
+    for axiom, statement in REDUCTIONS.items():
+        witness = norm_witness if axiom == "FIP9" else mu_witness
+        results.append(AxiomResult(axiom, statement, witness is None, witness))
+    return AxiomReport(model.profile, tuple(results))

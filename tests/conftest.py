@@ -16,14 +16,14 @@ import json
 import math
 from collections import Counter
 from itertools import chain
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
 from fuzzyframes.cli_io import _fmt
-from fuzzyframes.fuzzy_space import AxiomReport, AxiomResult, _axiom_draws, check_alpha
+from fuzzyframes.fuzzy_space import check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +305,59 @@ def sphere_violation_max(
 
 
 # ---------------------------------------------------------------------------
-# Scalar oracle of the axiom check
+# Sampling oracle of the axiom check
 
 
-def fip_axioms_oracle(model: FuzzyModel, sample_count: int, seed: int) -> AxiomReport:
-    """The axiom check as a per-sample loop of scalar membership calls.
+class AxiomDraws(NamedTuple):
+    """The random points of the sampling oracle, one row or entry per sample."""
 
-    Walks the same draws as ``check_fip_axioms``, one row at a time, with
-    the same tolerances, counting rules and witness texts; the whole-array
-    check must reproduce its report exactly.
+    x: np.ndarray  # samples x n, in the space's field
+    y: np.ndarray
+    z: np.ndarray
+    s: np.ndarray  # complex
+    t: np.ndarray  # complex
+    tpos: np.ndarray  # uniform on [0.05, 8)
+    spos: np.ndarray  # uniform on [0.05, 8)
+    a: np.ndarray  # the FIP9 level, uniform on [0.02, 0.98)
+
+
+def axiom_draws(rng: np.random.Generator, space: BaseSpace, count: int) -> AxiomDraws:
+    """Draw every sample of the oracle at once, in a fixed order."""
+
+    def vectors() -> np.ndarray:
+        v = rng.standard_normal((count, space.dimension))
+        if space.field == "complex":
+            v = v + 1j * rng.standard_normal((count, space.dimension))
+        return v
+
+    def complex_scalars() -> np.ndarray:
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    return AxiomDraws(
+        x=vectors(),
+        y=vectors(),
+        z=vectors(),
+        s=complex_scalars(),
+        t=complex_scalars(),
+        tpos=rng.uniform(0.05, 8.0, count),
+        spos=rng.uniform(0.05, 8.0, count),
+        a=rng.uniform(0.02, 0.98, count),
+    )
+
+
+def fip_axioms_oracle(model: FuzzyModel, sample_count: int, seed: int) -> dict[str, str]:
+    """The axioms FIP1-FIP9 evaluated on the model itself, by a per-sample
+    loop of scalar membership calls at seeded random points.
+
+    Returns each violated axiom with its first violating sample.  It knows
+    nothing of the scalar reduction, so the decision of check_fip_axioms
+    must fail at least every axiom it fails.
     """
     space = model.space
-    d = _axiom_draws(np.random.default_rng(seed), space, sample_count)
+    d = axiom_draws(np.random.default_rng(seed), space, sample_count)
     eq_tol = 1e-9
-    counts: dict[str, int] = {}
     witnesses: dict[str, str] = {}
-
-    def record(axiom: str, witness: str) -> None:
-        counts[axiom] = counts.get(axiom, 0) + 1
-        witnesses.setdefault(axiom, witness)
-
+    record = witnesses.setdefault  # the first violating sample of each axiom
     zero = np.zeros(space.dimension, dtype=space.dtype)
     for k in range(sample_count):
         x, y, z = d.x[k], d.y[k], d.z[k]
@@ -389,16 +422,7 @@ def fip_axioms_oracle(model: FuzzyModel, sample_count: int, seed: int) -> AxiomR
         if bad:
             record("FIP9", note)
 
-    results = tuple(
-        AxiomResult(
-            axiom=name,
-            passed=name not in counts,
-            violations=counts.get(name, 0),
-            witness=witnesses.get(name),
-        )
-        for name in (f"FIP{j}" for j in range(1, 10))
-    )
-    return AxiomReport(model.profile, sample_count, seed, results)
+    return witnesses
 
 
 # ---------------------------------------------------------------------------

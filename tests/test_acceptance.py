@@ -374,7 +374,7 @@ def test_criterion_10_fuzzy_space_numerics():
             polar = alpha_inner_polarization(model, x, y, a)
             ok &= abs(direct - polar) <= 1e-8 * max(1.0, abs(direct))
     for profile in ("scaled", "crisp"):
-        report = check_fip_axioms(FuzzyModel(BaseSpace(3, "complex"), profile), 1000, seed=0)
+        report = check_fip_axioms(FuzzyModel(BaseSpace(3, "complex"), profile))
         ok &= report.all_passed
     criterion(10, "level-norm bisection, polarization, and axiom checks at stated tolerances", ok)
 

@@ -21,7 +21,6 @@ from conftest import (
     scale_operands,
 )
 from fuzzyframes.frame_core import synthesis_matrix
-from fuzzyframes.fuzzy_space import MAX_SAMPLES
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
 from fuzzyframes.cli_io import (
     COMMANDS,
@@ -119,15 +118,15 @@ class TestParsing:
             {"tolerance": -1.0},
             {"command": "explode"},
             {"schema": 2},
-            {"seed": "abc"},
+            {"dimension": "abc"},
             {"tolerance": "x"},
-            {"samples": None},
+            {"dimension": None},
             {"lambda1": [1]},
             {"dimension": 3.5},
             {"dimension": True},
-            {"seed": 2.7},
-            {"seed": float(2**53 + 2)},
-            {"seed": True},
+            {"dimension": 2.7},
+            {"dimension": float(2**64)},
+            {"alphas": [True]},
             {"command": ["bounds"]},
             {"family_g": 5},
             {"claims": {"frame_sum": 3}},
@@ -139,17 +138,6 @@ class TestParsing:
         data.update(mutation)
         with pytest.raises(ProblemError):
             parse_problem(data)
-
-    @pytest.mark.parametrize("samples", [0, MAX_SAMPLES + 1])
-    def test_sample_budget_outside_cap_rejected(self, samples, tmp_path):
-        data = load(R3_FILE)
-        data.update(command="axioms", samples=samples)
-        with pytest.raises(ProblemError, match="'samples'"):
-            parse_problem(data)
-        path = tmp_path / "budget.json"
-        path.write_text(json.dumps(data))
-        report, code = run_file(path)
-        assert code == EXIT_ERROR and str(MAX_SAMPLES) in report["error"]
 
     def test_operator_shape_must_match(self):
         data = load(R3_FILE)
@@ -183,29 +171,55 @@ class TestParsing:
         assert "finite" in report["error"]
 
     def test_integer_literals_up_to_2_to_64_are_exact(self, tmp_path):
+        # read as the integer in the file, which the range check names
         data = load(R3_FILE)
-        data["seed"] = 2**63 - 1
-        path = tmp_path / "seed.json"
+        data["dimension"] = 2**63 - 1
+        path = tmp_path / "dimension.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
-        assert code == EXIT_PASS and report["command"]["seed"] == 2**63 - 1
+        assert code == EXIT_ERROR
+        assert report["error"] == "'dimension' must lie in [1, 510], got 9223372036854775807"
 
     def test_integer_literal_past_2_to_64_is_rejected(self, tmp_path):
-        # the decoder reads it as the double 2**64, which is not the seed in the file
+        # the decoder reads it as the double 2**64, outside the dimension range
         data = load(R3_FILE)
-        data["seed"] = 2**64 + 1
-        path = tmp_path / "seed.json"
+        data["dimension"] = 2**64 + 1
+        path = tmp_path / "dimension.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
-        assert code == EXIT_ERROR and "'seed'" in report["error"]
+        assert code == EXIT_ERROR
+        assert report["error"] == "'dimension' must lie in [1, 510], got 18446744073709551616"
 
-    @pytest.mark.parametrize(
-        "key, value", [("dimension", 3.0), ("seed", float(2**53)), ("seed", -float(2**53))]
-    )
-    def test_integral_float_accepted_up_to_2_to_53(self, key, value):
+    @pytest.mark.parametrize("key, value", [("dimension", 3.0)])
+    def test_integral_float_accepted_up_to_2_to_53(self, key, value, tmp_path):
         data = load(R3_FILE)
         data[key] = value
         assert getattr(parse_problem(data), key) == value
+        path = tmp_path / "dimension.json"
+        path.write_text(json.dumps(data))
+        assert run_file(path)[1] == EXIT_PASS
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_dimension_must_be_an_integer(self, value, tmp_path):
+        data = load(R3_FILE)
+        data["dimension"] = value
+        path = tmp_path / "dimension.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path)
+        assert code == EXIT_ERROR
+        assert report["error"] == f"'dimension' must be an integer, got {value!r}"
+
+    def test_keys_the_schema_does_not_name_are_ignored(self, tmp_path):
+        data = load(R3_FILE)
+        data["command"] = "axioms"
+        texts = []
+        for extra in [{}, {"seed": 7, "samples": 150}, {"seed": "abc", "other": [1]}]:
+            path = tmp_path / "axioms.json"
+            path.write_text(json.dumps({**data, **extra}))
+            report, code = run_file(path)
+            assert code == EXIT_PASS and "seed" not in report["command"]
+            texts.append(canonical_json(report))
+        assert texts[0] == texts[1] == texts[2]
 
     def test_digest_stable_under_reformatting(self):
         data = load(R3_FILE)
@@ -228,12 +242,13 @@ class TestParsing:
     @pytest.mark.parametrize(
         "path, digest",
         [
-            (R3_FILE, "455fe23900fa91add99709269056f7b2cefec2228e6d398b4be1b0af3987b394"),
-            (C3_FILE, "a9d34467c2cf809155a7f1ec6232f47a5802ac5a0756d70efe5e160fdd703ed7"),
+            (R3_FILE, "ac0e40520e322051defd8f43dcc273a49b96c595a605a9eb35d86792afb3544f"),
+            (C3_FILE, "c848c130257aa7423bead9e6139e0c7a7416895da660e81f18deb53860e9cee9"),
         ],
     )
     def test_digest_unchanged_by_zero_part_shortcut(self, path, digest):
-        # the digests of version 1.6.0, which rounded every all-zero part
+        # the digests of version 1.13.0 with every all-zero part rounded, as
+        # version 1.6.0 did
         assert problem_digest(parse_problem(load(path))) == digest
 
     def test_digest_resolves_twelve_significant_digits(self):
@@ -425,7 +440,7 @@ LITERALS = st.one_of(
     st.integers(-(2**63), 2**63).map(str),
 )
 MATRIX_KEYS = ("family", "family_g", "operator_K", "operator_T")
-SCALAR_KEYS = ("lambda1", "lambda2", "tolerance", "seed")
+SCALAR_KEYS = ("lambda1", "lambda2", "tolerance")
 
 
 @st.composite
@@ -437,7 +452,6 @@ def adversarial_problem_texts(draw):
         command=draw(st.sampled_from(sorted(COMMANDS))),
         operator_T=json.loads(json.dumps(data["operator_K"])),
         family_g=json.loads(json.dumps(data["family"])),
-        samples=50,
     )
     literals = {}
     for k in range(draw(st.integers(1, 6))):
@@ -743,12 +757,15 @@ class TestCommands:
     def test_axioms_command(self, tmp_path):
         data = load(R3_FILE)
         data["command"] = "axioms"
-        data["samples"] = 200
         path = tmp_path / "axioms.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
         assert code == EXIT_PASS
-        assert report["body"]["all_passed"]
+        body = report["body"]
+        assert body["all_passed"] and body["method"] == "reduction"
+        assert [r["axiom"] for r in body["results"]] == [f"FIP{j}" for j in range(1, 10)]
+        assert all(r["statement"] and r["witness"] is None for r in body["results"])
+        assert main(["axioms", str(path), "--seed", "1"]) == EXIT_ERROR
 
     def test_atomic_command(self, tmp_path):
         data = load(C3_FILE)
@@ -768,7 +785,6 @@ class TestCommands:
         data["command"] = "perturb-operator"
         data["lambda1"] = 0.1
         data["lambda2"] = 0.0
-        data["samples"] = 500
         path = tmp_path / "perturb.json"
         path.write_text(json.dumps(data))
         report, code = run_file(path)
@@ -1010,9 +1026,11 @@ class TestCommands:
         # K K* overflows a double, and the problem is decided at unit scale:
         # with K = 1e200 K0 the reported lower bound, near 1e-400, leaves
         # the range and is named; with F = 2^100 F0 and K = 2^512 K0 it
-        # stays a double, and the report is that of F0 and K0
+        # stays a double, and the report is that of F0 and K0.  The optimal
+        # bounds are asked for: requested ones are decided whatever the
+        # range of the optimal ones
         data = load(R3_FILE)
-        data.update(command=command, lambda1=1.0)  # K2 = K1 / 2 meets the hypothesis
+        data.update(command=command, lambda1=1.0, bounds=None)  # K2 = K1 / 2 meets the hypothesis
         K = 1e200 * R3_K
         data["operator_K"] = K.tolist()
         data["operator_T"] = (0.5 * K).tolist()
@@ -1135,8 +1153,10 @@ class TestCommands:
     )
     def test_overflowing_frame_operator_is_input_error(self, command, tmp_path):
         # S_c = F F* overflows, and so does a reported bound of each command
-        # that reports one; reconstruct reports none and is decided as F 2^-512
+        # that reports one (the optimal bounds, as none are requested);
+        # reconstruct reports none and is decided as F 2^-512
         data = load(R3_FILE)
+        data["bounds"] = None
         data["family"] = [[1e154, 1e154, 0.0], [1e154, -1e154, 0.0], [0.0, 0.0, 1.0]]
         data["operator_T"] = (0.5 * np.array(data["operator_K"])).tolist()
         path = tmp_path / "huge.json"
@@ -1307,7 +1327,7 @@ class TestBatch:
 
     def test_bad_file_among_corpus_files(self, tmp_path):
         data = load(R3_FILE)
-        data["seed"] = "abc"
+        data["tolerance"] = "abc"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         files = [*sorted(CORPUS.glob("*.json")), bad]
@@ -1316,7 +1336,7 @@ class TestBatch:
         reports = json.loads(target.read_text())["reports"]
         verdicts = [r["verdict"] for r in reports]
         assert verdicts == ["pass", "pass", "not_applicable", "error"]
-        assert reports[-1]["exit_code"] == EXIT_ERROR and "'seed'" in reports[-1]["error"]
+        assert reports[-1]["exit_code"] == EXIT_ERROR and "'tolerance'" in reports[-1]["error"]
 
     def test_repeated_runs_byte_identical(self):
         files = sorted(CORPUS.glob("*.json"))

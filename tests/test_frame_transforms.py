@@ -17,6 +17,7 @@ from fuzzyframes import (
     combine_product,
     combine_scalar,
     douglas_factorize,
+    douglas_lambda,
     operator_transfer,
     optimal_kframe_bounds,
     synthesis_matrix,
@@ -329,3 +330,11 @@ class TestSynthesisCharacterization:
             assert built.certificate.A > 0.0
             assert built.derived_lower is not None
             assert built.derived_lower <= built.certificate.A + 1e-9
+            # one decomposition of T: the derived bound is the certificate's
+            assert built.derived_lower == built.certificate.A
+            assert built.lam == pytest.approx(douglas_lambda(K, T), rel=1e-12)
+        # range(I) escapes a rank-2 T: no inclusion, A = 0
+        T = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
+        built = build_family(model, T, np.eye(3))
+        assert not built.inclusion_holds and built.certificate.A == 0.0
+        assert built.lam is None and built.derived_lower is None

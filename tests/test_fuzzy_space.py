@@ -15,7 +15,7 @@ from fuzzyframes import (
     reconstruction_residual,
     verify_bounds,
 )
-from fuzzyframes.fuzzy_space import MAX_SAMPLES, PROFILES
+from fuzzyframes.fuzzy_space import PROFILES, REDUCTIONS
 from conftest import (
     alpha_inner,
     alpha_inner_polarization,
@@ -166,9 +166,30 @@ class TestAlphaInner:
 class TestAxioms:
     @pytest.mark.parametrize("profile", ["scaled", "crisp"])
     def test_profiles_pass(self, profile):
-        model = FuzzyModel(BaseSpace(3, "complex"), profile)
-        report = check_fip_axioms(model, sample_count=1000, seed=0)
+        report = check_fip_axioms(FuzzyModel(BaseSpace(3, "complex"), profile))
         assert report.all_passed, [r.axiom for r in report.results if not r.passed]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_profiles_pass_in_every_small_space(self, profile):
+        for field in ("real", "complex"):
+            for n in range(1, 6):
+                assert check_fip_axioms(FuzzyModel(BaseSpace(n, field), profile)).all_passed
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_sampling_oracle_passes_the_profiles(self, profile):
+        model = FuzzyModel(BaseSpace(3, "complex"), profile)
+        for seed in range(10):
+            assert fip_axioms_oracle(model, 1000, seed) == {}
+
+    def test_each_axiom_reports_its_reduction(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the axiom check draws no random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        report = check_fip_axioms(SCALED_R3)
+        assert [r.axiom for r in report.results] == [f"FIP{j}" for j in range(1, 10)]
+        assert [r.statement for r in report.results] == list(REDUCTIONS.values())
+        assert report == check_fip_axioms(SCALED_R3)
 
     def test_corrupted_profile_reports_fip5_fip6(self):
         class Corrupted(FuzzyModel):
@@ -180,15 +201,9 @@ class TestAxioms:
                 return super().mu(x, y, t) - 1.0
 
         model = Corrupted(BaseSpace(3, "real"), "scaled")
-        report = check_fip_axioms(model, sample_count=200, seed=1)
+        report = check_fip_axioms(model)
         failed = {r.axiom for r in report.results if not r.passed}
         assert "FIP5" in failed and "FIP6" in failed
-
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            check_fip_axioms(SCALED_R3, sample_count=0)
-        with pytest.raises(ValueError):
-            check_fip_axioms(SCALED_R3, sample_count=MAX_SAMPLES + 1)
 
 
 class Asymmetric(FuzzyModel):
@@ -218,41 +233,72 @@ class Shifted(FuzzyModel):
         return super().mu(x, y, t) - 1.0
 
 
+class Closed(FuzzyModel):
+    """Membership 1/2 at the threshold t = ||x|| ||y|| itself."""
+
+    def mu(self, x, y, t):
+        c = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+        return np.where(np.asarray(t).real == c, 0.5, super().mu(x, y, t))
+
+
+class RealPart(FuzzyModel):
+    """Reads the real part of t only, so t off the real axis counts."""
+
+    def mu(self, x, y, t):
+        return super().mu(x, y, np.asarray(t).real)
+
+
 class TestWholeArrayAxioms:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("cls", [FuzzyModel, Asymmetric, Decaying, Shifted])
     def test_matches_scalar_oracle(self, cls, profile, field, n):
+        # the decision fails every axiom the sampling oracle fails, and passes
+        # the built-in profiles, which the oracle passes too
         model = cls(BaseSpace(n, field), profile)
-        report = check_fip_axioms(model, sample_count=100, seed=n)
-        assert report == fip_axioms_oracle(model, 100, seed=n)
+        report = check_fip_axioms(model)
+        failed = {r.axiom for r in report.results if not r.passed}
+        assert set(fip_axioms_oracle(model, 100, seed=n)) <= failed
+        assert (failed == set()) == (cls is FuzzyModel)
         for r in report.results:
             assert r.witness is None or "np." not in r.witness
 
     def test_corrupted_models_fail_their_axioms(self):
         space = BaseSpace(3, "complex")
-        asym = check_fip_axioms(Asymmetric(space, "scaled"), 200, seed=3)
-        assert {"FIP1", "FIP3"} <= {r.axiom for r in asym.results if not r.passed}
-        # complex t lies off the axis, where both sides vanish: the positive
-        # real sub-check is the first to fire
-        fip3 = asym.results[2]
-        assert re.fullmatch(r"sample \d+: asymmetric at t=[\d.e+-]+", fip3.witness)
-        decay = check_fip_axioms(Decaying(space, "crisp"), 200, seed=3)
-        fip7 = decay.results[6]
-        # the crisp m (1 - m) vanishes everywhere: only the limit sub-check fires
-        assert fip7.witness == "sample 0: limit at large t is 0"
-        assert fip7.violations == 200
-        shifted = check_fip_axioms(Shifted(space, "scaled"), 50, seed=3)
-        assert shifted.results[8].witness.startswith("sample 0: level norm undefined")
+        mu_axioms = {f"FIP{j}" for j in range(1, 9)}
+        for model in (Asymmetric(space, "scaled"), Decaying(space, "crisp")):
+            report = check_fip_axioms(model)
+            assert {r.axiom for r in report.results if not r.passed} == mu_axioms
+            assert len({r.witness for r in report.results[:8]}) == 1
+            assert re.fullmatch(
+                r"mu = \S+, not phi = \S+, at \|\|x\|\| = \S+, \|\|y\|\| = \S+, t = \S+",
+                report.results[0].witness,
+            )
+        # the crisp m (1 - m) vanishes everywhere: the first point above the
+        # threshold is the first to disagree, one ulp above c = 0
+        decay = check_fip_axioms(Decaying(space, "crisp")).results[0]
+        assert decay.witness == "mu = 0, not phi = 1, at ||x|| = 0, ||y|| = 0, t = 5e-324"
+        shifted = check_fip_axioms(Shifted(space, "scaled")).results[8]
+        assert shifted.witness == "level norm undefined: level scale -1.0"
 
-    def test_first_sub_check_wins_at_the_earliest_sample(self):
-        # both FIP7 sub-checks fire at sample 0; each firing counts and the
-        # witness is the first sub-check's
-        report = check_fip_axioms(Decaying(BaseSpace(2, "real"), "scaled"), 300, seed=5)
-        fip7 = report.results[6]
-        assert fip7.violations > 300
-        assert fip7.witness.startswith("sample 0: not monotone on [")
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_boundary_and_off_axis_faults_are_caught(self, field):
+        space = BaseSpace(2, field)
+        closed = check_fip_axioms(Closed(space, "scaled")).results[0].witness
+        assert closed == "mu = 0.5, not phi = 0, at ||x|| = 0, ||y|| = 0, t = 0.0"
+        off_axis = check_fip_axioms(RealPart(space, "crisp")).results[4].witness
+        assert off_axis == "mu = 1, not phi = 0, at ||x|| = 0, ||y|| = 0, t = (1+1j)"
+        assert check_fip_axioms(RealPart(space, "crisp")).results[8].passed
+
+    def test_level_scale_fault_fails_fip9_only(self):
+        class Quadrupled(FuzzyModel):
+            def scale(self, alpha):
+                return 4.0 * super().scale(alpha)
+
+        report = check_fip_axioms(Quadrupled(BaseSpace(2, "complex"), "crisp"))
+        assert [r.axiom for r in report.results if not r.passed] == ["FIP9"]
+        assert report.results[8].witness == "||e||_a = 2, not 1, at a = 0.25"
 
 
 class TestBroadcastMembership:

@@ -161,6 +161,24 @@ class TestUnitScale:
         report, code = _run(data)
         assert code == EXIT_PASS and report["body"]["optimal_frame"]["A"] == 0.0
 
+    @pytest.mark.parametrize(
+        "command, f, bounds", [("check-kframe", 1e-300, [1e10, 1.0]), ("check-frame", 1e-200, [1.0, 2.0])]
+    )
+    def test_requested_bounds_are_decided_past_the_range_of_the_optimal_ones(self, command, f, bounds):
+        # A and B, 1e-600 or 1e-400, underflow a double and are reported as
+        # null; they made the run an input error although the requested
+        # lower bound fails
+        data = {"command": command, "dimension": 2, "family": [[f, 0.0], [0.0, f]],
+                "operator_K": [[1.0, 0.0], [0.0, 1.0]], "bounds": bounds}
+        report, code = _run(data)
+        body = json.loads(canonical_json(report))["body"]
+        optimal = body["optimal_kframe" if command == "check-kframe" else "optimal_frame"]
+        assert code == EXIT_FAIL and report["verdict"] == "fail"
+        assert optimal["A"] is None and optimal["B"] is None and not optimal["parseval"]
+        assert {c["side"] for c in body["verification"]["failures"]} == {"lower"}
+        report, code = _run({**data, "bounds": None})
+        assert code == EXIT_ERROR and "underflows" in report["error"]
+
     @pytest.mark.parametrize("command", ["check-frame", "check-kframe"])
     def test_overflowing_requested_lower_bound_fails(self, command):
         # F = 2^-500 I: A = 8 is 8 2^1000 or more at unit scale, past the
