@@ -7,7 +7,7 @@ closures, and derives perturbation-stable bounds.  See README.md for the CLI
 and the problem-file schema.
 """
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
@@ -40,9 +40,7 @@ from .frame_transforms import (
     DerivedBound,
     bessel_pair_kframe,
     build_family,
-    combine_many,
-    combine_product,
-    combine_scalar,
+    combine,
     operator_transfer,
     transform_family,
 )
@@ -85,9 +83,7 @@ __all__ = [
     "DerivedBound",
     "bessel_pair_kframe",
     "build_family",
-    "combine_many",
-    "combine_product",
-    "combine_scalar",
+    "combine",
     "operator_transfer",
     "transform_family",
     "check_operator_perturbation",

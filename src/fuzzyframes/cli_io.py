@@ -35,7 +35,7 @@ import orjson
 from . import __version__
 from .fuzzy_space import MAX_DIMENSION, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
-from .operator_algebra import _ldexp, within_tolerance
+from .operator_algebra import _ldexp, _unit_scale, within_tolerance
 from .frame_core import (
     DEFAULT_ALPHAS,
     BoundCertificate,
@@ -51,7 +51,7 @@ from .frame_core import (
     reconstruction_residual,
     verify_bounds,
 )
-from .frame_transforms import operator_transfer, transform_family
+from .frame_transforms import combine, operator_transfer, transform_family
 from .perturbation import (
     _family_constant,
     check_operator_perturbation,
@@ -93,7 +93,7 @@ class ProblemError(Exception):
 
 
 #: the array operands of a problem file
-OPERANDS = ("family", "family_g", "operator_K", "operator_T")
+OPERANDS = ("family", "family_g", "operator_K", "operator_T", "coefficients")
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ class Problem:
     family_g: Optional[np.ndarray] = None
     operator_K: Optional[np.ndarray] = None
     operator_T: Optional[np.ndarray] = None
+    #: the scalars (a, b) of combine's a K + b T
+    coefficients: Optional[np.ndarray] = None
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     bounds: Optional[tuple[float, float]] = None
     convention: str = "once"
@@ -243,13 +245,6 @@ def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str
     return _parse_matrix_entries(rows, shape, field_name, where) if arr is None else arr
 
 
-def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-e x, e), e the exponent of x's largest part (0 for x = 0); exact
-    but for entries 2^1022 and more below the largest."""
-    e = math.frexp(float(np.abs(np.ascontiguousarray(x).view(np.float64)).max(initial=0.0)))[1]
-    return _ldexp(x, -e), e
-
-
 def parse_problem(data: Any) -> Problem:
     """Validate a decoded problem file into a Problem at unit scale."""
     if not isinstance(data, dict):
@@ -285,6 +280,9 @@ def parse_problem(data: Any) -> Problem:
 
     operator_K = matrix_field("operator_K")
     operator_T = matrix_field("operator_T")
+    coefficients = None
+    if data.get("coefficients") is not None:
+        coefficients = _parse_vector(data["coefficients"], 2, fieldname, "coefficients")
 
     alphas = data.get("alphas", list(DEFAULT_ALPHAS))
     if not isinstance(alphas, list) or not alphas:
@@ -338,7 +336,7 @@ def parse_problem(data: Any) -> Problem:
             claims.append({"kind": "frame_sum", "vector": vec, "exponent": e, "value": value})
 
     operands, exponents = {}, {}
-    for name, x in zip(OPERANDS, (family, family_g, operator_K, operator_T)):
+    for name, x in zip(OPERANDS, (family, family_g, operator_K, operator_T, coefficients)):
         operands[name], exponents[name] = (None, 0) if x is None else _unit_scale(x)
     return Problem(
         dimension=dim,
@@ -742,7 +740,7 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         }
         return ("pass" if result.verification.passed else "fail"), body
     try:
-        result = operator_transfer(family, K, T, None, p.alphas, p.convention, p.tolerance)
+        result = operator_transfer(family, K, T, p.alphas, p.convention, p.tolerance)
     except RangeInclusionError as exc:
         return "fail", {
             "reason": "hypothesis violated: range(T) is not contained in range(K)",
@@ -754,6 +752,36 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         "lambda": _scaled(result.lam, t - k, "lambda = ||K^+ T||"),
         "derived": _derived("A / lambda^2", result.derived.A, 2 * (f - t), result.derived.B, 2 * f),
         "verification": _verification_dict(result.verification, 2 * f, 0),
+    }
+    return ("pass" if result.verification.passed else "fail"), body
+
+
+def _cmd_combine(p: Problem) -> tuple[str, dict]:
+    family = p.frame_family()
+    K1, K2 = p.need("operator_K"), p.need("operator_T")
+    f, k1, k2 = (p.exponents[name] for name in ("family", "operator_K", "operator_T"))
+    a = p.coefficients
+    if a is None:  # K1 K2 is 2^top times the product of the held operands
+        operation, formula, top = "product", "A1 / ||K2||^2", k1 + k2
+    else:
+        # a_j K_j = 2^top a_j' K_j with the largest |a_j'| in [1/2, 1): top is
+        # the largest exponent of a term, and the sum rule does not change
+        # when a term's power of two moves from K_j to a_j
+        c = p.exponents["coefficients"]
+        top = max((c + k + math.frexp(abs(x))[1] for x, k in zip(a, (k1, k2)) if x), default=0)
+        a = [_ldexp(a[j : j + 1], c + k - top)[0] for j, k in enumerate((k1, k2))]
+        operation, formula = "sum", "1 / (|a| / sqrt(A1) + |b| / sqrt(A2))^2"
+    try:
+        result = combine(family, [K1, K2], a, p.alphas, p.convention, p.tolerance)
+    except ValueError as exc:
+        return "fail", {"operation": operation, "reason": str(exc)}
+    e = result.exponent  # the combined operator is held at 2^-(top + e)
+    body = {
+        "operation": operation,
+        "derived": _derived(formula, result.derived.A, 2 * (f - top), result.derived.B, 2 * f),
+        "verification": _verification_dict(result.verification, 2 * f, 0),
+        "optimal_kframe": _cert_dict(result.optimal, 2 * (f - top - e), 2 * f, null=True),
+        "ratio": result.ratio,
     }
     return ("pass" if result.verification.passed else "fail"), body
 
@@ -870,6 +898,7 @@ COMMANDS: dict[str, Callable[[Problem], tuple[str, dict]]] = {
     "check-kframe": _cmd_check_kframe,
     "atomic": _cmd_atomic,
     "transform": _cmd_transform,
+    "combine": _cmd_combine,
     "perturb-operator": _cmd_perturb_operator,
     "perturb-family": _cmd_perturb_family,
     "reconstruct": _cmd_reconstruct,

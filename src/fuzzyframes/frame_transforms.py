@@ -5,10 +5,16 @@ Every derived bound produced here is validated through
 :func:`fuzzyframes.frame_core.verify_bounds` before being reported, except
 the bound of :func:`build_family`, which comes next to the optimal one.
 
-Two derived constants deviate from their sources, which contain arithmetic
-slips (the quoted constants fail on equal-operator instances; see the
-docstrings of :func:`combine_scalar` and :func:`combine_many`).  The
-corrected constants keep the same structure and pass verification.
+The constants of :func:`combine` differ from the ones the paper quotes.
+Its sum constant [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 for a K1 + b K2
+fails already for K1 = K2 and a = b = 1 on a tight K-frame, where it gives
+A/2 and A/4 is optimal.  The constant used instead, 1 / (|a| / sqrt(A1) +
+|b| / sqrt(A2))^2, gives A/4 there, is never below the quoted one with its
+factor 4 restored, and depends on each term a K only, not on how it is
+split between scalar and operator.  The paper's product statement assumes
+one common pair (A, B) for both operators; the product K1 K2 needs K1's
+lower bound only.  B' = sigma_max(F)^2 is the upper bound of every K-frame
+of the family, common to every operator.
 
 Operands are expected at unit scale (see ``operator_algebra``).
 """
@@ -30,12 +36,15 @@ from .frame_core import (
     optimal_kframe_bounds,
     synthesis_matrix,
     _alpha_independent,
+    _optimal_bounds,
+    _synthesis_svd,
     verify_bounds,
 )
 from .operator_algebra import (
     PSD_TOL,
     RELATIVE_RANK_TOL,
     _gram,
+    _unit_scale,
     as_matrix,
     douglas_lambda,
     spectral_norm,
@@ -49,9 +58,7 @@ __all__ = [
     "TransformResult",
     "TransferResult",
     "BuiltFamily",
-    "combine_scalar",
-    "combine_product",
-    "combine_many",
+    "combine",
     "bessel_pair_kframe",
     "transform_family",
     "operator_transfer",
@@ -60,15 +67,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DerivedBound:
-    """Bound constants produced by a closure formula from source bounds.
+    """Bound constants produced by a closure formula.
 
     K-frame bounds may have A > B (the lower inequality is against
     ||K* f||^2, the upper against ||f||^2), so no order is imposed; every
     derived pair is checked by verify_bounds instead.
     """
 
-    source_bounds: tuple[tuple[float, float], ...]
-    formula_tag: str
     A: float
     B: float
 
@@ -78,157 +83,78 @@ class CombinationResult:
     operator: np.ndarray
     derived: DerivedBound
     verification: VerificationResult
-    common_bounds_substituted: bool = False
+    #: the optimal K-frame certificate of 2^-exponent operator, the combined
+    #: operator held at unit scale
+    optimal: BoundCertificate
+    exponent: int
+    #: A' / A_opt for the optimal A_opt of the combined operator, at most
+    #: 1 + tol; None when A_opt is 0 or inf.  Reported, never decided on.
+    ratio: Optional[float]
 
 
-def _kframe_cert(
-    family: FrameFamily, K: np.ndarray, cert: Optional[BoundCertificate], tol: float
-) -> BoundCertificate:
-    out = cert if cert is not None else optimal_kframe_bounds(family, K, tol=tol)
+def _kframe_cert(family: FrameFamily, K: np.ndarray, tol: float) -> BoundCertificate:
+    out = optimal_kframe_bounds(family, K, tol=tol)
     if not (out.A > 0.0):
         raise ValueError("family is not a K-frame for the supplied operator")
     return out
 
 
-def combine_scalar(
-    family: FrameFamily,
-    K1: np.ndarray,
-    K2: np.ndarray,
-    a: complex,
-    b: complex,
-    cert1: Optional[BoundCertificate] = None,
-    cert2: Optional[BoundCertificate] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
-) -> CombinationResult:
-    """Certify the family for the combination a K1 + b K2.
-
-    States the paper's closure of K-frames under scalar combinations.
-    Derived constants:
-
-        A' = [ 4 max(|a|^2, |b|^2) (1/A1 + 1/A2) ]^-1,     B' = (B1 + B2) / 2.
-
-    The lower constant follows from the triangle inequality and
-    (|a| x + |b| y)^2 <= 4 max(|a|^2, |b|^2) max(x, y)^2; dropping the
-    factor 4 (as the source statement does) fails already for
-    K1 = K2 and a = b = 1 on a tight K-frame.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("scalar pair (a, b) must not both vanish")
-    k1 = as_matrix(K1)
-    k2 = as_matrix(K2)
-    c1 = _kframe_cert(family, k1, cert1, tol)
-    c2 = _kframe_cert(family, k2, cert2, tol)
-    a1, b1 = c1.A, c1.B
-    a2, b2 = c2.A, c2.B
-    lower = 1.0 / (4.0 * max(abs(a) ** 2, abs(b) ** 2) * (1.0 / a1 + 1.0 / a2))
-    upper = 0.5 * (b1 + b2)
-    op = a * k1 + b * k2
-    derived = DerivedBound(((a1, b1), (a2, b2)), "scalar-pair", lower, upper)
-    verification = verify_bounds(family, lower, upper, op, alphas, convention, tol)
-    return CombinationResult(op, derived, verification)
-
-
-def combine_product(
-    family: FrameFamily,
-    K1: np.ndarray,
-    K2: np.ndarray,
-    cert1: Optional[BoundCertificate] = None,
-    cert2: Optional[BoundCertificate] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
-) -> CombinationResult:
-    """Certify the family for the product K1 K2.
-
-    States the paper's closure of K-frames under the product of operators.
-    ||(K1 K2)* f|| <= ||K2|| ||K1* f|| gives A' = A1 / ||K2||^2, B' = B1.
-    A zero K2 makes the lower inequality vacuous (A' = inf).
-    """
-    k1 = as_matrix(K1)
-    k2 = as_matrix(K2)
-    c1 = _kframe_cert(family, k1, cert1, tol)
-    c2 = _kframe_cert(family, k2, cert2, tol)
-    norm2 = spectral_norm(k2) ** 2
-    lower = c1.A / norm2 if norm2 > 0.0 else math.inf
-    derived = DerivedBound(
-        ((c1.A, c1.B), (c2.A, c2.B)), "product-pair", lower, c1.B
-    )
-    op = k1 @ k2
-    verification = verify_bounds(family, lower, c1.B, op, alphas, convention, tol)
-    return CombinationResult(op, derived, verification)
-
-
-def combine_many(
+def combine(
     family: FrameFamily,
     operators: Sequence[np.ndarray],
     coefficients: Optional[Sequence[complex]] = None,
-    certs: Optional[Sequence[BoundCertificate]] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
 ) -> CombinationResult:
-    """n-ary closure: sum a_j K_j (coefficients given) or the composition of
-    the K_j applied in list order (coefficients absent).
+    """Certify the family for sum_j a_j K_j (coefficients given) or for the
+    product K_1 K_2 ... K_n as written (coefficients None).
 
-    States both closures of the paper for n operators.
-    The hypothesis wants one common pair (A, B) for every operator; when the
-    individual certificates differ, the weakest common pair
-    (min A_j, max B_j) is substituted and flagged.
+    States the paper's closure of K-frames under scalar combinations and
+    products (Gavruta, Frames for operators, ACHA 32, 2012).  With A_j the
+    optimal lower bound of K_j and B = sigma_max(F)^2 the upper bound of
+    every K-frame of the family:
 
-    Derived constants with n operators:
+        sum:      A' = 1 / (sum_{a_j != 0} |a_j| / sqrt(A_j))^2,
+        product:  A' = A_1 / prod_{j > 1} ||K_j||^2,        B' = B.
 
-        sum:      A' = A / (n^2 max_j |a_j|^2),          B' = B
-        product:  A' = A / prod_{j<n} ||K_j||^2,         B' = B
-
-    (The sum constant needs n^2, not the quoted n: for two copies of the
-    same operator with unit coefficients the quoted constant already fails
-    on a tight K-frame.  The product is the composition K_n ... K_1, the
-    order for which the quoted constant is the valid one.)
+    The sum follows from ||(sum a_j K_j)* f|| <= sum |a_j| ||K_j* f|| and
+    ||K_j* f|| <= (frame sum / A_j)^(1/2); it does not change when a term
+    a_j K_j is written as (a_j t)(K_j / t), and by Cauchy-Schwarz it is at
+    least 1 / ((sum |a_j|^2) (sum_{a_j != 0} 1 / A_j)).  The product
+    follows from ||(K_1 ... K_n)* f|| <= prod_{j > 1} ||K_j|| ||K_1* f||,
+    which needs K_1's certificate only.  A K_j whose certificate the rule
+    needs and whose bound is 0 raises ValueError naming it.  One SVD of F
+    gives every certificate and the optimal one of the combined operator,
+    which is reported next to the derived pair.
     """
     mats = [as_matrix(K) for K in operators]
     if not mats:
         raise ValueError("need at least one operator")
-    if certs is None:
-        certs = [optimal_kframe_bounds(family, k, tol=tol) for k in mats]
-    if len(certs) != len(mats):
-        raise ValueError("one certificate per operator required")
-    for c in certs:
+    if coefficients is not None and len(coefficients) != len(mats):
+        raise ValueError("one coefficient per operator required")
+    needed = [0] if coefficients is None else [j for j, a in enumerate(coefficients) if a != 0]
+    svd = _synthesis_svd(family)
+    certs = [_optimal_bounds(family, mats[j], convention, *svd, tol) for j in needed]
+    for j, c in zip(needed, certs):
         if not c.A > 0.0:
-            raise ValueError("family is not a K-frame for every supplied operator")
-    a_common = min(c.A for c in certs)
-    b_common = max(c.B for c in certs)
-    substituted = not all(
-        (c.A == a_common or within_tolerance(c.A - a_common, tol, c.A))  # A = inf: K = 0
-        and within_tolerance(b_common - c.B, tol, b_common)
-        for c in certs
-    )
-    sources = tuple((c.A, c.B) for c in certs)
-    n = len(mats)
-
-    if coefficients is not None:
-        coeff = [complex(c) for c in coefficients]
-        if len(coeff) != n:
-            raise ValueError("one coefficient per operator required")
-        if all(c == 0 for c in coeff):
-            raise ValueError("coefficients must not all vanish")
-        top = max(abs(c) ** 2 for c in coeff)
-        lower = a_common / (n * n * top)
-        op = sum(c * k for c, k in zip(coeff, mats))
-        tag = "scalar-combination"
-    else:
+            raise ValueError(f"family is not a K-frame for K{j + 1}: its optimal lower bound is 0")
+    if coefficients is None:
         op = mats[0]
         for k in mats[1:]:
-            op = k @ op  # composition in list order: K_n ... K_1
-        norms = [spectral_norm(k) ** 2 for k in mats[:-1]]
-        denom = math.prod(norms)
-        lower = a_common / denom if denom > 0.0 else math.inf
-        tag = "operator-product"
-
-    derived = DerivedBound(sources, tag, lower, b_common)
-    verification = verify_bounds(family, lower, b_common, op, alphas, convention, tol)
-    return CombinationResult(op, derived, verification, substituted)
+            op = op @ k
+        norms = math.prod(spectral_norm(k) ** 2 for k in mats[1:])
+        lower = certs[0].A / norms if norms > 0.0 else math.inf
+    else:
+        op = sum(a * k for a, k in zip(coefficients, mats))
+        root = sum(abs(coefficients[j]) / math.sqrt(c.A) for j, c in zip(needed, certs))
+        lower = 1.0 / root**2 if root > 0.0 else math.inf  # op = 0 when root = 0
+    upper = float(svd[1][0]) ** 2
+    verification = verify_bounds(family, lower, upper, op, alphas, convention, tol)
+    held, e = _unit_scale(op)  # a sum may cancel far below unit scale
+    optimal = _optimal_bounds(family, held, convention, *svd, tol)
+    ratio = math.ldexp(lower, 2 * e) / optimal.A if 0.0 < optimal.A < math.inf else None
+    return CombinationResult(op, DerivedBound(lower, upper), verification, optimal, e, ratio)
 
 
 @dataclass(frozen=True)
@@ -269,12 +195,7 @@ def bessel_pair_kframe(
             f"synthesis factorization does not reproduce K (residual {residual:.3e})"
         )
     lower = 1.0 / bessel_g.B
-    derived = DerivedBound(
-        ((bessel_f.A, bessel_f.B), (bessel_g.A, bessel_g.B)),
-        "bessel-pair",
-        lower,
-        bessel_f.B,
-    )
+    derived = DerivedBound(lower, bessel_f.B)
     verification = verify_bounds(F, lower, bessel_f.B, k, alphas, convention, tol)
     certificate = BoundCertificate(
         kind="k_frame",
@@ -322,7 +243,7 @@ def transform_family(
     scale = float(np.linalg.norm(t) * np.linalg.norm(k))
     if not within_tolerance(comm, tol, scale):
         raise ValueError(f"T and K do not commute (relative residual {comm / scale:.3e})")
-    c = _kframe_cert(family, k, None, tol)
+    c = _kframe_cert(family, k, tol)
 
     if variant == "invertible":
         if sv[-1] <= RELATIVE_RANK_TOL * sv[0]:
@@ -338,7 +259,7 @@ def transform_family(
     upper = c.B * norm_t**2
 
     moved = FrameFamily((t @ synthesis_matrix(family)).T, family.model)
-    derived = DerivedBound(((c.A, c.B),), f"{variant}-transform", lower, upper)
+    derived = DerivedBound(lower, upper)
     verification = verify_bounds(moved, lower, upper, k, alphas, convention, tol)
     return TransformResult(moved, derived, verification, variant)
 
@@ -354,7 +275,6 @@ def operator_transfer(
     family: FrameFamily,
     K: np.ndarray,
     T: np.ndarray,
-    cert: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -367,10 +287,10 @@ def operator_transfer(
     """
     k = as_matrix(K)
     t = as_matrix(T)
-    c = _kframe_cert(family, k, cert, tol)
+    c = _kframe_cert(family, k, tol)
     lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
     lower = c.A / lam**2 if lam > 0.0 else math.inf
-    derived = DerivedBound(((c.A, c.B),), "range-transfer", lower, c.B)
+    derived = DerivedBound(lower, c.B)
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)
 

@@ -39,7 +39,7 @@ __all__ = [
 
 PROFILES = ("scaled", "crisp")
 
-#: imaginary part below this (relative) threshold counts as a positive real
+#: a complex t with |Im t| <= IMAG_TOL |t| counts as a positive real
 IMAG_TOL = 1e-12
 
 #: largest dimension, the largest n for which operator_algebra's Cholesky
@@ -54,7 +54,7 @@ def _phi(profile: str, c, t):
     tv = t.real
     above = tv > c  # c >= 0, so t is also positive here
     if np.iscomplexobj(t):
-        above &= np.abs(t.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(t))
+        above &= np.abs(t.imag) <= IMAG_TOL * np.abs(t)
     if profile == "scaled":
         return np.divide(tv, tv + c, out=np.zeros(above.shape), where=above)
     return above.astype(np.float64)
@@ -226,10 +226,10 @@ def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
     at the critical points: every pair of norms from _NORMS in both orders,
     x along the first axis (phase 1j over the complex field) and y along the
     last, each with t at -1, 0, c and one ulp either side of it, 2c + 1,
-    1e12 (1 + c), and 2c + 1 moved off the real axis by more than IMAG_TOL
-    and by less.  FIP9 passes iff ``model.alpha_norm`` of a unit vector is
-    sqrt(scale(a)) exactly at the levels _LEVELS, with the profile's
-    scale(a).  A failing axiom's witness is the first point that disagrees.
+    1e12 (1 + c), 2c + 1 moved off the real axis by more than IMAG_TOL
+    and by less, and 2^-60 (1 + 1j), off the axis below |t| = 1.  FIP9
+    passes iff ``model.alpha_norm`` of a unit vector is sqrt(scale(a))
+    exactly at the levels _LEVELS, with the profile's scale(a).  A failing axiom's witness is the first point that disagrees.
     """
     nx, ny = (g.reshape(-1, 1) for g in np.meshgrid(_NORMS, _NORMS))
     c = nx * ny
@@ -237,6 +237,7 @@ def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
     t = np.hstack(np.broadcast_arrays(
         -1.0, 0.0, c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf), above,
         1e12 * (1.0 + c), above * (1.0 + 1.0j), above * (1.0 + 0.5j * IMAG_TOL),
+        2.0**-60 * (1.0 + 1.0j),
     ))
     nx, ny, c, t = (a.ravel() for a in np.broadcast_arrays(nx, ny, c, t))
     space = model.space

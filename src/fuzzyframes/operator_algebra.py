@@ -182,6 +182,13 @@ def _ldexp(x: np.ndarray, power: int) -> np.ndarray:
         return np.ldexp(x.view(np.float64), power).view(x.dtype)
 
 
+def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e x, e), e the exponent of x's largest part (0 for x = 0); exact
+    but for entries 2^1022 and more below the largest."""
+    e = math.frexp(float(np.abs(np.ascontiguousarray(x).view(np.float64)).max(initial=0.0)))[1]
+    return _ldexp(x, -e), e
+
+
 def _gram(T: np.ndarray) -> np.ndarray:
     """T T*, symmetrized."""
     m = as_matrix(T)

@@ -43,6 +43,7 @@ from .frame_core import (
     optimal_kframe_bounds,
     verify_bounds,
 )
+from .frame_transforms import DerivedBound
 from .operator_algebra import (
     PSD_TOL,
     _douglas,
@@ -56,7 +57,6 @@ from .operator_algebra import (
 __all__ = [
     "PerturbationReport",
     "FamilyPerturbation",
-    "PerturbedBounds",
     "EquivalenceConstant",
     "IdentityPerturbation",
     "check_operator_perturbation",
@@ -188,15 +188,9 @@ def check_operator_perturbation(
     )
 
 
-@dataclass(frozen=True)
-class PerturbedBounds:
-    A: float
-    B: float
-
-
 def derive_operator_perturbed_bounds(
     A: float, B: float, lambda1: float, lambda2: float
-) -> PerturbedBounds:
+) -> DerivedBound:
     """Bounds transferred to the perturbed operator once the hypothesis holds:
 
         A' = A ((1 - lam2) / (1 + lam1))^2,    B' = B.
@@ -207,7 +201,7 @@ def derive_operator_perturbed_bounds(
         raise ValueError("lambda2 must be < 1")
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("perturbation constants must be nonnegative")
-    return PerturbedBounds(A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2, B)
+    return DerivedBound(A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2, B)
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,7 @@ def _family_constant(
     return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f, svd_g
 
 
-def derive_family_perturbed_bounds(A: float, B: float, M: float) -> PerturbedBounds:
+def derive_family_perturbed_bounds(A: float, B: float, M: float) -> DerivedBound:
     """Bounds carried by the perturbed family under a finite constant M:
 
         A' = A / (sqrt(M) + 1)^2,    B' = B (sqrt(M) + 1)^2.
@@ -273,7 +267,7 @@ def derive_family_perturbed_bounds(A: float, B: float, M: float) -> PerturbedBou
     if not math.isfinite(M) or M < 0.0:
         raise ValueError(f"finite nonnegative M required, got {M}")
     factor = (math.sqrt(M) + 1.0) ** 2
-    return PerturbedBounds(A / factor, B * factor)
+    return DerivedBound(A / factor, B * factor)
 
 
 @dataclass(frozen=True)
@@ -326,7 +320,6 @@ def identity_perturbation_check(
     lambda1: float,
     lambda2: float,
     family: FrameFamily,
-    cert: Optional[BoundCertificate] = None,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     convention: str = "once",
     tol: float = PSD_TOL,
@@ -347,15 +340,15 @@ def identity_perturbation_check(
     report = check_operator_perturbation(k, eye, lambda1, lambda2, tol)
     if not report.verified:
         return IdentityPerturbation(report, None, None)
-    base = cert if cert is not None else optimal_kframe_bounds(family, k, convention, tol)
+    base = optimal_kframe_bounds(family, k, convention, tol)
     if not base.A > 0.0:
         raise ValueError("family is not a K-frame; nothing to transfer")
-    a_new = base.A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2
-    verification = verify_bounds(family, a_new, base.B, None, alphas, convention, tol)
+    derived = derive_operator_perturbed_bounds(base.A, base.B, lambda1, lambda2)
+    verification = verify_bounds(family, derived.A, derived.B, None, alphas, convention, tol)
     certificate = BoundCertificate(
         kind="frame",
-        A=a_new,
-        B=base.B,
+        A=derived.A,
+        B=derived.B,
         alpha_independent=base.alpha_independent,
         convention=convention,
     )

@@ -41,9 +41,7 @@ from fuzzyframes import (
 )
 from fuzzyframes.frame_transforms import (
     bessel_pair_kframe,
-    combine_many,
-    combine_product,
-    combine_scalar,
+    combine,
     operator_transfer,
     transform_family,
 )
@@ -289,11 +287,9 @@ def test_criterion_08_closure_theorems():
         K2 = rand_matrix(rng, 3, 3, field) @ K1  # second K-frame operator
         scalars = rng.standard_normal(2)
 
-        if not combine_scalar(fam, K1, K2, scalars[0], scalars[1]).verification.passed:
+        if not combine(fam, [K1, K2], list(scalars)).verification.passed:
             violations += 1
-        if not combine_product(fam, K1, K2).verification.passed:
-            violations += 1
-        if not combine_many(fam, [K1, K2], coefficients=list(scalars)).verification.passed:
+        if not combine(fam, [K1, K2]).verification.passed:
             violations += 1
 
         diag = np.diag(rng.uniform(0.3, 2.0, size=3)).astype(K1.dtype)
@@ -387,7 +383,7 @@ def test_criterion_11_cli_determinism():
     ok = canonical_json(first) == canonical_json(second) == canonical_json(third)
     ok &= code1 == code2 == code3
     counts = first["summary"]["counts"]
-    ok &= counts["pass"] == 2 and first["summary"]["erratum_flagged"] == 1
+    ok &= counts["pass"] == 4 and first["summary"]["erratum_flagged"] == 1
     for report in first["reports"]:
         ok &= report["exit_code"] == (0 if report["verdict"] == "pass" else 1)
     criterion(11, "corpus reports byte-identical across runs and parallelism; exits match", ok)

@@ -13,9 +13,6 @@ KEPT = {
     "atomic_system_from_operator": "every bounded K has an atomic system",
     "atomic_coefficients": "a K-frame for K is an atomic system for K",
     "restricted_inverse_check": "the frame operator is invertible on range(K)",
-    "combine_scalar": "K-frames are closed under scalar combinations",
-    "combine_product": "K-frames are closed under products of operators",
-    "combine_many": "both closures for n operators",
     "bessel_pair_kframe": "a Bessel pair factoring K gives a K-frame",
     "build_family": "the K-frames are the families T e_i with R(K) in R(T)",
     "family_perturbation_constant": "stability under family perturbation",

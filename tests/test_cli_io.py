@@ -15,11 +15,13 @@ from hypothesis.extra import numpy as hnp
 
 import fuzzyframes
 from conftest import (
+    _ldexp_entries,
     assert_scaled_report,
     reference_canonical_json,
     reference_whole_array,
     scale_operands,
 )
+from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, frame_transforms, optimal_kframe_bounds
 from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
 from fuzzyframes.cli_io import (
@@ -1306,12 +1308,123 @@ class TestErrors:
             run_command("explode", problem)
 
 
+SUM_FILE = CORPUS / "r3_combine_sum.json"
+PRODUCT_FILE = CORPUS / "r3_combine_product.json"
+
+
+class TestCombineCommand:
+    def test_corpus_sum_and_product(self):
+        # A1 = 1 for K and A2 = 1 / ||F^+ T||^2 for T = diag(1, 2, 1)
+        a2 = optimal_kframe_bounds(
+            FrameFamily(np.array(load(R3_FILE)["family"], float), FuzzyModel(BaseSpace(3))),
+            np.diag([1.0, 2.0, 1.0]),
+        ).A
+        for path, operation, A in (
+            (SUM_FILE, "sum", 1.0 / (1.0 + 0.5 / math.sqrt(a2)) ** 2),
+            (PRODUCT_FILE, "product", 0.25),  # A1 / ||T||^2
+        ):
+            report, code = run_file(path)
+            body = report["body"]
+            assert code == EXIT_PASS and body["operation"] == operation
+            assert body["derived"] == {"A": pytest.approx(A, rel=1e-11), "B": pytest.approx(6.0)}
+            assert body["verification"]["passed"]
+            optimal = body["optimal_kframe"]["A"]
+            assert A <= optimal and body["ratio"] == pytest.approx(A / optimal, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "path, shifts",
+        [
+            (SUM_FILE, {"family": 300, "operator_K": -400, "operator_T": -400, "coefficients": 200}),
+            (SUM_FILE, {"family": -200, "operator_K": 500, "operator_T": 500, "coefficients": -600}),
+            (PRODUCT_FILE, {"family": 100, "operator_K": -300, "operator_T": 250}),
+            (PRODUCT_FILE, {"family": -100, "operator_K": 200, "operator_T": 200}),
+        ],
+    )
+    def test_constants_scale_with_the_operands(self, path, shifts):
+        # the problem is decided at unit scale: scaling F, the pair K, T of a
+        # sum, each factor of a product, or the coefficients by powers of two
+        # scales A' and A_opt by 2^(2f - 2 (combined operator)) and B' by 4^f
+        data = load(path)
+        base, code = run_file(path)
+        scaled = dict(data)
+        for key, k in shifts.items():
+            scaled[key] = _ldexp_entries(data[key], k)
+        report, scaled_code = run_command("combine", parse_problem(scaled))
+        operator = shifts["operator_K"] + (
+            shifts["coefficients"] if "coefficients" in data else shifts["operator_T"]
+        )
+        power_A, power_B = 2 * shifts["family"] - 2 * operator, 2 * shifts["family"]
+        one, two = base["body"], report["body"]
+        assert scaled_code == code and two["verification"] == one["verification"]
+        assert two["ratio"] == one["ratio"]
+        assert two["derived"]["A"] == math.ldexp(one["derived"]["A"], power_A)
+        assert two["derived"]["B"] == math.ldexp(one["derived"]["B"], power_B)
+        assert two["optimal_kframe"]["A"] == math.ldexp(one["optimal_kframe"]["A"], power_A)
+
+    def test_certificate_of_zero_fails_naming_the_operator(self):
+        # the family misses e3; K = I escapes its range, T = diag(1, 1, 0) does not
+        data = {"command": "combine", "dimension": 3, "family": [[1, 0, 0], [0, 1, 0]],
+                "operator_K": np.eye(3).tolist(), "operator_T": np.diag([1.0, 1.0, 0.0]).tolist()}
+        report, code = run_command("combine", parse_problem(data))
+        assert code == EXIT_FAIL and "K1" in report["body"]["reason"]
+        # the sum needs K1's certificate only when its coefficient is nonzero
+        report, code = run_command("combine", parse_problem({**data, "coefficients": [0, 3]}))
+        assert code == EXIT_PASS and report["body"]["derived"]["A"] == pytest.approx(1.0 / 9.0)
+        swapped = {**data, "operator_K": data["operator_T"], "operator_T": data["operator_K"]}
+        report, code = run_command("combine", parse_problem({**swapped, "coefficients": [1, 1]}))
+        assert code == EXIT_FAIL and "K2" in report["body"]["reason"]
+        # the product K1 K2 needs K1's certificate only
+        report, code = run_command("combine", parse_problem(swapped))
+        assert code == EXIT_PASS and report["body"]["derived"]["A"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("path", [SUM_FILE, PRODUCT_FILE])
+    def test_one_svd_of_f_per_run(self, path, monkeypatch):
+        calls = []
+        svd = frame_transforms._synthesis_svd
+        monkeypatch.setattr(frame_transforms, "_synthesis_svd", lambda f: calls.append(f) or svd(f))
+        assert run_file(path)[1] == EXIT_PASS and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [([1], "expected length 2"), ([1, 2, 3], "expected length 2"), ([[1, 1], 0], "complex entries"),
+         ([True, 1], "scalar must be"), ("ab", "expected a vector"), ([1, 1e999], "finite")],
+    )
+    def test_invalid_coefficients_rejected(self, coefficients, message):
+        data = {**load(SUM_FILE), "coefficients": coefficients}
+        with pytest.raises(ProblemError, match=message):
+            parse_problem(data)
+
+    def test_complex_coefficients_and_other_commands(self):
+        data = {**load(C3_FILE), "command": "combine"}
+        data["operator_T"] = data["operator_K"]
+        report, code = run_command("combine", parse_problem({**data, "coefficients": [[0, 1], 2]}))
+        assert code == EXIT_PASS and report["body"]["operation"] == "sum"
+        # only combine reads the coefficients; they enter the digest
+        plain, _ = run_command("check-kframe", parse_problem(data))
+        both, _ = run_command("check-kframe", parse_problem({**data, "coefficients": [1, 2]}))
+        assert plain["input"]["digest"] != both["input"]["digest"]
+        plain["input"] = both["input"]
+        assert canonical_json(plain) == canonical_json(both)
+
+    def test_sum_does_not_depend_on_the_split_of_a_term(self):
+        # a K + b T = (2^-300 a)(2^300 K) + (2^500 b)(2^-500 T): one operator,
+        # one report body, although the file's numbers differ
+        data = load(SUM_FILE)
+        base, _ = run_file(SUM_FILE)
+        (a, b), split = data["coefficients"], dict(data)
+        split["operator_K"] = _ldexp_entries(data["operator_K"], 300)
+        split["operator_T"] = _ldexp_entries(data["operator_T"], -500)
+        split["coefficients"] = [math.ldexp(a, -300), math.ldexp(b, 500)]
+        report, _ = run_command("combine", parse_problem(split))
+        assert canonical_json(report["body"]) == canonical_json(base["body"])
+
+
 class TestBatch:
     def test_corpus_summary(self):
         result, code = batch(sorted(CORPUS.glob("*.json")))
         assert code == EXIT_FAIL  # the claim file is a mathematical negative
         counts = result["summary"]["counts"]
-        assert counts["pass"] == 2
+        assert counts["pass"] == 4
         assert counts["not_applicable"] == 1
         assert result["summary"]["erratum_flagged"] == 1
 
@@ -1335,7 +1448,7 @@ class TestBatch:
         assert main(["batch", *map(str, files), "--out", str(target)]) == EXIT_ERROR
         reports = json.loads(target.read_text())["reports"]
         verdicts = [r["verdict"] for r in reports]
-        assert verdicts == ["pass", "pass", "not_applicable", "error"]
+        assert verdicts == ["pass"] * 4 + ["not_applicable", "error"]
         assert reports[-1]["exit_code"] == EXIT_ERROR and "'tolerance'" in reports[-1]["error"]
 
     def test_repeated_runs_byte_identical(self):
@@ -1375,7 +1488,7 @@ class TestMain:
         code = main(["batch", str(CORPUS), "--format", "text"])
         out = capsys.readouterr().out
         assert code == EXIT_FAIL
-        assert "pass: 2" in out and "erratum-flagged: 1" in out
+        assert "pass: 4" in out and "erratum-flagged: 1" in out
 
     def test_main_bad_alpha_list(self, capsys):
         # a word is a usage error, as it is for --tol; a number outside (0, 1)

@@ -13,9 +13,7 @@ from fuzzyframes import (
     atomic_system_equivalence_check,
     bessel_pair_kframe,
     build_family,
-    combine_many,
-    combine_product,
-    combine_scalar,
+    combine,
     douglas_factorize,
     douglas_lambda,
     operator_transfer,
@@ -24,7 +22,8 @@ from fuzzyframes import (
     transform_family,
     verify_bounds,
 )
-from conftest import rand_family, rand_kframe_instance, rand_matrix
+from fuzzyframes import frame_transforms
+from conftest import rand_family, rand_kframe_instance, rand_matrix, rand_vector
 
 
 def diag_family(entries, field="real", profile="scaled"):
@@ -34,63 +33,76 @@ def diag_family(entries, field="real", profile="scaled"):
 
 
 class TestCombineScalar:
+    """combine's sum rule, A' = 1 / (sum_{a_j != 0} |a_j| / sqrt(A_j))^2."""
+
     def test_halved_pair_of_equal_operators(self):
         rng = np.random.default_rng(3)
         fam, K = rand_kframe_instance(rng, 3, 5)
         cert = optimal_kframe_bounds(fam, K)
-        result = combine_scalar(fam, K, K, 0.5, 0.5)
-        # operator collapses back to K; derived lower is A/2 by the formula
+        result = combine(fam, [K, K], [0.5, 0.5])
+        # operator collapses back to K, and so does the bound: A' = A
         assert np.allclose(result.operator, K)
-        assert result.derived.A == pytest.approx(cert.A / 2.0, rel=1e-9)
+        assert result.derived.A == pytest.approx(cert.A, rel=1e-9)
         assert result.derived.B == pytest.approx(cert.B)
         assert result.verification.passed
+        assert result.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_coefficient_still_valid(self):
         rng = np.random.default_rng(5)
         fam, K1 = rand_kframe_instance(rng, 3, 5)
-        K2 = rand_matrix(rng, 3, 3) @ K1  # shares the range, stays a K-frame
-        result = combine_scalar(fam, K1, K2, 1.0, 0.0)
+        # a zero coefficient needs no certificate: K2 escapes range(F)
+        K2 = np.eye(3)
+        fam = FrameFamily(fam.vectors * [1.0, 1.0, 0.0], fam.model)
+        K1 = K1 * [[1.0], [1.0], [0.0]]
+        assert optimal_kframe_bounds(fam, K2).A == 0.0
+        result = combine(fam, [K1, K2], [1.0, 0.0])
         assert np.allclose(result.operator, K1)
         assert result.verification.passed
-        # reduction is never stronger than the direct certificate
         direct = optimal_kframe_bounds(fam, K1)
-        assert result.derived.A <= direct.A + 1e-9
+        assert result.derived.A == pytest.approx(direct.A, rel=1e-9)
 
     def test_r3_instance_with_identity(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
-        result = combine_scalar(fam, K, np.eye(3), 1.0, 1.0)
+        result = combine(fam, [K, np.eye(3)], [1.0, 1.0])
         assert result.verification.passed
 
-    def test_zero_pair_rejected(self, r3_instance):
-        with pytest.raises(ValueError):
-            combine_scalar(r3_instance["family"], r3_instance["K"], np.eye(3), 0.0, 0.0)
+    def test_zero_pair_is_vacuous(self, r3_instance):
+        # 0 K + 0 I = 0: the lower inequality is vacuous, A' = A_opt = inf
+        result = combine(r3_instance["family"], [r3_instance["K"], np.eye(3)], [0.0, 0.0])
+        assert not result.operator.any() and result.verification.passed
+        assert result.derived.A == math.inf and result.optimal.A == math.inf
+        assert result.ratio is None
 
     def test_tight_equal_pair_boundary(self):
         # equal operators, unit coefficients, Parseval system: any constant
-        # above 1/4 fails for the operator 2K, so the max form without the
-        # factor 4 (which gives 1/2) is invalid; the corrected 1/8 verifies
+        # above 1/4 fails for the operator 2K, so the quoted
+        # [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 = 1/2 is invalid; the sum rule
+        # gives 1/4, the optimal constant
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         K = np.diag([1.0, 0.5, 0.25])
         fam = FrameFamily(K.T, model)  # frame sum = ||K* f||^2
-        result = combine_scalar(fam, K, K, 1.0, 1.0)
+        result = combine(fam, [K, K], [1.0, 1.0])
         assert result.verification.passed
-        assert result.derived.A == pytest.approx(1.0 / 8.0)
-        uncorrected = 0.5  # [max(|a|^2,|b|^2) (1/A1 + 1/A2)]^-1 with A = 1
-        assert not verify_bounds(fam, uncorrected, result.derived.B, 2.0 * K, [0.5]).passed
+        assert result.derived.A == pytest.approx(1.0 / 4.0)
+        assert result.ratio == pytest.approx(1.0)
+        quoted = 0.5
+        assert not verify_bounds(fam, quoted, result.derived.B, 2.0 * K, [0.5]).passed
 
 
 class TestCombineProduct:
+    """combine's product rule, A' = A_1 / prod_{j > 1} ||K_j||^2 for K_1 K_2 ... K_n."""
+
     def test_identity_second_factor(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
-        result = combine_product(fam, K, np.eye(3))
+        result = combine(fam, [K, np.eye(3)])
         assert result.derived.A == pytest.approx(cert.A)
         assert result.verification.passed
 
     def test_scaled_identity(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
-        result = combine_product(fam, K, 2.0 * np.eye(3))
+        result = combine(fam, [K, 2.0 * np.eye(3)])
         assert result.derived.A == pytest.approx(cert.A / 4.0)
         assert result.verification.passed
 
@@ -100,7 +112,8 @@ class TestCombineProduct:
             field = "complex" if k % 2 else "real"
             fam, K1 = rand_kframe_instance(rng, 3, 5, field)
             K2 = rand_matrix(rng, 3, 3, field) @ K1
-            result = combine_product(fam, K1, K2)
+            result = combine(fam, [K1, K2])
+            assert np.allclose(result.operator, K1 @ K2)
             assert result.verification.passed
 
 
@@ -108,7 +121,7 @@ class TestCombineMany:
     def test_single_operator_collapse(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
-        result = combine_many(fam, [K], coefficients=[2.0])
+        result = combine(fam, [K], [2.0])
         assert result.derived.A == pytest.approx(cert.A / 4.0)  # A / |a|^2
         assert result.verification.passed
 
@@ -116,7 +129,7 @@ class TestCombineMany:
         rng = np.random.default_rng(11)
         fam, K = rand_kframe_instance(rng, 3, 5)
         cert = optimal_kframe_bounds(fam, K)
-        result = combine_many(fam, [K, K], coefficients=[1.0, 1.0])
+        result = combine(fam, [K, K], [1.0, 1.0])
         assert np.allclose(result.operator, 2.0 * K)
         assert result.derived.A == pytest.approx(cert.A / 4.0, rel=1e-9)
         assert result.verification.passed
@@ -126,18 +139,75 @@ class TestCombineMany:
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         fam = FrameFamily(rng.standard_normal((5, 3)), model)
         ops = [np.diag(rng.uniform(0.5, 2.0, size=3)) for _ in range(3)]
-        result = combine_many(fam, ops)
+        result = combine(fam, ops)
         assert result.verification.passed
-        # composition applies the operators in list order
-        assert np.allclose(result.operator, ops[2] @ ops[1] @ ops[0])
+        # the product is taken as written, K_1 K_2 K_3
+        assert np.allclose(result.operator, ops[0] @ ops[1] @ ops[2])
 
-    def test_differing_bounds_flagged(self):
+    def test_differing_bounds_enter_the_sum(self):
         rng = np.random.default_rng(17)
         fam, K1 = rand_kframe_instance(rng, 3, 5)
-        K2 = 3.0 * K1
-        result = combine_many(fam, [K1, K2], coefficients=[1.0, 1.0])
-        assert result.common_bounds_substituted
+        A = optimal_kframe_bounds(fam, K1).A
+        # K1 + 3 K1 = 4 K1 with A2 = A / 9: A' = 1 / (1 / sqrt(A) + 3 / sqrt(A))^2
+        # = A / 16, the optimal bound; the Cauchy-Schwarz form gives A / 20
+        result = combine(fam, [K1, 3.0 * K1], [1.0, 1.0])
+        assert result.derived.A == pytest.approx(A / 16.0, rel=1e-9)
+        assert result.ratio == pytest.approx(1.0, rel=1e-9)
         assert result.verification.passed
+        # a term's split between scalar and operator does not matter
+        split = combine(fam, [K1, K1], [1.0, 3.0])
+        assert split.derived.A == pytest.approx(result.derived.A, rel=1e-12)
+
+
+class TestCombine:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_derived_bound_below_optimal_and_above_the_replaced_rules(self, field):
+        rng = np.random.default_rng(53 if field == "real" else 59)
+        tol = 1e-9
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            fam, K1 = rand_kframe_instance(rng, n, n + int(rng.integers(0, 4)), field)
+            K2 = K1 @ rand_matrix(rng, n, n, field) if rng.random() < 0.5 else rand_matrix(rng, n, n, field)
+            a, b = rand_vector(rng, 2, field)
+            A1, A2 = (optimal_kframe_bounds(fam, k).A for k in (K1, K2))
+            top = max(abs(a) ** 2, abs(b) ** 2)
+            for coefficients in ([a, b], None):
+                result = combine(fam, [K1, K2], coefficients, tol=tol)
+                optimal = optimal_kframe_bounds(fam, result.operator, tol=tol)
+                assert result.verification.passed
+                assert result.derived.A <= optimal.A * (1.0 + tol)
+                assert result.ratio == pytest.approx(result.derived.A / optimal.A, rel=1e-9)
+            # the sum rule is never below its Cauchy-Schwarz form, nor below
+            # the two rules it replaces
+            result = combine(fam, [K1, K2], [a, b], tol=tol)
+            cauchy_schwarz = 1.0 / ((abs(a) ** 2 + abs(b) ** 2) * (1.0 / A1 + 1.0 / A2))
+            scalar_rule = 1.0 / (4.0 * top * (1.0 / A1 + 1.0 / A2))
+            common_rule = min(A1, A2) / (4.0 * top)
+            assert result.derived.A >= cauchy_schwarz * (1.0 - 1e-12)
+            assert cauchy_schwarz >= max(scalar_rule, common_rule) * (1.0 - 1e-12)
+
+    def test_one_svd_of_f_for_any_number_of_operators(self, r3_instance, monkeypatch):
+        calls = []
+        svd = frame_transforms._synthesis_svd
+        monkeypatch.setattr(frame_transforms, "_synthesis_svd", lambda f: calls.append(f) or svd(f))
+        fam, K = r3_instance["family"], r3_instance["K"]
+        for ops in ([K], [K, np.eye(3)], [K, np.eye(3), 2.0 * K, K.T]):
+            for coefficients in (None, [1.0] * len(ops)):
+                calls.clear()
+                combine(fam, ops, coefficients)
+                assert len(calls) == 1
+
+    def test_needed_certificate_of_zero_is_named(self):
+        model = FuzzyModel(BaseSpace(3, "real"), "scaled")
+        fam = FrameFamily(np.eye(3)[:2], model)  # misses e3
+        inside, outside = np.diag([1.0, 1.0, 0.0]), np.eye(3)
+        with pytest.raises(ValueError, match="K2"):
+            combine(fam, [inside, outside], [1.0, 1.0])
+        with pytest.raises(ValueError, match="K1"):
+            combine(fam, [outside, inside])
+        # the product K1 K2 needs K1's certificate only
+        result = combine(fam, [inside, outside])
+        assert result.verification.passed and result.derived.A == pytest.approx(1.0)
 
 
 class TestBesselPair:

@@ -15,7 +15,7 @@ from fuzzyframes import (
     reconstruction_residual,
     verify_bounds,
 )
-from fuzzyframes.fuzzy_space import PROFILES, REDUCTIONS
+from fuzzyframes.fuzzy_space import IMAG_TOL, PROFILES, REDUCTIONS
 from conftest import (
     alpha_inner,
     alpha_inner_polarization,
@@ -45,6 +45,16 @@ class TestMembership:
         x = np.array([1.0, 2.0])
         assert model.mu(x, x, -5.0) == 0.0
         assert model.mu(x, x, 2.0 + 1.0j) == 0.0
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_off_axis_rule_is_relative_at_every_scale(self, profile):
+        # |Im t| <= IMAG_TOL |t| with no floor: a nearly imaginary t counts
+        # as real at no scale, a nearly real one at every scale (FIP4)
+        model = FuzzyModel(BaseSpace(2, "complex"), profile)
+        z = np.zeros(2)
+        for k in range(-300, 301, 20):
+            assert model.mu(z, z, 10.0**k * (1e-6 + 1.0j)) == 0.0
+            assert model.mu(z, z, 10.0**k * (1.0 + 0.5j * IMAG_TOL)) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -248,6 +258,16 @@ class RealPart(FuzzyModel):
         return super().mu(x, y, np.asarray(t).real)
 
 
+class Floored(FuzzyModel):
+    """Counts t as real when |Im t| <= IMAG_TOL max(1, |t|), an absolute
+    bound below |t| = 1, so 2^-60 (1 + 1j) counts."""
+
+    def mu(self, x, y, t):
+        t = np.asarray(t)
+        real = np.abs(t.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(t))
+        return super().mu(x, y, np.where(real, t.real, t))
+
+
 class TestWholeArrayAxioms:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -290,6 +310,11 @@ class TestWholeArrayAxioms:
         off_axis = check_fip_axioms(RealPart(space, "crisp")).results[4].witness
         assert off_axis == "mu = 1, not phi = 0, at ||x|| = 0, ||y|| = 0, t = (1+1j)"
         assert check_fip_axioms(RealPart(space, "crisp")).results[8].passed
+        floored = check_fip_axioms(Floored(space, "scaled")).results
+        assert [r.passed for r in floored] == [False] * 8 + [True]
+        assert floored[4].witness == (
+            "mu = 1, not phi = 0, at ||x|| = 0, ||y|| = 0, t = (8.673617379884035e-19+8.673617379884035e-19j)"
+        )
 
     def test_level_scale_fault_fails_fip9_only(self):
         class Quadrupled(FuzzyModel):

@@ -285,7 +285,8 @@ class TestDimensionCap:
 
 def _fuzz_problem(command: str, seed: int) -> dict:
     """n = 1..4, 1..6 vectors, every entry 0 with probability 0.15 and
-    otherwise +-10^U(-323, 300); random bounds, lambdas and variant."""
+    otherwise +-10^U(-323, 300); random bounds, lambdas, variant and
+    coefficients."""
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
     field = str(rng.choice(["real", "complex"]))
@@ -316,6 +317,8 @@ def _fuzz_problem(command: str, seed: int) -> dict:
     }
     if rng.random() < 0.5:
         data["bounds"] = np.abs(reals(2)).tolist()
+    if rng.random() < 0.5:  # combine's sum; without it, its product
+        data["coefficients"] = entries((2,))
     return data
 
 
