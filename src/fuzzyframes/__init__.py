@@ -15,7 +15,6 @@ from .operator_algebra import (
     RangeInclusionError,
     alpha_operator_norm,
     douglas_factorize,
-    douglas_lambda,
     psd_order_check,
     spectral_norm,
 )
@@ -24,7 +23,6 @@ from .frame_core import (
     FrameFamily,
     SingularFrameOperatorError,
     atomic_coefficients,
-    atomic_system_equivalence_check,
     atomic_system_from_operator,
     classical_frame_operator,
     frame_operator,
@@ -62,14 +60,12 @@ __all__ = [
     "RangeInclusionError",
     "alpha_operator_norm",
     "douglas_factorize",
-    "douglas_lambda",
     "psd_order_check",
     "spectral_norm",
     "BoundCertificate",
     "FrameFamily",
     "SingularFrameOperatorError",
     "atomic_coefficients",
-    "atomic_system_equivalence_check",
     "atomic_system_from_operator",
     "classical_frame_operator",
     "frame_operator",

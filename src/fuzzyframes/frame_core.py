@@ -19,6 +19,11 @@ never from an eigendecomposition of S_c, which squares its condition number:
   range(F) and 0 otherwise (Douglas's lemma): a K-frame is exactly an
   atomic system for K.
 
+An atomic system is a Douglas factorization: the family is one for K
+exactly when K = F W for a bounded W, so its coefficients beta = W f, the
+constant C = ||W|| and the residual ||F W - K||_F are those of
+``operator_algebra.douglas_factorize(K, F)``, with C = 1 / sqrt(A).
+
 Operands are expected at unit scale (see ``operator_algebra``).
 """
 
@@ -37,6 +42,7 @@ from .operator_algebra import (
     RangeInclusionError,
     _Douglas,
     _douglas,
+    _factorize,
     _gram,
     _order_decision,
     _rank,
@@ -54,7 +60,6 @@ __all__ = [
     "BoundCheck",
     "VerificationResult",
     "AtomicCoefficients",
-    "EquivalenceReport",
     "SandwichReport",
     "synthesis_matrix",
     "classical_frame_operator",
@@ -65,7 +70,6 @@ __all__ = [
     "verify_bounds",
     "atomic_system_from_operator",
     "atomic_coefficients",
-    "atomic_system_equivalence_check",
     "restricted_inverse_check",
     "reconstruction_residual",
 ]
@@ -271,14 +275,13 @@ def _kframe_bounds(
     family: FrameFamily,
     k: np.ndarray,
     convention: str,
+    d: _Douglas,
     u: np.ndarray,
     s: np.ndarray,
-    tol: float = PSD_TOL,
-) -> tuple[BoundCertificate, _Douglas]:
-    """optimal_kframe_bounds from the left singular pairs (u, s) of F, and
-    Douglas's lemma for K against F behind it.  Tight means S_c = A K K*,
-    that is W W* = I / A: the r = rank F singular values of W agree."""
-    d = _douglas(k, u, s, tol)
+) -> BoundCertificate:
+    """optimal_kframe_bounds from Douglas's lemma d for K against F and the
+    left singular pairs (u, s) of F.  Tight means S_c = A K K*, that is
+    W W* = I / A: the r = rank F singular values of W agree."""
     if not d.included:  # some f with K*f != 0 has zero frame sum
         a = 0.0
     elif not k.any():  # K = 0: the lower inequality is vacuous
@@ -286,7 +289,7 @@ def _kframe_bounds(
     else:
         a = 1.0 / d.sup
     tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
-    cert = BoundCertificate(
+    return BoundCertificate(
         kind="k_frame",
         A=a,
         B=float(s[0]) ** 2,
@@ -296,7 +299,6 @@ def _kframe_bounds(
         witness_upper=u[:, 0],
         tight=tight,
     )
-    return cert, d
 
 
 def _optimal_bounds(
@@ -312,7 +314,8 @@ def _optimal_bounds(
     _check_convention(convention)
     if K is None:
         return _frame_bounds(family, convention, u, s)
-    return _kframe_bounds(family, _operator_on(K, family.dimension), convention, u, s, tol)[0]
+    k = _operator_on(K, family.dimension)
+    return _kframe_bounds(family, k, convention, _douglas(k, u, s, tol), u, s)
 
 
 @dataclass(frozen=True)
@@ -424,73 +427,24 @@ def atomic_coefficients(
 
     States the atomic-system side of the theorem that K-frames for K are
     exactly the atomic systems for K.
-    beta = F^dagger K f, and C = ||F^dagger K|| bounds ||beta|| <= C ||f||
+    beta = W f for the factorization K = F W of douglas_factorize(K, F),
+    W = F^dagger K, and C = ||W|| bounds ||beta|| <= C ||f||
     (coefficient space carries the crisp norm, so C is level-free).
     Requires range(K) inside range(F); otherwise the family is not an
     atomic system for K and a RangeInclusionError carries the residual.
     """
     k = _operator_on(K, family.dimension)
     F = synthesis_matrix(family)
-    u, s, vh = np.linalg.svd(F, full_matrices=False)
-    d = _douglas(k, u, s, tol)
-    if not d.included:
+    d, _, _, factor = _factorize(k, F, tol)  # K = F W
+    if factor is None:
         raise RangeInclusionError("not an atomic system for K", d.residual)
-    coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
     fvec = family.model.check_vector(f)
-    beta = coefficients @ fvec
-    C = math.sqrt(d.sup)
+    beta = factor.W @ fvec
+    C = factor.lam
     rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
     norm_beta, bound = float(np.linalg.norm(beta)), C * float(np.linalg.norm(fvec))
     norm_ok = within_tolerance(norm_beta - bound, tol, max(norm_beta, bound))
     return AtomicCoefficients(beta=beta, C=C, residual=rec_residual, norm_bound_ok=norm_ok)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Both sides of the atomic-system characterization from one SVD of F:
-    A = 1 / C^2 for C = ||F^dagger K||, and A > 0 exactly when range(K) lies
-    in range(F)."""
-
-    certificate: BoundCertificate
-    atomic_holds: bool
-    C: Optional[float]
-    projection_residual: float
-    #: verify_bounds of (1 / C^2, B) against K; None without the inclusion
-    verification: Optional[VerificationResult]
-    #: ||K - F F^dagger K||_F, which bounds the residual of K f = sum beta_i
-    #: f_i over unit f; None without the inclusion.  Rounding alone leaves
-    #: about n * eps * ||F|| * C = n * eps * sqrt(B) * C.
-    reconstruction_residual: Optional[float]
-
-
-def atomic_system_equivalence_check(
-    family: FrameFamily,
-    K: np.ndarray,
-    tol: float = PSD_TOL,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> EquivalenceReport:
-    """The K-frame certificate, the coefficients beta = F^dagger K f with
-    their constant C and residual, and verify_bounds of (1 / C^2, B)."""
-    k = _operator_on(K, family.dimension)
-    F = synthesis_matrix(family)
-    u, s, vh = np.linalg.svd(F, full_matrices=False)
-    cert, d = _kframe_bounds(family, k, "once", u, s, tol)
-    C: Optional[float] = None
-    verification: Optional[VerificationResult] = None
-    rec_residual: Optional[float] = None
-    if cert.A > 0.0:  # +inf (K = 0) counts as holding
-        C = 1.0 / math.sqrt(cert.A)
-        coefficients = vh[: len(d.z)].conj().T @ d.z  # F^dagger K = V_r z
-        rec_residual = float(np.linalg.norm(k - F @ coefficients))
-        verification = verify_bounds(family, cert.A, cert.B, k, alphas, tol=tol)
-    return EquivalenceReport(
-        certificate=cert,
-        atomic_holds=cert.A > 0.0,  # range(K) lies in range(F)
-        C=C,
-        projection_residual=d.residual,
-        verification=verification,
-        reconstruction_residual=rec_residual,
-    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ family by an operator, and certifying frames from factorizations.
 
 Every derived bound produced here is validated through
 :func:`fuzzyframes.frame_core.verify_bounds` before being reported, except
-the bound of :func:`build_family`, which comes next to the optimal one.
+the certificate of :func:`build_family`, which is the optimal one.
 
 The constants of :func:`combine` differ from the ones the paper quotes.
 Its sum constant [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 for a K1 + b K2
@@ -35,7 +35,6 @@ from .frame_core import (
     optimal_frame_bounds,
     optimal_kframe_bounds,
     synthesis_matrix,
-    _alpha_independent,
     _optimal_bounds,
     _synthesis_svd,
     verify_bounds,
@@ -46,7 +45,7 @@ from .operator_algebra import (
     _gram,
     _unit_scale,
     as_matrix,
-    douglas_lambda,
+    douglas_factorize,
     spectral_norm,
     within_tolerance,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "BesselPairResult",
     "TransformResult",
     "TransferResult",
-    "BuiltFamily",
     "combine",
     "bessel_pair_kframe",
     "transform_family",
@@ -161,7 +159,6 @@ def combine(
 class BesselPairResult:
     operator: np.ndarray
     factorization_residual: float
-    certificate: BoundCertificate
     derived: DerivedBound
     verification: VerificationResult
 
@@ -195,16 +192,8 @@ def bessel_pair_kframe(
             f"synthesis factorization does not reproduce K (residual {residual:.3e})"
         )
     lower = 1.0 / bessel_g.B
-    derived = DerivedBound(lower, bessel_f.B)
     verification = verify_bounds(F, lower, bessel_f.B, k, alphas, convention, tol)
-    certificate = BoundCertificate(
-        kind="k_frame",
-        A=lower,
-        B=bessel_f.B,
-        alpha_independent=_alpha_independent(F.model, convention),
-        convention=convention,
-    )
-    return BesselPairResult(k, residual, certificate, derived, verification)
+    return BesselPairResult(k, residual, DerivedBound(lower, bessel_f.B), verification)
 
 
 @dataclass(frozen=True)
@@ -288,32 +277,20 @@ def operator_transfer(
     k = as_matrix(K)
     t = as_matrix(T)
     c = _kframe_cert(family, k, tol)
-    lam = douglas_lambda(t, k, tol)  # raises RangeInclusionError on escape
+    lam = douglas_factorize(t, k, tol).lam  # raises RangeInclusionError on escape
     lower = c.A / lam**2 if lam > 0.0 else math.inf
     derived = DerivedBound(lower, c.B)
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)
 
 
-@dataclass(frozen=True)
-class BuiltFamily:
-    family: FrameFamily
-    certificate: BoundCertificate
-    inclusion_holds: bool
-    lam: Optional[float]
-    derived_lower: Optional[float]
-
-
 def build_family(
     model, T: np.ndarray, K: np.ndarray, tol: float = PSD_TOL
-) -> BuiltFamily:
-    """Inverse direction: family = columns of T, certified as a K-frame when
-    range(K) <= range(T), with lower bound 1/lam^2 from K K* <= lam^2 T T*.
-    States the characterization of K-frames as images T e_i with R(K) <= R(T).
-    The family's synthesis operator is T, so its optimal K-frame bound is
-    that lower bound, A = 1 / ||T^+ K||^2, and 0 exactly without inclusion."""
+) -> tuple[FrameFamily, BoundCertificate]:
+    """Inverse direction: the family of the columns of T and its K-frame
+    certificate.  States the characterization of K-frames as images T e_i
+    with R(K) <= R(T).  The family's synthesis operator is T, so its optimal
+    bound is A = 1 / lam^2 for the least lam with K K* <= lam^2 T T*,
+    lam = ||T^+ K||, and A = 0 exactly without the inclusion."""
     family = FrameFamily(as_matrix(T).T, model)
-    cert = optimal_kframe_bounds(family, K, tol=tol)
-    if cert.A == 0.0:
-        return BuiltFamily(family, cert, False, lam=None, derived_lower=None)
-    return BuiltFamily(family, cert, True, lam=1.0 / math.sqrt(cert.A), derived_lower=cert.A)
+    return family, optimal_kframe_bounds(family, K, tol=tol)

@@ -7,7 +7,10 @@ matrices of both sides (Douglas's lemma): when range(M) is inside range(N),
 the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||.  One helper,
 _douglas, reads it from the left singular pairs (u, s) of N: the inclusion
 residual, the coordinates s^-1 u* M of N^dagger M and lam^2 with its
-witness; every range inclusion and K-frame bound goes through it.
+witness; every range inclusion and K-frame bound goes through it.  One
+factorization, douglas_factorize, solves M = N W from it with its residual
+and pass decision: the ``douglas`` command reads it, and so does every
+atomic system, which is M = K against N = F.
 
 Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
@@ -53,7 +56,6 @@ __all__ = [
     "within_tolerance",
     "hermitian_part",
     "psd_order_check",
-    "douglas_lambda",
     "douglas_factorize",
 ]
 
@@ -339,17 +341,6 @@ def _douglas(M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float) -> _Dougla
     return _Douglas(True, residual, z, sq, f / np.linalg.norm(f))
 
 
-def douglas_lambda(
-    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
-) -> float:
-    """Minimal lam >= 0 with M M* <= lam^2 N N*, which is ||N^dagger M||.
-
-    Requires range(M) subseteq range(N); without it no finite lam exists and
-    a RangeInclusionError is raised.
-    """
-    return douglas_factorize(M, N, tol).lam
-
-
 @dataclass(frozen=True)
 class FactorizationResult:
     lam: float
@@ -358,32 +349,43 @@ class FactorizationResult:
     residual: float
     #: ||(I - N N^dagger) M||_F / ||M||_F from the range-inclusion test
     projection_residual: float
-    #: ||N||, the largest singular value of N
-    norm_N: float
+    #: residual within tol of ||M||_F once rounding's n eps ||N|| lam is allowed
+    passed: bool
 
 
-def douglas_factorize(
-    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
-) -> FactorizationResult:
-    """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||.
-
-    One SVD of N feeds _douglas: W = V_r z and lam = ||z||.  Range
-    inclusion is a hypothesis; its failure raises RangeInclusionError
-    carrying the projection residual.  Rounding leaves a residual of about
-    n * eps * ||N|| * ||W|| (n the dimension).
-    """
+def _factorize(
+    M: np.ndarray, N: np.ndarray, tol: float
+) -> tuple[_Douglas, np.ndarray, np.ndarray, Optional[FactorizationResult]]:
+    """Douglas's lemma for M against N from one thin SVD of N: the
+    _Douglas, the left singular pairs (u, s) of N, and M = N W when
+    range(M) lies in range(N) (else None)."""
     m, n = as_matrix(M), as_matrix(N)
     if m.shape[0] != n.shape[0]:
         raise ValueError(f"codomain mismatch: {m.shape} vs {n.shape}")
     u, s, vh = np.linalg.svd(n, full_matrices=False)
     d = _douglas(m, u, s, tol)
     if not d.included:
+        return d, u, s, None
+    w = vh[: len(d.z)].conj().T @ d.z  # N^dagger M = V_r z
+    lam = math.sqrt(d.sup)
+    residual = float(np.linalg.norm(n @ w - m))
+    # rounding leaves about n eps ||N|| ||W|| (n the dimension)
+    rounding = len(m) * EPS * (float(s[0]) if len(s) else 0.0) * lam
+    passed = within_tolerance(residual - rounding, tol, float(np.linalg.norm(m)))
+    return d, u, s, FactorizationResult(lam, w, residual, d.residual, passed)
+
+
+def douglas_factorize(
+    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
+) -> FactorizationResult:
+    """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||, the
+    minimal lam >= 0 with M M* <= lam^2 N N*.
+
+    One SVD of N feeds _douglas: W = V_r z and lam = ||z||.  Range
+    inclusion is a hypothesis; its failure raises RangeInclusionError
+    carrying the projection residual.
+    """
+    d, _, _, result = _factorize(M, N, tol)
+    if result is None:
         raise RangeInclusionError("range(M) is not contained in range(N)", d.residual)
-    w = vh[: len(d.z)].conj().T @ d.z
-    return FactorizationResult(
-        lam=math.sqrt(d.sup),
-        W=w,
-        residual=float(np.linalg.norm(n @ w - m)),
-        projection_residual=d.residual,
-        norm_N=float(s[0]) if len(s) else 0.0,
-    )
+    return result

@@ -79,8 +79,6 @@ MAX_DEPTH = 30
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    kind: str  # "operator" | "family"
-    constants: tuple[float, ...]
     max_violation: float
     verified: bool
     method: str  # "spectral" | "scan"
@@ -179,8 +177,6 @@ def check_operator_perturbation(
             if hi - lo > 2.0**-MAX_DEPTH:
                 stack += [(s, e) for s, e in ((lo, mid), (mid, hi)) if not holds(*_corner(s, e))]
     return PerturbationReport(
-        kind="operator",
-        constants=(lambda1, lambda2),
         max_violation=worst,
         verified=verified,
         method=method,
@@ -273,7 +269,6 @@ def derive_family_perturbed_bounds(A: float, B: float, M: float) -> DerivedBound
 @dataclass(frozen=True)
 class EquivalenceConstant:
     M: float
-    source_bounds: tuple[tuple[float, float], tuple[float, float]]
     minimal_M: float
     verified: bool
 
@@ -302,7 +297,6 @@ def frame_equivalence_constant(
     m = max((1.0 + math.sqrt(b) / math.sqrt(c)) ** 2, (1.0 + math.sqrt(d) / math.sqrt(a)) ** 2)
     return EquivalenceConstant(
         M=m,
-        source_bounds=((a, b), (c, d)),
         minimal_M=constant.M,
         verified=within_tolerance(constant.M - m, tol, m),
     )

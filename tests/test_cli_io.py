@@ -624,6 +624,67 @@ def test_canonical_json_edge_arrays(dtype, shape):
     assert _serialized(canonical_json, tree) == _serialized(reference_canonical_json, tree)
 
 
+def test_canonical_json_zero_d_arrays_and_coinciding_keys():
+    # a 0-d array is written as its scalar, a string one as its string; keys
+    # whose str coincide are an error, not a value silently dropped
+    assert canonical_json(np.array(1.5)) == "1.5"
+    assert canonical_json(np.array("ab")) == '"ab"'
+    assert canonical_json({"z": np.array(1 + 2j)}) == canonical_json({"z": 1 + 2j})
+    assert canonical_json([np.array(True), np.array(3)]) == canonical_json([True, 3])
+    with pytest.raises(TypeError, match="coincide"):
+        canonical_json({0.1: 1, np.float32(0.1): 2})
+
+
+def _entries(m: np.ndarray, field: str) -> list:
+    """A matrix as problem-file rows, complex entries as [re, im] pairs."""
+    if field == "real":
+        return m.tolist()
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    field=st.sampled_from(["real", "complex"]),
+    rank=st.integers(0, 5),
+    inside=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_atomic_is_douglas_of_k_against_f(n, field, rank, inside, seed):
+    # atomic on a square family and K reads the factorization K = F W that
+    # douglas reads for operator_T = K and operator_K = F, the family's
+    # synthesis matrix (the family transposed)
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+    r = min(rank, n)
+    F = gauss(n, r) @ gauss(r, n)
+    K = F @ gauss(n, n) if inside else gauss(n, n)  # K = 0 when F = 0 and inside
+    base = {"dimension": n, "field": field}
+    atomic, atomic_code = run_command(
+        "atomic", parse_problem({**base, "family": _entries(F.T, field), "operator_K": _entries(K, field)})
+    )
+    douglas, douglas_code = run_command(
+        "douglas", parse_problem({**base, "family": _entries(F.T, field),
+                                  "operator_K": _entries(F, field), "operator_T": _entries(K, field)})
+    )
+    a, d = atomic["body"], douglas["body"]
+    assert a["atomic_holds"] is d["inclusion"]
+    assert a["projection_residual"] == d["projection_residual"]
+    if a["atomic_holds"]:
+        assert a["coefficient_norm_constant"] == d["lambda"]
+        assert a["reconstruction_residual"] == d["factorization_residual"]
+    else:  # A = 0, no constant and nothing to verify
+        assert atomic_code == EXIT_FAIL and a["certificate"]["A"] == 0.0
+        assert a["coefficient_norm_constant"] is None
+        assert "verification" not in a and "reconstruction_residual" not in a
+    if atomic_code == EXIT_PASS:
+        assert douglas_code == EXIT_PASS
+
+
 def test_number_text_is_repr_of_rounded_value():
     # _fmt is the one rounding rule; _num is only its text
     for x in SWEEP:
@@ -1089,6 +1150,24 @@ class TestCommands:
         report, code = run_file(path, command="atomic")
         assert code == EXIT_PASS and report["body"]["verification"]["passed"]
         assert sum(linalg_calls.values()) <= 4
+
+    @pytest.mark.parametrize("path", [R3_FILE, C3_FILE])
+    def test_atomic_and_douglas_read_one_svd(self, path, monkeypatch, linalg_calls):
+        # atomic is douglas with M = K and N = F: one SVD of F, never the
+        # QR-reduced SVD of the other K-frame commands; douglas takes one of N
+        def refused(family):
+            raise AssertionError("atomic reads the SVD of its factorization")
+
+        monkeypatch.setattr(fuzzyframes.cli_io, "_synthesis_svd", refused)
+        monkeypatch.setattr(fuzzyframes.frame_core, "_synthesis_svd", refused)
+        report, code = run_file(path, command="atomic")
+        assert code == EXIT_PASS and report["body"]["atomic_holds"]
+        assert linalg_calls["svd"] == 1
+        linalg_calls.clear()
+        data = load(path)
+        report, code = run_command("douglas", parse_problem({**data, "operator_T": data["operator_K"]}))
+        assert code == EXIT_PASS and report["body"]["lambda"] == pytest.approx(1.0)
+        assert linalg_calls["svd"] == 1
 
     def test_overflowing_commutator_is_input_error(self, tmp_path, recwarn):
         # T K - K T overflowed; at unit scale T = K commutes, and what leaves

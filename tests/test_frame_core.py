@@ -14,9 +14,9 @@ from fuzzyframes import (
     RangeInclusionError,
     SingularFrameOperatorError,
     atomic_coefficients,
-    atomic_system_equivalence_check,
     atomic_system_from_operator,
     classical_frame_operator,
+    douglas_factorize,
     frame_operator,
     frame_sum,
     optimal_frame_bounds,
@@ -455,19 +455,25 @@ class TestAtomicCoefficients:
 
 
 class TestEquivalence:
+    """An atomic system for K is the factorization K = F W of
+    douglas_factorize(K, F), and its constant C = ||W|| is 1 / sqrt(A) for
+    the optimal K-frame bound A."""
+
     def test_c3_both_hold(self, c3_instance):
-        report = atomic_system_equivalence_check(c3_instance["family"], c3_instance["K"])
-        assert report.atomic_holds
-        assert 1.0 / report.C**2 == pytest.approx(report.certificate.A, rel=1e-12)
-        assert 1.0 / report.C**2 <= 0.5 + 1e-9
-        assert report.verification.passed
+        fam, K = c3_instance["family"], c3_instance["K"]
+        factor = douglas_factorize(K, synthesis_matrix(fam))
+        cert = optimal_kframe_bounds(fam, K)
+        assert factor.passed
+        assert 1.0 / factor.lam**2 == pytest.approx(cert.A, rel=1e-12)
+        assert 1.0 / factor.lam**2 <= 0.5 + 1e-9
+        assert verify_bounds(fam, cert.A, cert.B, K).passed
 
     def test_single_vector_no_atomic_system(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0.0]]), model)
-        report = atomic_system_equivalence_check(fam, np.eye(2))
-        assert not report.atomic_holds
-        assert report.C is None and report.verification is None
+        with pytest.raises(RangeInclusionError):
+            douglas_factorize(np.eye(2), synthesis_matrix(fam))
+        assert optimal_kframe_bounds(fam, np.eye(2)).A == 0.0
 
     def test_canonical_family_holds_with_unit_bound(self):
         rng = np.random.default_rng(37)
@@ -475,9 +481,8 @@ class TestEquivalence:
             model = FuzzyModel(BaseSpace(3, "real"), "scaled")
             K = rand_matrix(rng, 3, 3)
             fam, _ = atomic_system_from_operator(model, K)
-            report = atomic_system_equivalence_check(fam, K)
-            assert report.atomic_holds
-            assert report.certificate.A == pytest.approx(1.0, rel=1e-9)
+            assert douglas_factorize(K, synthesis_matrix(fam)).lam == pytest.approx(1.0, rel=1e-9)
+            assert optimal_kframe_bounds(fam, K).A == pytest.approx(1.0, rel=1e-9)
 
 
 class TestRestrictedInverse:

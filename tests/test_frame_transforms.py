@@ -10,12 +10,10 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    atomic_system_equivalence_check,
     bessel_pair_kframe,
     build_family,
     combine,
     douglas_factorize,
-    douglas_lambda,
     operator_transfer,
     optimal_kframe_bounds,
     synthesis_matrix,
@@ -215,7 +213,7 @@ class TestBesselPair:
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
         result = bessel_pair_kframe(basis, basis, np.eye(3))
-        assert result.certificate.A == pytest.approx(1.0)
+        assert result.derived.A == pytest.approx(1.0)
         assert result.verification.passed
 
     def test_reciprocal_diagonal_pair(self):
@@ -223,7 +221,7 @@ class TestBesselPair:
         G = diag_family([0.5, 1.0])
         result = bessel_pair_kframe(F, G, np.eye(2))
         assert result.factorization_residual <= 1e-12
-        assert result.certificate.A == pytest.approx(1.0)  # D = 1
+        assert result.derived.A == pytest.approx(1.0)  # D = 1
         assert result.verification.passed
 
     def test_seeded_construction(self):
@@ -359,20 +357,19 @@ def synthesis_inclusion(family: FrameFamily, K: np.ndarray) -> bool:
 
 class TestSynthesisCharacterization:
     """A family is a K-frame exactly when range(K) lies in the range of its
-    synthesis matrix; the atomic report decides the K-frame side."""
+    synthesis matrix; the optimal K-frame bound decides the K-frame side."""
 
     def test_c3_equivalence_confirmed(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
-        report = atomic_system_equivalence_check(fam, K)
-        assert synthesis_inclusion(fam, K) and report.atomic_holds
-        assert report.certificate.A == pytest.approx(0.5, abs=1e-9)
+        cert = optimal_kframe_bounds(fam, K)
+        assert synthesis_inclusion(fam, K) and cert.A > 0.0
+        assert cert.A == pytest.approx(0.5, abs=1e-9)
 
     def test_missing_direction_fails_both_sides(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0, 0], [0, 1, 0]]), model)
-        report = atomic_system_equivalence_check(fam, np.eye(3))
-        assert not synthesis_inclusion(fam, np.eye(3)) and not report.atomic_holds
-        assert report.certificate.A == 0.0
+        cert = optimal_kframe_bounds(fam, np.eye(3))
+        assert not synthesis_inclusion(fam, np.eye(3)) and cert.A == 0.0
 
     def test_equivalence_coupling_random(self):
         rng = np.random.default_rng(41)
@@ -385,9 +382,9 @@ class TestSynthesisCharacterization:
                 vectors[:, -1] = 0.0
                 fam = FrameFamily(vectors, model)
                 K = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-            report = atomic_system_equivalence_check(fam, K)
-            assert synthesis_inclusion(fam, K) == report.atomic_holds
-            assert report.atomic_holds == (k % 2 == 1)
+            kframe = optimal_kframe_bounds(fam, K).A > 0.0
+            assert synthesis_inclusion(fam, K) == kframe
+            assert kframe == (k % 2 == 1)
 
     def test_build_family_from_construction(self):
         rng = np.random.default_rng(43)
@@ -395,16 +392,13 @@ class TestSynthesisCharacterization:
         for _ in range(10):
             T = rng.standard_normal((3, 5))
             K = T @ rng.standard_normal((5, 3))  # range(K) <= range(T)
-            built = build_family(model, T, K)
-            assert built.inclusion_holds
-            assert built.certificate.A > 0.0
-            assert built.derived_lower is not None
-            assert built.derived_lower <= built.certificate.A + 1e-9
-            # one decomposition of T: the derived bound is the certificate's
-            assert built.derived_lower == built.certificate.A
-            assert built.lam == pytest.approx(douglas_lambda(K, T), rel=1e-12)
+            family, cert = build_family(model, T, K)
+            assert np.array_equal(synthesis_matrix(family), T)
+            assert synthesis_inclusion(family, K) and cert.A > 0.0
+            # the optimal bound is 1 / lam^2 for lam = ||T^+ K||
+            lam = douglas_factorize(K, T).lam
+            assert 1.0 / math.sqrt(cert.A) == pytest.approx(lam, rel=1e-12)
         # range(I) escapes a rank-2 T: no inclusion, A = 0
         T = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
-        built = build_family(model, T, np.eye(3))
-        assert not built.inclusion_holds and built.certificate.A == 0.0
-        assert built.lam is None and built.derived_lower is None
+        family, cert = build_family(model, T, np.eye(3))
+        assert not synthesis_inclusion(family, np.eye(3)) and cert.A == 0.0

@@ -13,7 +13,6 @@ from fuzzyframes import (
     RangeInclusionError,
     alpha_operator_norm,
     douglas_factorize,
-    douglas_lambda,
     family_perturbation_constant,
     optimal_kframe_bounds,
     psd_order_check,
@@ -224,7 +223,7 @@ class TestSymmetrizationWarning:
         other = family_with_synthesis(n + 0.1 * m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            douglas_lambda(m, n)
+            douglas_factorize(m, n)
             optimal_kframe_bounds(family, m)
             family_perturbation_constant(family, other)
 
@@ -293,15 +292,15 @@ class TestDouglas:
     def test_lambda_scaling(self):
         rng = np.random.default_rng(13)
         n = rand_matrix(rng, 3, 3)
-        assert douglas_lambda(2.0 * n, n) == pytest.approx(2.0)
-        assert douglas_lambda(n, n) == pytest.approx(1.0)
+        assert douglas_factorize(2.0 * n, n).lam == pytest.approx(2.0)
+        assert douglas_factorize(n, n).lam == pytest.approx(1.0)
 
     def test_lambda_bounded_by_factor_norm(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
             w = rand_matrix(rng, 4, 4)
-            lam = douglas_lambda(n @ w, n)
+            lam = douglas_factorize(n @ w, n).lam
             sigma = spectral_norm(w)
             assert lam <= sigma * (1.0 + 1e-9)
             ok, _, _ = psd_order_check(
@@ -336,9 +335,9 @@ class TestDouglas:
             n = rand_matrix(rng, 4, 3, field)
             w = rand_matrix(rng, 3, 3, field)
             m = n @ w
-            lam = douglas_lambda(m, n)
-            assert math.isfinite(lam)
-            assert douglas_factorize(m, n).residual <= 1e-9
+            factor = douglas_factorize(m, n)
+            assert math.isfinite(factor.lam)
+            assert factor.residual <= 1e-9
 
     def test_violation_raises(self):
         rng = np.random.default_rng(31)
@@ -350,8 +349,6 @@ class TestDouglas:
             with pytest.raises(RangeInclusionError) as err:
                 douglas_factorize(m, n)
             assert err.value.residual > 0
-            with pytest.raises(RangeInclusionError):
-                douglas_lambda(m, n)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -367,7 +364,7 @@ class TestPencils:
         # M M* = diag(4, 1, 0) against diag(3, 2, 1): sup 4/3
         m = np.diag([2.0, 1.0, 0.0])
         n = np.diag(np.sqrt([3.0, 2.0, 1.0]))
-        assert douglas_lambda(m, n) ** 2 == pytest.approx(4.0 / 3.0)
+        assert douglas_factorize(m, n).lam ** 2 == pytest.approx(4.0 / 3.0)
         assert optimal_kframe_bounds(family_with_synthesis(n), m).A == pytest.approx(3.0 / 4.0)
         # difference synthesis m: sup 4/3 against S_F = diag(3, 2, 1), and
         # 4 / (2 - sqrt 3)^2 against S_G = diag((sqrt 3 - 2)^2, (sqrt 2 - 1)^2, 1)
@@ -383,7 +380,7 @@ class TestPencils:
         assert cert.A == 0.0
         assert abs(cert.witness_lower[1]) == pytest.approx(1.0)
         with pytest.raises(RangeInclusionError):
-            douglas_lambda(np.eye(2), n)
+            douglas_factorize(np.eye(2), n)
         constant = family_perturbation_constant(
             family_with_synthesis(n), family_with_synthesis(np.eye(2))
         )
