@@ -504,55 +504,43 @@ def canonical_json(obj: Any) -> str:
     return _text(obj, "\n")
 
 
-def _round_significant(x: np.ndarray, digits: int = 12) -> np.ndarray:
-    """x rounded to `digits` significant decimal digits, -0.0 made 0.0."""
-    mag = np.abs(x)
-    exponent = np.floor(np.log10(mag, out=np.zeros_like(mag), where=mag > 0.0))
-    # 10**(digits - 1 - exponent) overflows for subnormal x: apply it in two halves
-    shift = digits - 1 - exponent
-    half = np.floor(shift / 2)
-    s1, s2 = 10.0**half, 10.0 ** (shift - half)
-    rounded = np.round(x * s1 * s2) / s2 / s1
-    rounded[rounded == 0.0] = 0.0
-    return rounded
+#: the compact sorted JSON of the digest's scalars; json writes floats by repr
+_SCALAR_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def problem_digest(problem: Problem) -> str:
-    """Digest of the parsed problem, stable under reformatting.
+    """Digest of the problem as parsed: two files share it exactly when they
+    parse to the same Problem.
 
-    SHA-256 over the compact JSON, keys sorted, of the scalar fields with
-    their numbers rounded by _fmt, then for each array its name, its shape
-    and the little-endian float64 bytes of its real and imaginary parts, at
-    the file's scale, rounded to 12 significant digits.
+    SHA-256 over the compact JSON, keys sorted, of the scalar fields, every
+    float written exactly (repr), then for each array its name, its shape,
+    its exponent and the little-endian bytes of its unit-scale values
+    (complex ones as re, im pairs).  -0.0 counts as 0.0 throughout.
     """
+    # alphas and tolerance are positive; the other floats may be -0.0
     scalars = {
         "dimension": problem.dimension,
         "field": problem.field,
         "profile": problem.profile,
-        "alphas": [_fmt(a) for a in problem.alphas],
-        "bounds": [_fmt(b) for b in problem.bounds] if problem.bounds else None,
+        "alphas": list(problem.alphas),
+        "bounds": [b + 0.0 for b in problem.bounds] if problem.bounds else None,
         "convention": problem.convention,
-        "tolerance": _fmt(problem.tolerance),
+        "tolerance": problem.tolerance,
         "command": problem.command,
-        "lambda1": _fmt(problem.lambda1),
-        "lambda2": _fmt(problem.lambda2),
+        "lambda1": problem.lambda1 + 0.0,
+        "lambda2": problem.lambda2 + 0.0,
         "variant": problem.variant,
-        "claims": [{"kind": c["kind"], "value": _fmt(c["value"])} for c in problem.claims],
+        "claims": [{"kind": c["kind"], "value": c["value"] + 0.0} for c in problem.claims],
     }
     arrays = {name: (getattr(problem, name), problem.exponents[name]) for name in OPERANDS}
     for i, c in enumerate(problem.claims):
         arrays[f"claims[{i}].vector"] = (c["vector"], c["exponent"])
-    h = hashlib.sha256(json.dumps(scalars, sort_keys=True, separators=(",", ":")).encode())
+    h = hashlib.sha256(_SCALAR_JSON.encode(scalars).encode())
     for name, (arr, e) in arrays.items():
         if arr is None:
             continue
-        arr = _ldexp(arr, e)
-        h.update(f"\n{name}{list(arr.shape)}\n".encode())
-        for part in (arr.real, arr.imag):
-            if part.any():
-                h.update(_round_significant(part).astype("<f8").tobytes())
-            else:  # every zero rounds to +0.0, whose bytes are all zero
-                h.update(bytes(8 * part.size))
+        h.update(f"\n{name}{list(arr.shape)} 2^{e}\n".encode())
+        h.update((arr + 0.0).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
     return h.hexdigest()
 
 

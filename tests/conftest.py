@@ -12,8 +12,10 @@ of the spectral code paths they are used to check.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import struct
 from collections import Counter
 from itertools import chain
 from typing import Any, NamedTuple, Optional
@@ -551,6 +553,48 @@ def reference_canonical_json(obj: Any) -> str:
     values, then the standard library encoder.  canonical_json must print
     the same text wherever this one prints any."""
     return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference digest
+
+
+def reference_digest(problem) -> str:
+    """``input.digest`` as the README words it, with hashlib and struct
+    alone: the compact sorted JSON of the scalar fields, floats written by
+    repr, then per array a header line and each unit-scale double packed
+    little-endian, -0.0 as 0.0."""
+
+    def exact(x: float) -> float:
+        return x + 0.0
+
+    scalars = {
+        "dimension": problem.dimension,
+        "field": problem.field,
+        "profile": problem.profile,
+        "alphas": [exact(a) for a in problem.alphas],
+        "bounds": [exact(b) for b in problem.bounds] if problem.bounds else None,
+        "convention": problem.convention,
+        "tolerance": exact(problem.tolerance),
+        "command": problem.command,
+        "lambda1": exact(problem.lambda1),
+        "lambda2": exact(problem.lambda2),
+        "variant": problem.variant,
+        "claims": [{"kind": c["kind"], "value": exact(c["value"])} for c in problem.claims],
+    }
+    h = hashlib.sha256(json.dumps(scalars, sort_keys=True, separators=(",", ":")).encode())
+    names = ["family", "family_g", "operator_K", "operator_T", "coefficients"]
+    arrays = [(name, getattr(problem, name), problem.exponents[name]) for name in names]
+    for i, c in enumerate(problem.claims):
+        arrays.append((f"claims[{i}].vector", c["vector"], c["exponent"]))
+    for name, arr, e in arrays:
+        if arr is None:
+            continue
+        h.update(("\n%s[%s] 2^%d\n" % (name, ", ".join(map(str, arr.shape)), e)).encode())
+        for z in arr.ravel().tolist():
+            for x in (z.real, z.imag) if problem.field == "complex" else (z,):
+                h.update(struct.pack("<d", exact(x)))
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
