@@ -23,11 +23,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import orjson
@@ -97,8 +96,7 @@ class ProblemError(Exception):
 OPERANDS = ("family", "family_g", "operator_K", "operator_T", "coefficients")
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A validated problem file.  Each array operand X, and each claim
     vector, is held at unit scale, 2^-e X with e = exponents[name] (the
     claim's "exponent"): its largest real or imaginary part is in [1/2, 1)."""
@@ -121,7 +119,7 @@ class Problem:
     lambda1: float = 0.0
     lambda2: float = 0.0
     variant: Optional[str] = None
-    claims: tuple[dict, ...] = field(default_factory=tuple)
+    claims: tuple[dict, ...] = ()
 
     @property
     def model(self) -> FuzzyModel:
@@ -588,7 +586,9 @@ def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int, null: bool = 
     lower = "1 / ||F^+ K||^2" if cert.kind == "k_frame" else "lambda_min(S_c) = sigma_min(F)^2"
     B = scaled(cert.B, power_B, "the upper bound B = ||S_c|| = sigma_max(F)^2")
     A = scaled(cert.A, power_A, f"the lower bound A = {lower}")
-    cert = replace(cert, A=math.inf if A is None else A)  # an A out of range is not 1
+    # the constructor decides the kind again with A at this scale; an A out
+    # of range is not 1
+    cert = BoundCertificate(*cert._replace(A=math.inf if A is None else A))
     return {
         "kind": cert.kind,
         "A": A,
@@ -1122,32 +1122,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog=TOOL_NAME,
         description="Frame and K-frame certificates for fuzzy inner product models.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--alpha", type=_levels, help="comma-separated levels in (0,1)")
-        sp.add_argument("--convention", choices=["once", "squared"])
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
-
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name} check on one problem file")
-        sp.add_argument("file", type=Path)
-        add_common(sp)
-
-    bp = sub.add_parser("batch", help="run a directory or list of problem files")
-    bp.add_argument("paths", nargs="+", type=Path)
-    bp.add_argument("--parallel", type=int, default=1)
-    bp.add_argument("--out")
-    bp.add_argument("--format", choices=["json", "text"], default="json")
+    parser.add_argument(
+        "command",
+        choices=[*COMMANDS, "batch"],
+        metavar="command",
+        help=f"{', '.join(COMMANDS)} on one file, or batch: each file's own command",
+    )
+    parser.add_argument("paths", nargs="+", type=Path, help="the file; for batch, files or directories")
+    parser.add_argument("--alpha", type=_levels, help="comma-separated levels in (0,1)")
+    parser.add_argument("--convention", choices=["once", "squared"])
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=["json", "text"], default="json")
+    parser.add_argument("--parallel", type=int, help="batch only: files run at once (default 1)")
 
     try:
         args = parser.parse_args(argv)
+        # batch runs each file with its own entries; a check runs one file
+        if args.command == "batch":
+            for name in ("alpha", "convention", "tol"):
+                if getattr(args, name) is not None:
+                    parser.error(f"--{name} does not apply to batch")
+        elif len(args.paths) > 1:
+            parser.error(f"{args.command} takes one problem file")
+        elif args.parallel is not None:
+            parser.error("--parallel applies to batch only")
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
 
-    if args.subcommand == "batch":
+    if args.command == "batch":
         files: list[Path] = []
         for p in args.paths:
             if p.is_dir():
@@ -1155,7 +1158,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 files.append(p)
         try:
-            result, code = batch(files, args.parallel)
+            result, code = batch(files, 1 if args.parallel is None else args.parallel)
         except ProblemError as exc:
             _emit(canonical_json({"verdict": "error", "error": str(exc)}) + "\n", args.out)
             return EXIT_ERROR
@@ -1180,7 +1183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "convention": args.convention,
         "tolerance": args.tol,
     }
-    report, code = run_file(args.file, args.subcommand, overrides)
+    report, code = run_file(args.paths[0], args.command, overrides)
     if args.format == "text":
         _emit(_format_text(report), args.out)
     else:

@@ -30,8 +30,7 @@ Operands are expected at unit scale (see ``operator_algebra``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,28 +105,31 @@ def _alpha_independent(model: FuzzyModel, convention: str) -> bool:
     return convention == "once" or model.profile == "crisp"
 
 
-@dataclass(frozen=True)
-class FrameFamily:
+class _Family(NamedTuple):
+    vectors: np.ndarray
+    model: FuzzyModel
+
+
+class FrameFamily(_Family):
     """Ordered finite family of vectors in a fuzzy model.
 
     ``vectors`` is stored row-wise: vectors[i] is f_i.
     """
 
-    vectors: np.ndarray
-    model: FuzzyModel
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=self.model.space.dtype))
+    def __new__(cls, vectors: np.ndarray, model: FuzzyModel):
+        v = np.atleast_2d(np.asarray(vectors, dtype=model.space.dtype))
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"family must be a nonempty list of vectors, got {v.shape}")
-        if v.shape[1] != self.model.space.dimension:
+        if v.shape[1] != model.space.dimension:
             raise ValueError(
                 f"vectors of length {v.shape[1]} do not live in a space of "
-                f"dimension {self.model.space.dimension}"
+                f"dimension {model.space.dimension}"
             )
         v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        return tuple.__new__(cls, (v, model))
 
     @property
     def size(self) -> int:
@@ -167,8 +169,22 @@ def frame_sum(
     return (s if convention == "once" else s * s) * base
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class _Certificate(NamedTuple):
+    kind: str  # "bessel" | "frame" | "k_frame" | "tight" | "parseval"
+    A: float
+    B: float
+    alpha_independent: bool
+    convention: str
+    witness_lower: Optional[np.ndarray]
+    witness_upper: Optional[np.ndarray]
+    tight: bool
+
+
+def _parseval(tight: bool, A: float) -> bool:
+    return tight and abs(A - 1.0) <= TIGHT_TOL
+
+
+class BoundCertificate(_Certificate):
     """Verdict for a Bessel / frame / K-frame claim.
 
     ``A`` bounds the frame sum from below against ||K* f||_a^2 (or
@@ -181,22 +197,27 @@ class BoundCertificate:
     for ordinary frames these coincide with A = B (= 1).
     """
 
-    kind: str  # "bessel" | "frame" | "k_frame" | "tight" | "parseval"
-    A: float
-    B: float
-    alpha_independent: bool
-    convention: str = "once"
-    witness_lower: Optional[np.ndarray] = None
-    witness_upper: Optional[np.ndarray] = None
-    tight: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in ("tight", "parseval"):
-            object.__setattr__(self, "kind", "parseval" if self.parseval else "tight")
+    def __new__(
+        cls,
+        kind: str,
+        A: float,
+        B: float,
+        alpha_independent: bool,
+        convention: str = "once",
+        witness_lower: Optional[np.ndarray] = None,
+        witness_upper: Optional[np.ndarray] = None,
+        tight: bool = False,
+    ):
+        if kind in ("tight", "parseval"):
+            kind = "parseval" if _parseval(tight, A) else "tight"
+        fields = (kind, A, B, alpha_independent, convention, witness_lower, witness_upper, tight)
+        return tuple.__new__(cls, fields)
 
     @property
     def parseval(self) -> bool:
-        return self.tight and abs(self.A - 1.0) <= TIGHT_TOL
+        return _parseval(self.tight, self.A)
 
 
 def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -318,8 +339,7 @@ def _optimal_bounds(
     return _kframe_bounds(family, k, convention, _douglas(k, u, s, tol), u, s)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     alpha: float
     side: str  # "lower" | "upper"
     ok: bool
@@ -329,8 +349,7 @@ class BoundCheck:
     witness: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     passed: bool
     checks: tuple[BoundCheck, ...]
 
@@ -412,8 +431,7 @@ def atomic_system_from_operator(
     )
 
 
-@dataclass(frozen=True)
-class AtomicCoefficients:
+class AtomicCoefficients(NamedTuple):
     beta: np.ndarray
     C: float
     residual: float
@@ -447,8 +465,7 @@ def atomic_coefficients(
     return AtomicCoefficients(beta=beta, C=C, residual=rec_residual, norm_bound_ok=norm_ok)
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     injective: bool
     dagger_norm: float
     #: the largest excess of a side of each sandwich line over the other

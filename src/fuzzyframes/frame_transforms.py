@@ -22,8 +22,7 @@ Operands are expected at unit scale (see ``operator_algebra``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +62,7 @@ __all__ = [
     "build_family",
 ]
 
-@dataclass(frozen=True)
-class DerivedBound:
+class DerivedBound(NamedTuple):
     """Bound constants produced by a closure formula.
 
     K-frame bounds may have A > B (the lower inequality is against
@@ -76,8 +74,7 @@ class DerivedBound:
     B: float
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     operator: np.ndarray
     derived: DerivedBound
     verification: VerificationResult
@@ -155,8 +152,7 @@ def combine(
     return CombinationResult(op, DerivedBound(lower, upper), verification, optimal, e, ratio)
 
 
-@dataclass(frozen=True)
-class BesselPairResult:
+class BesselPairResult(NamedTuple):
     operator: np.ndarray
     factorization_residual: float
     derived: DerivedBound
@@ -196,8 +192,7 @@ def bessel_pair_kframe(
     return BesselPairResult(k, residual, DerivedBound(lower, bessel_f.B), verification)
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(NamedTuple):
     family: FrameFamily
     derived: DerivedBound
     verification: VerificationResult
@@ -253,8 +248,7 @@ def transform_family(
     return TransformResult(moved, derived, verification, variant)
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     lam: float
     derived: DerivedBound
     verification: VerificationResult

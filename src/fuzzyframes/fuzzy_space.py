@@ -20,8 +20,7 @@ vectors and values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,18 +75,25 @@ def check_alpha(alpha):
     return float(a) if a.ndim == 0 else a
 
 
-@dataclass(frozen=True)
-class BaseSpace:
+# Records are NamedTuples, which need no generated code at import; a record
+# that validates its fields is a subclass that checks them in __new__ and
+# builds the tuple directly.
+class _Space(NamedTuple):
+    dimension: int
+    field: str  # "real" | "complex"
+
+
+class BaseSpace(_Space):
     """Finite-dimensional coefficient space over the real or complex field."""
 
-    dimension: int
-    field: str = "real"  # "real" | "complex"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
+    def __new__(cls, dimension: int, field: str = "real"):
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        return tuple.__new__(cls, (dimension, field))
 
     @property
     def dtype(self) -> np.dtype:
@@ -112,16 +118,20 @@ class BaseSpace:
         return x
 
 
-@dataclass(frozen=True)
-class FuzzyModel:
+class _Model(NamedTuple):
+    space: BaseSpace
+    profile: str  # "scaled" | "crisp"
+
+
+class FuzzyModel(_Model):
     """A base space together with one of the two membership profiles."""
 
-    space: BaseSpace
-    profile: str = "scaled"  # "scaled" | "crisp"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+    def __new__(cls, space: BaseSpace, profile: str = "scaled"):
+        if profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
+        return tuple.__new__(cls, (space, profile))
 
     def scale(self, alpha):
         """Level scaling factor: a/(1-a) for scaled, 1 for crisp.
@@ -193,16 +203,14 @@ _NORMS = (0.0, 0.5, 1.0, 4.0)
 _LEVELS = (0.25, 0.5, 0.75)
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(NamedTuple):
     axiom: str
     statement: str
     passed: bool
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     profile: str
     results: tuple[AxiomResult, ...]
 

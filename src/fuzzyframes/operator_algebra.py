@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -286,8 +285,7 @@ def _coordinates(
     return within_tolerance(excess, tol, scale), residual, z, outside
 
 
-@dataclass(frozen=True)
-class _Douglas:
+class _Douglas(NamedTuple):
     """Douglas's lemma for M against N, as _douglas reads it.
 
     ``included`` and ``residual`` decide range(M) inside range(N) (see
@@ -302,7 +300,7 @@ class _Douglas:
     z: Optional[np.ndarray]
     sq: np.ndarray
     #: the witness with the inclusion, else the part of M outside range(N)
-    _found: Optional[np.ndarray]
+    found: Optional[np.ndarray]
 
     @property
     def sup(self) -> float:
@@ -318,8 +316,8 @@ class _Douglas:
         z z*, None for M = 0.  Without the inclusion, the f outside range(N)
         with the largest ||M* f||, from one SVD run at each access."""
         if self.included:
-            return self._found
-        return np.linalg.svd(self._found)[0][:, 0]
+            return self.found
+        return np.linalg.svd(self.found)[0][:, 0]
 
 
 def _douglas(M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float) -> _Douglas:
@@ -341,8 +339,7 @@ def _douglas(M: np.ndarray, u: np.ndarray, s: np.ndarray, tol: float) -> _Dougla
     return _Douglas(True, residual, z, sq, f / np.linalg.norm(f))
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     lam: float
     W: np.ndarray
     #: ||N W - M||_F

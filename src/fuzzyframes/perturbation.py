@@ -28,8 +28,7 @@ in Q_t and the ratio of two families' scales in M can leave the range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +76,7 @@ __all__ = [
 MAX_DEPTH = 30
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     max_violation: float
     verified: bool
     method: str  # "spectral" | "scan"
@@ -200,8 +198,7 @@ def derive_operator_perturbed_bounds(
     return DerivedBound(A * ((1.0 - lambda2) / (1.0 + lambda1)) ** 2, B)
 
 
-@dataclass(frozen=True)
-class FamilyPerturbation:
+class FamilyPerturbation(NamedTuple):
     M: float
     finite: bool
     witness: Optional[np.ndarray]
@@ -266,8 +263,7 @@ def derive_family_perturbed_bounds(A: float, B: float, M: float) -> DerivedBound
     return DerivedBound(A / factor, B * factor)
 
 
-@dataclass(frozen=True)
-class EquivalenceConstant:
+class EquivalenceConstant(NamedTuple):
     M: float
     minimal_M: float
     verified: bool
@@ -302,8 +298,7 @@ def frame_equivalence_constant(
     )
 
 
-@dataclass(frozen=True)
-class IdentityPerturbation:
+class IdentityPerturbation(NamedTuple):
     hypothesis: PerturbationReport
     certificate: Optional[BoundCertificate]
     verification: Optional[VerificationResult]

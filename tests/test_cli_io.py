@@ -3,7 +3,10 @@
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -1778,3 +1781,73 @@ class TestMain:
             report, code = run_file(path)
             assert report["verdict"] == expected
             assert code == report["exit_code"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "{corpus}", "--alpha", "0.5"],
+            ["batch", "{corpus}", "--tol", "1e-9"],
+            ["bounds", "{r3}", "{c3}"],
+            ["bounds", "{r3}", "--parallel", "2"],
+            ["frame-check", "{r3}"],
+            ["bounds"],
+        ],
+    )
+    def test_usage_errors(self, argv, capsys):
+        # a file command takes one file and no --parallel; batch runs each
+        # file with its own entries, so it takes no --alpha, --convention or --tol
+        paths = {"corpus": CORPUS, "r3": R3_FILE, "c3": C3_FILE}
+        assert main([a.format(**paths) for a in argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+
+    def test_help(self, capsys):
+        assert main(["--help"]) == EXIT_PASS
+        assert "batch" in capsys.readouterr().out
+
+    def test_batch_parallel_out(self, tmp_path):
+        # the traced benchmark run calls batch with --out and --parallel 2
+        target = tmp_path / "batch.json"
+        assert main(["batch", str(CORPUS), "--out", str(target), "--parallel", "2"]) == EXIT_FAIL
+        result, code = batch(sorted(CORPUS.glob("*.json")))
+        assert target.read_text() == canonical_json(result) + "\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "check-frame"])
+def test_kind_is_decided_at_the_file_scale(command, tmp_path):
+    # I_2 and 2 I_2 are both held as I_2 / 4 at unit scale: A = 1 (parseval)
+    # or A = 4 (tight) is read only after the constant is mapped back
+    for x, kind, A in ((1.0, "parseval", 1.0), (2.0, "tight", 4.0)):
+        path = tmp_path / f"{x}.json"
+        path.write_text(json.dumps({"dimension": 2, "family": [[x, 0.0], [0.0, x]]}))
+        report, code = run_file(path, command)
+        frame = report["body"]["optimal_frame"]
+        assert code == EXIT_PASS
+        assert (frame["kind"], frame["parseval"], frame["A"], frame["B"]) == (kind, A == 1.0, A, A)
+
+
+def test_import_leaves_dataclasses_out_and_records_are_frozen():
+    # a fresh interpreter: every CLI call pays for what importing cli_io loads
+    src = ROOT / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, fuzzyframes.cli_io as m; print(m.__file__, 'dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    file, loaded = out.stdout.split()
+    assert Path(file).resolve().parent == (src / "fuzzyframes").resolve()
+    assert loaded == "False"
+    records = 0
+    for short in ("fuzzy_space", "operator_algebra", "frame_core", "frame_transforms",
+                  "perturbation", "cli_io"):
+        module = importlib.import_module(f"fuzzyframes.{short}")
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if not isinstance(cls, type) or issubclass(cls, Exception):
+                continue
+            assert issubclass(cls, tuple) and cls._fields, name
+            record = tuple.__new__(cls, [None] * len(cls._fields))
+            for field in cls._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, 0)
+            records += 1
+    assert records == 21  # and operator_algebra._Douglas, which is private
