@@ -20,6 +20,7 @@ vectors and values.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -225,6 +226,33 @@ def _first_mismatch(got, want) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
+@functools.cache
+def _critical_table():
+    """What check_fip_axioms compares against, built once per process on
+    first use: the critical points ``nx, ny, t`` (flat, one entry per
+    point), phi at them by profile, the levels _LEVELS and sqrt(scale(a))
+    at them by profile.  Every array is read-only, so a model that writes
+    into its arguments raises ValueError and cannot change the table for
+    the next check."""
+    nx, ny = (g.reshape(-1, 1) for g in np.meshgrid(_NORMS, _NORMS))
+    c = nx * ny
+    above = 2.0 * c + 1.0
+    t = np.hstack(np.broadcast_arrays(
+        -1.0, 0.0, c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf), above,
+        1e12 * (1.0 + c), above * (1.0 + 1.0j), above * (1.0 + 0.5j * IMAG_TOL),
+        2.0**-60 * (1.0 + 1.0j),
+    ))
+    nx, ny, c, t = (a.ravel() for a in np.broadcast_arrays(nx, ny, c, t))
+    levels = np.array(_LEVELS)
+    phi = {p: _phi(p, c, t) for p in PROFILES}
+    norm = {
+        p: np.sqrt(np.broadcast_to(_level_scale(p, levels), levels.shape)) for p in PROFILES
+    }
+    for a in (nx, ny, t, levels, *phi.values(), *norm.values()):
+        a.setflags(write=False)
+    return nx, ny, t, phi, levels, norm
+
+
 def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
     """Decide the inner-product membership axioms FIP1-FIP9 of the model.
 
@@ -237,24 +265,18 @@ def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
     1e12 (1 + c), 2c + 1 moved off the real axis by more than IMAG_TOL
     and by less, and 2^-60 (1 + 1j), off the axis below |t| = 1.  FIP9
     passes iff ``model.alpha_norm`` of a unit vector is sqrt(scale(a))
-    exactly at the levels _LEVELS, with the profile's scale(a).  A failing axiom's witness is the first point that disagrees.
+    exactly at the levels _LEVELS, with the profile's scale(a).  A failing
+    axiom's witness is the first point that disagrees.  The points and
+    both profiles' values at them come from _critical_table.
     """
-    nx, ny = (g.reshape(-1, 1) for g in np.meshgrid(_NORMS, _NORMS))
-    c = nx * ny
-    above = 2.0 * c + 1.0
-    t = np.hstack(np.broadcast_arrays(
-        -1.0, 0.0, c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf), above,
-        1e12 * (1.0 + c), above * (1.0 + 1.0j), above * (1.0 + 0.5j * IMAG_TOL),
-        2.0**-60 * (1.0 + 1.0j),
-    ))
-    nx, ny, c, t = (a.ravel() for a in np.broadcast_arrays(nx, ny, c, t))
+    nx, ny, t, phi, levels, norm = _critical_table()
     space = model.space
     x = np.zeros((t.size, space.dimension), dtype=space.dtype)
     y = np.zeros_like(x)
     x[:, 0] = nx * (1j if space.field == "complex" else 1.0)
     y[:, -1] = ny
     got = np.broadcast_to(model.mu(x, y, t), t.shape)
-    want = _phi(model.profile, c, t)
+    want = phi[model.profile]
     k = _first_mismatch(got, want)
     mu_witness = None
     if k is not None:
@@ -265,8 +287,7 @@ def check_fip_axioms(model: FuzzyModel) -> AxiomReport:
             f"at ||x|| = {nx[k]:g}, ||y|| = {ny[k]:g}, t = {shown}"
         )
 
-    levels = np.array(_LEVELS)
-    want = np.sqrt(np.broadcast_to(_level_scale(model.profile, levels), levels.shape))
+    want = norm[model.profile]
     unit = x[-1] / nx[-1]  # the first axis, with its phase
     norm_witness = None
     try:

@@ -27,6 +27,7 @@ from conftest import (
 )
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, frame_transforms, optimal_kframe_bounds
 from fuzzyframes.frame_core import synthesis_matrix
+from fuzzyframes.fuzzy_space import MAX_DIMENSION, PROFILES
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
 from fuzzyframes.cli_io import (
     COMMANDS,
@@ -862,6 +863,24 @@ def test_batch_out_is_reference_text(tmp_path):
     result, expected_code = batch(sorted(CORPUS.glob("*.json")))
     assert code == expected_code
     assert target.read_text() == reference_canonical_json(result) + "\n"
+
+
+def test_batch_carries_no_state_between_axioms_files(tmp_path):
+    paths = []
+    for n in (1, 3, MAX_DIMENSION):
+        for field in ("real", "complex"):
+            for profile in PROFILES:
+                path = tmp_path / f"axioms_{n}_{field}_{profile}.json"
+                data = {"command": "axioms", "dimension": n, "field": field,
+                        "profile": profile, "family": [[1.0] + [0.0] * (n - 1)]}
+                path.write_text(json.dumps(data))
+                paths.append(path)
+    single = {path: canonical_json(run_file(path)[0]) for path in paths}
+    assert all('"all_passed": true' in text for text in single.values())
+    for order in (paths, paths[::-1]):
+        result, code = batch(order)
+        assert code == EXIT_PASS
+        assert [canonical_json(r) for r in result["reports"]] == [single[p] for p in order]
 
 
 class TestCommands:
@@ -1831,11 +1850,15 @@ def test_import_leaves_dataclasses_out_and_records_are_frozen():
     src = ROOT / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, fuzzyframes.cli_io as m; print(m.__file__, 'dataclasses' in sys.modules)"
+    code = (
+        "import sys, fuzzyframes.cli_io as m; from fuzzyframes.fuzzy_space import _critical_table;"
+        " print(m.__file__, 'dataclasses' in sys.modules, _critical_table.cache_info().currsize)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    file, loaded = out.stdout.split()
+    file, loaded, tables = out.stdout.split()
     assert Path(file).resolve().parent == (src / "fuzzyframes").resolve()
     assert loaded == "False"
+    assert tables == "0"  # the axioms table is built on first use, not at import
     records = 0
     for short in ("fuzzy_space", "operator_algebra", "frame_core", "frame_transforms",
                   "perturbation", "cli_io"):

@@ -15,7 +15,7 @@ from fuzzyframes import (
     reconstruction_residual,
     verify_bounds,
 )
-from fuzzyframes.fuzzy_space import IMAG_TOL, PROFILES, REDUCTIONS
+from fuzzyframes.fuzzy_space import IMAG_TOL, PROFILES, REDUCTIONS, _critical_table
 from conftest import (
     alpha_inner,
     alpha_inner_polarization,
@@ -324,6 +324,46 @@ class TestWholeArrayAxioms:
         report = check_fip_axioms(Quadrupled(BaseSpace(2, "complex"), "crisp"))
         assert [r.axiom for r in report.results if not r.passed] == ["FIP9"]
         assert report.results[8].witness == "||e||_a = 2, not 1, at a = 0.25"
+
+
+class Overwriting(FuzzyModel):
+    """Writes into its t argument before computing the membership."""
+
+    def mu(self, x, y, t):
+        np.asarray(t)[...] = 0.0
+        return super().mu(x, y, t)
+
+
+FIELDS_AND_PROFILES = [(field, profile) for field in ("real", "complex") for profile in PROFILES]
+
+
+class TestCriticalTable:
+    def test_every_cached_array_is_read_only(self):
+        nx, ny, t, phi, levels, norm = _critical_table()
+        arrays = [nx, ny, t, levels, *phi.values(), *norm.values()]
+        assert sorted(phi) == sorted(norm) == sorted(PROFILES)
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("field, profile", FIELDS_AND_PROFILES)
+    def test_a_model_cannot_poison_the_table(self, field, profile):
+        space = BaseSpace(3, field)
+        before = check_fip_axioms(FuzzyModel(space, profile))
+        with pytest.raises(ValueError, match="read-only"):
+            check_fip_axioms(Overwriting(space, profile))
+        after = check_fip_axioms(FuzzyModel(space, profile))
+        assert after.all_passed and after == before
+
+    def test_nothing_is_rebuilt_per_call(self, monkeypatch):
+        models = [FuzzyModel(BaseSpace(3, f), profile) for f, profile in FIELDS_AND_PROFILES]
+        warm = [check_fip_axioms(model) for model in models]
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the critical-point table is built once per process")
+
+        for name in ("meshgrid", "broadcast_arrays", "hstack", "nextafter"):
+            monkeypatch.setattr(np, name, rebuilt)
+        assert [check_fip_axioms(model) for model in models] == warm
+        assert _critical_table.cache_info().currsize == 1
 
 
 class TestBroadcastMembership:
