@@ -32,26 +32,27 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .fuzzy_space import MAX_DIMENSION, BaseSpace, FuzzyModel, check_fip_axioms
+from .fuzzy_space import FIELDS, MAX_DIMENSION, PROFILES, BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
 from .operator_algebra import _factorize, _ldexp, _unit_scale, within_tolerance
 from .frame_core import (
+    CONVENTIONS,
     DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
     SingularFrameOperatorError,
     VerificationResult,
-    _kframe_bounds,
     _optimal_bounds,
     _synthesis_svd,
     _unit,
     frame_sum,
+    optimal_frame_bounds,
     optimal_kframe_bounds,
     reconstruction_residual,
     synthesis_matrix,
     verify_bounds,
 )
-from .frame_transforms import combine, operator_transfer, transform_family
+from .frame_transforms import VARIANTS, combine, operator_transfer, transform_family
 from .perturbation import (
     _family_constant,
     check_operator_perturbation,
@@ -244,6 +245,13 @@ def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str
     return _parse_matrix_entries(rows, shape, field_name, where) if arr is None else arr
 
 
+def _one_of(value: Any, choices: tuple, key: str) -> Any:
+    """value, which must be one of the choices of the entry ``key``."""
+    if value not in choices:
+        raise ProblemError(f"'{key}' must be {' or '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def parse_problem(data: Any) -> Problem:
     """Validate a decoded problem file into a Problem at unit scale."""
     if not isinstance(data, dict):
@@ -254,12 +262,8 @@ def parse_problem(data: Any) -> Problem:
     dim = _integer(data.get("dimension"), "'dimension'")
     if not 1 <= dim <= MAX_DIMENSION:
         raise ProblemError(f"'dimension' must lie in [1, {MAX_DIMENSION}], got {dim}")
-    fieldname = data.get("field", "real")
-    if fieldname not in ("real", "complex"):
-        raise ProblemError(f"'field' must be 'real' or 'complex', got {fieldname!r}")
-    profile = data.get("profile", "scaled")
-    if profile not in ("scaled", "crisp"):
-        raise ProblemError(f"'profile' must be 'scaled' or 'crisp', got {profile!r}")
+    fieldname = _one_of(data.get("field", "real"), FIELDS, "field")
+    profile = _one_of(data.get("profile", "scaled"), PROFILES, "profile")
 
     if "family" not in data or not isinstance(data["family"], list) or not data["family"]:
         raise ProblemError("'family' must be a nonempty list of vectors")
@@ -301,9 +305,7 @@ def parse_problem(data: Any) -> Problem:
         if bounds[0] < 0.0 or bounds[1] < 0.0:
             raise ProblemError("'bounds' must satisfy A >= 0 and B >= 0")
 
-    convention = data.get("convention", "once")
-    if convention not in ("once", "squared"):
-        raise ProblemError(f"'convention' must be 'once' or 'squared', got {convention!r}")
+    convention = _one_of(data.get("convention", "once"), CONVENTIONS, "convention")
 
     tolerance = _real(data.get("tolerance", PSD_TOL), "'tolerance'")
     if not tolerance > 0.0:
@@ -314,8 +316,8 @@ def parse_problem(data: Any) -> Problem:
         raise ProblemError(f"unknown command {command!r}")
 
     variant = data.get("variant")
-    if variant is not None and variant not in ("invertible", "coisometry"):
-        raise ProblemError(f"'variant' must be 'invertible' or 'coisometry', got {variant!r}")
+    if variant is not None:
+        _one_of(variant, VARIANTS, "variant")
 
     claims_raw = data.get("claims", {})
     claims: list[dict] = []
@@ -664,7 +666,10 @@ def _check_bounds(p: Problem, key: str, K: Optional[np.ndarray], reason: str) ->
     the double range is reported as null: verify_bounds decides alone."""
     family = p.frame_family()
     f, k = p.exponents["family"], 0 if K is None else p.exponents["operator_K"]
-    cert = _optimal_bounds(family, K, p.convention, *_synthesis_svd(family), p.tolerance)
+    if K is None:
+        cert = optimal_frame_bounds(family, p.convention)
+    else:
+        cert = optimal_kframe_bounds(family, K, p.convention, p.tolerance)
     optimal = _cert_dict(cert, 2 * f - 2 * k, 2 * f, null=p.bounds is not None)
     if p.bounds is None and cert.A == 0.0:
         return "fail", {key: optimal, "reason": reason}
@@ -695,7 +700,7 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     K = p.need("operator_K")
     f, k = p.exponents["family"], p.exponents["operator_K"]
     d, u, s, factor = _factorize(K, synthesis_matrix(family), p.tolerance)
-    cert = _kframe_bounds(family, K, "once", d, u, s)
+    cert = _optimal_bounds(family, K, "once", u, s, p.tolerance, d)
     body: dict = {
         "certificate": _cert_dict(cert, 2 * f - 2 * k, 2 * f),
         "atomic_holds": d.included,
@@ -951,8 +956,6 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
     }
     try:
         verdict, body = COMMANDS[command](problem)
-    except ProblemError:
-        raise
     except (ValueError, ArithmeticError) as exc:
         report["verdict"] = "error"
         report["error"] = str(exc)
@@ -1092,6 +1095,8 @@ def batch(paths: Sequence[Path], parallelism: int = 1) -> tuple[dict, int]:
 
 
 def _format_text(report: dict) -> str:
+    """The verdict, the error or erratum notes and each scalar of the body,
+    a number as the JSON report writes it (_fmt), a string unquoted."""
     lines = [f"verdict: {report.get('verdict')}"]
     if "error" in report:
         lines.append(f"error: {report['error']}")
@@ -1100,16 +1105,25 @@ def _format_text(report: dict) -> str:
     body = report.get("body", {})
     for key in sorted(body):
         value = body[key]
-        if isinstance(value, (str, bool, int, float)):
+        if isinstance(value, float):
+            lines.append(f"{key}: {_fmt(value)}")
+        elif isinstance(value, (str, bool, int)):
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(text: str, out: Optional[str], code: int) -> int:
+    """Write text to the file out, or to stdout; returns code, or EXIT_ERROR
+    with one line on stderr when out cannot be written."""
+    if not out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        sys.stderr.write(f"{TOOL_NAME}: cannot write {out}: {exc.strerror or exc}\n")
+        return EXIT_ERROR
+    return code
 
 
 def _levels(text: str) -> list[float]:
@@ -1130,7 +1144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("paths", nargs="+", type=Path, help="the file; for batch, files or directories")
     parser.add_argument("--alpha", type=_levels, help="comma-separated levels in (0,1)")
-    parser.add_argument("--convention", choices=["once", "squared"])
+    parser.add_argument("--convention", choices=CONVENTIONS)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "text"], default="json")
@@ -1160,8 +1174,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             result, code = batch(files, 1 if args.parallel is None else args.parallel)
         except ProblemError as exc:
-            _emit(canonical_json({"verdict": "error", "error": str(exc)}) + "\n", args.out)
-            return EXIT_ERROR
+            error = canonical_json({"verdict": "error", "error": str(exc)})
+            return _emit(error + "\n", args.out, EXIT_ERROR)
         if args.format == "text":
             s = result["summary"]
             text = (
@@ -1173,10 +1187,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if "counts" in s
                 else f"error: {s.get('error')}\n"
             )
-            _emit(text, args.out)
         else:
-            _emit(canonical_json(result) + "\n", args.out)
-        return code
+            text = canonical_json(result) + "\n"
+        return _emit(text, args.out, code)
 
     overrides = {
         "alphas": args.alpha,
@@ -1184,11 +1197,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tolerance": args.tol,
     }
     report, code = run_file(args.paths[0], args.command, overrides)
-    if args.format == "text":
-        _emit(_format_text(report), args.out)
-    else:
-        _emit(canonical_json(report) + "\n", args.out)
-    return code
+    text = _format_text(report) if args.format == "text" else canonical_json(report) + "\n"
+    return _emit(text, args.out, code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ of the level) or two (the ``squared`` convention, the literal reading of
 |<f, f_i>_a|^2).  Certificates record which convention produced them.
 
 Optimal constants come from one rank-cut SVD of the synthesis matrix F,
-never from an eigendecomposition of S_c, which squares its condition number:
+never from an eigendecomposition of S_c, which squares its condition number;
+``_optimal_bounds`` builds every certificate from the singular pairs of F:
 
 * ordinary frame bounds are sigma_min(F)^2 and sigma_max(F)^2, with A = 0
   below full row rank;
@@ -252,25 +253,6 @@ def optimal_frame_bounds(
     return _optimal_bounds(family, None, convention, *_synthesis_svd(family))
 
 
-def _frame_bounds(
-    family: FrameFamily, convention: str, u: np.ndarray, s: np.ndarray
-) -> BoundCertificate:
-    """optimal_frame_bounds from the left singular pairs (u square, s) of F."""
-    b = float(s[0]) ** 2
-    a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
-    tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
-    return BoundCertificate(
-        kind="tight" if tight else "frame" if a > 0.0 else "bessel",
-        A=a,
-        B=b,
-        alpha_independent=_alpha_independent(family.model, convention),
-        convention=convention,
-        witness_lower=u[:, -1],
-        witness_upper=u[:, 0],
-        tight=tight,
-    )
-
-
 def optimal_kframe_bounds(
     family: FrameFamily, K: np.ndarray, convention: str = "once", tol: float = PSD_TOL
 ) -> BoundCertificate:
@@ -292,36 +274,6 @@ def _operator_on(K: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
-def _kframe_bounds(
-    family: FrameFamily,
-    k: np.ndarray,
-    convention: str,
-    d: _Douglas,
-    u: np.ndarray,
-    s: np.ndarray,
-) -> BoundCertificate:
-    """optimal_kframe_bounds from Douglas's lemma d for K against F and the
-    left singular pairs (u, s) of F.  Tight means S_c = A K K*, that is
-    W W* = I / A: the r = rank F singular values of W agree."""
-    if not d.included:  # some f with K*f != 0 has zero frame sum
-        a = 0.0
-    elif not k.any():  # K = 0: the lower inequality is vacuous
-        a = math.inf
-    else:
-        a = 1.0 / d.sup
-    tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
-    return BoundCertificate(
-        kind="k_frame",
-        A=a,
-        B=float(s[0]) ** 2,
-        alpha_independent=_alpha_independent(family.model, convention),
-        convention=convention,
-        witness_lower=d.witness,
-        witness_upper=u[:, 0],
-        tight=tight,
-    )
-
-
 def _optimal_bounds(
     family: FrameFamily,
     K: Optional[np.ndarray],
@@ -329,14 +281,41 @@ def _optimal_bounds(
     u: np.ndarray,
     s: np.ndarray,
     tol: float = PSD_TOL,
+    d: Optional[_Douglas] = None,
 ) -> BoundCertificate:
-    """optimal_kframe_bounds, or optimal_frame_bounds when K is None, from
-    the left singular pairs of F."""
+    """optimal_kframe_bounds, or optimal_frame_bounds when K is None, from the
+    left singular pairs (u, s) of F, with d Douglas's lemma for K against F
+    if the caller has it.  u must be square only when K is None: a K-frame
+    reads u[:, :r] and u[:, 0], so a thin u serves it.  A K-frame is tight
+    when S_c = A K K*, W W* = I / A: the r = rank F singular values of W agree."""
     _check_convention(convention)
+    b = float(s[0]) ** 2
     if K is None:
-        return _frame_bounds(family, convention, u, s)
-    k = _operator_on(K, family.dimension)
-    return _kframe_bounds(family, k, convention, _douglas(k, u, s, tol), u, s)
+        a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
+        tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
+        kind = "tight" if tight else "frame" if a > 0.0 else "bessel"
+        witness = u[:, -1]
+    else:
+        k = _operator_on(K, family.dimension)
+        d = _douglas(k, u, s, tol) if d is None else d
+        if not d.included:  # some f with K*f != 0 has zero frame sum
+            a = 0.0
+        elif not k.any():  # K = 0: the lower inequality is vacuous
+            a = math.inf
+        else:
+            a = 1.0 / d.sup
+        tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
+        kind, witness = "k_frame", d.witness
+    return BoundCertificate(
+        kind=kind,
+        A=a,
+        B=b,
+        alpha_independent=_alpha_independent(family.model, convention),
+        convention=convention,
+        witness_lower=witness,
+        witness_upper=u[:, 0],
+        tight=tight,
+    )
 
 
 class BoundCheck(NamedTuple):

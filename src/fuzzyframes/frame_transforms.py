@@ -50,6 +50,7 @@ from .operator_algebra import (
 )
 
 __all__ = [
+    "VARIANTS",
     "DerivedBound",
     "CombinationResult",
     "BesselPairResult",
@@ -61,6 +62,10 @@ __all__ = [
     "operator_transfer",
     "build_family",
 ]
+
+#: the two transports of transform_family
+VARIANTS = ("invertible", "coisometry")
+
 
 class DerivedBound(NamedTuple):
     """Bound constants produced by a closure formula.
@@ -217,7 +222,7 @@ def transform_family(
     T T* = I are decided in Frobenius norms, against ||T||_F ||K||_F and
     max(||T T*||_F, ||I||_F).
     """
-    if variant not in ("invertible", "coisometry"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     t = as_matrix(T)
     k = as_matrix(K)

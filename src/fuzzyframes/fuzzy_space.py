@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "FIELDS",
     "PROFILES",
     "MAX_DIMENSION",
     "REDUCTIONS",
@@ -37,6 +38,7 @@ __all__ = [
     "check_fip_axioms",
 ]
 
+FIELDS = ("real", "complex")
 PROFILES = ("scaled", "crisp")
 
 #: a complex t with |Im t| <= IMAG_TOL |t| counts as a positive real
@@ -92,8 +94,8 @@ class BaseSpace(_Space):
     def __new__(cls, dimension: int, field: str = "real"):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        if field not in FIELDS:
+            raise ValueError(f"field must be {' or '.join(map(repr, FIELDS))}, got {field!r}")
         return tuple.__new__(cls, (dimension, field))
 
     @property

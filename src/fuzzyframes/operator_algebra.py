@@ -263,9 +263,9 @@ def psd_order_check(
     return _order_decision(q - p, tol, scale)
 
 
-def _rank(s: np.ndarray, rtol: float = RELATIVE_RANK_TOL) -> int:
+def _rank(s: np.ndarray) -> int:
     """Numerical rank from singular values s in descending order."""
-    return int(np.sum(s > rtol * s[0])) if len(s) else 0
+    return int(np.sum(s > RELATIVE_RANK_TOL * s[0])) if len(s) else 0
 
 
 def _coordinates(

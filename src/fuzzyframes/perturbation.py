@@ -37,7 +37,7 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     VerificationResult,
-    _frame_bounds,
+    _optimal_bounds,
     _synthesis_svd,
     optimal_kframe_bounds,
     verify_bounds,
@@ -284,8 +284,8 @@ def frame_equivalence_constant(
     of :func:`family_perturbation_constant`.  Each family is decomposed once.
     """
     constant, svd_f, svd_g = _family_constant(F, G, 0, tol)
-    cf = _frame_bounds(F, "once", *svd_f)
-    cg = _frame_bounds(G, "once", *svd_g)
+    cf = _optimal_bounds(F, None, "once", *svd_f)
+    cg = _optimal_bounds(G, None, "once", *svd_g)
     if cf.A <= 0.0 or cg.A <= 0.0:
         raise ValueError("both families must be frames (positive lower bounds)")
     a, b = cf.A, cf.B

@@ -1820,6 +1820,82 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err
 
+    @pytest.mark.parametrize("command", ["bounds", "batch"])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_an_input_error(self, command, target, tmp_path, capsys):
+        # exit 1 is a mathematical negative: a report that cannot be written
+        # (a missing directory, or a directory) is exit 2 with one stderr line
+        out = tmp_path / target
+        source = R3_FILE if command == "bounds" else CORPUS
+        assert main([command, str(source), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fuzzyframes: cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_text_format_prints_the_json_values(self, capsys):
+        # every corpus file under every command: each scalar of the body, the
+        # error and the erratum notes print as the JSON report has them, a
+        # number with the same 12 significant digits, a string unquoted
+        seen = {"float": 0, "error": 0, "erratum": 0}
+        for path in sorted(CORPUS.glob("*.json")):
+            for command in COMMANDS:
+                code = main([command, str(path)])
+                raw = capsys.readouterr().out
+                report = json.loads(raw)
+                assert main([command, str(path), "--format", "text"]) == code
+                lines = capsys.readouterr().out.splitlines()
+                expected = [f"verdict: {report['verdict']}"]
+                if "error" in report:
+                    expected.append(f"error: {report['error']}")
+                    seen["error"] += 1
+                expected += [f"erratum: {note}" for note in report["erratum_notes"]]
+                seen["erratum"] += len(report["erratum_notes"])
+                for key, value in sorted(report.get("body", {}).items()):
+                    if isinstance(value, float):
+                        # the JSON token itself, not only the same double
+                        assert f'"{key}": {value!r}' in raw
+                        seen["float"] += 1
+                    if isinstance(value, (str, bool, int, float)):
+                        expected.append(f"{key}: {value}")
+                assert lines == expected, (path.name, command)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize(
+        "command, entries, message",
+        [
+            ("bounds", [1.0], "problem file must be a JSON object"),
+            ("bounds", {"field": "quaternion"},
+             "'field' must be 'real' or 'complex', got 'quaternion'"),
+            ("bounds", {"profile": "sharp"}, "'profile' must be 'scaled' or 'crisp', got 'sharp'"),
+            ("bounds", {"bounds": [1.0]}, "'bounds' must be [A, B]"),
+            ("bounds", {"bounds": 1.0}, "'bounds' must be [A, B]"),
+            ("bounds", {"convention": "cubed"},
+             "'convention' must be 'once' or 'squared', got 'cubed'"),
+            ("transform", {"variant": "unitary"},
+             "'variant' must be 'invertible' or 'coisometry', got 'unitary'"),
+            ("bounds", {"claims": [1]}, "'claims' must be an object"),
+            ("bounds", {"claims": {"frame_sum": [{"value": 1.0}]}},
+             "frame_sum claims need 'vector' and 'value'"),
+            ("bounds", {"claims": {"frame_sum": [{"vector": [1.0, 0.0, 0.0]}]}},
+             "frame_sum claims need 'vector' and 'value'"),
+            ("bounds", {"claims": {"frame_sum": [[1.0, 0.0, 0.0]]}},
+             "frame_sum claims need 'vector' and 'value'"),
+            ("batch --parallel 0", {}, "parallelism must be >= 1"),
+        ],
+    )
+    def test_input_guards_exit_2_with_their_message(
+        self, command, entries, message, tmp_path, capsys
+    ):
+        # each guard of parse_problem, and batch's --parallel, on the R3 file
+        # with the given entries replaced
+        data = {**load(R3_FILE), **entries} if isinstance(entries, dict) else entries
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        name, *options = command.split()
+        assert main([name, str(path), *options]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == message
+
     def test_help(self, capsys):
         assert main(["--help"]) == EXIT_PASS
         assert "batch" in capsys.readouterr().out

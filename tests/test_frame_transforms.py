@@ -402,3 +402,30 @@ class TestSynthesisCharacterization:
         T = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
         family, cert = build_family(model, T, np.eye(3))
         assert not synthesis_inclusion(family, np.eye(3)) and cert.A == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda fam: verify_bounds(fam, -1.0, 1.0), "bounds must be nonnegative"),
+        (lambda fam: verify_bounds(fam, math.nan, 1.0), "bounds must be nonnegative"),
+        (lambda fam: verify_bounds(fam, 1.0, -1.0), "bounds must be nonnegative"),
+        (lambda fam: verify_bounds(fam, math.inf, 1.0),
+         "A = inf is the vacuous lower bound of K = 0 only"),
+        (lambda fam: verify_bounds(fam, math.inf, 1.0, np.eye(2)),
+         "A = inf is the vacuous lower bound of K = 0 only"),
+        (lambda fam: combine(fam, []), "need at least one operator"),
+        (lambda fam: combine(fam, [np.eye(2)], [1.0, 2.0]),
+         "one coefficient per operator required"),
+        (lambda fam: transform_family(fam, np.eye(2), np.eye(2), "unitary"),
+         "unknown variant 'unitary'"),
+        (lambda fam: BaseSpace(2, "quaternion"),
+         "field must be 'real' or 'complex', got 'quaternion'"),
+    ],
+)
+def test_library_guards_raise_value_error(call, message):
+    # the guards of verify_bounds, combine, transform_family and BaseSpace,
+    # each on the orthonormal basis of R^2, which passes every other check
+    with pytest.raises(ValueError) as exc:
+        call(diag_family([1.0, 1.0]))
+    assert str(exc.value) == message
