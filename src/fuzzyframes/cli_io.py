@@ -572,10 +572,13 @@ def _scaled(x, power: int, what: Optional[str]):
     return y
 
 
-def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int, null: bool = False) -> dict:
+def _cert_dict(
+    p: Problem, cert: BoundCertificate, power_A: int, power_B: int, null: bool = False
+) -> dict:
     """The certificate at the caller's scale, A = cert.A 2^power_A and B =
-    cert.B 2^power_B, where Parseval (A = 1) is decided.  A constant past
-    the double range raises OverflowError, or with ``null`` is None."""
+    cert.B 2^power_B, where Parseval (A = 1) is decided, labelled with the
+    problem's convention.  A constant past the double range raises
+    OverflowError, or with ``null`` is None."""
 
     def scaled(x: float, power: int, what: str) -> Optional[float]:
         try:
@@ -588,15 +591,15 @@ def _cert_dict(cert: BoundCertificate, power_A: int, power_B: int, null: bool = 
     lower = "1 / ||F^+ K||^2" if cert.kind == "k_frame" else "lambda_min(S_c) = sigma_min(F)^2"
     B = scaled(cert.B, power_B, "the upper bound B = ||S_c|| = sigma_max(F)^2")
     A = scaled(cert.A, power_A, f"the lower bound A = {lower}")
-    # the constructor decides the kind again with A at this scale; an A out
-    # of range is not 1
-    cert = BoundCertificate(*cert._replace(A=math.inf if A is None else A))
+    # kind and parseval follow A at this scale; an A out of range is not 1
+    cert = cert._replace(A=math.inf if A is None else A)
     return {
         "kind": cert.kind,
         "A": A,
         "B": B,
-        "alpha_independent": cert.alpha_independent,
-        "convention": cert.convention,
+        # one scale power cancels under once, and the crisp profile has scale 1
+        "alpha_independent": p.convention == "once" or p.profile == "crisp",
+        "convention": p.convention,
         "tight": cert.tight,
         "parseval": cert.parseval,
         "witness_lower": _unit(cert.witness_lower),
@@ -652,11 +655,11 @@ def _cmd_bounds(p: Problem) -> tuple[str, dict]:
     family = p.frame_family()
     f, k = p.exponents["family"], p.exponents["operator_K"]
     svd = _synthesis_svd(family)  # one SVD of F for both certificates
-    frame = _optimal_bounds(family, None, p.convention, *svd)
-    body = {"optimal_frame": _cert_dict(frame, 2 * f, 2 * f)}
+    frame = _optimal_bounds(family, None, *svd)
+    body = {"optimal_frame": _cert_dict(p, frame, 2 * f, 2 * f)}
     if p.operator_K is not None:
-        kframe = _optimal_bounds(family, p.operator_K, p.convention, *svd, p.tolerance)
-        body["optimal_kframe"] = _cert_dict(kframe, 2 * f - 2 * k, 2 * f)
+        kframe = _optimal_bounds(family, p.operator_K, *svd, p.tolerance)
+        body["optimal_kframe"] = _cert_dict(p, kframe, 2 * f - 2 * k, 2 * f)
     return "pass", body
 
 
@@ -667,10 +670,10 @@ def _check_bounds(p: Problem, key: str, K: Optional[np.ndarray], reason: str) ->
     family = p.frame_family()
     f, k = p.exponents["family"], 0 if K is None else p.exponents["operator_K"]
     if K is None:
-        cert = optimal_frame_bounds(family, p.convention)
+        cert = optimal_frame_bounds(family)
     else:
-        cert = optimal_kframe_bounds(family, K, p.convention, p.tolerance)
-    optimal = _cert_dict(cert, 2 * f - 2 * k, 2 * f, null=p.bounds is not None)
+        cert = optimal_kframe_bounds(family, K, p.tolerance)
+    optimal = _cert_dict(p, cert, 2 * f - 2 * k, 2 * f, null=p.bounds is not None)
     if p.bounds is None and cert.A == 0.0:
         return "fail", {key: optimal, "reason": reason}
     if p.bounds is None:  # the optimal pair, verified exactly at unit scale
@@ -695,14 +698,16 @@ def _cmd_check_kframe(p: Problem) -> tuple[str, dict]:
 def _cmd_atomic(p: Problem) -> tuple[str, dict]:
     """douglas with M = K and N = F: the family is an atomic system for K
     exactly when K = F W, and the K-frame certificate, A = 1 / ||W||^2,
-    comes from the same lemma and SVD of F."""
+    comes from the same lemma and SVD of F.  It decides and labels under
+    once whatever the problem asks, a known fault (README, ``atomic``)."""
+    p = p._replace(convention="once")
     family = p.frame_family()
     K = p.need("operator_K")
     f, k = p.exponents["family"], p.exponents["operator_K"]
     d, u, s, factor = _factorize(K, synthesis_matrix(family), p.tolerance)
-    cert = _optimal_bounds(family, K, "once", u, s, p.tolerance, d)
+    cert = _optimal_bounds(family, K, u, s, p.tolerance, d)
     body: dict = {
-        "certificate": _cert_dict(cert, 2 * f - 2 * k, 2 * f),
+        "certificate": _cert_dict(p, cert, 2 * f - 2 * k, 2 * f),
         "atomic_holds": d.included,
         "projection_residual": d.residual,
         "coefficient_norm_constant": (
@@ -713,7 +718,7 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
         return "fail", body
     body["reconstruction_residual"] = _scaled(factor.residual, k, None)
     # verify_bounds of (1 / C^2, B) checks the certificate independently
-    verification = verify_bounds(family, cert.A, cert.B, K, p.alphas, tol=p.tolerance)
+    verification = verify_bounds(family, cert.A, cert.B, K, p.alphas, p.convention, p.tolerance)
     body["verification"] = _verification_dict(verification, 2 * f, 0)
     return ("pass" if factor.passed and verification.passed else "fail"), body
 
@@ -780,7 +785,7 @@ def _cmd_combine(p: Problem) -> tuple[str, dict]:
         "operation": operation,
         "derived": _derived(formula, result.derived.A, 2 * (f - top), result.derived.B, 2 * f),
         "verification": _verification_dict(result.verification, 2 * f, 0),
-        "optimal_kframe": _cert_dict(result.optimal, 2 * (f - top - e), 2 * f, null=True),
+        "optimal_kframe": _cert_dict(p, result.optimal, 2 * (f - top - e), 2 * f, null=True),
         "ratio": result.ratio,
     }
     return ("pass" if result.verification.passed else "fail"), body
@@ -804,7 +809,7 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
         return "fail", body
     family = p.frame_family()
     f = p.exponents["family"]
-    cert = optimal_kframe_bounds(family, K1, p.convention, p.tolerance)
+    cert = optimal_kframe_bounds(family, K1, p.tolerance)
     if cert.A > 0.0 and math.isfinite(cert.A):
         derived = derive_operator_perturbed_bounds(cert.A, cert.B, p.lambda1, p.lambda2)
         bounds = ((derived.A, 2 * f - 2 * k1), (derived.B, 2 * f))
@@ -829,7 +834,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     }
     if not constant.finite:
         return "fail", body
-    cert = _optimal_bounds(F, p.operator_K, p.convention, *svd_f, p.tolerance)
+    cert = _optimal_bounds(F, p.operator_K, *svd_f, p.tolerance)
     if not (cert.A > 0.0 and math.isfinite(cert.A)):
         body["note"] = "source family carries no positive lower bound to transfer"
         return "fail", body

@@ -7,7 +7,7 @@ operator materializes as scale(a) * S_c, and the frame sum carries either
 one power of scale(a) (the ``once`` convention, which matches the worked
 arithmetic of the source material and makes every certificate independent
 of the level) or two (the ``squared`` convention, the literal reading of
-|<f, f_i>_a|^2).  Certificates record which convention produced them.
+|<f, f_i>_a|^2).  A and B do not depend on the convention; reports label it.
 
 Optimal constants come from one rank-cut SVD of the synthesis matrix F,
 never from an eigendecomposition of S_c, which squares its condition number;
@@ -38,7 +38,6 @@ import numpy as np
 from .fuzzy_space import FuzzyModel
 from .operator_algebra import (
     PSD_TOL,
-    RELATIVE_RANK_TOL,
     RangeInclusionError,
     _Douglas,
     _douglas,
@@ -98,12 +97,6 @@ def _check_convention(convention: str) -> str:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
-
-
-def _alpha_independent(model: FuzzyModel, convention: str) -> bool:
-    """Whether certificates hold at every level: one scale power cancels,
-    and the crisp profile has scale 1."""
-    return convention == "once" or model.profile == "crisp"
 
 
 class _Family(NamedTuple):
@@ -170,55 +163,43 @@ def frame_sum(
     return (s if convention == "once" else s * s) * base
 
 
-class _Certificate(NamedTuple):
-    kind: str  # "bessel" | "frame" | "k_frame" | "tight" | "parseval"
-    A: float
-    B: float
-    alpha_independent: bool
-    convention: str
-    witness_lower: Optional[np.ndarray]
-    witness_upper: Optional[np.ndarray]
-    tight: bool
-
-
-def _parseval(tight: bool, A: float) -> bool:
-    return tight and abs(A - 1.0) <= TIGHT_TOL
-
-
-class BoundCertificate(_Certificate):
-    """Verdict for a Bessel / frame / K-frame claim.
+class BoundCertificate(NamedTuple):
+    """Optimal constants of a Bessel / frame / K-frame claim, as the SVD of
+    F decides them.
 
     ``A`` bounds the frame sum from below against ||K* f||_a^2 (or
-    ||f||_a^2 when there is no operator), ``B`` from above against
-    ||f||_a^2.  ``A = 0`` is the "not a (K-)frame" state and comes with a
-    lower witness; ``A = inf`` marks a vacuous lower inequality (K = 0).
-    For K-frames ``tight`` means S_c is proportional to K K* (frame sum a
-    constant multiple of ||K* f||_a^2) and ``parseval`` that the constant
-    is 1, decided for the A given (and the kind of a tight frame with it);
-    for ordinary frames these coincide with A = B (= 1).
+    ||f||_a^2 when there is no operator, ``kframe`` false), ``B`` from
+    above against ||f||_a^2.  ``A = 0`` is the "not a (K-)frame" state and
+    comes with a lower witness; ``A = inf`` marks a vacuous lower
+    inequality (K = 0).  For K-frames ``tight`` means S_c is proportional
+    to K K* (frame sum a constant multiple of ||K* f||_a^2); for ordinary
+    frames it means A = B.
+
+    The kind is read from the fields: ``k_frame`` for a K-frame; otherwise
+    ``parseval`` or ``tight`` when tight, ``frame`` when A > 0 and
+    ``bessel`` when A = 0.  ``parseval`` is tight with |A - 1| <= TIGHT_TOL,
+    so both follow the A held: after ``_replace(A=...)`` they are decided
+    for the new A.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        A: float,
-        B: float,
-        alpha_independent: bool,
-        convention: str = "once",
-        witness_lower: Optional[np.ndarray] = None,
-        witness_upper: Optional[np.ndarray] = None,
-        tight: bool = False,
-    ):
-        if kind in ("tight", "parseval"):
-            kind = "parseval" if _parseval(tight, A) else "tight"
-        fields = (kind, A, B, alpha_independent, convention, witness_lower, witness_upper, tight)
-        return tuple.__new__(cls, fields)
+    A: float
+    B: float
+    kframe: bool
+    tight: bool = False
+    witness_lower: Optional[np.ndarray] = None
+    witness_upper: Optional[np.ndarray] = None
 
     @property
     def parseval(self) -> bool:
-        return _parseval(self.tight, self.A)
+        return self.tight and abs(self.A - 1.0) <= TIGHT_TOL
+
+    @property
+    def kind(self) -> str:
+        if self.kframe:
+            return "k_frame"
+        if self.tight:
+            return "parseval" if self.parseval else "tight"
+        return "frame" if self.A > 0.0 else "bessel"
 
 
 def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -241,20 +222,18 @@ def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
     return u, s
 
 
-def optimal_frame_bounds(
-    family: FrameFamily, convention: str = "once"
-) -> BoundCertificate:
+def optimal_frame_bounds(family: FrameFamily) -> BoundCertificate:
     """Tightest constants A, B with A ||f||_a^2 <= frame sum <= B ||f||_a^2.
 
     These are sigma_min(F)^2 and sigma_max(F)^2; witnesses are the extreme
     left singular vectors.  A = 0 (kernel vector witness) means the family
     spans a proper subspace and is merely a Bessel family.
     """
-    return _optimal_bounds(family, None, convention, *_synthesis_svd(family))
+    return _optimal_bounds(family, None, *_synthesis_svd(family))
 
 
 def optimal_kframe_bounds(
-    family: FrameFamily, K: np.ndarray, convention: str = "once", tol: float = PSD_TOL
+    family: FrameFamily, K: np.ndarray, tol: float = PSD_TOL
 ) -> BoundCertificate:
     """Optimal K-frame constants: B = sigma_max(F)^2, A = max{A : S_c >= A K K*}.
 
@@ -263,7 +242,7 @@ def optimal_kframe_bounds(
     witness; a zero operator makes the lower inequality vacuous and A is
     +inf.
     """
-    return _optimal_bounds(family, K, convention, *_synthesis_svd(family), tol)
+    return _optimal_bounds(family, K, *_synthesis_svd(family), tol)
 
 
 def _operator_on(K: np.ndarray, n: int) -> np.ndarray:
@@ -277,7 +256,6 @@ def _operator_on(K: np.ndarray, n: int) -> np.ndarray:
 def _optimal_bounds(
     family: FrameFamily,
     K: Optional[np.ndarray],
-    convention: str,
     u: np.ndarray,
     s: np.ndarray,
     tol: float = PSD_TOL,
@@ -288,12 +266,10 @@ def _optimal_bounds(
     if the caller has it.  u must be square only when K is None: a K-frame
     reads u[:, :r] and u[:, 0], so a thin u serves it.  A K-frame is tight
     when S_c = A K K*, W W* = I / A: the r = rank F singular values of W agree."""
-    _check_convention(convention)
     b = float(s[0]) ** 2
     if K is None:
         a = float(s[-1]) ** 2 if _rank(s) == family.dimension else 0.0
         tight = a > 0.0 and abs(a - b) <= TIGHT_TOL * b
-        kind = "tight" if tight else "frame" if a > 0.0 else "bessel"
         witness = u[:, -1]
     else:
         k = _operator_on(K, family.dimension)
@@ -305,17 +281,8 @@ def _optimal_bounds(
         else:
             a = 1.0 / d.sup
         tight = 0.0 < a < math.inf and float(d.sq[0]) >= (1.0 - TIGHT_TOL) * float(d.sq[-1])
-        kind, witness = "k_frame", d.witness
-    return BoundCertificate(
-        kind=kind,
-        A=a,
-        B=b,
-        alpha_independent=_alpha_independent(family.model, convention),
-        convention=convention,
-        witness_lower=witness,
-        witness_upper=u[:, 0],
-        tight=tight,
-    )
+        witness = d.witness
+    return BoundCertificate(a, b, K is not None, tight, witness, u[:, 0])
 
 
 class BoundCheck(NamedTuple):
@@ -388,7 +355,7 @@ def verify_bounds(
 
 
 def atomic_system_from_operator(
-    model: FuzzyModel, K: np.ndarray, convention: str = "once"
+    model: FuzzyModel, K: np.ndarray
 ) -> tuple[FrameFamily, BoundCertificate]:
     """Canonical coefficient system {K e_i} for an operator K.
 
@@ -399,15 +366,7 @@ def atomic_system_from_operator(
     """
     k = _operator_on(K, model.space.dimension)
     family = FrameFamily(k.T, model)
-    norm2 = spectral_norm(k) ** 2
-    return family, BoundCertificate(
-        kind="k_frame",
-        A=1.0,
-        B=norm2,
-        alpha_independent=_alpha_independent(model, convention),
-        convention=convention,
-        tight=True,
-    )
+    return family, BoundCertificate(1.0, spectral_norm(k) ** 2, kframe=True, tight=True)
 
 
 class AtomicCoefficients(NamedTuple):
@@ -493,7 +452,7 @@ def restricted_inverse_check(
 
     c1, top1 = compressed(s)
     cw = np.linalg.eigvalsh(c1)
-    injective = bool(cw[0] > RELATIVE_RANK_TOL * float(cw[-1]))
+    injective = _rank(cw[::-1]) == r
     dagger_norm = 1.0 / float(k_sv[r - 1])  # ||K+||: K's smallest kept singular value
     a, b = cert.A / dagger_norm**2, cert.B
     low, high = float(cw[0]), float(cw[-1])

@@ -40,8 +40,8 @@ from .frame_core import (
 )
 from .operator_algebra import (
     PSD_TOL,
-    RELATIVE_RANK_TOL,
     _gram,
+    _rank,
     _unit_scale,
     as_matrix,
     douglas_factorize,
@@ -135,7 +135,7 @@ def combine(
         raise ValueError("one coefficient per operator required")
     needed = [0] if coefficients is None else [j for j, a in enumerate(coefficients) if a != 0]
     svd = _synthesis_svd(family)
-    certs = [_optimal_bounds(family, mats[j], convention, *svd, tol) for j in needed]
+    certs = [_optimal_bounds(family, mats[j], *svd, tol) for j in needed]
     for j, c in zip(needed, certs):
         if not c.A > 0.0:
             raise ValueError(f"family is not a K-frame for K{j + 1}: its optimal lower bound is 0")
@@ -152,7 +152,7 @@ def combine(
     upper = float(svd[1][0]) ** 2
     verification = verify_bounds(family, lower, upper, op, alphas, convention, tol)
     held, e = _unit_scale(op)  # a sum may cancel far below unit scale
-    optimal = _optimal_bounds(family, held, convention, *svd, tol)
+    optimal = _optimal_bounds(family, held, *svd, tol)
     ratio = math.ldexp(lower, 2 * e) / optimal.A if 0.0 < optimal.A < math.inf else None
     return CombinationResult(op, DerivedBound(lower, upper), verification, optimal, e, ratio)
 
@@ -184,8 +184,8 @@ def bessel_pair_kframe(
     tg = synthesis_matrix(G)
     if tf.shape[1] != tg.shape[1]:
         raise ValueError("families must share a coefficient space")
-    bessel_f = optimal_frame_bounds(F, convention)
-    bessel_g = optimal_frame_bounds(G, convention)
+    bessel_f = optimal_frame_bounds(F)
+    bessel_g = optimal_frame_bounds(G)
     residual = float(np.linalg.norm(tf @ tg.conj().T - k))
     # ||T_F||_F ||T_G||_F bounds the size of T_F T_G*
     if not within_tolerance(residual, tol, float(np.linalg.norm(tf) * np.linalg.norm(tg))):
@@ -235,7 +235,7 @@ def transform_family(
     c = _kframe_cert(family, k, tol)
 
     if variant == "invertible":
-        if sv[-1] <= RELATIVE_RANK_TOL * sv[0]:
+        if _rank(sv) < len(sv):
             raise ValueError("transform operator is not invertible")
         inv_norm = 1.0 / float(sv[-1])
         lower = c.A / inv_norm**2

@@ -34,7 +34,6 @@ import numpy as np
 
 from .frame_core import (
     DEFAULT_ALPHAS,
-    BoundCertificate,
     FrameFamily,
     VerificationResult,
     _optimal_bounds,
@@ -284,8 +283,8 @@ def frame_equivalence_constant(
     of :func:`family_perturbation_constant`.  Each family is decomposed once.
     """
     constant, svd_f, svd_g = _family_constant(F, G, 0, tol)
-    cf = _optimal_bounds(F, None, "once", *svd_f)
-    cg = _optimal_bounds(G, None, "once", *svd_g)
+    cf = _optimal_bounds(F, None, *svd_f)
+    cg = _optimal_bounds(G, None, *svd_g)
     if cf.A <= 0.0 or cg.A <= 0.0:
         raise ValueError("both families must be frames (positive lower bounds)")
     a, b = cf.A, cf.B
@@ -300,7 +299,7 @@ def frame_equivalence_constant(
 
 class IdentityPerturbation(NamedTuple):
     hypothesis: PerturbationReport
-    certificate: Optional[BoundCertificate]
+    derived: Optional[DerivedBound]
     verification: Optional[VerificationResult]
 
 
@@ -318,9 +317,9 @@ def identity_perturbation_check(
     States that a K-frame for K close to I is a frame.
         ||K* f - f||_a <= lam1 ||K* f||_a + lam2 ||f||_a
 
-    with 0 <= lam1, lam2 < 1.  When the hypothesis verifies, a K-frame
-    certificate for the family becomes an ordinary frame certificate with
-    lower bound A ((1 - lam2)/(1 + lam1))^2.
+    with 0 <= lam1, lam2 < 1.  When the hypothesis verifies, the family's
+    optimal K-frame bounds give the derived frame pair, lower bound
+    A ((1 - lam2)/(1 + lam1))^2, checked by verify_bounds.
     """
     if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
         raise ValueError("identity specialization needs 0 <= lambda1, lambda2 < 1")
@@ -329,16 +328,9 @@ def identity_perturbation_check(
     report = check_operator_perturbation(k, eye, lambda1, lambda2, tol)
     if not report.verified:
         return IdentityPerturbation(report, None, None)
-    base = optimal_kframe_bounds(family, k, convention, tol)
+    base = optimal_kframe_bounds(family, k, tol)
     if not base.A > 0.0:
         raise ValueError("family is not a K-frame; nothing to transfer")
     derived = derive_operator_perturbed_bounds(base.A, base.B, lambda1, lambda2)
     verification = verify_bounds(family, derived.A, derived.B, None, alphas, convention, tol)
-    certificate = BoundCertificate(
-        kind="frame",
-        A=derived.A,
-        B=derived.B,
-        alpha_independent=base.alpha_independent,
-        convention=convention,
-    )
-    return IdentityPerturbation(report, certificate, verification)
+    return IdentityPerturbation(report, derived, verification)

@@ -1474,6 +1474,32 @@ class TestCommands:
         kframe = json.loads(capsys.readouterr().out)["body"]
         assert kframe["optimal_kframe"]["convention"] == "squared"
 
+    @pytest.mark.parametrize(
+        "command, name, keys",
+        [
+            ("bounds", "r3_full_rank_kframe.json", ("optimal_frame", "optimal_kframe")),
+            ("check-frame", "r3_full_rank_kframe.json", ("optimal_frame",)),
+            ("check-kframe", "r3_full_rank_kframe.json", ("optimal_kframe",)),
+            ("combine", "r3_combine_sum.json", ("optimal_kframe",)),
+            ("atomic", "c3_rank_deficient_kframe.json", ("certificate",)),
+        ],
+    )
+    def test_certificate_labels_follow_the_problem(self, command, name, keys, tmp_path, capsys):
+        # the labels are the problem's, not the certificate's: convention is
+        # the request (once for atomic), and the bounds hold at every level
+        # under once or on the crisp profile
+        for profile in ("scaled", "crisp"):
+            path = tmp_path / f"{profile}.json"
+            path.write_text(json.dumps({**load(CORPUS / name), "profile": profile}))
+            for convention in ("once", "squared"):
+                main([command, str(path), "--convention", convention])
+                body = json.loads(capsys.readouterr().out)["body"]
+                labelled = "once" if command == "atomic" else convention
+                for key in keys:
+                    assert body[key]["convention"] == labelled
+                    expected = labelled == "once" or profile == "crisp"
+                    assert body[key]["alpha_independent"] is expected
+
     def test_missing_operator_is_usage_error(self, tmp_path):
         data = load(R3_FILE)
         data.pop("operator_K")

@@ -136,7 +136,7 @@ class TestOptimalBounds:
         cert = optimal_frame_bounds(r3_instance["family"])
         assert cert.A == pytest.approx(2.0)
         assert cert.B == pytest.approx(6.0)
-        assert cert.kind == "frame" and cert.alpha_independent
+        assert cert.kind == "frame" and not cert.kframe
 
     def test_standard_basis_parseval(self):
         cert = optimal_frame_bounds(standard_basis_family(4))
@@ -225,6 +225,39 @@ class TestOptimalBounds:
         for a in np.linspace(0.05, 0.95, 20):
             res = verify_bounds(fam, cert.A * (1 - 1e-9), cert.B * (1 + 1e-9), K, [a])
             assert res.passed
+
+
+class TestCertificateKind:
+    AS = (0.0, 0.5, 1.0, 1.0 + 2e-9, math.inf)
+    #: the kind of an ordinary certificate at each A of AS, without and with tight
+    FRAME_KINDS = {
+        False: ("bessel", "frame", "frame", "frame", "frame"),
+        True: ("tight", "tight", "parseval", "tight", "tight"),
+    }
+
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("kframe", [False, True])
+    def test_kind_table(self, kframe, tight):
+        from fuzzyframes import BoundCertificate
+
+        for a, frame_kind in zip(self.AS, self.FRAME_KINDS[tight]):
+            cert = BoundCertificate(a, 2.0, kframe, tight)
+            assert cert.kind == ("k_frame" if kframe else frame_kind)
+            assert cert.parseval == (tight and a == 1.0)
+
+    def test_kind_follows_a_replaced_bound(self):
+        from fuzzyframes import BoundCertificate
+
+        tight = BoundCertificate(0.5, 0.5, kframe=False, tight=True)
+        assert (tight.kind, tight.parseval) == ("tight", False)
+        assert (tight._replace(A=1.0).kind, tight._replace(A=1.0).parseval) == ("parseval", True)
+        assert tight._replace(A=1.0 + 2e-9).kind == "tight"
+        frame = BoundCertificate(0.5, 2.0, kframe=False)
+        assert frame._replace(A=0.0).kind == "bessel"
+        assert frame._replace(A=math.inf).kind == "frame"
+        kframe = BoundCertificate(1.0, 2.0, kframe=True, tight=True)
+        assert kframe.parseval and kframe._replace(A=0.0).kind == "k_frame"
+        assert not kframe._replace(A=0.5).parseval
 
 
 class TestVerifyBounds:
@@ -542,7 +575,7 @@ class TestRestrictedInverse:
             # the optimal pair passes; the lower side fails above low ||K+||^2,
             # the upper side below high
             for a, b in ((opt.A, opt.B), (1.1 * low * dagger2, opt.B), (opt.A, 0.9 * high)):
-                cert = BoundCertificate(kind="k_frame", A=a, B=b, alpha_independent=True)
+                cert = BoundCertificate(a, b, kframe=True)
                 report = restricted_inverse_check(fam, K, cert, tol)
                 # (excess, size of the two sides) of each inequality
                 s2 = s @ s

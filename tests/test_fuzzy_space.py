@@ -391,8 +391,9 @@ class TestOrthonormality:
     ||f||_a^2 (the ``squared`` convention), and that f = sum <f, e_k> e_k."""
 
     def test_crisp_standard_basis_all_levels(self):
-        cert = optimal_frame_bounds(FrameFamily(np.eye(3), CRISP_R3), "squared")
-        assert cert.parseval and cert.alpha_independent
+        fam = FrameFamily(np.eye(3), CRISP_R3)
+        assert optimal_frame_bounds(fam).parseval
+        assert verify_bounds(fam, 1.0, 1.0, None, [0.1, 0.5, 0.9], "squared").passed
 
     def test_scaled_basis_at_midpoint(self):
         fam = FrameFamily(np.eye(3), SCALED_R3)
@@ -401,7 +402,6 @@ class TestOrthonormality:
     def test_scaled_basis_fails_off_midpoint(self):
         # <e_1, e_1>_0.8 = scale(0.8) = 4, so the frame sum is 4 ||f||_a^2
         fam = FrameFamily(np.eye(3), SCALED_R3)
-        assert not optimal_frame_bounds(fam, "squared").alpha_independent
         checks = verify_bounds(fam, 1.0, 1.0, None, [0.8], "squared").checks
         failure = next(c for c in checks if not c.ok)
         assert failure.side == "upper" and failure.margin == pytest.approx(1.0 - 4.0)

@@ -287,7 +287,7 @@ class TestIdentityPerturbation:
         basis = FrameFamily(np.eye(3), model)
         out = identity_perturbation_check(np.eye(3), 0.0, 0.0, basis)
         assert out.hypothesis.verified
-        assert out.certificate.A == pytest.approx(1.0)
+        assert out.derived.A == pytest.approx(1.0)
         assert out.verification.passed
 
     def test_slightly_inflated_identity(self):
@@ -296,7 +296,7 @@ class TestIdentityPerturbation:
         K = 1.05 * np.eye(3)
         out = identity_perturbation_check(K, 0.0, 0.05, fam)
         assert out.hypothesis.verified
-        assert out.certificate is not None
+        assert out.derived is not None
         assert out.verification.passed
 
     def test_singular_operator_fails_near_kernel(self, c3_instance):
