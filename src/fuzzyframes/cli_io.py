@@ -983,7 +983,8 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
 
 
 #: deepest nesting handed to orjson, which builds nested values recursively on
-#: the C stack: a file nested about 10**5 levels deep crashes the process
+#: the C stack: a file nested about 10**5 levels deep crashes the process.
+#: Text with at most this many [ and { bytes cannot nest deeper.
 ORJSON_MAX_DEPTH = 256
 
 _NOT_STRUCTURE = bytes(sorted(set(range(256)).difference(b'[]{}"')))
@@ -992,13 +993,15 @@ _STRING = re.compile(rb'"[^"]*"')
 _DEPTH_STEP = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")
 
 
-def _nesting_depth(data: bytes) -> int:
+def _nesting_depth(data: bytes, structure: Optional[bytes] = None) -> int:
     """How deep arrays and objects nest in JSON text, counted from the
-    brackets outside strings; exact for valid JSON."""
+    brackets outside strings; exact for valid JSON.  ``structure`` is
+    ``data.translate(None, _NOT_STRUCTURE)`` when the caller has it."""
     if b"\\" in data:
-        data = _ESCAPE.sub(b"", data)
-    brackets = _STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
-    steps = np.frombuffer(brackets.translate(_DEPTH_STEP), np.int8)
+        structure = _ESCAPE.sub(b"", data).translate(None, _NOT_STRUCTURE)
+    elif structure is None:
+        structure = data.translate(None, _NOT_STRUCTURE)
+    steps = np.frombuffer(_STRING.sub(b"", structure).translate(_DEPTH_STEP), np.int8)
     return int(steps.cumsum().max(initial=0))
 
 
@@ -1007,8 +1010,14 @@ def _decode(data: bytes) -> Any:
     nested deeper than ORJSON_MAX_DEPTH, goes to the stdlib decoder: it reads
     NaN and Infinity literals (for parse_problem to reject by field name),
     numbers past the double range, a UTF-8 byte order mark and UTF-16 or
-    UTF-32 text, and words every other error."""
-    if _nesting_depth(data) <= ORJSON_MAX_DEPTH:
+    UTF-32 text, and words every other error.  The depth is at most the
+    count of [ and { bytes (brackets in strings only add to it), so text
+    within ORJSON_MAX_DEPTH of them goes to orjson unscanned."""
+    structure = data.translate(None, _NOT_STRUCTURE)
+    if (
+        structure.count(b"[") + structure.count(b"{") <= ORJSON_MAX_DEPTH
+        or _nesting_depth(data, structure) <= ORJSON_MAX_DEPTH
+    ):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
@@ -1025,7 +1034,8 @@ def run_file(
     command-line options; None values are ignored) replace the file's
     entries before parse_problem validates them."""
     try:
-        raw = _decode(Path(path).read_bytes())
+        with open(path, "rb") as file:
+            raw = _decode(file.read())
     except FileNotFoundError:
         return _error_report(path, f"no such file: {path}"), EXIT_ERROR
     except OSError as exc:

@@ -177,8 +177,11 @@ def _finite(what: str, compute):
 
 def _ldexp(x: np.ndarray, power: int) -> np.ndarray:
     """x 2^power entry by entry, a complex x part by part: exact unless an
-    entry leaves the normal range (inf past it, with no warning)."""
+    entry leaves the normal range (inf past it, with no warning).  Only a
+    positive power can overflow, so only it enters np.errstate."""
     x = np.ascontiguousarray(x)
+    if power <= 0:
+        return np.ldexp(x.view(np.float64), power).view(x.dtype)
     with np.errstate(over="ignore"):
         return np.ldexp(x.view(np.float64), power).view(x.dtype)
 

@@ -1,6 +1,7 @@
 """cli_io: problem parsing, command dispatch, determinism, exit codes."""
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from conftest import (
     reference_whole_array,
     scale_operands,
 )
-from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, frame_transforms, optimal_kframe_bounds
+from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, cli_io, frame_transforms, optimal_kframe_bounds
 from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.fuzzy_space import MAX_DIMENSION, PROFILES
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
@@ -285,6 +286,19 @@ class TestParsing:
         once = canonical_json(report)
         twice = canonical_json(json.loads(once))
         assert once == twice
+
+
+def test_benchmark_trace_hooks_exist(monkeypatch):
+    # bench/spans.py looks each traced name up with getattr: a renamed
+    # function would stop every traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    for name in spans.CLI_STAGES:
+        fn = getattr(cli_io, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == cli_io.__name__, name
+    for short in spans.COMPUTE_MODULES:
+        module = importlib.import_module(f"fuzzyframes.{short}")
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], short
 
 
 NUMBERS = st.one_of(
@@ -1551,6 +1565,54 @@ class TestErrors:
     )
     def test_nesting_depth_ignores_strings(self, text, depth):
         assert _nesting_depth(text.encode()) == depth
+
+    @pytest.mark.parametrize(
+        "text, scanned, decoder",
+        [
+            ("[" * 256 + "]" * 256, False, "orjson"),
+            ('{"a": ' + "[" * 255 + "]" * 255 + "}", False, "orjson"),
+            ("[" * 257 + "]" * 257, True, "json"),
+            ('{"a": ' + "[" * 256 + "]" * 256 + "}", True, "json"),
+            ("[" + "[]," * 300 + "{}]", True, "orjson"),
+            ('["' + "[{" * 200 + '"]', True, "orjson"),
+            ('["\\"' + "[" * 300 + '\\"", "\\\\"]', True, "orjson"),
+        ],
+    )
+    def test_orjson_guard_at_its_bound(self, text, scanned, decoder, monkeypatch):
+        # at most ORJSON_MAX_DEPTH = 256 opening brackets cannot nest deeper
+        # and skip the scan; orjson never sees a text nested 257 deep
+        expected = json.loads(text)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(cli_io.orjson, "loads", spy("orjson", cli_io.orjson.loads))
+        monkeypatch.setattr(cli_io.json, "loads", spy("json", cli_io.json.loads))
+        monkeypatch.setattr(cli_io, "_nesting_depth", spy("scan", cli_io._nesting_depth))
+        assert _decode(text.encode()) == expected
+        assert calls == (["scan"] if scanned else []) + [decoder]
+
+    @given(
+        st.recursive(
+            st.none() | st.integers() | st.text(alphabet='[]{}"\\a'),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(alphabet='[]{}"\\a'), inner, max_size=3),
+            max_leaves=20,
+        )
+    )
+    def test_bracket_count_bounds_nesting_depth(self, value):
+        # brackets in strings and escaped quotes only ever overcount
+        def depth(v):
+            items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+            return isinstance(v, (dict, list)) + max(map(depth, items), default=0)
+
+        data = json.dumps(value).encode()
+        assert _nesting_depth(data) == depth(value) <= data.count(b"[") + data.count(b"{")
 
     def test_directory_named_json(self, tmp_path):
         (tmp_path / "x.json").mkdir()

@@ -21,6 +21,7 @@ from fuzzyframes import (
 from fuzzyframes.operator_algebra import (
     CHOLESKY_TOL_FACTOR,
     PSD_TOL,
+    _ldexp,
     _order_decision,
     hermitian_part,
 )
@@ -237,6 +238,38 @@ def test_psd_order_check_rejects_non_finite_side(entry, side):
     args = (bad, np.eye(2)) if side == "P" else (np.eye(2), bad)
     with pytest.raises(ValueError, match=f"{side} is not finite"):
         psd_order_check(*args)
+
+
+class TestLdexp:
+    # entries of few significant bits: the smallest, 3 2^-30, is still
+    # exact at 2^-1044 (3 2^-1074), so scaling back up recovers x
+    X = np.array([[1.0, -0.75, 0.0], [-0.0, 2.0**-20, 3.0 * 2.0**-30]])
+
+    @pytest.mark.parametrize("power", [0, -1, -60, -1022, -1044])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_positive_power_is_exact_and_silent(self, power, field):
+        x = self.X if field == "real" else self.X - 1j * self.X[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = _ldexp(x, power)
+        assert y.dtype == x.dtype
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(y), np.ldexp(part(x), power))
+        assert np.array_equal(_ldexp(y, -power), x)
+
+    def test_below_the_subnormal_range_rounds_as_np_ldexp(self):
+        x = np.array([1.0 + 2.0**-52, 1.5, -2.5]) * (1 + 1j)
+        y = _ldexp(x, -1074)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(y), np.ldexp(part(x), -1074))
+        assert np.array_equal(y.real, [2.0**-1074, 2.0**-1073, -(2.0**-1073)])
+
+    def test_positive_power_past_the_range_is_inf_without_warning(self):
+        x = np.array([1.0, -1.5 + 2.0j, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = _ldexp(x, 1024)
+        assert np.array_equal(y, [complex(math.inf, 0.0), complex(-math.inf, math.inf), 0.0])
 
 
 class TestDecompositionCounts:
