@@ -18,6 +18,7 @@ bounds, which is null.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -205,20 +206,24 @@ def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optio
     invalid, whose precise error message the per-entry parser gives.
 
     Each nesting level must be lists of the expected length, and the leaves
-    numbers (bool is not int here) or [re, im] pairs of numbers."""
+    numbers (bool is not int here) or [re, im] pairs of numbers.  The first
+    leaf says which: among pairs, a number has no len, and any other leaf of
+    length 2 that decoded JSON holds (a string, an object, a list of lists)
+    flattens to something other than a number."""
     level = [entries]
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
             return None
         level = list(chain.from_iterable(level))
-    leaf_types = set(map(type, level))
-    pairs = leaf_types == {list}
+    pairs = type(level[0]) is list
     if pairs:
-        if set(map(len, level)) != {2}:
+        try:
+            if set(map(len, level)) != {2}:
+                return None
+        except TypeError:  # a number, bool or null among the pairs
             return None
         level = list(chain.from_iterable(level))
-        leaf_types = set(map(type, level))
-    if not leaf_types <= {float, int}:
+    if not set(map(type, level)) <= {float, int}:
         return None
     try:
         flat = np.array(level, dtype=np.float64)
@@ -540,7 +545,7 @@ def problem_digest(problem: Problem) -> str:
         if arr is None:
             continue
         h.update(f"\n{name}{list(arr.shape)} 2^{e}\n".encode())
-        h.update((arr + 0.0).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        h.update((arr + 0.0).astype(arr.dtype.newbyteorder("<"), order="C", copy=False))
     return h.hexdigest()
 
 
@@ -1032,24 +1037,37 @@ def run_file(
 ) -> tuple[dict, int]:
     """Load, validate, and execute one problem file.  ``overrides`` (the
     command-line options; None values are ignored) replace the file's
-    entries before parse_problem validates them."""
+    entries before parse_problem validates them.
+
+    The cyclic collector is paused meanwhile: the decoded tree holds no
+    cycles and stays reachable until this returns, so a pass set off by
+    building it could free nothing.  Only a call that found the collector
+    on turns it off and back on, so that threads of ``batch`` never leave
+    it off; a cycle made meanwhile goes at the next pass after."""
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
-        with open(path, "rb") as file:
-            raw = _decode(file.read())
-    except FileNotFoundError:
-        return _error_report(path, f"no such file: {path}"), EXIT_ERROR
-    except OSError as exc:
-        return _error_report(path, f"cannot read {path}: {exc.strerror or exc}"), EXIT_ERROR
-    except (ValueError, RecursionError) as exc:  # JSON, text encoding or nesting depth
-        return _error_report(path, f"malformed JSON: {exc}"), EXIT_ERROR
-    if overrides and isinstance(raw, dict):
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    try:
-        problem = parse_problem(raw)
-        cmd = command or problem.command
-        return run_command(cmd, problem, str(path))
-    except ProblemError as exc:
-        return _error_report(path, str(exc)), EXIT_ERROR
+        try:
+            with open(path, "rb") as file:
+                raw = _decode(file.read())
+        except FileNotFoundError:
+            return _error_report(path, f"no such file: {path}"), EXIT_ERROR
+        except OSError as exc:
+            return _error_report(path, f"cannot read {path}: {exc.strerror or exc}"), EXIT_ERROR
+        except (ValueError, RecursionError) as exc:  # JSON, text encoding or nesting depth
+            return _error_report(path, f"malformed JSON: {exc}"), EXIT_ERROR
+        if overrides and isinstance(raw, dict):
+            raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        try:
+            problem = parse_problem(raw)
+            cmd = command or problem.command
+            return run_command(cmd, problem, str(path))
+        except ProblemError as exc:
+            return _error_report(path, str(exc)), EXIT_ERROR
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _error_report(path, message: str) -> dict:

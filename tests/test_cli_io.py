@@ -1,5 +1,6 @@
 """cli_io: problem parsing, command dispatch, determinism, exit codes."""
 
+import gc
 import importlib
 import inspect
 import json
@@ -309,8 +310,11 @@ NUMBERS = st.one_of(
 WIDE_INTEGERS = st.sampled_from(
     [2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, -(2**63) - 1, -(2**64), 10**30, 2**1023]
 )
+# "12", the two-key object and the list of lists have length 2, as a pair has:
+# _whole_array tells them apart by what they flatten to
 BAD_SCALARS = st.sampled_from(
-    [True, False, None, "1", math.nan, math.inf, -math.inf, 10**400, [1], [1, 2, 3], {}]
+    [True, False, None, "1", "12", math.nan, math.inf, -math.inf, 10**400, [1], [1, 2, 3], {},
+     {"a": 1, "b": 2}, [[1, 2], [3, 4]]]
 )
 
 
@@ -1816,6 +1820,92 @@ class TestBatch:
         one, _ = batch(files, parallelism=4)
         two, _ = batch(files, parallelism=4)
         assert canonical_json(one) == canonical_json(two)
+
+
+def _raising_run_command(*args, **kwargs):
+    raise RuntimeError(f"collector on inside run_file: {gc.isenabled()}")
+
+
+def _pause_case(case: str, tmp_path: Path, monkeypatch) -> Path:
+    """A file that takes run_file out through the exit path ``case``."""
+    if case == "raises":
+        monkeypatch.setattr(cli_io, "run_command", _raising_run_command)
+    if case in ("report", "raises"):
+        return R3_FILE
+    path = tmp_path / f"{case}.json"  # "missing" is never written
+    if case == "directory":
+        path.mkdir()
+    elif case == "malformed":
+        path.write_text("{not json")
+    elif case == "deep":
+        path.write_text('{"dimension": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    elif case == "problem_error":
+        path.write_text(json.dumps({**load(R3_FILE), "tolerance": "abc"}))
+    return path
+
+
+@pytest.fixture
+def collector_restored():
+    yield
+    gc.enable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "case, verdict",
+        [("report", "pass"), ("missing", "error"), ("directory", "error"), ("malformed", "error"),
+         ("deep", "error"), ("problem_error", "error"), ("raises", None)],
+    )
+    def test_collector_state_restored_on_every_exit(
+        self, case, verdict, enabled, tmp_path, monkeypatch, collector_restored
+    ):
+        path = _pause_case(case, tmp_path, monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        if verdict is None:
+            with pytest.raises(RuntimeError, match="collector on inside run_file: False"):
+                run_file(path)
+        else:
+            assert run_file(path)[0]["verdict"] == verdict
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_run_file(self, tmp_path):
+        rng = np.random.default_rng(64)
+        family = rng.standard_normal((128, 64, 2))
+        path = tmp_path / "c64.json"
+        path.write_text(json.dumps({"dimension": 64, "field": "complex", "family": family.tolist()}))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            # the control: decoding the file's 8k pairs with the collector on
+            # sets off passes
+            tree = _decode(path.read_bytes())
+            assert starts
+            del tree
+            gc.collect()
+            starts.clear()
+            report, code = run_file(path)
+            inside = len(starts)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == EXIT_PASS and report["body"]["optimal_frame"]["A"] > 0
+        assert inside == 0
+        assert gc.isenabled()
+
+    def test_parallel_batch_leaves_the_collector_on(self):
+        paths = sorted(CORPUS.glob("*.json"))
+        result, code = batch(paths, 1)
+        serial = canonical_json(result), code
+        for _ in range(5):
+            result, code = batch(paths, 2)
+            assert gc.isenabled()
+            assert (canonical_json(result), code) == serial
 
 
 class TestMain:
