@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -200,6 +201,20 @@ def _parse_matrix_entries(
     return np.vstack(parsed)
 
 
+#: leaves past which _doubles, whose 0/1 gate has a fixed cost, beats the type pass
+WHOLE_ARRAY_GATED = 128
+
+
+def _doubles(numbers: Sequence) -> np.ndarray:
+    """numbers as doubles, or TypeError for one that is no int or float:
+    array('d') raises it for each decoded JSON value but a bool, which lands
+    on 0.0 or 1.0, so only an array holding either gets the type pass."""
+    flat = np.frombuffer(array("d", numbers))
+    if ((flat == 0.0) | (flat == 1.0)).any() and not set(map(type, numbers)) <= {float, int}:
+        raise TypeError("a bool where a number belongs")
+    return flat
+
+
 def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optional[np.ndarray]:
     """Parse a vector or matrix from one flat list of its numbers, or None if
     it needs the per-entry parser: mixed numbers and pairs, or anything
@@ -207,27 +222,27 @@ def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optio
 
     Each nesting level must be lists of the expected length, and the leaves
     numbers (bool is not int here) or [re, im] pairs of numbers.  The first
-    leaf says which: among pairs, a number has no len, and any other leaf of
-    length 2 that decoded JSON holds (a string, an object, a list of lists)
-    flattens to something other than a number."""
+    leaf says which: among pairs, a number has no parts, and any other leaf
+    of length 2 that decoded JSON holds (a string, an object, a list of
+    lists) has parts other than numbers."""
     level = [entries]
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
             return None
         level = list(chain.from_iterable(level))
     pairs = type(level[0]) is list
-    if pairs:
-        try:
-            if set(map(len, level)) != {2}:
-                return None
-        except TypeError:  # a number, bool or null among the pairs
-            return None
-        level = list(chain.from_iterable(level))
-    if not set(map(type, level)) <= {float, int}:
-        return None
     try:
-        flat = np.array(level, dtype=np.float64)
-    except OverflowError:  # an integer past the double range
+        if len(level) <= WHOLE_ARRAY_GATED:
+            numbers = list(chain.from_iterable(level)) if pairs else level
+            if pairs and set(map(len, level)) != {2} or not set(map(type, numbers)) <= {float, int}:
+                return None
+            flat = np.array(numbers, dtype=np.float64)
+        elif pairs:
+            real, imag = zip(*level, strict=True)  # ValueError unless all have two parts
+            flat = np.column_stack((_doubles(real), _doubles(imag)))
+        else:
+            flat = _doubles(level)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int past the range
         return None
     if not np.isfinite(flat).all():
         return None

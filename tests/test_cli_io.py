@@ -3,6 +3,7 @@
 import gc
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from fuzzyframes.cli_io import (
     EXIT_FAIL,
     EXIT_PASS,
     TOOL_VERSION,
+    WHOLE_ARRAY_GATED,
     ProblemError,
     _decode,
     _error_report,
@@ -325,7 +327,9 @@ def entry_lists(draw):
     Returns (entries, shape, field, uniform): entries are all numbers, all
     [re, im] pairs or a mix, then possibly a wide integer, or a bool, string,
     null, non-finite or malformed entry, a ragged row, a wrong length or a
-    missing row; uniform says there is neither a mix nor a defect.
+    missing row; uniform says there is neither a mix nor a defect.  Half the
+    cases are past WHOLE_ARRAY_GATED (up to 130 x 64, or a vector of 300):
+    there a few drawn entries repeat, and the defect lands anywhere.
     """
     field = draw(st.sampled_from(["real", "complex"]))
     form = draw(st.sampled_from(["scalar", "pair", "mixed"]))
@@ -337,8 +341,21 @@ def entry_lists(draw):
         imag = draw(st.one_of(st.sampled_from([0, 0.0, -0.0]), NUMBERS))
         return [draw(NUMBERS), imag]
 
+    leaf = entry
+    if draw(st.booleans()):
+        if len(shape) == 1:
+            shape = (draw(st.integers(WHOLE_ARRAY_GATED + 1, 300)),)
+        else:
+            cols = draw(st.integers(1, 64))
+            shape = (draw(st.integers(WHOLE_ARRAY_GATED // cols + 1, 130)), cols)
+        drawn = itertools.cycle([entry() for _ in range(draw(st.integers(1, 5)))])
+
+        def leaf():
+            e = next(drawn)
+            return list(e) if isinstance(e, list) else e
+
     def vector(n):
-        return [entry() for _ in range(n)]
+        return [leaf() for _ in range(n)]
 
     entries = vector(shape[0]) if len(shape) == 1 else [vector(shape[1]) for _ in range(shape[0])]
     defect = draw(
@@ -418,6 +435,52 @@ def test_flat_parser_matches_nested_reference(case):
             assert got == _outcome(_parse_vector_entries, entries, shape[0], field, "v")
         else:
             assert got == _outcome(_parse_matrix_entries, entries, shape, field, "m")
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("bad", [None, True, False])
+def test_gated_parse_of_integer_identity(bad):
+    # 64 x 64 is past WHOLE_ARRAY_GATED, and every entry lands on 0.0 or 1.0:
+    # the type pass runs, and only it can tell a bool from the integer
+    K = _identity(64)
+    if bad is not None:
+        K[17][17 if bad else 40] = bad
+    data = {"dimension": 64, "family": _identity(64), "operator_K": K}
+    if bad is None:
+        assert _whole_array(K, (64, 64), "real") is not None
+        expected = _outcome(_parse_matrix_entries, K, (64, 64), "real", "K")
+        assert _outcome(_parse_matrix, K, (64, 64), "real", "K") == expected
+        assert np.array_equal(parse_problem(data).operator_K, 0.5 * np.eye(64))
+        return
+    assert _whole_array(K, (64, 64), "real") is None
+    with pytest.raises(ProblemError) as raised:
+        parse_problem(data)
+    assert str(raised.value) == f"operator_K[17]: scalar must be a number or [re, im], got {bad}"
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, "leaf3", "leaf1"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_gated_parse_of_complex_family(bad, part):
+    # 128 x 64 pairs whose parts avoid 0 and 1: a bool alone sets off the
+    # type pass; a leaf of three parts or one has no [re, im] split
+    family = np.random.default_rng(part).uniform(2.0, 3.0, (128, 64, 2)).tolist()
+    if bad == "leaf3":
+        family[70][5].insert(part, 2.5)
+    elif bad == "leaf1":
+        family[70][5].pop(part)
+    else:
+        family[70][5][part] = bad
+    shape = (128, 64)
+    fast = _outcome(_parse_matrix, family, shape, "complex", "family")
+    assert fast == _outcome(_parse_matrix_entries, family, shape, "complex", "family")
+    assert (fast is None) == (bad != 0.5)
+    assert (_whole_array(family, shape, "complex") is None) == (bad != 0.5)
+    if fast is None:
+        with pytest.raises(ProblemError, match=r"^family\[70\]: scalar must be a number or \[re, im\]"):
+            parse_problem({"dimension": 64, "field": "complex", "family": family})
 
 
 # Number literals that stress a float decoder: 17-25 digit mantissas, exact
