@@ -7,7 +7,7 @@ closures, and derives perturbation-stable bounds.  See README.md for the CLI
 and the problem-file schema.
 """
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (

@@ -215,10 +215,13 @@ def _doubles(numbers: Sequence) -> np.ndarray:
     return flat
 
 
-def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optional[np.ndarray]:
-    """Parse a vector or matrix from one flat list of its numbers, or None if
-    it needs the per-entry parser: mixed numbers and pairs, or anything
-    invalid, whose precise error message the per-entry parser gives.
+def _whole_array(
+    entries: Any, shape: tuple[int, ...], field_name: str
+) -> Optional[tuple[np.ndarray, int]]:
+    """Parse a vector or matrix from one flat list of its numbers into
+    _unit_scale's (2^-e x, e), or None if it needs the per-entry parser:
+    mixed numbers and pairs, or anything invalid, whose precise error
+    message the per-entry parser gives.
 
     Each nesting level must be lists of the expected length, and the leaves
     numbers (bool is not int here) or [re, im] pairs of numbers.  The first
@@ -244,25 +247,34 @@ def _whole_array(entries: Any, shape: tuple[int, ...], field_name: str) -> Optio
             flat = _doubles(level)
     except (TypeError, ValueError, OverflowError):  # not numbers, or an int past the range
         return None
-    if not np.isfinite(flat).all():
+    # a nan or inf carries through the max, which also gives the exponent; a
+    # real problem's imaginary parts are read before scaling can flush one to 0
+    top = float(np.abs(flat).max())
+    if not math.isfinite(top) or pairs and field_name == "real" and flat.reshape(-1, 2)[:, 1].any():
         return None
+    e = math.frexp(top)[1]
+    np.ldexp(flat, -e, out=flat)
     if not pairs:
         flat = flat.reshape(shape)
-        return flat.astype(np.complex128) if field_name == "complex" else flat
+        return (flat.astype(np.complex128) if field_name == "complex" else flat), e
     flat = flat.reshape(shape + (2,))
     if field_name == "real":
-        return None if flat[..., 1].any() else flat[..., 0].copy()
-    return flat.view(np.complex128).reshape(shape)
+        return flat[..., 0].copy(), e
+    return flat.view(np.complex128).reshape(shape), e
 
 
-def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> np.ndarray:
-    arr = _whole_array(entries, (dim,), field_name)
-    return _parse_vector_entries(entries, dim, field_name, where) if arr is None else arr
+def _parse_vector(entries: Any, dim: int, field_name: str, where: str) -> tuple[np.ndarray, int]:
+    """The vector at unit scale and its exponent (see _unit_scale)."""
+    parsed = _whole_array(entries, (dim,), field_name)
+    return parsed or _unit_scale(_parse_vector_entries(entries, dim, field_name, where))
 
 
-def _parse_matrix(rows: Any, shape: tuple[int, int], field_name: str, where: str) -> np.ndarray:
-    arr = _whole_array(rows, shape, field_name)
-    return _parse_matrix_entries(rows, shape, field_name, where) if arr is None else arr
+def _parse_matrix(
+    rows: Any, shape: tuple[int, int], field_name: str, where: str
+) -> tuple[np.ndarray, int]:
+    """The matrix at unit scale and its exponent (see _unit_scale)."""
+    parsed = _whole_array(rows, shape, field_name)
+    return parsed or _unit_scale(_parse_matrix_entries(rows, shape, field_name, where))
 
 
 def _one_of(value: Any, choices: tuple, key: str) -> Any:
@@ -296,7 +308,7 @@ def parse_problem(data: Any) -> Problem:
             raise ProblemError("'family_g' must be a nonempty list of vectors")
         family_g = _parse_matrix(fg, (len(fg), dim), fieldname, "family_g")
 
-    def matrix_field(key: str) -> Optional[np.ndarray]:
+    def matrix_field(key: str) -> Optional[tuple[np.ndarray, int]]:
         if data.get(key) is None:
             return None
         return _parse_matrix(data[key], (dim, dim), fieldname, key)
@@ -350,15 +362,13 @@ def parse_problem(data: Any) -> Problem:
         for entry in frame_sums:
             if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
                 raise ProblemError("frame_sum claims need 'vector' and 'value'")
-            vec, e = _unit_scale(
-                _parse_vector(entry["vector"], dim, fieldname, "claims.frame_sum.vector")
-            )
+            vec, e = _parse_vector(entry["vector"], dim, fieldname, "claims.frame_sum.vector")
             value = _real(entry["value"], "claims.frame_sum.value")
             claims.append({"kind": "frame_sum", "vector": vec, "exponent": e, "value": value})
 
     operands, exponents = {}, {}
     for name, x in zip(OPERANDS, (family, family_g, operator_K, operator_T, coefficients)):
-        operands[name], exponents[name] = (None, 0) if x is None else _unit_scale(x)
+        operands[name], exponents[name] = x or (None, 0)
     return Problem(
         dimension=dim,
         field=fieldname,

@@ -81,6 +81,10 @@ TIGHT_TOL = 1e-9
 
 DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
 
+#: dimension from which a family of more vectors than that is reduced by QR
+#: before its SVD; below it one SVD of F is faster (see _synthesis_svd)
+QR_REDUCTION_DIMENSION = 16
+
 
 class SingularFrameOperatorError(Exception):
     """Raised when an operation needs an invertible frame operator.
@@ -212,13 +216,17 @@ def _unit(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
 def _synthesis_svd(family: FrameFamily) -> tuple[np.ndarray, np.ndarray]:
     """(u, s) of the synthesis matrix F, u square: S_c = u diag(s^2) u*.
 
-    More vectors than the dimension are reduced first: F* = Q R gives
-    F = R* Q*, with the left singular pairs of the square R*.
+    From QR_REDUCTION_DIMENSION on, more vectors than the dimension are
+    reduced first: F* = Q R gives F = R* Q*, with the left singular pairs of
+    the square R*.  That saves flops only where a QR and an SVD of R* cost
+    less than one SVD of F: for m = 2n vectors on one BLAS thread the one
+    SVD is faster up to n = 12 and slower from n = 24 (real and complex).
+    A smaller wide family takes that one SVD, thin, which leaves u square.
     """
     f = family.vectors.T
-    if f.shape[1] > f.shape[0]:
+    if f.shape[1] > f.shape[0] >= QR_REDUCTION_DIMENSION:
         f = np.linalg.qr(family.vectors.conj(), mode="r").conj().T
-    u, s, _ = np.linalg.svd(f)
+    u, s, _ = np.linalg.svd(f, full_matrices=f.shape[1] <= f.shape[0])
     return u, s
 
 

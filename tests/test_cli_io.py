@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,7 +31,7 @@ from conftest import (
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, cli_io, frame_transforms, optimal_kframe_bounds
 from fuzzyframes.frame_core import synthesis_matrix
 from fuzzyframes.fuzzy_space import MAX_DIMENSION, PROFILES
-from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL
+from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL, _unit_scale
 from fuzzyframes.cli_io import (
     COMMANDS,
     EXIT_ERROR,
@@ -383,16 +383,26 @@ def entry_lists(draw):
     return entries, shape, field, form != "mixed" and defect is None
 
 
+def _at_unit_scale(parsed):
+    """dtype, shape, bytes and exponent of a parse at unit scale: parsed is
+    (2^-e x, e), or an array x that _unit_scale scales."""
+    arr, e = parsed if isinstance(parsed, tuple) else _unit_scale(parsed)
+    return arr.dtype, arr.shape, arr.tobytes(), e
+
+
 def _outcome(parse, *args):
     try:
-        arr = parse(*args)
+        parsed = parse(*args)
     except ProblemError:
         return None
-    return arr.dtype, arr.shape, arr.tobytes()
+    return _at_unit_scale(parsed)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(entry_lists())
+# an imaginary part that scaling by 2^-64 flushes to 0 still makes the
+# real problem complex
+@example(([[2**63, 5e-324]], (1,), "real", False))
 def test_whole_array_parse_agrees_with_per_entry_parse(case):
     entries, shape, field, uniform = case
     if len(shape) == 1:
@@ -404,7 +414,8 @@ def test_whole_array_parse_agrees_with_per_entry_parse(case):
     expected = _outcome(reference, *args)
     assert _outcome(fast, *args) == expected
     if expected is not None and uniform:
-        assert _whole_array(entries, shape, field) is not None
+        got = _whole_array(entries, shape, field)
+        assert got is not None and _at_unit_scale(got) == expected
 
 
 def _leaves(entries):
@@ -422,10 +433,10 @@ def test_flat_parser_matches_nested_reference(case):
     expected = reference_whole_array(entries, shape, field)
     got = _whole_array(entries, shape, field)
     if got is not None:
-        assert got.flags.c_contiguous
-        got = got.dtype, got.shape, got.tobytes()
+        assert got[0].flags.c_contiguous
+        got = _at_unit_scale(got)
     if expected is not None:
-        assert got == (expected.dtype, expected.shape, expected.tobytes())
+        assert got == _at_unit_scale(expected)
     elif got is not None:
         # the nested array holds an integer past int64 as uint64 or object and
         # leaves it to the per-entry parser; the flat list converts it exactly
@@ -450,8 +461,8 @@ def test_gated_parse_of_integer_identity(bad):
         K[17][17 if bad else 40] = bad
     data = {"dimension": 64, "family": _identity(64), "operator_K": K}
     if bad is None:
-        assert _whole_array(K, (64, 64), "real") is not None
         expected = _outcome(_parse_matrix_entries, K, (64, 64), "real", "K")
+        assert _at_unit_scale(_whole_array(K, (64, 64), "real")) == expected
         assert _outcome(_parse_matrix, K, (64, 64), "real", "K") == expected
         assert np.array_equal(parse_problem(data).operator_K, 0.5 * np.eye(64))
         return
@@ -477,10 +488,42 @@ def test_gated_parse_of_complex_family(bad, part):
     fast = _outcome(_parse_matrix, family, shape, "complex", "family")
     assert fast == _outcome(_parse_matrix_entries, family, shape, "complex", "family")
     assert (fast is None) == (bad != 0.5)
-    assert (_whole_array(family, shape, "complex") is None) == (bad != 0.5)
+    got = _whole_array(family, shape, "complex")
+    assert (got is None) == (bad != 0.5)
+    if got is not None:
+        assert _at_unit_scale(got) == fast
     if fast is None:
         with pytest.raises(ProblemError, match=r"^family\[70\]: scalar must be a number or \[re, im\]"):
             parse_problem({"dimension": 64, "field": "complex", "family": family})
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true"])
+@pytest.mark.parametrize("pairs", [False, True])
+@pytest.mark.parametrize("rows", [4, 64])
+def test_nonfinite_or_bool_literal_gets_the_per_entry_message(literal, pairs, rows):
+    # the standard library decodes NaN and Infinity; 4 x 3 leaves are within
+    # WHOLE_ARRAY_GATED, 64 x 3 past it.  The one max that gives the exponent
+    # carries a nan or inf through, and a bool fails the type pass, so the
+    # per-entry parser decides and words the error
+    field = "complex" if pairs else "real"
+    family = np.random.default_rng(rows).uniform(2.0, 3.0, (rows, 3, 2) if pairs else (rows, 3))
+    family = family.tolist()
+    if pairs:
+        family[2][1][1] = "LITERAL"
+    else:
+        family[2][1] = "LITERAL"
+    text = json.dumps({"dimension": 3, "field": field, "family": family})
+    data = json.loads(text.replace('"LITERAL"', literal))
+    assert _whole_array(data["family"], (rows, 3), field) is None
+    with pytest.raises(ProblemError) as reference:
+        _parse_matrix_entries(data["family"], (rows, 3), field, "family")
+    with pytest.raises(ProblemError) as raised:
+        parse_problem(data)
+    assert str(raised.value) == str(reference.value)
+    if literal == "true":
+        assert str(raised.value).startswith("family[2]: scalar must be a number or [re, im], got ")
+    else:
+        assert str(raised.value).startswith("family[2] must be finite, got ")
 
 
 # Number literals that stress a float decoder: 17-25 digit mantissas, exact

@@ -28,7 +28,9 @@ from fuzzyframes import (
     synthesis_matrix,
     verify_bounds,
 )
-from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL, _gram
+from fuzzyframes import frame_core
+from fuzzyframes.frame_core import QR_REDUCTION_DIMENSION, _optimal_bounds, _synthesis_svd
+from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL, _gram, _rank
 from conftest import (
     rand_family,
     rand_kframe_instance,
@@ -225,6 +227,50 @@ class TestOptimalBounds:
         for a in np.linspace(0.05, 0.95, 20):
             res = verify_bounds(fam, cert.A * (1 - 1e-9), cert.B * (1 + 1e-9), K, [a])
             assert res.passed
+
+
+class TestSynthesisSVD:
+    """Below QR_REDUCTION_DIMENSION a wide family takes one SVD of F, from it
+    a QR of F* and an SVD of R*: both decide the same."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, QR_REDUCTION_DIMENSION - 1, QR_REDUCTION_DIMENSION])
+    @pytest.mark.parametrize("shape", ["narrow", "square", "wide"])
+    @pytest.mark.parametrize("near_cutoff", [False, True])
+    def test_paths_agree(self, monkeypatch, linalg_calls, field, n, shape, near_cutoff):
+        rng = np.random.default_rng(n)
+        m = {"narrow": n - 1, "square": n, "wide": 2 * n}[shape]
+        r = min(m, n)
+        # F = U diag(sigma) W*; near the cutoff the last singular value sits
+        # a factor 4 below RELATIVE_RANK_TOL sigma_max and is cut
+        sigma = np.geomspace(1.0, 0.1, r)
+        if near_cutoff:
+            sigma[-1] = RELATIVE_RANK_TOL / 4
+        U = np.linalg.qr(rand_matrix(rng, n, n, field))[0]
+        W = np.linalg.qr(rand_matrix(rng, m, r, field))[0]
+        model = FuzzyModel(BaseSpace(n, field), "scaled")
+        family = FrameFamily(((U[:, :r] * sigma) @ W.conj().T).T, model)
+        kept = r - near_cutoff
+        K = U[:, :kept] @ rand_matrix(rng, kept, n, field)  # range(K) in the kept range(F)
+
+        linalg_calls.clear()
+        here = _synthesis_svd(family)
+        reduced = m > n >= QR_REDUCTION_DIMENSION
+        assert dict(linalg_calls) == ({"qr": 1, "svd": 1} if reduced else {"svd": 1})
+        # the other side of the constant: QR from n = 1 on, or never
+        monkeypatch.setattr(frame_core, "QR_REDUCTION_DIMENSION", n + 1 if reduced else 1)
+        there = _synthesis_svd(family)
+
+        for u, s in (here, there):
+            assert u.shape == (n, n)
+            assert _rank(s) == kept
+        assert np.abs(here[1] - there[1]).max() <= 1e-12 * here[1][0]
+        for K_or_none in (None, K):
+            a, b = (_optimal_bounds(family, K_or_none, *svd) for svd in (here, there))
+            assert a.kind == b.kind
+            assert a.A == pytest.approx(b.A, rel=1e-12, abs=0.0)
+            assert a.B == pytest.approx(b.B, rel=1e-12, abs=0.0)
+        assert a.A > 0.0  # the K-frame lower bound is read, not vacuous
 
 
 class TestCertificateKind:

@@ -264,14 +264,15 @@ class TestFrameEquivalence:
             assert out.verified == (brute <= out.M)
 
     def test_decomposes_each_family_once(self, linalg_calls):
-        # one QR and one SVD of each synthesis matrix serve both frame bounds
-        # and the minimal constant; one eigh of W W* per family
+        # one SVD of each synthesis matrix (n = 3 is below the QR reduction)
+        # serves both frame bounds and the minimal constant; one eigh of W W*
+        # per family
         rng = np.random.default_rng(35)
         F = rand_family(rng, 3, 5)
         G = rand_family(rng, 3, 5)
         linalg_calls.clear()
         assert frame_equivalence_constant(F, G).verified
-        assert dict(linalg_calls) == {"qr": 2, "svd": 2, "eigh": 2}
+        assert dict(linalg_calls) == {"svd": 2, "eigh": 2}
 
     def test_requires_frames(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
