@@ -22,10 +22,7 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     SingularFrameOperatorError,
-    atomic_coefficients,
-    atomic_system_from_operator,
     classical_frame_operator,
-    frame_operator,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
@@ -37,7 +34,6 @@ from .frame_core import (
 from .frame_transforms import (
     DerivedBound,
     bessel_pair_kframe,
-    build_family,
     combine,
     operator_transfer,
     transform_family,
@@ -46,9 +42,6 @@ from .perturbation import (
     check_operator_perturbation,
     derive_family_perturbed_bounds,
     derive_operator_perturbed_bounds,
-    family_perturbation_constant,
-    frame_equivalence_constant,
-    identity_perturbation_check,
 )
 
 __all__ = [
@@ -65,10 +58,7 @@ __all__ = [
     "BoundCertificate",
     "FrameFamily",
     "SingularFrameOperatorError",
-    "atomic_coefficients",
-    "atomic_system_from_operator",
     "classical_frame_operator",
-    "frame_operator",
     "frame_sum",
     "optimal_frame_bounds",
     "optimal_kframe_bounds",
@@ -78,14 +68,10 @@ __all__ = [
     "verify_bounds",
     "DerivedBound",
     "bessel_pair_kframe",
-    "build_family",
     "combine",
     "operator_transfer",
     "transform_family",
     "check_operator_perturbation",
     "derive_family_perturbed_bounds",
     "derive_operator_perturbed_bounds",
-    "family_perturbation_constant",
-    "frame_equivalence_constant",
-    "identity_perturbation_check",
 ]

@@ -1,5 +1,5 @@
-"""Frame engine: synthesis operators, spectral bound certificates, atomic
-systems, restricted invertibility, and dual reconstruction.
+"""Frame engine: synthesis operators, spectral bound certificates,
+restricted invertibility, and dual reconstruction.
 
 A finite family {f_i} in a fuzzy model has synthesis matrix F with the f_i
 as columns and classical frame operator S_c = F F*.  At level a the frame
@@ -21,11 +21,15 @@ never from an eigendecomposition of S_c, which squares its condition number;
   atomic system for K.
 
 An atomic system is a Douglas factorization: the family is one for K
-exactly when K = F W for a bounded W, so its coefficients beta = W f, the
-constant C = ||W|| and the residual ||F W - K||_F are those of
-``operator_algebra.douglas_factorize(K, F)``, with C = 1 / sqrt(A).
+exactly when K = F W for a bounded W.  This module has no routine of its
+own for it: the ``atomic`` command reads the factorization and the
+certificate from one SVD of F, and a library caller gets the coefficients
+of K f = sum beta_i f_i as beta = W f from
+``operator_algebra.douglas_factorize(K, F)``, with ||beta|| <= C ||f|| for
+C = ||W|| = 1 / sqrt(A).
 
-Operands are expected at unit scale (see ``operator_algebra``).
+Operands are expected at unit scale (see ``operator_algebra``), except
+that restricted_inverse_check brings its own there.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ import numpy as np
 from .fuzzy_space import FuzzyModel
 from .operator_algebra import (
     PSD_TOL,
-    RangeInclusionError,
     _Douglas,
     _douglas,
-    _factorize,
     _gram,
+    _ldexp,
     _order_decision,
     _rank,
+    _unit_scale,
     as_matrix,
     spectral_norm,
     within_tolerance,
@@ -58,17 +62,13 @@ __all__ = [
     "BoundCertificate",
     "BoundCheck",
     "VerificationResult",
-    "AtomicCoefficients",
     "SandwichReport",
     "synthesis_matrix",
     "classical_frame_operator",
-    "frame_operator",
     "frame_sum",
     "optimal_frame_bounds",
     "optimal_kframe_bounds",
     "verify_bounds",
-    "atomic_system_from_operator",
-    "atomic_coefficients",
     "restricted_inverse_check",
     "reconstruction_residual",
 ]
@@ -146,11 +146,6 @@ def synthesis_matrix(family: FrameFamily) -> np.ndarray:
 def classical_frame_operator(family: FrameFamily) -> np.ndarray:
     """S_c = F F*, Hermitian positive semidefinite."""
     return _gram(family.vectors.T)
-
-
-def frame_operator(family: FrameFamily, alpha: float) -> np.ndarray:
-    """Level frame operator scale(a) * S_c, the S_a = T_a T_a* of the paper."""
-    return family.model.scale(alpha) * classical_frame_operator(family)
 
 
 def frame_sum(
@@ -362,55 +357,6 @@ def verify_bounds(
     return VerificationResult(passed=passed, checks=tuple(checks))
 
 
-def atomic_system_from_operator(
-    model: FuzzyModel, K: np.ndarray
-) -> tuple[FrameFamily, BoundCertificate]:
-    """Canonical coefficient system {K e_i} for an operator K.
-
-    States that every bounded K has an atomic system (Gavruta 2012).
-    Its synthesis matrix is K itself, so the frame sum equals
-    ||K* f||_a^2 identically: a Parseval K-frame with (A, B) = (1, ||K||^2)
-    and the lower inequality an equality.
-    """
-    k = _operator_on(K, model.space.dimension)
-    family = FrameFamily(k.T, model)
-    return family, BoundCertificate(1.0, spectral_norm(k) ** 2, kframe=True, tight=True)
-
-
-class AtomicCoefficients(NamedTuple):
-    beta: np.ndarray
-    C: float
-    residual: float
-    norm_bound_ok: bool
-
-
-def atomic_coefficients(
-    family: FrameFamily, K: np.ndarray, f, tol: float = PSD_TOL
-) -> AtomicCoefficients:
-    """Minimal-norm coefficients with K f = sum beta_i f_i.
-
-    States the atomic-system side of the theorem that K-frames for K are
-    exactly the atomic systems for K.
-    beta = W f for the factorization K = F W of douglas_factorize(K, F),
-    W = F^dagger K, and C = ||W|| bounds ||beta|| <= C ||f||
-    (coefficient space carries the crisp norm, so C is level-free).
-    Requires range(K) inside range(F); otherwise the family is not an
-    atomic system for K and a RangeInclusionError carries the residual.
-    """
-    k = _operator_on(K, family.dimension)
-    F = synthesis_matrix(family)
-    d, _, _, factor = _factorize(k, F, tol)  # K = F W
-    if factor is None:
-        raise RangeInclusionError("not an atomic system for K", d.residual)
-    fvec = family.model.check_vector(f)
-    beta = factor.W @ fvec
-    C = factor.lam
-    rec_residual = float(np.linalg.norm(k @ fvec - F @ beta))
-    norm_beta, bound = float(np.linalg.norm(beta)), C * float(np.linalg.norm(fvec))
-    norm_ok = within_tolerance(norm_beta - bound, tol, max(norm_beta, bound))
-    return AtomicCoefficients(beta=beta, C=C, residual=rec_residual, norm_bound_ok=norm_ok)
-
-
 class SandwichReport(NamedTuple):
     injective: bool
     dagger_norm: float
@@ -441,9 +387,21 @@ def restricted_inverse_check(
     the first line, S_c^2 / B - S_c and S_c - (||K+||^2 / A) S_c^2 for the
     second.  Each inequality passes within_tolerance of the larger
     max|diag| of its two compressed sides, the scale of an order decision.
+
+    F and K are decided at unit scale, 2^-f F and 2^-e K, which is exact;
+    a certificate is carried there as A 2^(2e - 2f) and B 2^-2f, and
+    ``dagger_norm`` and both violations are mapped back by 2^-e and 2^2f.
     """
     k = as_matrix(K)
-    cert = certificate or optimal_kframe_bounds(family, k, tol=tol)
+    k, e = _unit_scale(k.astype(np.result_type(k, np.float64), copy=False))
+    vectors, f = _unit_scale(family.vectors)
+    family = FrameFamily(vectors, family.model)
+    if certificate is None:
+        cert = optimal_kframe_bounds(family, k, tol=tol)
+    else:
+        cert = certificate._replace(
+            A=math.ldexp(certificate.A, 2 * e - 2 * f), B=math.ldexp(certificate.B, -2 * f)
+        )
     if not (math.isfinite(cert.A) and cert.A > 0.0):
         raise ValueError("not applicable: family is not a K-frame (lower bound 0)")
     s = classical_frame_operator(family)
@@ -473,12 +431,18 @@ def restricted_inverse_check(
             (float(np.linalg.eigvalsh(c2 / b - c1)[-1]), max(top2 / b, top1)),
             (float(np.linalg.eigvalsh(c1 - c2 / a)[-1]), max(top1, top2 / a)),
         ]
+    passed = injective and all(within_tolerance(x, tol, sc) for x, sc in forward + inverse)
+    # the violations are in units of S_c, held at 2^-2f; saturating, with no warning
+    violations = _ldexp(
+        np.array([max(x for x, _ in forward), max((x for x, _ in inverse), default=-math.inf)]),
+        2 * f,
+    )
     return SandwichReport(
         injective=injective,
-        dagger_norm=dagger_norm,
-        max_violation_forward=max(e for e, _ in forward),
-        max_violation_inverse=max((e for e, _ in inverse), default=-math.inf),
-        passed=injective and all(within_tolerance(e, tol, sc) for e, sc in forward + inverse),
+        dagger_norm=float(_ldexp(np.array([dagger_norm]), -e)[0]),
+        max_violation_forward=float(violations[0]),
+        max_violation_inverse=float(violations[1]),
+        passed=passed,
     )
 
 

@@ -2,8 +2,7 @@
 family by an operator, and certifying frames from factorizations.
 
 Every derived bound produced here is validated through
-:func:`fuzzyframes.frame_core.verify_bounds` before being reported, except
-the certificate of :func:`build_family`, which is the optimal one.
+:func:`fuzzyframes.frame_core.verify_bounds` before being reported.
 
 The constants of :func:`combine` differ from the ones the paper quotes.
 Its sum constant [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 for a K1 + b K2
@@ -60,7 +59,6 @@ __all__ = [
     "bessel_pair_kframe",
     "transform_family",
     "operator_transfer",
-    "build_family",
 ]
 
 #: the two transports of transform_family
@@ -282,14 +280,3 @@ def operator_transfer(
     verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
     return TransferResult(lam, derived, verification)
 
-
-def build_family(
-    model, T: np.ndarray, K: np.ndarray, tol: float = PSD_TOL
-) -> tuple[FrameFamily, BoundCertificate]:
-    """Inverse direction: the family of the columns of T and its K-frame
-    certificate.  States the characterization of K-frames as images T e_i
-    with R(K) <= R(T).  The family's synthesis operator is T, so its optimal
-    bound is A = 1 / lam^2 for the least lam with K K* <= lam^2 T T*,
-    lam = ||T^+ K||, and A = 0 exactly without the inclusion."""
-    family = FrameFamily(as_matrix(T).T, model)
-    return family, optimal_kframe_bounds(family, K, tol=tol)

@@ -28,19 +28,11 @@ in Q_t and the ratio of two families' scales in M can leave the range.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .frame_core import (
-    DEFAULT_ALPHAS,
-    FrameFamily,
-    VerificationResult,
-    _optimal_bounds,
-    _synthesis_svd,
-    optimal_kframe_bounds,
-    verify_bounds,
-)
+from .frame_core import FrameFamily, _synthesis_svd
 from .frame_transforms import DerivedBound
 from .operator_algebra import (
     PSD_TOL,
@@ -55,14 +47,9 @@ from .operator_algebra import (
 __all__ = [
     "PerturbationReport",
     "FamilyPerturbation",
-    "EquivalenceConstant",
-    "IdentityPerturbation",
     "check_operator_perturbation",
     "derive_operator_perturbed_bounds",
-    "family_perturbation_constant",
     "derive_family_perturbed_bounds",
-    "frame_equivalence_constant",
-    "identity_perturbation_check",
 ]
 
 #: Bisection depth cap of the scan over t.  The PSD slack absorbs the
@@ -211,27 +198,18 @@ class FamilyPerturbation(NamedTuple):
         return f"minimal M = {self.M:.12g}{note}"
 
 
-def family_perturbation_constant(F: FrameFamily, G: FrameFamily) -> FamilyPerturbation:
-    """Minimal M with sum |<f, f_i - g_i>_a|^2 <= M min(frame sums of F, G).
-
-    States the constant of the paper's family-perturbation stability theorem.
-    The pointwise ratio against the min is the max of the two ratios, so
-    the minimal constant is the larger of the suprema of ||D* f||^2 /
-    <S_F f, f> and ||D* f||^2 / <S_G f, f>, with D the synthesis matrix of
-    the difference family: max(||F^dagger D||^2, ||G^dagger D||^2).  It is
-    +inf exactly when range(D) escapes range(F) or range(G), where some f
-    carries difference energy while a frame sum vanishes.
-    """
-    return _family_constant(F, G, 0, PSD_TOL)[0]
-
-
 def _family_constant(
     F: FrameFamily, G: FrameFamily, shift: int, tol: float
 ) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """family_perturbation_constant(2^shift F, G) with range inclusion
-    decided within tol, and the left singular pairs of F and of G.  D is
-    formed at the larger scale; each side reads Douglas's lemma against its
-    own family, as ||(2^e F)^+ D||^2 = 4^-e ||F^+ D||^2 holds exactly."""
+    """perturb-family's M, the minimal M with sum |<f, f_i - g_i>_a|^2 <=
+    M min(frame sums of 2^shift F and G), with range inclusion decided
+    within tol, and the left singular pairs of F and of G.
+
+    With D the synthesis matrix of the difference family, M is
+    max(||F^dagger D||^2, ||G^dagger D||^2), +inf exactly when range(D)
+    escapes range(F) or range(G).  D is formed at the larger scale; each
+    side reads Douglas's lemma against its own family, as
+    ||(2^e F)^+ D||^2 = 4^-e ||F^+ D||^2 holds exactly."""
     if F.size != G.size or F.dimension != G.dimension:
         raise ValueError("families must have equal lengths and spaces")
     top = max(shift, 0)
@@ -261,76 +239,3 @@ def derive_family_perturbed_bounds(A: float, B: float, M: float) -> DerivedBound
     factor = (math.sqrt(M) + 1.0) ** 2
     return DerivedBound(A / factor, B * factor)
 
-
-class EquivalenceConstant(NamedTuple):
-    M: float
-    minimal_M: float
-    verified: bool
-
-
-def frame_equivalence_constant(
-    F: FrameFamily,
-    G: FrameFamily,
-    tol: float = PSD_TOL,
-) -> EquivalenceConstant:
-    """Perturbation constant linking any two frames of the same space:
-
-    States that any two frames are perturbations of each other.
-        M = max( (1 + sqrt(B)/sqrt(C))^2, (1 + sqrt(D)/sqrt(A))^2 )
-
-    with (A, B) the frame bounds of F and (C, D) those of G.  The family
-    hypothesis holds at M exactly when M is at least the minimal constant
-    of :func:`family_perturbation_constant`.  Each family is decomposed once.
-    """
-    constant, svd_f, svd_g = _family_constant(F, G, 0, tol)
-    cf = _optimal_bounds(F, None, *svd_f)
-    cg = _optimal_bounds(G, None, *svd_g)
-    if cf.A <= 0.0 or cg.A <= 0.0:
-        raise ValueError("both families must be frames (positive lower bounds)")
-    a, b = cf.A, cf.B
-    c, d = cg.A, cg.B
-    m = max((1.0 + math.sqrt(b) / math.sqrt(c)) ** 2, (1.0 + math.sqrt(d) / math.sqrt(a)) ** 2)
-    return EquivalenceConstant(
-        M=m,
-        minimal_M=constant.M,
-        verified=within_tolerance(constant.M - m, tol, m),
-    )
-
-
-class IdentityPerturbation(NamedTuple):
-    hypothesis: PerturbationReport
-    derived: Optional[DerivedBound]
-    verification: Optional[VerificationResult]
-
-
-def identity_perturbation_check(
-    K: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    family: FrameFamily,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
-) -> IdentityPerturbation:
-    """Specialize the operator perturbation to the identity:
-
-    States that a K-frame for K close to I is a frame.
-        ||K* f - f||_a <= lam1 ||K* f||_a + lam2 ||f||_a
-
-    with 0 <= lam1, lam2 < 1.  When the hypothesis verifies, the family's
-    optimal K-frame bounds give the derived frame pair, lower bound
-    A ((1 - lam2)/(1 + lam1))^2, checked by verify_bounds.
-    """
-    if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
-        raise ValueError("identity specialization needs 0 <= lambda1, lambda2 < 1")
-    k = as_matrix(K)
-    eye = np.eye(k.shape[0])
-    report = check_operator_perturbation(k, eye, lambda1, lambda2, tol)
-    if not report.verified:
-        return IdentityPerturbation(report, None, None)
-    base = optimal_kframe_bounds(family, k, tol)
-    if not base.A > 0.0:
-        raise ValueError("family is not a K-frame; nothing to transfer")
-    derived = derive_operator_perturbed_bounds(base.A, base.B, lambda1, lambda2)
-    verification = verify_bounds(family, derived.A, derived.B, None, alphas, convention, tol)
-    return IdentityPerturbation(report, derived, verification)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
-from fuzzyframes.cli_io import _fmt
+from fuzzyframes.cli_io import _fmt, parse_problem, run_command
 from fuzzyframes.fuzzy_space import check_alpha
 
 
@@ -73,6 +73,37 @@ def rand_deficient_instance(
     vectors[:, -1] = 0.0  # family misses the last coordinate direction
     K = rand_matrix(rng, n, n, field) + n * np.eye(n)
     return FrameFamily(vectors, model), K
+
+
+# ---------------------------------------------------------------------------
+# Problems run through the commands
+
+
+def problem_entries(m: np.ndarray, field: str) -> list:
+    """A matrix as problem-file rows, complex entries as [re, im] pairs."""
+    if field == "real":
+        return np.real(m).tolist()
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+
+
+def run_problem(command: str, family: FrameFamily, **fields) -> tuple[dict, int]:
+    """The report body and exit code of ``command`` on the problem of family,
+    in its model, and fields.  A family or matrix field (family_g,
+    operator_K, operator_T) is written as rows, any other field as given."""
+    field = family.model.space.field
+    data = {
+        "dimension": family.dimension,
+        "field": field,
+        "profile": family.model.profile,
+        "family": problem_entries(family.vectors, field),
+    }
+    for key, value in fields.items():
+        if isinstance(value, FrameFamily):
+            value = value.vectors
+        data[key] = problem_entries(value, field) if isinstance(value, np.ndarray) else value
+    report, code = run_command(command, parse_problem(data))
+    assert "body" in report, report.get("error")
+    return report["body"], code
 
 
 # ---------------------------------------------------------------------------

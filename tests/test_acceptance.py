@@ -18,23 +18,19 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    atomic_coefficients,
-    atomic_system_from_operator,
     check_fip_axioms,
     check_operator_perturbation,
     classical_frame_operator,
     derive_family_perturbed_bounds,
     derive_operator_perturbed_bounds,
     douglas_factorize,
-    family_perturbation_constant,
-    frame_equivalence_constant,
-    frame_operator,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
     psd_order_check,
     reconstruction_residual,
     spectral_norm,
+    synthesis_matrix,
     verify_bounds,
 )
 from fuzzyframes.frame_transforms import (
@@ -53,6 +49,7 @@ from conftest import (
     rand_kframe_instance,
     rand_matrix,
     rand_vector,
+    run_problem,
     sphere_quotient_extremum,
 )
 
@@ -102,7 +99,8 @@ def test_criterion_01_rank_deficient_c3_reproduction():
     for a in ALPHAS:
         s = a / (1.0 - a)
         expected = np.diag([4.0 * s, s, 0.0])
-        ok &= float(np.abs(frame_operator(fam, a) - expected).max()) <= 1e-12
+        level_op = fam.model.scale(a) * classical_frame_operator(fam)  # S_a
+        ok &= float(np.abs(level_op - expected).max()) <= 1e-12
 
     sc = classical_frame_operator(fam)
     ok &= np.linalg.matrix_rank(sc) == 2
@@ -134,7 +132,7 @@ def test_criterion_02_full_rank_r3_reproduction():
 
     for a in ALPHAS:
         s = a / (1.0 - a)
-        op = frame_operator(fam, a)
+        op = fam.model.scale(a) * classical_frame_operator(fam)  # S_a
         ok &= np.allclose(op, np.diag([2 * s, 3 * s, 6 * s]), atol=1e-12)
         det = np.linalg.det(op)
         ok &= abs(det - 36.0 * s**3) <= 1e-9 * abs(36.0 * s**3)
@@ -178,7 +176,7 @@ def test_criterion_04_level_independence():
         pass_ref = fail_ref = None
         for a in levels:
             s = fam.model.scale(a)
-            level_op = frame_operator(fam, a)
+            level_op = s * classical_frame_operator(fam)  # S_a
             # level constant: largest A with scale(a) S_c >= A scale(a) K K*
             root = math.sqrt(s)
             a_level = optimal_kframe_bounds(FrameFamily(root * fam.vectors, fam.model), root * K).A
@@ -198,25 +196,33 @@ def test_criterion_04_level_independence():
 
 
 def test_criterion_05_atomic_equivalence():
+    # atomic decides K = F W; its factorization is douglas_factorize(K, F),
+    # whose W gives the coefficients beta = W f of K f = sum beta_i f_i
     rng = np.random.default_rng(5)
     ok = True
     for k in range(200):
         field = "complex" if k % 2 else "real"
         fam, K = rand_kframe_instance(rng, 4, 6, field)
         f = rand_vector(rng, 4, field)
-        coeffs = atomic_coefficients(fam, K, f)
-        ok &= coeffs.residual <= 1e-9
-        ok &= np.linalg.norm(coeffs.beta) <= coeffs.C * np.linalg.norm(f) + 1e-9
-        cert = optimal_kframe_bounds(fam, K)
-        if coeffs.C > 0 and math.isfinite(cert.A):
-            ok &= 1.0 / coeffs.C**2 <= cert.A + 1e-9
+        body, code = run_problem("atomic", fam, operator_K=K)
+        ok &= code == 0 and body["atomic_holds"]
+        C, A = body["coefficient_norm_constant"], body["certificate"]["A"]
+        F = synthesis_matrix(fam)
+        factor = douglas_factorize(K, F)
+        ok &= abs(factor.lam - C) <= 1e-12 * C
+        beta = factor.W @ f
+        ok &= np.linalg.norm(K @ f - F @ beta) <= 1e-9
+        ok &= np.linalg.norm(beta) <= C * np.linalg.norm(f) + 1e-9
+        if C > 0 and math.isfinite(A):
+            ok &= 1.0 / C**2 <= A + 1e-9
     for k in range(50):
         field = "complex" if k % 2 else "real"
         fam, K = rand_deficient_instance(rng, 4, 6, field)
-        cert = optimal_kframe_bounds(fam, K)
-        ok &= cert.A == 0.0
+        body, code = run_problem("atomic", fam, operator_K=K)
+        ok &= code == 1 and not body["atomic_holds"] and body["certificate"]["A"] == 0.0
+        ok &= body["coefficient_norm_constant"] is None
         try:
-            atomic_coefficients(fam, K, rand_vector(rng, 4, field))
+            douglas_factorize(K, synthesis_matrix(fam))
             ok = False  # the coefficient construction must fail with the certificate
         except RangeInclusionError:
             pass
@@ -224,20 +230,24 @@ def test_criterion_05_atomic_equivalence():
 
 
 def test_criterion_06_canonical_atomic_system():
+    # the family {K e_i} of K's columns, decided by atomic
     rng = np.random.default_rng(6)
     ok = True
     for k in range(100):
         field = "complex" if k % 2 else "real"
         model = FuzzyModel(BaseSpace(4, field), "scaled")
         K = rand_matrix(rng, 4, 4, field)
-        fam, cert = atomic_system_from_operator(model, K)
+        fam = FrameFamily(K.T, model)
         f = rand_vector(rng, 4, field)
         a = float(rng.uniform(0.05, 0.95))
         lhs = frame_sum(fam, f, a)
         rhs = model.scale(a) * float(np.linalg.norm(K.conj().T @ f) ** 2)
         ok &= abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        ok &= cert.A == 1.0
-        ok &= abs(cert.B - spectral_norm(K) ** 2) <= 1e-9 * max(1.0, cert.B)
+        body, code = run_problem("atomic", fam, operator_K=K)
+        cert = body["certificate"]
+        ok &= code == 0 and body["atomic_holds"] and cert["tight"] and cert["parseval"]
+        ok &= abs(cert["A"] - 1.0) <= 1e-12
+        ok &= abs(cert["B"] - spectral_norm(K) ** 2) <= 1e-9 * max(1.0, cert["B"])
     criterion(6, "canonical system {K e_i}: frame sum equals ||K* f||_a^2, bounds (1, ||K||^2)", ok)
 
 
@@ -321,28 +331,34 @@ def test_criterion_09_perturbation_suite():
         ok &= out.A == pytest.approx(cert.A / (1 + eps) ** 2)
         ok &= verify_bounds(fam, out.A, out.B, K2).passed
 
-    # family case: pencil constant matches brute-force sphere search
+    # family case: perturb-family's constant matches brute-force sphere search
     for n in (2, 3, 4):
         F = rand_family(rng, n, n + 2)
         G = FrameFamily(F.vectors + 0.25 * rng.standard_normal(F.vectors.shape), F.model)
-        constant = family_perturbation_constant(F, G)
+        body, code = run_problem("perturb-family", F, family_g=G)
         s_delta = classical_frame_operator(FrameFamily(F.vectors - G.vectors, F.model))
         brute = max(
             sphere_quotient_extremum(s_delta, classical_frame_operator(F), rng, 100_000),
             sphere_quotient_extremum(s_delta, classical_frame_operator(G), rng, 100_000),
         )
-        ok &= abs(constant.M - brute) <= 1e-4 * max(1.0, abs(brute))
+        ok &= abs(body["M"] - brute) <= 1e-4 * max(1.0, abs(brute))
         cert = optimal_frame_bounds(F)
-        out = derive_family_perturbed_bounds(cert.A, cert.B, constant.M)
+        out = derive_family_perturbed_bounds(cert.A, cert.B, body["M"])
         ok &= verify_bounds(G, out.A, out.B).passed
+        ok &= code == 0 and body["verification"]["passed"]
 
-    # two-frame case: the max formula verifies the hypothesis on samples
+    # two-frame case: M = max((1 + sqrt(B/C))^2, (1 + sqrt(D/A))^2) from the
+    # bounds of F, (A, B), and of G, (C, D), is at least perturb-family's M
     for k in range(50):
         field = "complex" if k % 2 else "real"
         F = rand_family(rng, 4, 6, field)
         G = rand_family(rng, 4, 6, field)
-        out = frame_equivalence_constant(F, G)
-        ok &= out.verified
+        (a, b), (c, d) = (
+            (body["optimal_frame"]["A"], body["optimal_frame"]["B"])
+            for body, _ in (run_problem("bounds", F), run_problem("bounds", G))
+        )
+        m = max((1.0 + math.sqrt(b / c)) ** 2, (1.0 + math.sqrt(d / a)) ** 2)
+        ok &= run_problem("perturb-family", F, family_g=G)[0]["M"] <= m * (1.0 + 1e-9)
 
     criterion(9, "perturbation suite: operator grid, family constant vs search, two-frame M", ok)
 

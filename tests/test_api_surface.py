@@ -9,15 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes"
 
 #: the library-only names and the paper statement each one implements
 KEPT = {
-    "frame_operator": "the level frame operator S_a = T_a T_a*",
-    "atomic_system_from_operator": "every bounded K has an atomic system",
-    "atomic_coefficients": "a K-frame for K is an atomic system for K",
     "restricted_inverse_check": "the frame operator is invertible on range(K)",
     "bessel_pair_kframe": "a Bessel pair factoring K gives a K-frame",
-    "build_family": "the K-frames are the families T e_i with R(K) in R(T)",
-    "family_perturbation_constant": "stability under family perturbation",
-    "frame_equivalence_constant": "two frames are perturbations of each other",
-    "identity_perturbation_check": "a K-frame for K near I is a frame",
     "alpha_operator_norm": "the norm of a strongly fuzzy bounded operator",
     "psd_order_check": "the operator order of every frame inequality",
 }

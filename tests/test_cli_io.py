@@ -23,9 +23,12 @@ import fuzzyframes
 from conftest import (
     _ldexp_entries,
     assert_scaled_report,
+    problem_entries,
+    rand_family,
     reference_canonical_json,
     reference_digest,
     reference_whole_array,
+    run_problem,
     scale_operands,
 )
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, cli_io, frame_transforms, optimal_kframe_bounds
@@ -916,13 +919,6 @@ def test_canonical_json_zero_d_arrays_and_coinciding_keys():
         canonical_json({0.1: 1, np.float32(0.1): 2})
 
 
-def _entries(m: np.ndarray, field: str) -> list:
-    """A matrix as problem-file rows, complex entries as [re, im] pairs."""
-    if field == "real":
-        return m.tolist()
-    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 5),
@@ -946,11 +942,13 @@ def test_atomic_is_douglas_of_k_against_f(n, field, rank, inside, seed):
     K = F @ gauss(n, n) if inside else gauss(n, n)  # K = 0 when F = 0 and inside
     base = {"dimension": n, "field": field}
     atomic, atomic_code = run_command(
-        "atomic", parse_problem({**base, "family": _entries(F.T, field), "operator_K": _entries(K, field)})
+        "atomic", parse_problem({**base, "family": problem_entries(F.T, field),
+                                 "operator_K": problem_entries(K, field)})
     )
     douglas, douglas_code = run_command(
-        "douglas", parse_problem({**base, "family": _entries(F.T, field),
-                                  "operator_K": _entries(F, field), "operator_T": _entries(K, field)})
+        "douglas", parse_problem({**base, "family": problem_entries(F.T, field),
+                                  "operator_K": problem_entries(F, field),
+                                  "operator_T": problem_entries(K, field)})
     )
     a, d = atomic["body"], douglas["body"]
     assert a["atomic_holds"] is d["inclusion"]
@@ -1331,6 +1329,29 @@ class TestCommands:
         report, code = run_file(path, command="douglas")
         assert code == EXIT_FAIL and report["body"]["inclusion"] is False
         assert dict(linalg_calls) == {"svd": 1}
+
+    def test_perturb_family_decomposition_budget(self, linalg_calls):
+        # one SVD of each family serves M and the source frame bound, one
+        # eigh of W W* per family for M, and one Cholesky certificate per
+        # passing order check of the derived pair
+        rng = np.random.default_rng(35)
+        F, G = rand_family(rng, 3, 5), rand_family(rng, 3, 5)
+        body, code = run_problem("perturb-family", F, family_g=G)
+        assert code == EXIT_PASS and body["verification"]["passed"]
+        assert dict(linalg_calls) == {"svd": 2, "eigh": 2, "cholesky": 2}
+
+    def test_perturb_operator_decomposition_budget(self, linalg_calls):
+        # K near I against operator_T = I: one eigh of Q_t at the corner
+        # (1, 1) decides the hypothesis, the SVD of F and eigh(W W*) give the
+        # K-frame bound, and one Cholesky certifies each side of the pair
+        rng = np.random.default_rng(36)
+        fam = rand_family(rng, 3, 5)
+        K = np.eye(3) + 0.02 * rng.standard_normal((3, 3))
+        body, code = run_problem(
+            "perturb-operator", fam, operator_K=K, operator_T=np.eye(3), lambda1=0.1, lambda2=0.05
+        )
+        assert code == EXIT_PASS and body["method"] == "spectral"
+        assert dict(linalg_calls) == {"svd": 1, "eigh": 2, "cholesky": 2}
 
     @pytest.mark.parametrize("path, verdict", [(R3_FILE, "pass"), (C3_FILE, "not_applicable")])
     def test_reconstruct_decomposition_budget(self, path, verdict, linalg_calls):
@@ -2233,4 +2254,4 @@ def test_import_leaves_dataclasses_out_and_records_are_frozen():
                 with pytest.raises(AttributeError):
                     setattr(record, field, 0)
             records += 1
-    assert records == 21  # and operator_algebra._Douglas, which is private
+    assert records == 18  # and operator_algebra._Douglas, which is private

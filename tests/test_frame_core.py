@@ -1,6 +1,7 @@
 """frame_core: operators, certificates, atomic systems, reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,13 @@ from hypothesis import strategies as st
 
 from fuzzyframes import (
     BaseSpace,
+    BoundCertificate,
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
     SingularFrameOperatorError,
-    atomic_coefficients,
-    atomic_system_from_operator,
     classical_frame_operator,
     douglas_factorize,
-    frame_operator,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
@@ -36,6 +35,7 @@ from conftest import (
     rand_kframe_instance,
     rand_matrix,
     rand_vector,
+    run_problem,
     sphere_quotient_extremum,
 )
 
@@ -87,22 +87,30 @@ class TestSynthesisAnalysis:
 
 
 class TestFrameOperator:
+    """The level frame operator S_a = T_a T_a* is scale(a) S_c; scale(0.5) = 1."""
+
     def test_r3_midpoint_diagonal(self, r3_instance):
-        assert np.allclose(frame_operator(r3_instance["family"], 0.5), np.diag([2.0, 3, 6]))
+        fam = r3_instance["family"]
+        assert fam.model.scale(0.5) == 1.0
+        assert np.allclose(classical_frame_operator(fam), np.diag([2.0, 3, 6]))
 
     def test_c3_midpoint_diagonal(self, c3_instance):
-        assert np.allclose(frame_operator(c3_instance["family"], 0.5), np.diag([4.0, 1, 0]))
+        fam = c3_instance["family"]
+        assert fam.model.scale(0.5) == 1.0
+        assert np.allclose(classical_frame_operator(fam), np.diag([4.0, 1, 0]))
 
     def test_zero_family(self):
         fam = FrameFamily(np.zeros((1, 3)), REAL3)
-        assert np.allclose(frame_operator(fam, 0.5), np.zeros((3, 3)))
+        assert np.allclose(classical_frame_operator(fam), np.zeros((3, 3)))
 
     def test_scale_relation(self):
+        # S_a is the sum of the level rank-one terms scale(a) f_i f_i*
         rng = np.random.default_rng(3)
         fam = rand_family(rng, 3, 5)
-        base = classical_frame_operator(fam)
         for a in (0.2, 0.5, 0.77):
-            assert np.allclose(frame_operator(fam, a), fam.model.scale(a) * base)
+            s = fam.model.scale(a)
+            terms = sum(s * np.outer(v, v.conj()) for v in fam.vectors)
+            assert np.allclose(s * classical_frame_operator(fam), terms)
 
 
 class TestFrameSum:
@@ -129,7 +137,8 @@ class TestFrameSum:
         for _ in range(20):
             f = rand_vector(rng, 4, "complex")
             a = float(rng.uniform(0.05, 0.95))
-            pairing = float(np.real(np.vdot(f, frame_operator(fam, a) @ f)))
+            s_a = fam.model.scale(a) * classical_frame_operator(fam)
+            pairing = float(np.real(np.vdot(f, s_a @ f)))
             assert frame_sum(fam, f, a) == pytest.approx(pairing, rel=1e-10)
 
 
@@ -473,18 +482,26 @@ class TestRescale:
 
 
 class TestAtomicSystem:
+    """Every bounded K has the atomic system {K e_i}, K's columns: atomic
+    decides it a Parseval K-frame with B = ||K||^2."""
+
     def test_identity_gives_standard_basis(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
-        fam, cert = atomic_system_from_operator(model, np.eye(3))
-        assert np.allclose(fam.vectors, np.eye(3))
-        assert cert.parseval and cert.A == 1.0 and cert.B == pytest.approx(1.0)
+        body, code = run_problem("atomic", FrameFamily(np.eye(3).T, model), operator_K=np.eye(3))
+        cert = body["certificate"]
+        assert code == 0 and body["atomic_holds"]
+        assert cert["parseval"] and cert["A"] == pytest.approx(1.0, rel=1e-12)
+        assert cert["B"] == pytest.approx(1.0)
 
     def test_c3_operator_canonical_family(self, c3_instance):
-        fam, cert = atomic_system_from_operator(c3_instance["model"], c3_instance["K"])
+        K = c3_instance["K"]
+        fam = FrameFamily(K.T, c3_instance["model"])
         assert np.allclose(fam.vectors, [[1, 0, 0], [1, -1, 0], [1, 1, 0]])
+        body, code = run_problem("atomic", fam, operator_K=K)
+        assert code == 0 and body["certificate"]["parseval"]
+        assert body["certificate"]["B"] == pytest.approx(3.0)  # ||K||^2
         # frame sum = 3|f1|^2 + 2|f2|^2 = ||K* f||^2
         rng = np.random.default_rng(29)
-        K = c3_instance["K"]
         for _ in range(20):
             f = rand_vector(rng, 3, "complex")
             a = float(rng.uniform(0.05, 0.95))
@@ -497,40 +514,53 @@ class TestAtomicSystem:
             field = "complex" if k % 2 else "real"
             model = FuzzyModel(BaseSpace(4, field), "scaled")
             K = rand_matrix(rng, 4, 4, field)
-            fam, cert = atomic_system_from_operator(model, K)
+            fam = FrameFamily(K.T, model)
             f = rand_vector(rng, 4, field)
             lhs = frame_sum(fam, f, 0.5)
             rhs = np.linalg.norm(K.conj().T @ f) ** 2
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
-            assert cert.B == pytest.approx(spectral_norm(K) ** 2)
+            body, code = run_problem("atomic", fam, operator_K=K)
+            assert code == 0 and body["certificate"]["A"] == pytest.approx(1.0, rel=1e-12)
+            assert body["certificate"]["B"] == pytest.approx(spectral_norm(K) ** 2)
 
 
 class TestAtomicCoefficients:
+    """The coefficients beta = W f with K f = sum beta_i f_i come from the
+    factorization K = F W of douglas_factorize(K, F), which atomic runs;
+    its C = ||W|| bounds ||beta|| <= C ||f||."""
+
     def test_identity_basis(self):
         fam = standard_basis_family()
-        result = atomic_coefficients(fam, np.eye(3), np.array([1.0, 2, 3]))
-        assert np.allclose(result.beta, [1.0, 2, 3])
-        assert result.C == pytest.approx(1.0)
-        assert result.norm_bound_ok
+        factor = douglas_factorize(np.eye(3), synthesis_matrix(fam))
+        f = np.array([1.0, 2, 3])
+        assert np.allclose(factor.W @ f, [1.0, 2, 3])
+        body, code = run_problem("atomic", fam, operator_K=np.eye(3))
+        assert code == 0 and body["coefficient_norm_constant"] == pytest.approx(1.0)
+        assert body["coefficient_norm_constant"] == factor.lam
 
     def test_r3_solves_for_e1(self, r3_instance):
-        result = atomic_coefficients(
-            r3_instance["family"], r3_instance["K"], np.array([1.0, 0, 0])
-        )
-        assert result.residual <= 1e-10
+        F, K = synthesis_matrix(r3_instance["family"]), r3_instance["K"]
+        f = np.array([1.0, 0, 0])
+        beta = douglas_factorize(K, F).W @ f
+        assert np.linalg.norm(K @ f - F @ beta) <= 1e-10
 
     def test_c3_solves_for_e3(self, c3_instance):
+        F, K = synthesis_matrix(c3_instance["family"]), c3_instance["K"]
         f = np.array([0, 0, 1], dtype=complex)
-        result = atomic_coefficients(c3_instance["family"], c3_instance["K"], f)
-        F = synthesis_matrix(c3_instance["family"])
-        assert np.allclose(F @ result.beta, [1, 1, 0])  # K e3 = e1 + e2
-        assert result.residual <= 1e-10
+        factor = douglas_factorize(K, F)
+        beta = factor.W @ f
+        assert np.allclose(F @ beta, [1, 1, 0])  # K e3 = e1 + e2
+        assert np.linalg.norm(K @ f - F @ beta) <= 1e-10
+        assert np.linalg.norm(beta) <= factor.lam * np.linalg.norm(f) * (1 + 1e-12)
 
     def test_range_deficit_raises(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0.0]]), model)
-        with pytest.raises(RangeInclusionError, match="atomic"):
-            atomic_coefficients(fam, np.eye(2), np.array([0.0, 1.0]))
+        with pytest.raises(RangeInclusionError, match="not contained"):
+            douglas_factorize(np.eye(2), synthesis_matrix(fam))
+        body, code = run_problem("atomic", fam, operator_K=np.eye(2))
+        assert code == 1 and not body["atomic_holds"]
+        assert body["coefficient_norm_constant"] is None
 
 
 class TestEquivalence:
@@ -559,7 +589,7 @@ class TestEquivalence:
         for _ in range(10):
             model = FuzzyModel(BaseSpace(3, "real"), "scaled")
             K = rand_matrix(rng, 3, 3)
-            fam, _ = atomic_system_from_operator(model, K)
+            fam = FrameFamily(K.T, model)  # {K e_i}
             assert douglas_factorize(K, synthesis_matrix(fam)).lam == pytest.approx(1.0, rel=1e-9)
             assert optimal_kframe_bounds(fam, K).A == pytest.approx(1.0, rel=1e-9)
 
@@ -640,6 +670,41 @@ class TestRestrictedInverse:
                 assert report.passed == (report.injective and expected)
                 verdicts.append(report.passed)
         assert verdicts == [True, False, False] * 4
+
+
+class TestRestrictedInverseScale:
+    """restricted_inverse_check decides at unit scale: scaling the family by
+    c, or K by k, changes no verdict and scales ||K+|| by 1 / k."""
+
+    SANDWICH = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # S_c = [[2, 1], [1, 2]]
+
+    def report(self, c, k, certificate=None):
+        fam = FrameFamily(c * self.SANDWICH, FuzzyModel(BaseSpace(2, "real"), "scaled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return restricted_inverse_check(fam, k * np.eye(2), certificate)
+
+    @pytest.mark.parametrize(
+        "c, k", [(1e-100, 1.0), (1e-160, 1.0), (1e80, 1.0), (1e160, 1.0), (1.0, 1e-150), (1.0, 1e150)]
+    )
+    def test_verdict_at_every_scale(self, c, k):
+        base, scaled = self.report(1.0, 1.0), self.report(c, k)
+        assert base.passed and base.injective
+        assert (scaled.passed, scaled.injective) == (base.passed, base.injective)
+        assert scaled.dagger_norm == pytest.approx(base.dagger_norm / k, rel=1e-12)
+
+    @pytest.mark.parametrize("c, k", [(1e-100, 1.0), (1e80, 1.0), (1.0, 1e-150), (1.0, 1e150)])
+    def test_certificate_at_every_scale(self, c, k):
+        # the optimal pair (1, 3) of the unit family for K = I, carried to
+        # c F and k K as (c^2 / k^2, 3 c^2); one above it fails at every scale
+        for a, passed in ((1.0, True), (1.5, False)):
+            cert = BoundCertificate(a * c**2 / k**2, 3.0 * c**2, kframe=True)
+            base = self.report(1.0, 1.0, BoundCertificate(a, 3.0, kframe=True))
+            scaled = self.report(c, k, cert)
+            assert base.passed is scaled.passed is passed
+            assert scaled.max_violation_forward == pytest.approx(
+                c**2 * base.max_violation_forward, rel=1e-9, abs=1e-9 * c**2
+            )
 
 
 class TestScaleInvariantRankRules:

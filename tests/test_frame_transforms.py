@@ -11,7 +11,6 @@ from fuzzyframes import (
     FuzzyModel,
     RangeInclusionError,
     bessel_pair_kframe,
-    build_family,
     combine,
     douglas_factorize,
     operator_transfer,
@@ -21,7 +20,7 @@ from fuzzyframes import (
     verify_bounds,
 )
 from fuzzyframes import frame_transforms
-from conftest import rand_family, rand_kframe_instance, rand_matrix, rand_vector
+from conftest import rand_family, rand_kframe_instance, rand_matrix, rand_vector, run_problem
 
 
 def diag_family(entries, field="real", profile="scaled"):
@@ -387,21 +386,25 @@ class TestSynthesisCharacterization:
             assert kframe == (k % 2 == 1)
 
     def test_build_family_from_construction(self):
+        # the K-frames are the families T e_i of T's columns with
+        # range(K) <= range(T), which check-kframe decides
         rng = np.random.default_rng(43)
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         for _ in range(10):
             T = rng.standard_normal((3, 5))
             K = T @ rng.standard_normal((5, 3))  # range(K) <= range(T)
-            family, cert = build_family(model, T, K)
-            assert np.array_equal(synthesis_matrix(family), T)
-            assert synthesis_inclusion(family, K) and cert.A > 0.0
+            family = FrameFamily(T.T, model)
+            body, code = run_problem("check-kframe", family, operator_K=K)
+            assert synthesis_inclusion(family, K) and code == 0
             # the optimal bound is 1 / lam^2 for lam = ||T^+ K||
             lam = douglas_factorize(K, T).lam
-            assert 1.0 / math.sqrt(cert.A) == pytest.approx(lam, rel=1e-12)
+            assert 1.0 / math.sqrt(body["optimal_kframe"]["A"]) == pytest.approx(lam, rel=1e-12)
         # range(I) escapes a rank-2 T: no inclusion, A = 0
         T = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
-        family, cert = build_family(model, T, np.eye(3))
-        assert not synthesis_inclusion(family, np.eye(3)) and cert.A == 0.0
+        family = FrameFamily(T.T, model)
+        body, code = run_problem("check-kframe", family, operator_K=np.eye(3))
+        assert not synthesis_inclusion(family, np.eye(3))
+        assert code == 1 and body["optimal_kframe"]["A"] == 0.0
 
 
 @pytest.mark.parametrize(

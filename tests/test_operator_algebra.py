@@ -13,7 +13,6 @@ from fuzzyframes import (
     RangeInclusionError,
     alpha_operator_norm,
     douglas_factorize,
-    family_perturbation_constant,
     optimal_kframe_bounds,
     psd_order_check,
     spectral_norm,
@@ -25,7 +24,8 @@ from fuzzyframes.operator_algebra import (
     _order_decision,
     hermitian_part,
 )
-from conftest import alpha_inner, operator_norm_sampled, rand_matrix, rand_vector
+from fuzzyframes.perturbation import _family_constant
+from conftest import alpha_inner, operator_norm_sampled, rand_matrix, rand_vector, run_problem
 
 
 class TestAdjoint:
@@ -226,7 +226,7 @@ class TestSymmetrizationWarning:
             warnings.simplefilter("error")
             douglas_factorize(m, n)
             optimal_kframe_bounds(family, m)
-            family_perturbation_constant(family, other)
+            _family_constant(family, other, 0, PSD_TOL)  # perturb-family's M
 
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
@@ -401,10 +401,10 @@ class TestPencils:
         assert optimal_kframe_bounds(family_with_synthesis(n), m).A == pytest.approx(3.0 / 4.0)
         # difference synthesis m: sup 4/3 against S_F = diag(3, 2, 1), and
         # 4 / (2 - sqrt 3)^2 against S_G = diag((sqrt 3 - 2)^2, (sqrt 2 - 1)^2, 1)
-        constant = family_perturbation_constant(
-            family_with_synthesis(n), family_with_synthesis(n - m)
+        body, _ = run_problem(
+            "perturb-family", family_with_synthesis(n), family_g=family_with_synthesis(n - m)
         )
-        assert constant.M == pytest.approx(4.0 / (2.0 - math.sqrt(3.0)) ** 2)
+        assert body["M"] == pytest.approx(4.0 / (2.0 - math.sqrt(3.0)) ** 2)
 
     def test_sup_infinite_on_kernel_escape(self):
         # M M* = I against diag(1, 0): e2 carries energy in the kernel
@@ -414,11 +414,11 @@ class TestPencils:
         assert abs(cert.witness_lower[1]) == pytest.approx(1.0)
         with pytest.raises(RangeInclusionError):
             douglas_factorize(np.eye(2), n)
-        constant = family_perturbation_constant(
-            family_with_synthesis(n), family_with_synthesis(np.eye(2))
+        body, code = run_problem(
+            "perturb-family", family_with_synthesis(n), family_g=family_with_synthesis(np.eye(2))
         )
-        assert not constant.finite
-        assert abs(constant.witness[1]) == pytest.approx(1.0)
+        assert code == 1 and not body["finite"] and body["M"] == math.inf
+        assert abs(body["witness"][1]) == pytest.approx(1.0)
 
     def test_inf_kernel_aware(self):
         # S_c = [[1, 1], [1, 2]] against K K* = diag(1, 0): the quotient

@@ -13,17 +13,17 @@ from fuzzyframes import (
     classical_frame_operator,
     derive_family_perturbed_bounds,
     derive_operator_perturbed_bounds,
-    family_perturbation_constant,
-    frame_equivalence_constant,
     frame_sum,
-    identity_perturbation_check,
     optimal_kframe_bounds,
     verify_bounds,
 )
+from fuzzyframes.operator_algebra import PSD_TOL
+from fuzzyframes.perturbation import _family_constant
 from conftest import (
     rand_family,
     rand_kframe_instance,
     rand_matrix,
+    run_problem,
     sphere_quotient_extremum,
     sphere_violation_max,
 )
@@ -139,47 +139,49 @@ class TestOperatorDerivedBounds:
 
 
 class TestFamilyConstant:
+    """The minimal M of the family hypothesis, perturb-family's ``M``."""
+
     def test_identical_families_give_zero(self):
         rng = np.random.default_rng(11)
         fam = rand_family(rng, 3, 5)
-        out = family_perturbation_constant(fam, fam)
-        assert out.M == pytest.approx(0.0, abs=1e-12)
-        assert out.stronger_than_hypothesis
+        body, _ = run_problem("perturb-family", fam, family_g=fam)
+        assert body["M"] == pytest.approx(0.0, abs=1e-12)
+        assert body["stronger_than_hypothesis"]
 
     def test_doubled_family(self):
         rng = np.random.default_rng(13)
         fam = rand_family(rng, 3, 5)
         doubled = FrameFamily(2.0 * fam.vectors, fam.model)
-        out = family_perturbation_constant(fam, doubled)
-        assert out.M == pytest.approx(1.0, rel=1e-9)
+        body, _ = run_problem("perturb-family", fam, family_g=doubled)
+        assert body["M"] == pytest.approx(1.0, rel=1e-9)
 
     def test_small_perturbation_of_r3_family(self, r3_instance):
         rng = np.random.default_rng(17)
         fam = r3_instance["family"]
         moved = FrameFamily(fam.vectors + 0.05 * rng.standard_normal((3, 3)), fam.model)
-        out = family_perturbation_constant(fam, moved)
-        assert out.finite and out.M < 0.1
+        body, _ = run_problem("perturb-family", fam, family_g=moved)
+        assert body["finite"] and body["M"] < 0.1
         # hypothesis holds pointwise at M + 1e-9 on sampled vectors
         for _ in range(200):
             f = rng.standard_normal(3)
             diff = frame_sum(FrameFamily(fam.vectors - moved.vectors, fam.model), f, 0.5)
             lhs = min(frame_sum(fam, f, 0.5), frame_sum(moved, f, 0.5))
-            assert diff <= (out.M + 1e-9) * lhs + 1e-12
+            assert diff <= (body["M"] + 1e-9) * lhs + 1e-12
 
     def test_infinite_when_kernel_escapes(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         F = FrameFamily(np.array([[1.0, 0.0]]), model)  # frame sum misses e2
         G = FrameFamily(np.array([[1.0, 1.0]]), model)
-        out = family_perturbation_constant(F, G)
-        assert not out.finite and math.isinf(out.M)
-        assert out.witness is not None
+        body, code = run_problem("perturb-family", F, family_g=G)
+        assert code == 1 and not body["finite"] and math.isinf(body["M"])
+        assert body["witness"] is not None
 
     def test_matches_sphere_search(self):
         rng = np.random.default_rng(19)
         for n in (2, 3, 4):
             F = rand_family(rng, n, n + 2)
             G = FrameFamily(F.vectors + 0.3 * rng.standard_normal(F.vectors.shape), F.model)
-            out = family_perturbation_constant(F, G)
+            body, _ = run_problem("perturb-family", F, family_g=G)
             s_delta = classical_frame_operator(
                 FrameFamily(F.vectors - G.vectors, F.model)
             )
@@ -187,12 +189,12 @@ class TestFamilyConstant:
                 sphere_quotient_extremum(s_delta, classical_frame_operator(F), rng, 100_000),
                 sphere_quotient_extremum(s_delta, classical_frame_operator(G), rng, 100_000),
             )
-            assert out.M == pytest.approx(brute, rel=1e-4)
+            assert body["M"] == pytest.approx(brute, rel=1e-4)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(23)
-        with pytest.raises(ValueError):
-            family_perturbation_constant(rand_family(rng, 3, 4), rand_family(rng, 3, 5))
+        with pytest.raises(ValueError, match="equal lengths"):
+            _family_constant(rand_family(rng, 3, 4), rand_family(rng, 3, 5), 0, PSD_TOL)
 
 
 class TestFamilyDerivedBounds:
@@ -209,9 +211,11 @@ class TestFamilyDerivedBounds:
         fam, K = r3_instance["family"], r3_instance["K"]
         moved = FrameFamily(fam.vectors + 0.05 * rng.standard_normal((3, 3)), fam.model)
         cert = optimal_kframe_bounds(fam, K)
-        m = family_perturbation_constant(fam, moved)
-        out = derive_family_perturbed_bounds(cert.A, cert.B, m.M)
+        body, code = run_problem("perturb-family", fam, family_g=moved, operator_K=K)
+        out = derive_family_perturbed_bounds(cert.A, cert.B, body["M"])
         assert verify_bounds(moved, out.A, out.B, K).passed
+        assert code == 0 and body["verification"]["passed"]
+        assert body["derived"]["A"] == pytest.approx(out.A, rel=1e-12)
 
     def test_monotone_in_m(self):
         grid = np.linspace(0.0, 4.0, 9)
@@ -223,21 +227,35 @@ class TestFamilyDerivedBounds:
             derive_family_perturbed_bounds(1.0, 2.0, math.inf)
 
 
+def frame_bounds(family: FrameFamily) -> tuple[float, float]:
+    """The optimal frame bounds (A, B) of the bounds command."""
+    body, _ = run_problem("bounds", family)
+    return body["optimal_frame"]["A"], body["optimal_frame"]["B"]
+
+
 class TestFrameEquivalence:
+    """Any two frames, with bounds (A, B) and (C, D), are perturbations of
+    each other at M = max((1 + sqrt(B/C))^2, (1 + sqrt(D/A))^2): M is at
+    least perturb-family's minimal M."""
+
     def test_identical_bases(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
-        out = frame_equivalence_constant(basis, basis)
-        assert out.M == pytest.approx(4.0)
-        assert out.verified  # difference family vanishes
+        (a, b), (c, d) = frame_bounds(basis), frame_bounds(basis)
+        m = max((1.0 + math.sqrt(b / c)) ** 2, (1.0 + math.sqrt(d / a)) ** 2)
+        assert m == pytest.approx(4.0)
+        body, _ = run_problem("perturb-family", basis, family_g=basis)
+        assert body["M"] == 0.0  # difference family vanishes
 
     def test_scaled_basis_pair(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
         doubled = FrameFamily(2.0 * np.eye(3), model)
-        out = frame_equivalence_constant(basis, doubled)
-        assert out.M == pytest.approx(9.0)
-        assert out.verified
+        (a, b), (c, d) = frame_bounds(basis), frame_bounds(doubled)
+        m = max((1.0 + math.sqrt(b / c)) ** 2, (1.0 + math.sqrt(d / a)) ** 2)
+        assert m == pytest.approx(9.0)
+        body, _ = run_problem("perturb-family", basis, family_g=doubled)
+        assert body["M"] == pytest.approx(1.0) and body["M"] <= m
 
     def test_random_frame_pairs(self):
         rng = np.random.default_rng(31)
@@ -245,8 +263,10 @@ class TestFrameEquivalence:
             field = "complex" if k % 2 else "real"
             F = rand_family(rng, 4, 6, field)
             G = rand_family(rng, 4, 6, field)
-            out = frame_equivalence_constant(F, G)
-            assert out.verified
+            (a, b), (c, d) = frame_bounds(F), frame_bounds(G)
+            m = max((1.0 + math.sqrt(b / c)) ** 2, (1.0 + math.sqrt(d / a)) ** 2)
+            body, _ = run_problem("perturb-family", F, family_g=G)
+            assert body["M"] <= m * (1.0 + 1e-9)
 
     def test_minimal_constant_matches_sphere_search(self):
         rng = np.random.default_rng(33)
@@ -254,67 +274,51 @@ class TestFrameEquivalence:
             field = "complex" if k % 2 else "real"
             F = rand_family(rng, 3, 5, field)
             G = rand_family(rng, 3, 5, field)
-            out = frame_equivalence_constant(F, G)
+            (a, b), (c, d) = frame_bounds(F), frame_bounds(G)
+            m = max((1.0 + math.sqrt(b / c)) ** 2, (1.0 + math.sqrt(d / a)) ** 2)
+            body, _ = run_problem("perturb-family", F, family_g=G)
             s_delta = classical_frame_operator(FrameFamily(F.vectors - G.vectors, F.model))
             brute = max(
                 sphere_quotient_extremum(s_delta, classical_frame_operator(F), rng, 20_000),
                 sphere_quotient_extremum(s_delta, classical_frame_operator(G), rng, 20_000),
             )
-            assert out.minimal_M == pytest.approx(brute, rel=1e-4)
-            assert out.verified == (brute <= out.M)
-
-    def test_decomposes_each_family_once(self, linalg_calls):
-        # one SVD of each synthesis matrix (n = 3 is below the QR reduction)
-        # serves both frame bounds and the minimal constant; one eigh of W W*
-        # per family
-        rng = np.random.default_rng(35)
-        F = rand_family(rng, 3, 5)
-        G = rand_family(rng, 3, 5)
-        linalg_calls.clear()
-        assert frame_equivalence_constant(F, G).verified
-        assert dict(linalg_calls) == {"svd": 2, "eigh": 2}
-
-    def test_requires_frames(self):
-        model = FuzzyModel(BaseSpace(2, "real"), "scaled")
-        flat = FrameFamily(np.array([[1.0, 0.0], [2.0, 0.0]]), model)
-        full = FrameFamily(np.eye(2), model)
-        with pytest.raises(ValueError, match="frames"):
-            frame_equivalence_constant(flat, full)
+            assert body["M"] == pytest.approx(brute, rel=1e-4)
+            assert brute <= m
 
 
 class TestIdentityPerturbation:
+    """A K-frame for K near I is a frame: perturb-operator with operator_T = I
+    decides ||K* f - f|| <= lam1 ||K* f|| + lam2 ||f|| and verifies the
+    frame pair A ((1 - lam2) / (1 + lam1))^2, B."""
+
     def test_identity_with_zero_constants(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
-        out = identity_perturbation_check(np.eye(3), 0.0, 0.0, basis)
-        assert out.hypothesis.verified
-        assert out.derived.A == pytest.approx(1.0)
-        assert out.verification.passed
+        body, code = run_problem("perturb-operator", basis, operator_K=np.eye(3),
+                                 operator_T=np.eye(3))
+        assert code == 0 and body["hypothesis_verified"]
+        assert body["derived"]["A"] == pytest.approx(1.0)
+        assert body["verification"]["passed"]
 
     def test_slightly_inflated_identity(self):
         rng = np.random.default_rng(37)
         fam = rand_family(rng, 3, 5)
-        K = 1.05 * np.eye(3)
-        out = identity_perturbation_check(K, 0.0, 0.05, fam)
-        assert out.hypothesis.verified
-        assert out.derived is not None
-        assert out.verification.passed
+        body, code = run_problem("perturb-operator", fam, operator_K=1.05 * np.eye(3),
+                                 operator_T=np.eye(3), lambda2=0.05)
+        assert code == 0 and body["hypothesis_verified"]
+        assert "derived" in body
+        assert body["verification"]["passed"]
 
     def test_singular_operator_fails_near_kernel(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
-        out = identity_perturbation_check(K, 0.1, 0.1, fam)
-        assert not out.hypothesis.verified
-        w = out.hypothesis.witness
+        body, code = run_problem("perturb-operator", fam, operator_K=K,
+                                 operator_T=np.eye(3), lambda1=0.1, lambda2=0.1)
+        assert code == 1 and not body["hypothesis_verified"]
+        w = body["witness"]
         # violation concentrates where K* annihilates f
         lhs = np.linalg.norm(K.conj().T @ w - w)
         rhs = 0.1 * np.linalg.norm(K.conj().T @ w) + 0.1 * np.linalg.norm(w)
         assert lhs > rhs
-
-    def test_constant_domain(self):
-        model = FuzzyModel(BaseSpace(2, "real"), "scaled")
-        basis = FrameFamily(np.eye(2), model)
-        with pytest.raises(ValueError):
-            identity_perturbation_check(np.eye(2), 1.0, 0.0, basis)
 
 
 class TestSymmetryCorollary:
