@@ -15,7 +15,6 @@ from .operator_algebra import (
     RangeInclusionError,
     alpha_operator_norm,
     douglas_factorize,
-    psd_order_check,
     spectral_norm,
 )
 from .frame_core import (
@@ -33,7 +32,6 @@ from .frame_core import (
 )
 from .frame_transforms import (
     DerivedBound,
-    bessel_pair_kframe,
     combine,
     operator_transfer,
     transform_family,
@@ -53,7 +51,6 @@ __all__ = [
     "RangeInclusionError",
     "alpha_operator_norm",
     "douglas_factorize",
-    "psd_order_check",
     "spectral_norm",
     "BoundCertificate",
     "FrameFamily",
@@ -67,7 +64,6 @@ __all__ = [
     "synthesis_matrix",
     "verify_bounds",
     "DerivedBound",
-    "bessel_pair_kframe",
     "combine",
     "operator_transfer",
     "transform_family",

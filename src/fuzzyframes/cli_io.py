@@ -854,7 +854,7 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     F = p.frame_family()
     G = FrameFamily(p.need("family_g"), p.model)
     f, g, k = (p.exponents[name] for name in ("family", "family_g", "operator_K"))
-    constant, svd_f, _ = _family_constant(F, G, f - g, p.tolerance)
+    constant, svd_f = _family_constant(F, G, f - g, p.tolerance)
     body: dict = {
         "M": constant.M,
         "finite": constant.finite,

@@ -1,5 +1,5 @@
-"""Closure operations: combining the operators of a K-frame, transporting a
-family by an operator, and certifying frames from factorizations.
+"""Closure operations: combining the operators of a K-frame and transporting
+a family by an operator.
 
 Every derived bound produced here is validated through
 :func:`fuzzyframes.frame_core.verify_bounds` before being reported.
@@ -30,7 +30,6 @@ from .frame_core import (
     BoundCertificate,
     FrameFamily,
     VerificationResult,
-    optimal_frame_bounds,
     optimal_kframe_bounds,
     synthesis_matrix,
     _optimal_bounds,
@@ -52,11 +51,9 @@ __all__ = [
     "VARIANTS",
     "DerivedBound",
     "CombinationResult",
-    "BesselPairResult",
     "TransformResult",
     "TransferResult",
     "combine",
-    "bessel_pair_kframe",
     "transform_family",
     "operator_transfer",
 ]
@@ -153,46 +150,6 @@ def combine(
     optimal = _optimal_bounds(family, held, *svd, tol)
     ratio = math.ldexp(lower, 2 * e) / optimal.A if 0.0 < optimal.A < math.inf else None
     return CombinationResult(op, DerivedBound(lower, upper), verification, optimal, e, ratio)
-
-
-class BesselPairResult(NamedTuple):
-    operator: np.ndarray
-    factorization_residual: float
-    derived: DerivedBound
-    verification: VerificationResult
-
-
-def bessel_pair_kframe(
-    F: FrameFamily,
-    G: FrameFamily,
-    K: np.ndarray,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
-    tol: float = PSD_TOL,
-) -> BesselPairResult:
-    """Certify F as a K-frame from the factorization T_F T_G* = K.
-
-    States the construction of K-frames from a pair of Bessel sequences.
-    With Bessel bounds C for F and D for G, the factorization forces the
-    lower bound 1/D for F (swap the arguments for the twin statement with
-    1/C).  A failed factorization identity is an error with the residual.
-    """
-    k = as_matrix(K)
-    tf = synthesis_matrix(F)
-    tg = synthesis_matrix(G)
-    if tf.shape[1] != tg.shape[1]:
-        raise ValueError("families must share a coefficient space")
-    bessel_f = optimal_frame_bounds(F)
-    bessel_g = optimal_frame_bounds(G)
-    residual = float(np.linalg.norm(tf @ tg.conj().T - k))
-    # ||T_F||_F ||T_G||_F bounds the size of T_F T_G*
-    if not within_tolerance(residual, tol, float(np.linalg.norm(tf) * np.linalg.norm(tg))):
-        raise ValueError(
-            f"synthesis factorization does not reproduce K (residual {residual:.3e})"
-        )
-    lower = 1.0 / bessel_g.B
-    verification = verify_bounds(F, lower, bessel_f.B, k, alphas, convention, tol)
-    return BesselPairResult(k, residual, DerivedBound(lower, bessel_f.B), verification)
 
 
 class TransformResult(NamedTuple):

@@ -35,7 +35,6 @@ scales each by a power of two).  Off it a call can raise or fail, but
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -53,8 +52,6 @@ __all__ = [
     "spectral_norm",
     "alpha_operator_norm",
     "within_tolerance",
-    "hermitian_part",
-    "psd_order_check",
     "douglas_factorize",
 ]
 
@@ -143,21 +140,6 @@ def within_tolerance(excess: float, tol: float, scale: float) -> bool:
     return math.isfinite(scale) and bool(excess <= tol * scale)
 
 
-def hermitian_part(P: np.ndarray) -> np.ndarray:
-    """Symmetrize; an asymmetry max|m - m*| / 2 beyond 1e-8 of max|h| warns
-    (h the Hermitian part)."""
-    m = as_matrix(P)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    h = 0.5 * m + 0.5 * m.conj().T  # halving first: no overflow near the double range
-    skew = float(np.abs(m - h).max(initial=0.0))
-    if not within_tolerance(skew, 1e-8, float(np.abs(h).max(initial=0.0))):
-        warnings.warn(
-            f"matrix symmetrized, asymmetry {skew:.3e}", RuntimeWarning, stacklevel=2
-        )
-    return h
-
-
 def _finite(what: str, compute):
     """compute(), or an OverflowError naming ``what`` when any entry of it is
     inf or NaN, with numpy's floating-point warnings silenced meanwhile.  A
@@ -236,34 +218,6 @@ def _order_decision(
     if within_tolerance(-lam_min, tol, scale):
         return True, None, lam_min
     return False, v[:, 0], lam_min
-
-
-def psd_order_check(
-    P: np.ndarray, Q: np.ndarray, tol: float = PSD_TOL
-) -> tuple[bool, Optional[np.ndarray], Optional[float]]:
-    """Decide P <= Q in the positive-semidefinite order.
-
-    States the operator order of every frame and K-frame inequality of the
-    paper, A K K* <= S_c <= B I; ``verify_bounds`` runs the same decision.
-
-    Returns (ok, witness, lambda_min) where the witness is the unit
-    eigenvector minimizing <(Q - P) f, f> whenever the order fails.  The
-    slack is relative to the operands: lambda_min >= -tol * scale with
-    scale = max(max|diag P|, max|diag Q|) of the symmetrized sides, which
-    for PSD sides lies within a factor n of max(||P||, ||Q||).
-
-    Both sides are symmetrized, then one Cholesky factorization of Q - P
-    shifted by half the slack certifies a pass with no eigenvalue computed;
-    lambda_min is then None.  When it does not, one eigh decides, so a
-    failing margin and its witness come from one eigendecomposition.  A side
-    holding inf or NaN raises ValueError naming it.
-    """
-    for name, side in (("P", P), ("Q", Q)):
-        if not np.isfinite(as_matrix(side)).all():
-            raise ValueError(f"{name} is not finite: no order decision")
-    p, q = hermitian_part(P), hermitian_part(Q)
-    scale = max(float(np.abs(m.diagonal()).max(initial=0.0)) for m in (p, q))
-    return _order_decision(q - p, tol, scale)
 
 
 def _rank(s: np.ndarray) -> int:

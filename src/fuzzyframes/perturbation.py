@@ -200,10 +200,10 @@ class FamilyPerturbation(NamedTuple):
 
 def _family_constant(
     F: FrameFamily, G: FrameFamily, shift: int, tol: float
-) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[FamilyPerturbation, tuple[np.ndarray, np.ndarray]]:
     """perturb-family's M, the minimal M with sum |<f, f_i - g_i>_a|^2 <=
     M min(frame sums of 2^shift F and G), with range inclusion decided
-    within tol, and the left singular pairs of F and of G.
+    within tol, and the left singular pairs of F.
 
     With D the synthesis matrix of the difference family, M is
     max(||F^dagger D||^2, ||G^dagger D||^2), +inf exactly when range(D)
@@ -214,17 +214,17 @@ def _family_constant(
         raise ValueError("families must have equal lengths and spaces")
     top = max(shift, 0)
     d = (_ldexp(F.vectors, shift - top) - _ldexp(G.vectors, -top)).T
-    svd_f, svd_g = _synthesis_svd(F), _synthesis_svd(G)
+    svd_f = _synthesis_svd(F)
     value, side = -1.0, None
-    for svd, power in ((svd_f, 2 * (top - shift)), (svd_g, 2 * top)):
+    for svd, power in ((svd_f, 2 * (top - shift)), (_synthesis_svd(G), 2 * top)):
         s = _douglas(d, *svd, tol)
         sup = _finite("the constant M", lambda: math.ldexp(s.sup, power)) if s.included else s.sup
         if sup > value:  # F's on a tie
             value, side = sup, s
     witness = side.witness
     if value == math.inf:
-        return FamilyPerturbation(math.inf, False, witness, False), svd_f, svd_g
-    return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f, svd_g
+        return FamilyPerturbation(math.inf, False, witness, False), svd_f
+    return FamilyPerturbation(value, True, witness, value <= 1.0), svd_f
 
 
 def derive_family_perturbed_bounds(A: float, B: float, M: float) -> DerivedBound:

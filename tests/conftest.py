@@ -26,6 +26,7 @@ import pytest
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
 from fuzzyframes.cli_io import _fmt, parse_problem, run_command
 from fuzzyframes.fuzzy_space import check_alpha
+from fuzzyframes.operator_algebra import PSD_TOL, _order_decision
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,41 @@ def run_problem(command: str, family: FrameFamily, **fields) -> tuple[dict, int]
     report, code = run_command(command, parse_problem(data))
     assert "body" in report, report.get("error")
     return report["body"], code
+
+
+def bessel_pair_check(F: FrameFamily, G: FrameFamily) -> tuple[dict, int]:
+    """The Bessel-pair construction of K-frames (Gavruta, Frames for
+    operators, ACHA 32, 2012) decided by the commands: ``bounds`` on G and
+    on F gives their Bessel bounds D and B, then ``check-kframe`` decides F
+    for K = T_F T_G* with the bounds [1/D, B].  Returns the report body and
+    exit code of check-kframe."""
+    K = F.vectors.T @ G.vectors.conj()
+    D = run_problem("bounds", G)[0]["optimal_frame"]["B"]
+    B = run_problem("bounds", F)[0]["optimal_frame"]["B"]
+    return run_problem("check-kframe", F, operator_K=K, bounds=[1.0 / D, B])
+
+
+# ---------------------------------------------------------------------------
+# Order oracle
+
+
+def order_holds(P: np.ndarray, Q: np.ndarray, tol: float = 1e-9) -> bool:
+    """P <= Q in the positive-semidefinite order, up to tol times the larger
+    spectral norm of the sides: the smallest eigenvalue of the symmetrized
+    Q - P from one eigvalsh.  No Cholesky step and no diagonal scale, so it
+    shares no code with the order decision it checks."""
+    diff = np.asarray(Q) - np.asarray(P)
+    lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0])
+    return lam_min >= -tol * max(np.linalg.norm(P, 2), np.linalg.norm(Q, 2))
+
+
+def decide_order(P: np.ndarray, Q: np.ndarray, tol: float = PSD_TOL) -> tuple:
+    """The package's order decision P <= Q: _order_decision of Q - P for the
+    symmetrized sides, against their larger max|diag|, the scale
+    verify_bounds passes."""
+    p, q = (0.5 * m + 0.5 * m.conj().T for m in (np.asarray(P), np.asarray(Q)))
+    scale = max(float(np.abs(m.diagonal()).max(initial=0.0)) for m in (p, q))
+    return _order_decision(q - p, tol, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -641,18 +677,21 @@ def constant_powers(data: dict) -> dict:
     under F -> 2^kF F (with G), K -> 2^kK K and T -> 2^kT T it scales by
     2^(pF kF + pK kK + pT kT).  A lower bound is against ||K* f||^2 and an
     upper one against ||f||^2; a transform's derived pair belongs to the
-    moved family T F, perturb-operator's to K2, which is T."""
+    moved family T F, perturb-operator's to K2, which is T, and combine's
+    lower bounds to the combined operator: a K1 + b K2 with K1 = K and
+    K2 = T scaled together, or the product K T."""
     command = data.get("command", "bounds")
+    combined = (2, -2, -2) if command == "combine" and data.get("coefficients") is None else (2, -2, 0)
     if command == "transform" and data.get("variant"):
         derived = {"derived.A": (2, -2, 2), "derived.B": (2, 0, 2)}
     elif command in ("transform", "perturb-operator"):
         derived = {"derived.A": (2, 0, -2), "derived.B": (2, 0, 0)}
     else:
-        derived = {"derived.A": (2, -2, 0), "derived.B": (2, 0, 0)}
+        derived = {"derived.A": combined, "derived.B": (2, 0, 0)}
     return {
         "optimal_frame.A": (2, 0, 0),
         "optimal_frame.B": (2, 0, 0),
-        "optimal_kframe.A": (2, -2, 0),
+        "optimal_kframe.A": combined,
         "optimal_kframe.B": (2, 0, 0),
         "requested.A": (2, -2, 0) if command == "check-kframe" else (2, 0, 0),
         "requested.B": (2, 0, 0),
@@ -664,6 +703,7 @@ def constant_powers(data: dict) -> dict:
         "max_residual": (0, 0, 0),
         "max_violation": (0, 1, 0),
         "factorization_residual": (0, 0, 1),
+        "ratio": (0, 0, 0),
         **derived,
     }
 

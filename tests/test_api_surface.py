@@ -10,9 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes"
 #: the library-only names and the paper statement each one implements
 KEPT = {
     "restricted_inverse_check": "the frame operator is invertible on range(K)",
-    "bessel_pair_kframe": "a Bessel pair factoring K gives a K-frame",
     "alpha_operator_norm": "the norm of a strongly fuzzy bounded operator",
-    "psd_order_check": "the operator order of every frame inequality",
 }
 
 

@@ -2254,4 +2254,4 @@ def test_import_leaves_dataclasses_out_and_records_are_frozen():
                 with pytest.raises(AttributeError):
                     setattr(record, field, 0)
             records += 1
-    assert records == 18  # and operator_algebra._Douglas, which is private
+    assert records == 17  # and operator_algebra._Douglas, which is private

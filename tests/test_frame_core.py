@@ -20,7 +20,6 @@ from fuzzyframes import (
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    psd_order_check,
     reconstruction_residual,
     restricted_inverse_check,
     spectral_norm,
@@ -31,6 +30,8 @@ from fuzzyframes import frame_core
 from fuzzyframes.frame_core import QR_REDUCTION_DIMENSION, _optimal_bounds, _synthesis_svd
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL, _gram, _rank
 from conftest import (
+    decide_order,
+    order_holds,
     rand_family,
     rand_kframe_instance,
     rand_matrix,
@@ -191,11 +192,9 @@ class TestOptimalBounds:
             s = classical_frame_operator(fam)
             gram = np.asarray(K) @ np.asarray(K).conj().T
             if cert.A > 0.0 and math.isfinite(cert.A):
-                ok, _, _ = psd_order_check(cert.A * gram, s)
-                assert ok
+                assert order_holds(cert.A * gram, s)
             else:
-                ok, _, _ = psd_order_check(1e-6 * gram, s)
-                assert not ok  # no positive multiple fits under S_c
+                assert not order_holds(1e-6 * gram, s)  # no positive multiple fits under S_c
 
     def test_noncommuting_lower_bound_matches_search(self):
         # S_c and K K* share no eigenbasis here; the optimal constant must
@@ -205,12 +204,9 @@ class TestOptimalBounds:
         fam = FrameFamily(np.array([[1.0, 1.0], [0.0, 1.0]]), model)
         K = np.array([[1.0, 0.0], [0.0, 0.0]])
         cert = optimal_kframe_bounds(fam, K)
-        ok, _, _ = psd_order_check(cert.A * (K @ K.T), classical_frame_operator(fam))
-        assert ok
-        ok, _, _ = psd_order_check(
-            1.05 * cert.A * (K @ K.T), classical_frame_operator(fam)
-        )
-        assert not ok  # the constant is maximal
+        assert order_holds(cert.A * (K @ K.T), classical_frame_operator(fam))
+        # the constant is maximal
+        assert not order_holds(1.05 * cert.A * (K @ K.T), classical_frame_operator(fam))
         rng = np.random.default_rng(99)
         brute = sphere_quotient_extremum(
             classical_frame_operator(fam), K @ K.T, rng, samples=50_000, mode="min"
@@ -345,7 +341,7 @@ class TestVerifyBounds:
     def test_checks_match_symmetrizing_order_check(self, field):
         # verify_bounds decides S_c - A K K* and B I - S_c without
         # symmetrizing them again; verdict, margin and witness must be those
-        # of psd_order_check, bit for bit
+        # of the order decision on the symmetrized sides, bit for bit
         rng = np.random.default_rng(29)
         for _ in range(40):
             n = int(rng.integers(2, 17))
@@ -360,7 +356,7 @@ class TestVerifyBounds:
                 (lower, (A * gram, s)),
                 (upper, (s, B * np.eye(n))),
             ):
-                ok, witness, margin = psd_order_check(p, q)
+                ok, witness, margin = decide_order(p, q)
                 assert check.ok == ok and check.margin == margin
                 if not ok:
                     assert np.array_equal(check.witness, witness / np.linalg.norm(witness))

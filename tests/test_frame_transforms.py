@@ -10,7 +10,6 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    bessel_pair_kframe,
     combine,
     douglas_factorize,
     operator_transfer,
@@ -20,7 +19,17 @@ from fuzzyframes import (
     verify_bounds,
 )
 from fuzzyframes import frame_transforms
-from conftest import rand_family, rand_kframe_instance, rand_matrix, rand_vector, run_problem
+from conftest import (
+    bessel_pair_check,
+    rand_family,
+    rand_kframe_instance,
+    rand_matrix,
+    rand_vector,
+    run_problem,
+)
+
+
+REAL2 = FuzzyModel(BaseSpace(2, "real"), "scaled")
 
 
 def diag_family(entries, field="real", profile="scaled"):
@@ -208,20 +217,22 @@ class TestCombine:
 
 
 class TestBesselPair:
+    """A Bessel pair F, G with T_F T_G* = K makes F a K-frame with lower
+    bound 1/D, D the Bessel bound of G, decided by bounds and check-kframe."""
+
     def test_standard_basis_identity(self):
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         basis = FrameFamily(np.eye(3), model)
-        result = bessel_pair_kframe(basis, basis, np.eye(3))
-        assert result.derived.A == pytest.approx(1.0)
-        assert result.verification.passed
+        body, code = bessel_pair_check(basis, basis)  # K = I
+        assert body["requested"]["A"] == pytest.approx(1.0)
+        assert code == 0 and body["verification"]["passed"]
 
     def test_reciprocal_diagonal_pair(self):
         F = diag_family([2.0, 1.0])
         G = diag_family([0.5, 1.0])
-        result = bessel_pair_kframe(F, G, np.eye(2))
-        assert result.factorization_residual <= 1e-12
-        assert result.derived.A == pytest.approx(1.0)  # D = 1
-        assert result.verification.passed
+        body, code = bessel_pair_check(F, G)  # K = T_F T_G* = I
+        assert body["requested"]["A"] == pytest.approx(1.0)  # D = 1
+        assert code == 0 and body["verification"]["passed"]
 
     def test_seeded_construction(self):
         rng = np.random.default_rng(19)
@@ -229,15 +240,19 @@ class TestBesselPair:
             field = "complex" if k % 2 else "real"
             F = rand_family(rng, 3, 5, field)
             G = rand_family(rng, 3, 5, field)
-            K = F.vectors.T @ G.vectors.conj()  # T_F T_G* by construction
-            result = bessel_pair_kframe(F, G, K)
-            assert result.verification.passed
+            assert bessel_pair_check(F, G)[1] == 0
 
-    def test_failed_factorization_raises(self):
-        F = diag_family([2.0, 1.0])
-        G = diag_family([0.5, 1.0])
-        with pytest.raises(ValueError, match="factorization"):
-            bessel_pair_kframe(F, G, np.diag([5.0, 5.0]))
+    @pytest.mark.parametrize("c", [2.0**-500, 1e-100, 1.0, 1e80, 2.0**500])
+    def test_decided_at_every_scale(self, c, recwarn):
+        # F = c {e1, e2, e1 + e2}, G = c {(1, 0.5), (0, 1), (0.5, 1)}: K and
+        # D scale by c^2 and 1/D by c^-2, all doubles, and each is decided
+        # at unit scale with no floating-point warning
+        F = FrameFamily(c * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), REAL2)
+        G = FrameFamily(c * np.array([[1.0, 0.5], [0.0, 1.0], [0.5, 1.0]]), REAL2)
+        body, code = bessel_pair_check(F, G)
+        assert code == 0 and body["verification"]["passed"]
+        assert body["requested"]["A"] <= body["optimal_kframe"]["A"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestTransformFamily:

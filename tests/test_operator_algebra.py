@@ -14,7 +14,6 @@ from fuzzyframes import (
     alpha_operator_norm,
     douglas_factorize,
     optimal_kframe_bounds,
-    psd_order_check,
     spectral_norm,
 )
 from fuzzyframes.operator_algebra import (
@@ -22,10 +21,17 @@ from fuzzyframes.operator_algebra import (
     PSD_TOL,
     _ldexp,
     _order_decision,
-    hermitian_part,
 )
 from fuzzyframes.perturbation import _family_constant
-from conftest import alpha_inner, operator_norm_sampled, rand_matrix, rand_vector, run_problem
+from conftest import (
+    alpha_inner,
+    decide_order,
+    operator_norm_sampled,
+    order_holds,
+    rand_matrix,
+    rand_vector,
+    run_problem,
+)
 
 
 class TestAdjoint:
@@ -83,18 +89,18 @@ class TestOperatorNorm:
 
 class TestPsdOrder:
     def test_zero_below_psd(self):
-        ok, witness, _ = psd_order_check(np.zeros((2, 2)), np.diag([1.0, 2.0]))
+        ok, witness, _ = decide_order(np.zeros((2, 2)), np.diag([1.0, 2.0]))
         assert ok and witness is None
 
     def test_failure_with_witness(self):
-        ok, witness, lam = psd_order_check(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))
+        ok, witness, lam = decide_order(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))
         assert not ok
         assert lam == pytest.approx(-1.0)
         assert abs(witness[1]) == pytest.approx(1.0)  # direction e2
 
     def test_equal_matrices_boundary(self):
         p = np.array([[2.0, 1.0], [1.0, 2.0]])
-        ok, _, _ = psd_order_check(p, p)
+        ok, _, _ = decide_order(p, p)
         assert ok
 
     def test_reflexive_and_antisymmetric(self):
@@ -102,15 +108,15 @@ class TestPsdOrder:
         for _ in range(20):
             m = rand_matrix(rng, 3, 3, "complex")
             p = m @ m.conj().T
-            assert psd_order_check(p, p)[0]
+            assert decide_order(p, p)[0]
             q = p + rng.uniform(0.1, 1.0) * np.eye(3)
-            below, _, _ = psd_order_check(p, q)
-            above, _, _ = psd_order_check(q, p)
+            below, _, _ = decide_order(p, q)
+            above, _, _ = decide_order(q, p)
             assert below and not above
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            psd_order_check(np.ones((2, 3)), np.ones((2, 3)))
+            _order_decision(np.zeros((2, 3)), PSD_TOL, 1.0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_verdict_matches_eigh_at_slack_boundary(self, field):
@@ -137,11 +143,11 @@ class TestPsdOrder:
             offset = rng.choice([-1.5, -0.9, -0.5, -0.01, 0.01, 0.5])
             d[0] = -(1.0 + offset) * tol * size.max()
             q = p + (u * d) @ u.conj().T
-            hp, hq = hermitian_part(p), hermitian_part(q)
+            hp, hq = (0.5 * m + 0.5 * m.conj().T for m in (p, q))
             w, v = np.linalg.eigh(hq - hp)
             slack = tol * max(np.abs(hp.diagonal()).max(), np.abs(hq.diagonal()).max())
             expected_ok = w[0] >= -slack
-            ok, witness, margin = psd_order_check(p, q, tol)
+            ok, witness, margin = decide_order(p, q, tol)
             assert ok == expected_ok
             if not ok:
                 assert margin == float(w[0])
@@ -155,8 +161,7 @@ class TestPsdOrder:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (2, 0)])
     def test_non_finite_difference_never_passes(self, bad, entry):
-        # the decision on the difference itself: symmetrizing an inf warns.
-        # The scale is tried both non-finite (as max|diag| is for a bad
+        # the scale is tried both non-finite (as max|diag| is for a bad
         # diagonal entry) and finite
         for sign in (1.0, -1.0):
             diff = sign * 5.0 * np.eye(3)
@@ -179,7 +184,7 @@ class TestPsdOrder:
         # multiplier 1e300 / 2^-41 overflows and a NaN reaches the last
         # pivot without LAPACK reporting it; eigh must decide
         q = np.array([[-1e-9 + 2.0**-82, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1.0]])
-        ok, witness, margin = psd_order_check(np.zeros((3, 3)), q)
+        ok, witness, margin = decide_order(np.zeros((3, 3)), q)
         assert not ok and witness is not None and margin == pytest.approx(-1e300)
         assert dict(linalg_calls) == {"cholesky": 1, "eigh": 1}
 
@@ -187,7 +192,7 @@ class TestPsdOrder:
         n = 4
         p, q = np.zeros((n, n)), np.eye(n)
         cutoff = CHOLESKY_TOL_FACTOR * n * np.finfo(np.float64).eps
-        ok, _, margin = psd_order_check(p, q, 0.5 * cutoff)
+        ok, _, margin = decide_order(p, q, 0.5 * cutoff)
         assert ok and margin == 1.0
         assert dict(linalg_calls) == {"eigh": 1}
 
@@ -200,20 +205,14 @@ def family_with_synthesis(F: np.ndarray) -> FrameFamily:
 
 
 class TestSymmetrizationWarning:
-    def test_non_hermitian_input_warns(self):
-        p = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.warns(RuntimeWarning, match="symmetrized"):
-            psd_order_check(p, 3.0 * np.eye(2))
-        with pytest.warns(RuntimeWarning, match="symmetrized"):
-            hermitian_part(p)
-
     def test_hermitian_input_is_silent(self):
+        # the order decision raises no floating-point warning of its own
         m = rand_matrix(np.random.default_rng(5), 3, 3, "complex")
         p = m + m.conj().T
         q = m @ m.conj().T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            psd_order_check(p, q)
+            decide_order(p, q)
 
     def test_non_hermitian_factors_are_silent(self):
         # the majorization routes take factors, which nothing symmetrizes
@@ -227,17 +226,6 @@ class TestSymmetrizationWarning:
             douglas_factorize(m, n)
             optimal_kframe_bounds(family, m)
             _family_constant(family, other, 0, PSD_TOL)  # perturb-family's M
-
-
-@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("side", ["P", "Q"])
-def test_psd_order_check_rejects_non_finite_side(entry, side):
-    # under the suite's error::RuntimeWarning filter: no inf - inf warning
-    bad = np.eye(2)
-    bad[0, 1] = entry
-    args = (bad, np.eye(2)) if side == "P" else (np.eye(2), bad)
-    with pytest.raises(ValueError, match=f"{side} is not finite"):
-        psd_order_check(*args)
 
 
 class TestLdexp:
@@ -273,15 +261,15 @@ class TestLdexp:
 
 
 class TestDecompositionCounts:
-    def test_psd_order_check_one_eigh(self, linalg_calls):
+    def test_order_decision_one_eigh(self, linalg_calls):
         # a pass is certified by one Cholesky factorization; a failure adds
         # one eigh for its margin and witness
         m = rand_matrix(np.random.default_rng(6), 4, 4, "complex")
-        ok, witness, margin = psd_order_check(m @ m.conj().T, 100.0 * np.eye(4))
+        ok, witness, margin = decide_order(m @ m.conj().T, 100.0 * np.eye(4))
         assert ok and witness is None and margin is None
         assert dict(linalg_calls) == {"cholesky": 1}
         linalg_calls.clear()
-        ok, witness, _ = psd_order_check(m @ m.conj().T, 2.0 * np.eye(4))
+        ok, witness, _ = decide_order(m @ m.conj().T, 2.0 * np.eye(4))
         assert not ok and witness is not None
         assert dict(linalg_calls) == {"cholesky": 1, "eigh": 1}
 
@@ -336,11 +324,9 @@ class TestDouglas:
             lam = douglas_factorize(n @ w, n).lam
             sigma = spectral_norm(w)
             assert lam <= sigma * (1.0 + 1e-9)
-            ok, _, _ = psd_order_check(
-                (n @ w) @ (n @ w).conj().T,
-                (lam * (1.0 + 1e-9)) ** 2 * (n @ n.conj().T),
+            assert order_holds(
+                (n @ w) @ (n @ w).conj().T, (lam * (1.0 + 1e-9)) ** 2 * (n @ n.conj().T)
             )
-            assert ok
 
     def test_factorize_full_rank_identity(self):
         rng = np.random.default_rng(19)
@@ -428,8 +414,7 @@ class TestPencils:
         k = np.diag([1.0, 0.0])
         a = optimal_kframe_bounds(family, k).A
         assert a == pytest.approx(0.5, rel=1e-9)
-        ok, _, _ = psd_order_check(a * k @ k.T, s)
-        assert ok
+        assert order_holds(a * k @ k.T, s)
 
     def test_inf_zero_when_kernel_escapes(self):
         # S_c = [[1, 1], [1, 1]] has kernel direction (1, -1); K = I

@@ -94,13 +94,18 @@ KINDS = [
     "reconstruct",
     "douglas",
     "kframe-K",
+    "combine-sum",
+    "combine-product",
 ]
 
 #: the operand groups scaled together: T alone would break T T* = I, and
-#: the perturbation hypothesis is homogeneous in K1 and K2 together only
+#: the perturbation hypothesis and a K + b T are homogeneous in K and T
+#: together only
 GROUPS = {
     "coisometry": ("F", "K"),
     "perturb-operator": ("F", "KT"),
+    "combine-sum": ("F", "KT"),
+    "combine-product": ("F", "K", "T"),
     "douglas": ("K", "T"),
     "transfer": ("F", "K", "T"),
     "invertible": ("F", "K", "T"),
@@ -178,6 +183,11 @@ def _problem(kind: str, seed: int) -> dict:
     elif kind == "douglas":
         M = K @ mat(n, n) if rng.random() < 0.7 else mat(n, n)
         data.update(operator_K=_entries(K), operator_T=_entries(M))
+    elif kind in ("combine-sum", "combine-product"):
+        data.update(command="combine", operator_K=_entries(K), operator_T=_entries(low_rank(n, n)))
+        if kind == "combine-sum":  # b = 0 drops K2's certificate from the rule
+            a, b = rng.standard_normal(), rng.choice([0.0, rng.standard_normal()])
+            data["coefficients"] = [float(a), float(b)]
     elif kind == "kframe-K":
         # bounds around the optimal pair, which may have A > B
         data.update(command="check-kframe", operator_K=_entries(K))
