@@ -7,7 +7,7 @@ closures, and derives perturbation-stable bounds.  See README.md for the CLI
 and the problem-file schema.
 """
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
@@ -20,12 +20,10 @@ from .operator_algebra import (
 from .frame_core import (
     BoundCertificate,
     FrameFamily,
-    SingularFrameOperatorError,
     classical_frame_operator,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    reconstruction_residual,
     restricted_inverse_check,
     synthesis_matrix,
     verify_bounds,
@@ -54,12 +52,10 @@ __all__ = [
     "spectral_norm",
     "BoundCertificate",
     "FrameFamily",
-    "SingularFrameOperatorError",
     "classical_frame_operator",
     "frame_sum",
     "optimal_frame_bounds",
     "optimal_kframe_bounds",
-    "reconstruction_residual",
     "restricted_inverse_check",
     "synthesis_matrix",
     "verify_bounds",

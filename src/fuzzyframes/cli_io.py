@@ -35,14 +35,13 @@ import orjson
 
 from . import __version__
 from .fuzzy_space import FIELDS, MAX_DIMENSION, PROFILES, BaseSpace, FuzzyModel, check_fip_axioms
-from .operator_algebra import EPS, PSD_TOL, RangeInclusionError, douglas_factorize
+from .operator_algebra import PSD_TOL, RangeInclusionError, douglas_factorize
 from .operator_algebra import _factorize, _ldexp, _unit_scale, within_tolerance
 from .frame_core import (
     CONVENTIONS,
     DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
-    SingularFrameOperatorError,
     VerificationResult,
     _optimal_bounds,
     _synthesis_svd,
@@ -50,7 +49,7 @@ from .frame_core import (
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    reconstruction_residual,
+    restricted_inverse_check,
     synthesis_matrix,
     verify_bounds,
 )
@@ -878,17 +877,28 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
 
 
 def _cmd_reconstruct(p: Problem) -> tuple[str, dict]:
-    try:
-        worst, cond = reconstruction_residual(p.frame_family())
-    except SingularFrameOperatorError as exc:
+    """S_c is invertible on range(K), K = I without operator_K, within the
+    sandwich bounds of the optimal K-frame pair (restricted_inverse_check)."""
+    family = p.frame_family()
+    K = np.eye(p.dimension) if p.operator_K is None else p.operator_K
+    f, k = p.exponents["family"], p.exponents["operator_K"]
+    cert = optimal_kframe_bounds(family, K, p.tolerance)
+    if cert.A == 0.0:
         return "not_applicable", {
-            "reason": "frame operator is singular; no dual reconstruction",
-            "witness": _unit(exc.witness),
+            "reason": "not a K-frame: some f with K*f != 0 has zero frame sum",
+            "witness": _unit(cert.witness_lower),
         }
-    body = {"max_residual": worst, "alphas": list(p.alphas)}
-    # rounding allows n eps cond(F) on top of the tolerance; ||I|| = 1
-    ok = within_tolerance(worst - p.dimension * EPS * cond, p.tolerance, 1.0)
-    return ("pass" if ok else "fail"), body
+    if cert.A == math.inf:
+        return "not_applicable", {"reason": "operator K is zero; range(K) is empty"}
+    report = restricted_inverse_check(family, K, cert, p.tolerance)
+    body = {
+        "injective": report.injective,
+        "dagger_norm": _scaled(report.dagger_norm, -k, "||K^+||"),
+        # the excesses are in units of S_c, held at 2^-2f
+        "max_violation_forward": _scaled(report.max_violation_forward, 2 * f, None),
+        "max_violation_inverse": _scaled(report.max_violation_inverse, 2 * f, None),
+    }
+    return ("pass" if report.passed else "fail"), body
 
 
 def _cmd_douglas(p: Problem) -> tuple[str, dict]:

@@ -1,5 +1,5 @@
-"""Frame engine: synthesis operators, spectral bound certificates,
-restricted invertibility, and dual reconstruction.
+"""Frame engine: synthesis operators, spectral bound certificates and
+the invertibility of the frame operator on range(K).
 
 A finite family {f_i} in a fuzzy model has synthesis matrix F with the f_i
 as columns and classical frame operator S_c = F F*.  At level a the frame
@@ -28,8 +28,7 @@ of K f = sum beta_i f_i as beta = W f from
 ``operator_algebra.douglas_factorize(K, F)``, with ||beta|| <= C ||f|| for
 C = ||W|| = 1 / sqrt(A).
 
-Operands are expected at unit scale (see ``operator_algebra``), except
-that restricted_inverse_check brings its own there.
+Operands are expected at unit scale (see ``operator_algebra``).
 """
 
 from __future__ import annotations
@@ -45,19 +44,15 @@ from .operator_algebra import (
     _Douglas,
     _douglas,
     _gram,
-    _ldexp,
     _order_decision,
     _rank,
-    _unit_scale,
     as_matrix,
-    spectral_norm,
     within_tolerance,
 )
 
 __all__ = [
     "CONVENTIONS",
     "TIGHT_TOL",
-    "SingularFrameOperatorError",
     "FrameFamily",
     "BoundCertificate",
     "BoundCheck",
@@ -70,7 +65,6 @@ __all__ = [
     "optimal_kframe_bounds",
     "verify_bounds",
     "restricted_inverse_check",
-    "reconstruction_residual",
 ]
 
 CONVENTIONS = ("once", "squared")
@@ -84,17 +78,6 @@ DEFAULT_ALPHAS = (0.1, 0.5, 0.9)
 #: dimension from which a family of more vectors than that is reduced by QR
 #: before its SVD; below it one SVD of F is faster (see _synthesis_svd)
 QR_REDUCTION_DIMENSION = 16
-
-
-class SingularFrameOperatorError(Exception):
-    """Raised when an operation needs an invertible frame operator.
-
-    Carries a unit kernel witness of the classical frame operator.
-    """
-
-    def __init__(self, message: str, witness: np.ndarray):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _check_convention(convention: str) -> str:
@@ -380,89 +363,46 @@ def restricted_inverse_check(
     For f in range(K):          A ||K+||^-2 ||f||^2 <= <S_c f, f> <= B ||f||^2
     For f in S_c(range(K)):     B^-1 ||f||^2 <= <S_r^-1 f, f> <= A^-1 ||K+||^2 ||f||^2
 
-    with S_r the restriction of S_c to range(K) and K+ the pseudo-inverse.
-    Level scalings cancel pairwise, so the checks are classical.  With Q an
-    orthonormal basis of range(K) and f = S_c u for unit u in range(K), each
-    excess is an extreme eigenvalue of a compression Q* M Q: M = S_c for
-    the first line, S_c^2 / B - S_c and S_c - (||K+||^2 / A) S_c^2 for the
-    second.  Each inequality passes within_tolerance of the larger
-    max|diag| of its two compressed sides, the scale of an order decision.
+    with S_r the restriction of S_c to range(K), K+ the pseudo-inverse and
+    (A, B) the certificate, by default the optimal K-frame pair.  Level
+    scalings cancel pairwise, so the checks are classical.
 
-    F and K are decided at unit scale, 2^-f F and 2^-e K, which is exact;
-    a certificate is carried there as A 2^(2e - 2f) and B 2^-2f, and
-    ``dagger_norm`` and both violations are mapped back by 2^-e and 2^2f.
+    Every decision reads singular values; S_c is never formed.  With Q the
+    left singular vectors of K kept by the rank cut (r of them) and G = Q* F
+    = U Sigma V*, unit u = Q x runs over range(K) and <S_c u, u> = ||G* x||^2:
+    S_c is injective there when G has rank r, and the first line reads
+    sigma_r(G)^2 and sigma_1(G)^2.  With w = G* x, which runs over range(V_r),
+    f = S_c u has <S_r^-1 f, f> = ||w||^2 and ||f||^2 = ||F w||^2, so the
+    second line is sigma_1(F V_r)^2 <= B and sigma_r(F V_r)^2 >= A ||K+||^-2.
+    Each excess passes within_tolerance of the larger of its constant and
+    the top squared singular value of the same matrix.
     """
     k = as_matrix(K)
-    k, e = _unit_scale(k.astype(np.result_type(k, np.float64), copy=False))
-    vectors, f = _unit_scale(family.vectors)
-    family = FrameFamily(vectors, family.model)
-    if certificate is None:
-        cert = optimal_kframe_bounds(family, k, tol=tol)
-    else:
-        cert = certificate._replace(
-            A=math.ldexp(certificate.A, 2 * e - 2 * f), B=math.ldexp(certificate.B, -2 * f)
-        )
-    if not (math.isfinite(cert.A) and cert.A > 0.0):
-        raise ValueError("not applicable: family is not a K-frame (lower bound 0)")
-    s = classical_frame_operator(family)
+    cert = optimal_kframe_bounds(family, k, tol) if certificate is None else certificate
     q, k_sv, _ = np.linalg.svd(k)
     r = _rank(k_sv)
-    if r == 0:
-        raise ValueError("operator K is zero; restriction is empty")
-
-    def compressed(m: np.ndarray) -> tuple[np.ndarray, float]:
-        """Q* m Q, symmetrized, and its max|diag|, the size of that side."""
-        c = q[:, :r].conj().T @ m @ q[:, :r]
-        c = 0.5 * (c + c.conj().T)
-        return c, float(np.abs(c.diagonal()).max())
-
-    c1, top1 = compressed(s)
-    cw = np.linalg.eigvalsh(c1)
-    injective = _rank(cw[::-1]) == r
+    if r == 0 or not 0.0 < cert.A < math.inf:
+        raise ValueError("not applicable: K is zero or the family is not a K-frame (lower bound 0)")
     dagger_norm = 1.0 / float(k_sv[r - 1])  # ||K+||: K's smallest kept singular value
     a, b = cert.A / dagger_norm**2, cert.B
-    low, high = float(cw[0]), float(cw[-1])
-    # (excess, scale) of each inequality P <= Q, scaled as an order decision
-    forward = [(a - low, max(a, top1)), (high - b, max(top1, b))]
+
+    def excesses(s: np.ndarray) -> list[tuple[float, float]]:
+        """(excess, scale) of a <= sigma_r^2 and sigma_1^2 <= b, for the
+        singular values s of a matrix of r columns or rows (0 past its rank)."""
+        low, high = (float(s[r - 1]) if len(s) == r else 0.0) ** 2, float(s[0]) ** 2
+        return [(a - low, max(a, high)), (high - b, max(high, b))]
+
+    _, g, vh = np.linalg.svd(q[:, :r].conj().T @ family.vectors.T, full_matrices=False)
+    injective = _rank(g) == r
+    forward = excesses(g)
     inverse = []
     if injective:
-        c2, top2 = compressed(s @ s)
-        inverse = [
-            (float(np.linalg.eigvalsh(c2 / b - c1)[-1]), max(top2 / b, top1)),
-            (float(np.linalg.eigvalsh(c1 - c2 / a)[-1]), max(top1, top2 / a)),
-        ]
+        inverse = excesses(np.linalg.svd(family.vectors.T @ vh.conj().T, compute_uv=False))
     passed = injective and all(within_tolerance(x, tol, sc) for x, sc in forward + inverse)
-    # the violations are in units of S_c, held at 2^-2f; saturating, with no warning
-    violations = _ldexp(
-        np.array([max(x for x, _ in forward), max((x for x, _ in inverse), default=-math.inf)]),
-        2 * f,
-    )
     return SandwichReport(
         injective=injective,
-        dagger_norm=float(_ldexp(np.array([dagger_norm]), -e)[0]),
-        max_violation_forward=float(violations[0]),
-        max_violation_inverse=float(violations[1]),
+        dagger_norm=dagger_norm,
+        max_violation_forward=max(x for x, _ in forward),
+        max_violation_inverse=max((x for x, _ in inverse), default=-math.inf),
         passed=passed,
     )
-
-
-def reconstruction_residual(family: FrameFamily) -> tuple[float, float]:
-    """Worst residual of both dual expansions over unit f, at every level,
-    and the condition number of F, from one SVD F = u diag(s) vh.
-
-    S_c is singular exactly when F has rank below n (n the dimension), as
-    for A = 0 in optimal_frame_bounds; SingularFrameOperatorError then
-    carries the unit kernel witness u[:, -1].  Otherwise the dual vectors
-    S_c^-1 f_i are the columns of u (vh / s).  The two expansions apply
-    F (S^-1 F)* and its adjoint, so both worst residuals equal
-    ||F (S^-1 F)* - I||, known only up to about n * eps * cond(F).
-    """
-    F = synthesis_matrix(family)
-    n, m = F.shape
-    u, s, vh = np.linalg.svd(F, full_matrices=m < n)  # u square
-    if _rank(s) < n:
-        raise SingularFrameOperatorError(
-            "frame operator is singular; no dual reconstruction", u[:, -1]
-        )
-    dual = u @ (vh / s[:, None])
-    return spectral_norm(F @ dual.conj().T - np.eye(n)), float(s[0] / s[-1])

@@ -12,7 +12,7 @@ factorization, douglas_factorize, solves M = N W from it with its residual
 and pass decision: the ``douglas`` command reads it, and so does every
 atomic system, which is M = K against N = F.
 
-Ranks follow one relative rule: a singular value (or PSD eigenvalue) at or
+Ranks follow one relative rule, read from singular values only: one at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
 input never changes a rank decision.
 
@@ -55,8 +55,8 @@ __all__ = [
     "douglas_factorize",
 ]
 
-#: singular values (PSD eigenvalues) at or below this fraction of the
-#: largest count as zero
+#: singular values at or below this fraction of the largest count as zero;
+#: no rank is read from eigenvalues of a Gram matrix, which square the ratio
 RELATIVE_RANK_TOL = 1e-10
 
 #: float64 unit roundoff; rounding allowances are multiples of n * EPS

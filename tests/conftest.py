@@ -700,8 +700,10 @@ def constant_powers(data: dict) -> dict:
         "coefficient_norm_constant": (-1, 1, 0),
         "lambda": (0, -1, 1),
         "M": (0, 0, 0),
-        "max_residual": (0, 0, 0),
+        "dagger_norm": (0, -1, 0),
         "max_violation": (0, 1, 0),
+        "max_violation_forward": (2, 0, 0),
+        "max_violation_inverse": (2, 0, 0),
         "factorization_residual": (0, 0, 1),
         "ratio": (0, 0, 0),
         **derived,

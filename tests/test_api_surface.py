@@ -9,7 +9,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes"
 
 #: the library-only names and the paper statement each one implements
 KEPT = {
-    "restricted_inverse_check": "the frame operator is invertible on range(K)",
     "alpha_operator_norm": "the norm of a strongly fuzzy bounded operator",
 }
 

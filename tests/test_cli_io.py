@@ -1034,18 +1034,42 @@ class TestCommands:
         assert report["verdict"] == "pass"
         assert report["body"]["optimal_kframe"]["A"] == pytest.approx(0.5)
 
-    def test_reconstruct_singular_not_applicable(self):
-        raw, code = run_file(C3_FILE, command="reconstruct")
+    def test_reconstruct_singular_not_applicable(self, tmp_path):
+        # S_c is singular: without operator_K (K = I) there is a kernel
+        # witness, direction e3; on range(K) of the file's K it is invertible
+        data = load(C3_FILE)
+        del data["operator_K"]
+        path = tmp_path / "c3_without_k.json"
+        path.write_text(json.dumps(data))
+        raw, code = run_file(path, command="reconstruct")
         report = json.loads(canonical_json(raw))
         assert code == EXIT_FAIL
         assert report["verdict"] == "not_applicable"
         witness = np.array(report["body"]["witness"])  # rows are [re, im]
         assert np.hypot(*witness[2]) == pytest.approx(1.0)  # direction e3
+        report, code = run_file(C3_FILE, command="reconstruct")
+        assert code == EXIT_PASS and report["body"]["injective"]
+        assert report["body"]["dagger_norm"] == pytest.approx(2**-0.5)
 
     def test_reconstruct_full_rank_passes(self):
         report, code = run_file(R3_FILE, command="reconstruct")
         assert code == EXIT_PASS
-        assert report["body"]["max_residual"] <= 1e-9
+        body = report["body"]
+        assert sorted(body) == ["dagger_norm", "injective", "max_violation_forward", "max_violation_inverse"]
+        # range(K) = span(e1, e2), where S_c = diag(2, 3): <S_c u, u> and
+        # ||S_c u||^2 / <S_c u, u> lie in [2, 3], A ||K+||^-2 = 1 and B = 6
+        assert body["injective"] and body["dagger_norm"] == pytest.approx(1.0)
+        assert body["max_violation_forward"] == pytest.approx(-1.0)
+        assert body["max_violation_inverse"] == pytest.approx(-1.0)
+
+    def test_reconstruct_zero_operator_not_applicable(self, tmp_path):
+        data = load(R3_FILE)
+        data["operator_K"] = np.zeros((3, 3)).tolist()
+        path = tmp_path / "zero_k.json"
+        path.write_text(json.dumps(data))
+        report, code = run_file(path, command="reconstruct")
+        assert code == EXIT_FAIL and report["verdict"] == "not_applicable"
+        assert "range(K) is empty" in report["body"]["reason"]
 
     def test_claim_file_flags_erratum(self):
         report, code = run_file(CLAIM_FILE)
@@ -1355,31 +1379,52 @@ class TestCommands:
 
     @pytest.mark.parametrize("path, verdict", [(R3_FILE, "pass"), (C3_FILE, "not_applicable")])
     def test_reconstruct_decomposition_budget(self, path, verdict, linalg_calls):
-        # one SVD of F decides and builds the dual, one more gives the exact
-        # residual norm; S_c is never decomposed or solved
-        report, _ = run_file(path, command="reconstruct")
+        # the SVD of F and one eigh give the K-frame pair, the SVDs of K,
+        # Q* F and F V_r the sandwich; S_c is never formed, decomposed or
+        # solved.  Without operator_K the singular c3 stops at A = 0, whose
+        # witness takes one more SVD
+        data = load(path)
+        if verdict == "not_applicable":
+            del data["operator_K"]
+        report, _ = run_command("reconstruct", parse_problem(data))
         assert report["verdict"] == verdict
-        assert set(linalg_calls) == {"svd"} and linalg_calls["svd"] <= 2
+        assert set(linalg_calls) <= {"svd", "eigh"}
+        assert linalg_calls["svd"] <= 4 and linalg_calls["eigh"] <= 1
 
-    @pytest.mark.parametrize("power", [-40, 0, 40])
-    @pytest.mark.parametrize("ratio", [1e-7, 1e-9, 1e-11])
+    @pytest.mark.parametrize(
+        "ratio, power",
+        [(r, p) for r in (1e-7, 1e-9, 1e-11) for p in (-40, 0, 40)] + [(s, None) for s in (1e-5, 1e-6, 1e-8)],
+    )
     def test_reconstruct_and_bounds_share_the_rank_rule(self, ratio, power):
         # singular values 2^power (1, ratio) along rotated axes, as three
-        # vectors: reconstruct is not_applicable exactly when bounds finds a
-        # Bessel family, and both print the same kernel witness
-        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
-        f = 2.0**power * rotation @ np.diag([1.0, ratio]) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
-        problem = parse_problem({"dimension": 2, "family": f.T.tolist()})
-        bounds, _ = run_command("bounds", problem)
-        reconstruct, code = run_command("reconstruct", problem)
-        cert = bounds["body"]["optimal_frame"]
-        assert (cert["kind"] == "bessel") == (reconstruct["verdict"] == "not_applicable")
-        assert (cert["kind"] == "bessel") == (ratio < RELATIVE_RANK_TOL)
-        if cert["kind"] == "bessel":
-            overlap = abs(np.vdot(cert["witness_lower"], reconstruct["body"]["witness"]))
-            assert overlap == pytest.approx(1.0, rel=1e-12)
+        # vectors, or (power None) the 4 x 8 family of _ill_conditioned with
+        # sigma(F) from 1 down to ratio; each without operator_K, with a full
+        # rank K and with one of rank n / 2.  reconstruct passes, injective,
+        # exactly when bounds finds A > 0, and is not_applicable otherwise
+        # with bounds' lower witness
+        if power is None:
+            data = self._ill_conditioned("bounds", ratio)
         else:
-            assert code == EXIT_PASS and reconstruct["verdict"] == "pass"
+            rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+            f = 2.0**power * rotation @ np.diag([1.0, ratio]) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+            data = {"dimension": 2, "family": f.T.tolist()}
+        n = data["dimension"]
+        rng = np.random.default_rng(29)
+        half = rng.standard_normal((n, n // 2)) @ rng.standard_normal((n // 2, n))
+        for K in (None, rng.standard_normal((n, n)), half):
+            problem = parse_problem(data if K is None else {**data, "operator_K": K.tolist()})
+            bounds, _ = run_command("bounds", problem)
+            reconstruct, code = run_command("reconstruct", problem)
+            cert = bounds["body"]["optimal_frame" if K is None else "optimal_kframe"]
+            if K is None:
+                assert (cert["kind"] == "bessel") == (ratio < RELATIVE_RANK_TOL)
+            if cert["A"] > 0.0:
+                assert code == EXIT_PASS and reconstruct["verdict"] == "pass"
+                assert reconstruct["body"]["injective"]
+            else:
+                assert reconstruct["verdict"] == "not_applicable"
+                overlap = abs(np.vdot(cert["witness_lower"], reconstruct["body"]["witness"]))
+                assert overlap == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "N, M, lam",
@@ -1535,11 +1580,13 @@ class TestCommands:
                 "profile": "scaled", "family": F.T.tolist(), **extra}
 
     def test_ill_conditioned_reconstruct_passes(self):
-        # residual ~2.9e-9 > tolerance 1e-9, inside n eps cond(F) = 8.9e-8
+        # cond(S_c) = 1e16, yet the sandwich reads singular values of F, so
+        # both lines hold to rounding against B = 1
         problem = parse_problem(self._ill_conditioned("reconstruct", 1e-8))
         report, code = run_command("reconstruct", problem)
-        assert report["body"]["max_residual"] > problem.tolerance
-        assert code == EXIT_PASS
+        assert code == EXIT_PASS and report["body"]["injective"]
+        for key in ("max_violation_forward", "max_violation_inverse"):
+            assert abs(report["body"][key]) <= 1e-14
 
     def test_ill_conditioned_atomic_passes(self):
         # residual > tolerance 1e-9, inside n eps sqrt(B) C = 8.9e-8

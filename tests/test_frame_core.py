@@ -1,4 +1,4 @@
-"""frame_core: operators, certificates, atomic systems, reconstruction."""
+"""frame_core: operators, certificates, atomic systems, restricted invertibility."""
 
 import math
 import warnings
@@ -14,13 +14,11 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    SingularFrameOperatorError,
     classical_frame_operator,
     douglas_factorize,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
-    reconstruction_residual,
     restricted_inverse_check,
     spectral_norm,
     synthesis_matrix,
@@ -618,8 +616,9 @@ class TestRestrictedInverse:
             restricted_inverse_check(fam, np.eye(3, dtype=complex))
 
     def test_matches_sphere_search(self):
-        # u = K w runs over range(K), so extremes over unit u in range(K)
-        # are quotient extremes of the pencil (K* M K, K* K)
+        # u = K w runs over range(K), so extremes over u in range(K) are
+        # quotient extremes of pencils (K* P K, K* Q K): <S_c u, u> / ||u||^2
+        # for the first line, ||S_c u||^2 / <S_c u, u> for the second
         from fuzzyframes import BoundCertificate
 
         rng = np.random.default_rng(45)
@@ -630,32 +629,27 @@ class TestRestrictedInverse:
             fam = rand_family(rng, 4, 6, field)
             K = rand_matrix(rng, 4, 2, field) @ rand_matrix(rng, 2, 4, field)
             s = classical_frame_operator(fam)
-            gram = K.conj().T @ K
 
-            def extreme(m, mode):
-                return sphere_quotient_extremum(K.conj().T @ m @ K, gram, rng, 20_000, mode)
+            def extreme(p, q, mode):
+                return sphere_quotient_extremum(K.conj().T @ p @ K, K.conj().T @ q @ K, rng, 20_000, mode)
 
-            dagger2 = 1.0 / extreme(K @ K.conj().T, "min")
-            low, high = extreme(s, "min"), extreme(s, "max")
-            q = range_basis(K)
-
-            def top(m):
-                # the size of a side: max|diag| of its compression to range(K)
-                return float(np.abs(np.diagonal(q.conj().T @ m @ q)).max())
-
+            eye = np.eye(4)
+            dagger2 = 1.0 / extreme(K @ K.conj().T, eye, "min")
+            low, high = extreme(s, eye, "min"), extreme(s, eye, "max")
+            inv_low, inv_high = extreme(s @ s, s, "min"), extreme(s @ s, s, "max")
             opt = optimal_kframe_bounds(fam, K)
             # the optimal pair passes; the lower side fails above low ||K+||^2,
             # the upper side below high
             for a, b in ((opt.A, opt.B), (1.1 * low * dagger2, opt.B), (opt.A, 0.9 * high)):
                 cert = BoundCertificate(a, b, kframe=True)
                 report = restricted_inverse_check(fam, K, cert, tol)
-                # (excess, size of the two sides) of each inequality
-                s2 = s @ s
+                # (excess, the larger of its constant and the top of its quotient)
+                a_k = a / dagger2
                 sides = [
-                    (a / dagger2 - low, max(a / dagger2, top(s))),
-                    (high - b, max(top(s), b)),
-                    (extreme(s2 / b - s, "max"), max(top(s2) / b, top(s))),
-                    (extreme(s - (dagger2 / a) * s2, "max"), max(top(s), dagger2 * top(s2) / a)),
+                    (a_k - low, max(a_k, high)),
+                    (high - b, max(high, b)),
+                    (inv_high - b, max(inv_high, b)),
+                    (a_k - inv_low, max(a_k, inv_high)),
                 ]
                 forward = max(e for e, _ in sides[:2])
                 inverse = max(e for e, _ in sides[2:])
@@ -669,38 +663,36 @@ class TestRestrictedInverse:
 
 
 class TestRestrictedInverseScale:
-    """restricted_inverse_check decides at unit scale: scaling the family by
-    c, or K by k, changes no verdict and scales ||K+|| by 1 / k."""
+    """reconstruct decides at unit scale: scaling the family by c, or K by
+    k, changes no verdict, scales ||K+|| by 1 / k and the excesses, which
+    are in units of S_c, by c^2."""
 
     SANDWICH = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # S_c = [[2, 1], [1, 2]]
 
-    def report(self, c, k, certificate=None):
+    def report(self, c, k, K=np.eye(2)):
         fam = FrameFamily(c * self.SANDWICH, FuzzyModel(BaseSpace(2, "real"), "scaled"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return restricted_inverse_check(fam, k * np.eye(2), certificate)
+            return run_problem("reconstruct", fam, operator_K=k * K)
 
     @pytest.mark.parametrize(
         "c, k", [(1e-100, 1.0), (1e-160, 1.0), (1e80, 1.0), (1e160, 1.0), (1.0, 1e-150), (1.0, 1e150)]
     )
     def test_verdict_at_every_scale(self, c, k):
-        base, scaled = self.report(1.0, 1.0), self.report(c, k)
-        assert base.passed and base.injective
-        assert (scaled.passed, scaled.injective) == (base.passed, base.injective)
-        assert scaled.dagger_norm == pytest.approx(base.dagger_norm / k, rel=1e-12)
+        (base, base_code), (scaled, code) = self.report(1.0, 1.0), self.report(c, k)
+        assert base_code == code == 0 and base["injective"] and scaled["injective"]
+        assert scaled["dagger_norm"] == pytest.approx(base["dagger_norm"] / k, rel=1e-12)
 
     @pytest.mark.parametrize("c, k", [(1e-100, 1.0), (1e80, 1.0), (1.0, 1e-150), (1.0, 1e150)])
     def test_certificate_at_every_scale(self, c, k):
-        # the optimal pair (1, 3) of the unit family for K = I, carried to
-        # c F and k K as (c^2 / k^2, 3 c^2); one above it fails at every scale
-        for a, passed in ((1.0, True), (1.5, False)):
-            cert = BoundCertificate(a * c**2 / k**2, 3.0 * c**2, kframe=True)
-            base = self.report(1.0, 1.0, BoundCertificate(a, 3.0, kframe=True))
-            scaled = self.report(c, k, cert)
-            assert base.passed is scaled.passed is passed
-            assert scaled.max_violation_forward == pytest.approx(
-                c**2 * base.max_violation_forward, rel=1e-9, abs=1e-9 * c**2
-            )
+        # K = e1 e1*: the optimal pair is (3/2, 3), ||K+|| = 1, <S_c e1, e1> =
+        # 2 and ||S_c e1||^2 / <S_c e1, e1> = 5/2, so each line has excess -1/2
+        K = np.diag([1.0, 0.0])
+        (base, base_code), (scaled, code) = self.report(1.0, 1.0, K), self.report(c, k, K)
+        assert base_code == code == 0
+        for key in ("max_violation_forward", "max_violation_inverse"):
+            assert base[key] == pytest.approx(-0.5, rel=1e-12)
+            assert scaled[key] == pytest.approx(c**2 * base[key], rel=1e-9)
 
 
 class TestScaleInvariantRankRules:
@@ -710,8 +702,8 @@ class TestScaleInvariantRankRules:
     def test_frame_dual_and_restriction(self, r3_instance, scale):
         fam = FrameFamily(scale * r3_instance["family"].vectors, r3_instance["model"])
         assert optimal_frame_bounds(fam).A == pytest.approx(2.0 * scale**2, rel=1e-9)
-        worst, _ = reconstruction_residual(fam)  # S_c invertible
-        assert worst <= 1e-12
+        body, code = run_problem("reconstruct", fam)  # S_c invertible
+        assert code == 0 and body["injective"]
         report = restricted_inverse_check(fam, np.eye(3))
         assert report.injective and report.passed
 
@@ -726,12 +718,12 @@ class TestScaleInvariantRankRules:
 
 class TestReconstruct:
     def test_r3_random_vectors_all_levels(self, r3_instance):
-        # the level scalings cancel in both dual expansions, so the worst
-        # residual over unit f bounds every f at every level; sampled f
-        # through an independent inverse stay below it
+        # the level scalings cancel in both dual expansions, so the invertible
+        # S_c that reconstruct certifies reconstructs every f at every level;
+        # sampled f through an independent inverse
         fam = r3_instance["family"]
-        worst, cond = reconstruction_residual(fam)
-        assert worst <= 1e-9 and cond == pytest.approx(math.sqrt(3.0))
+        body, code = run_problem("reconstruct", fam)
+        assert code == 0 and body["injective"] and body["dagger_norm"] == 1.0
         F = synthesis_matrix(fam)
         for a in (0.2, 0.5, 0.9):
             s = fam.model.scale(a)
@@ -745,13 +737,16 @@ class TestReconstruct:
                     assert np.linalg.norm(recon - f) <= 1e-9 * np.linalg.norm(f)
 
     def test_standard_basis_exact(self):
-        worst, cond = reconstruction_residual(standard_basis_family())
-        assert worst == pytest.approx(0.0, abs=1e-14) and cond == 1.0
+        body, code = run_problem("reconstruct", standard_basis_family())
+        assert code == 0 and body["injective"]
+        assert body["max_violation_forward"] == body["max_violation_inverse"] == 0.0
 
     def test_c3_singular_raises_with_witness(self, c3_instance):
-        with pytest.raises(SingularFrameOperatorError) as err:
-            reconstruction_residual(c3_instance["family"])
-        assert abs(err.value.witness[2]) == pytest.approx(1.0)
+        # S_c is singular: without operator_K reconstruct is not_applicable
+        # with the kernel witness e3
+        body, code = run_problem("reconstruct", c3_instance["family"])
+        assert code == 1 and "not a K-frame" in body["reason"]
+        assert abs(body["witness"][2]) == pytest.approx(1.0)
 
 
 class TestTheoremBridges:

@@ -12,7 +12,6 @@ from fuzzyframes import (
     FuzzyModel,
     check_fip_axioms,
     optimal_frame_bounds,
-    reconstruction_residual,
     verify_bounds,
 )
 from fuzzyframes.fuzzy_space import IMAG_TOL, PROFILES, REDUCTIONS, _critical_table
@@ -23,6 +22,7 @@ from conftest import (
     fip_axioms_oracle,
     norm_membership,
     rand_vector,
+    run_problem,
 )
 
 SCALED_R2 = FuzzyModel(BaseSpace(2, "real"), "scaled")
@@ -407,15 +407,18 @@ class TestOrthonormality:
         assert failure.side == "upper" and failure.margin == pytest.approx(1.0 - 4.0)
 
     def test_expansion_standard_basis(self):
-        worst, cond = reconstruction_residual(FrameFamily(np.eye(3), CRISP_R3))
-        assert worst == pytest.approx(0.0, abs=1e-12) and cond == 1.0
+        # S_c = I: invertible, with both sandwich lines met exactly
+        body, code = run_problem("reconstruct", FrameFamily(np.eye(3), CRISP_R3))
+        assert code == 0 and body["injective"]
+        assert body["max_violation_forward"] == body["max_violation_inverse"] == 0.0
 
     def test_expansion_rotated_basis(self):
         rng = np.random.default_rng(31)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         basis = q.T  # rows are an orthonormal basis
         x = rand_vector(rng, 3)
-        assert reconstruction_residual(FrameFamily(basis, CRISP_R3))[0] <= 1e-9
+        body, code = run_problem("reconstruct", FrameFamily(basis, CRISP_R3))
+        assert code == 0 and body["injective"]
         # independent oracle: accumulate the expansion term by term
         recon = sum((e @ x) * e for e in basis)
         assert np.linalg.norm(recon - x) <= 1e-9

@@ -180,6 +180,8 @@ def _problem(kind: str, seed: int) -> dict:
         data["family_g"] = _entries(vectors + rng.uniform(0.01, 0.5) * mat(m, n))
         if rng.random() < 0.5:
             data["operator_K"] = _entries(K)
+    elif kind == "reconstruct" and rng.random() < 0.5:
+        data["operator_K"] = _entries(K)
     elif kind == "douglas":
         M = K @ mat(n, n) if rng.random() < 0.7 else mat(n, n)
         data.update(operator_K=_entries(K), operator_T=_entries(M))
