@@ -13,7 +13,6 @@ from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
     FactorizationResult,
     RangeInclusionError,
-    alpha_operator_norm,
     douglas_factorize,
     spectral_norm,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "check_fip_axioms",
     "FactorizationResult",
     "RangeInclusionError",
-    "alpha_operator_norm",
     "douglas_factorize",
     "spectral_norm",
     "BoundCertificate",

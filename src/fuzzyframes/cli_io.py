@@ -42,7 +42,6 @@ from .frame_core import (
     DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
-    VerificationResult,
     _optimal_bounds,
     _synthesis_svd,
     _unit,
@@ -636,39 +635,33 @@ def _cert_dict(
     }
 
 
-def _derived(formula: str, A: float, power_A: int, B: float, power_B: int) -> dict:
-    """A derived pair at the caller's scale, A 2^power_A and B 2^power_B."""
-    return {
-        "A": _scaled(A, power_A, f"the derived lower bound {formula}"),
-        "B": _scaled(B, power_B, "the derived upper bound B'"),
-    }
-
-
-def _verification_dict(res: VerificationResult, power: int, left_out: int) -> dict:
-    """The verification, failing margins scaled by 2^power (lower ones 2^left_out more)."""
-    return {
-        "passed": res.passed,
-        "checks_run": len(res.checks),
-        "failures": [
-            {
-                "alpha": c.alpha,
-                "side": c.side,
-                "margin": _scaled(c.margin, power + (left_out if c.side == "lower" else 0), None),
-                "witness": _unit(c.witness),
-            }
-            for c in res.checks
-            if not c.ok
-        ],
-    }
-
-
-def _verify(p: Problem, family: FrameFamily, e: int, bounds: tuple, K, k: int) -> tuple[bool, dict]:
+def _verify(
+    p: Problem,
+    family: FrameFamily,
+    e: int,
+    bounds: tuple,
+    K,
+    k: int,
+    key: Optional[str] = None,
+    formula: str = "",
+) -> tuple[bool, dict]:
     """verify_bounds of A = a 2^pa and B = b 2^pb, ((a, pa), (b, pb)) = bounds,
-    for F held at 2^-e and K at 2^-k.  At unit scale each keeps an exponent
-    of at most BOUND_EXPONENT: a held A dwarfs S_c, so its check and margin
-    are A K K*'s, linear in A; a held B exceeds ||S_c||.  A zero family holds
-    A at 2^-BOUND_EXPONENT or more, as its check is linear in A; otherwise
-    max diag S_c >= 1/4, and an A that rounds lies below the slack."""
+    for F held at 2^-e and K at 2^-k: the verdict and the body's
+    ``verification``, failing margins at the caller's scale, and with
+    ``key`` the pair (A, B) under it, where a constant past the double range
+    raises OverflowError naming the bound ``formula``.  At unit scale each
+    keeps an exponent of at most BOUND_EXPONENT: a held A dwarfs S_c, so its
+    check and margin are A K K*'s, linear in A; a held B exceeds ||S_c||.  A
+    zero family holds A at 2^-BOUND_EXPONENT or more, as its check is linear
+    in A; otherwise max diag S_c >= 1/4, and an A that rounds lies below the
+    slack."""
+    body = {}
+    if key is not None:
+        (a, pa), (b, pb) = bounds
+        body[key] = {
+            "A": _scaled(a, pa, f"the {key} lower bound {formula}"),
+            "B": _scaled(b, pb, f"the {key} upper bound B'"),
+        }
     floor = -math.inf if family.vectors.any() else -BOUND_EXPONENT
     unit = []
     for (x, power), shift in zip(bounds, (2 * k - 2 * e, -2 * e)):
@@ -677,7 +670,21 @@ def _verify(p: Problem, family: FrameFamily, e: int, bounds: tuple, K, k: int) -
         unit.append((_scaled(x, power + shift + held - ex, None), ex - held))
     (A, left_out), (B, _) = unit
     res = verify_bounds(family, A, B, K, p.alphas, p.convention, p.tolerance)
-    return res.passed, _verification_dict(res, 2 * e, left_out)
+    body["verification"] = {
+        "passed": res.passed,
+        "checks_run": len(res.checks),
+        "failures": [
+            {
+                "alpha": c.alpha,
+                "side": c.side,
+                "margin": _scaled(c.margin, 2 * e + (left_out if c.side == "lower" else 0), None),
+                "witness": _unit(c.witness),
+            }
+            for c in res.checks
+            if not c.ok
+        ],
+    }
+    return res.passed, body
 
 
 def _cmd_bounds(p: Problem) -> tuple[str, dict]:
@@ -706,11 +713,11 @@ def _check_bounds(p: Problem, key: str, K: Optional[np.ndarray], reason: str) ->
     if p.bounds is None and cert.A == 0.0:
         return "fail", {key: optimal, "reason": reason}
     if p.bounds is None:  # the optimal pair, verified exactly at unit scale
-        A, B, bounds = optimal["A"], optimal["B"], ((cert.A, 2 * f - 2 * k), (cert.B, 2 * f))
+        bounds = ((cert.A, 2 * f - 2 * k), (cert.B, 2 * f))
     else:
-        A, B, bounds = *p.bounds, ((p.bounds[0], 0), (p.bounds[1], 0))
-    passed, verification = _verify(p, family, f, bounds, K, k)
-    body = {"requested": {"A": A, "B": B}, key: optimal, "verification": verification}
+        bounds = ((p.bounds[0], 0), (p.bounds[1], 0))
+    passed, body = _verify(p, family, f, bounds, K, k, "requested", "A")
+    body[key] = optimal
     return ("pass" if passed else "fail"), body
 
 
@@ -747,9 +754,9 @@ def _cmd_atomic(p: Problem) -> tuple[str, dict]:
         return "fail", body
     body["reconstruction_residual"] = _scaled(factor.residual, k, None)
     # verify_bounds of (1 / C^2, B) checks the certificate independently
-    verification = verify_bounds(family, cert.A, cert.B, K, p.alphas, p.convention, p.tolerance)
-    body["verification"] = _verification_dict(verification, 2 * f, 0)
-    return ("pass" if factor.passed and verification.passed else "fail"), body
+    passed, checked = _verify(p, family, f, ((cert.A, 2 * f - 2 * k), (cert.B, 2 * f)), K, k)
+    body.update(checked)
+    return ("pass" if factor.passed and passed else "fail"), body
 
 
 def _cmd_transform(p: Problem) -> tuple[str, dict]:
@@ -762,19 +769,19 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         held = min(max(t, -64), 64)
         T, t = (_ldexp(T, held), t - held) if p.variant == "coisometry" else (T, t)
         try:
-            result = transform_family(family, T, K, p.variant, p.alphas, p.convention, p.tolerance)
+            result = transform_family(family, T, K, p.variant, p.tolerance)
         except ValueError as exc:
             return "fail", {"reason": str(exc)}
-        moved = 2 * (t + f)  # the moved family T F is held at 2^-(t + f)
-        body = {
-            "variant": result.variant,
-            "derived": _derived("A", result.derived.A, moved - 2 * k, result.derived.B, moved),
-            "verification": _verification_dict(result.verification, moved, 0),
-            "transformed_family": _scaled(result.family.vectors, t + f, "the transformed family"),
-        }
-        return ("pass" if result.verification.passed else "fail"), body
+        # A' = inf only when K = 0, where verify_bounds takes it as vacuous,
+        # so no ValueError is left for it to raise
+        moved = t + f  # the moved family T F is held at 2^-(t + f)
+        bounds = ((result.derived.A, 2 * (moved - k)), (result.derived.B, 2 * moved))
+        passed, body = _verify(p, result.family, moved, bounds, K, k, "derived", "A")
+        body["variant"] = p.variant
+        body["transformed_family"] = _scaled(result.family.vectors, moved, "the transformed family")
+        return ("pass" if passed else "fail"), body
     try:
-        result = operator_transfer(family, K, T, p.alphas, p.convention, p.tolerance)
+        result = operator_transfer(family, K, T, p.tolerance)
     except RangeInclusionError as exc:
         return "fail", {
             "reason": "hypothesis violated: range(T) is not contained in range(K)",
@@ -782,12 +789,11 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         }
     except ValueError as exc:
         return "fail", {"reason": str(exc)}
-    body = {
-        "lambda": _scaled(result.lam, t - k, "lambda = ||K^+ T||"),
-        "derived": _derived("A / lambda^2", result.derived.A, 2 * (f - t), result.derived.B, 2 * f),
-        "verification": _verification_dict(result.verification, 2 * f, 0),
-    }
-    return ("pass" if result.verification.passed else "fail"), body
+    lam = _scaled(result.lam, t - k, "lambda = ||K^+ T||")
+    bounds = ((result.derived.A, 2 * (f - t)), (result.derived.B, 2 * f))
+    passed, body = _verify(p, family, f, bounds, T, t, "derived", "A / lambda^2")
+    body["lambda"] = lam
+    return ("pass" if passed else "fail"), body
 
 
 def _cmd_combine(p: Problem) -> tuple[str, dict]:
@@ -806,18 +812,16 @@ def _cmd_combine(p: Problem) -> tuple[str, dict]:
         a = [_ldexp(a[j : j + 1], c + k - top)[0] for j, k in enumerate((k1, k2))]
         operation, formula = "sum", "1 / (|a| / sqrt(A1) + |b| / sqrt(A2))^2"
     try:
-        result = combine(family, [K1, K2], a, p.alphas, p.convention, p.tolerance)
+        result = combine(family, [K1, K2], a, p.tolerance)
     except ValueError as exc:
         return "fail", {"operation": operation, "reason": str(exc)}
+    bounds = ((result.derived.A, 2 * (f - top)), (result.derived.B, 2 * f))
+    passed, body = _verify(p, family, f, bounds, result.operator, top, "derived", formula)
     e = result.exponent  # the combined operator is held at 2^-(top + e)
-    body = {
-        "operation": operation,
-        "derived": _derived(formula, result.derived.A, 2 * (f - top), result.derived.B, 2 * f),
-        "verification": _verification_dict(result.verification, 2 * f, 0),
-        "optimal_kframe": _cert_dict(p, result.optimal, 2 * (f - top - e), 2 * f, null=True),
-        "ratio": result.ratio,
-    }
-    return ("pass" if result.verification.passed else "fail"), body
+    body["operation"] = operation
+    body["optimal_kframe"] = _cert_dict(p, result.optimal, 2 * (f - top - e), 2 * f, null=True)
+    body["ratio"] = result.ratio
+    return ("pass" if passed else "fail"), body
 
 
 def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
@@ -842,8 +846,9 @@ def _cmd_perturb_operator(p: Problem) -> tuple[str, dict]:
     if cert.A > 0.0 and math.isfinite(cert.A):
         derived = derive_operator_perturbed_bounds(cert.A, cert.B, p.lambda1, p.lambda2)
         bounds = ((derived.A, 2 * f - 2 * k1), (derived.B, 2 * f))
-        passed, body["verification"] = _verify(p, family, f, bounds, K2, k2)
-        body["derived"] = _derived("A ((1 - lambda2) / (1 + lambda1))^2", *bounds[0], *bounds[1])
+        formula = "A ((1 - lambda2) / (1 + lambda1))^2"
+        passed, checked = _verify(p, family, f, bounds, K2, k2, "derived", formula)
+        body.update(checked)
         return ("pass" if passed else "fail"), body
     body["note"] = "family carries no positive K1-frame bound to transfer"
     return "pass", body
@@ -871,8 +876,8 @@ def _cmd_perturb_family(p: Problem) -> tuple[str, dict]:
     a, b = math.ldexp(cert.A, 500), math.ldexp(cert.B, -500)
     derived = derive_family_perturbed_bounds(a, b, constant.M)
     bounds = ((derived.A, 2 * f - 2 * k - 500), (derived.B, 2 * f + 500))
-    passed, body["verification"] = _verify(p, G, g, bounds, p.operator_K, k)
-    body["derived"] = _derived("A / (sqrt(M) + 1)^2", *bounds[0], *bounds[1])
+    passed, checked = _verify(p, G, g, bounds, p.operator_K, k, "derived", "A / (sqrt(M) + 1)^2")
+    body.update(checked)
     return ("pass" if passed else "fail"), body
 
 

@@ -305,11 +305,14 @@ def verify_bounds(
     crisp profile) share one pair of PSD checks but are each listed.
     The first failing level yields the eigen-witness.  Each check allows
     the slack tol * max(max|diag P|, max|diag Q|) for its sides P <= Q.
-    A = inf is the vacuous bound of K = 0 and a ValueError for any other K.
+    A = inf is the vacuous bound of K = 0 and a ValueError for any other K;
+    B = inf or NaN is always a ValueError.
     """
     _check_convention(convention)
     if not A >= 0.0 or B < 0.0:
         raise ValueError("bounds must be nonnegative")
+    if not B < math.inf:  # a NaN or infinite B would reach eigh
+        raise ValueError(f"the upper bound B must be finite and nonnegative, got {B}")
     if A == math.inf and (K is None or np.any(K)):
         raise ValueError("A = inf is the vacuous lower bound of K = 0 only")
     s = classical_frame_operator(family)

@@ -1,8 +1,8 @@
 """Closure operations: combining the operators of a K-frame and transporting
 a family by an operator.
 
-Every derived bound produced here is validated through
-:func:`fuzzyframes.frame_core.verify_bounds` before being reported.
+Each closure only derives its pair (A', B'); the caller checks the pair
+with :func:`fuzzyframes.frame_core.verify_bounds`.
 
 The constants of :func:`combine` differ from the ones the paper quotes.
 Its sum constant [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 for a K1 + b K2
@@ -26,15 +26,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .frame_core import (
-    DEFAULT_ALPHAS,
     BoundCertificate,
     FrameFamily,
-    VerificationResult,
     optimal_kframe_bounds,
     synthesis_matrix,
     _optimal_bounds,
     _synthesis_svd,
-    verify_bounds,
 )
 from .operator_algebra import (
     PSD_TOL,
@@ -67,7 +64,7 @@ class DerivedBound(NamedTuple):
 
     K-frame bounds may have A > B (the lower inequality is against
     ||K* f||^2, the upper against ||f||^2), so no order is imposed; every
-    derived pair is checked by verify_bounds instead.
+    derived pair is left to verify_bounds instead.
     """
 
     A: float
@@ -77,7 +74,6 @@ class DerivedBound(NamedTuple):
 class CombinationResult(NamedTuple):
     operator: np.ndarray
     derived: DerivedBound
-    verification: VerificationResult
     #: the optimal K-frame certificate of 2^-exponent operator, the combined
     #: operator held at unit scale
     optimal: BoundCertificate
@@ -98,11 +94,9 @@ def combine(
     family: FrameFamily,
     operators: Sequence[np.ndarray],
     coefficients: Optional[Sequence[complex]] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
     tol: float = PSD_TOL,
 ) -> CombinationResult:
-    """Certify the family for sum_j a_j K_j (coefficients given) or for the
+    """Derive the pair of the family for sum_j a_j K_j (coefficients given) or the
     product K_1 K_2 ... K_n as written (coefficients None).
 
     States the paper's closure of K-frames under scalar combinations and
@@ -145,18 +139,15 @@ def combine(
         root = sum(abs(coefficients[j]) / math.sqrt(c.A) for j, c in zip(needed, certs))
         lower = 1.0 / root**2 if root > 0.0 else math.inf  # op = 0 when root = 0
     upper = float(svd[1][0]) ** 2
-    verification = verify_bounds(family, lower, upper, op, alphas, convention, tol)
     held, e = _unit_scale(op)  # a sum may cancel far below unit scale
     optimal = _optimal_bounds(family, held, *svd, tol)
     ratio = math.ldexp(lower, 2 * e) / optimal.A if 0.0 < optimal.A < math.inf else None
-    return CombinationResult(op, DerivedBound(lower, upper), verification, optimal, e, ratio)
+    return CombinationResult(op, DerivedBound(lower, upper), optimal, e, ratio)
 
 
 class TransformResult(NamedTuple):
     family: FrameFamily
     derived: DerivedBound
-    verification: VerificationResult
-    variant: str
 
 
 def transform_family(
@@ -164,8 +155,6 @@ def transform_family(
     T: np.ndarray,
     K: np.ndarray,
     variant: str = "invertible",
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
     tol: float = PSD_TOL,
 ) -> TransformResult:
     """Transport a K-frame to {T f_i} by an operator commuting with K.
@@ -203,23 +192,18 @@ def transform_family(
     upper = c.B * norm_t**2
 
     moved = FrameFamily((t @ synthesis_matrix(family)).T, family.model)
-    derived = DerivedBound(lower, upper)
-    verification = verify_bounds(moved, lower, upper, k, alphas, convention, tol)
-    return TransformResult(moved, derived, verification, variant)
+    return TransformResult(moved, DerivedBound(lower, upper))
 
 
 class TransferResult(NamedTuple):
     lam: float
     derived: DerivedBound
-    verification: VerificationResult
 
 
 def operator_transfer(
     family: FrameFamily,
     K: np.ndarray,
     T: np.ndarray,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    convention: str = "once",
     tol: float = PSD_TOL,
 ) -> TransferResult:
     """Transfer a K-frame certificate to the operator T when R(T) <= R(K).
@@ -233,7 +217,5 @@ def operator_transfer(
     c = _kframe_cert(family, k, tol)
     lam = douglas_factorize(t, k, tol).lam  # raises RangeInclusionError on escape
     lower = c.A / lam**2 if lam > 0.0 else math.inf
-    derived = DerivedBound(lower, c.B)
-    verification = verify_bounds(family, lower, c.B, t, alphas, convention, tol)
-    return TransferResult(lam, derived, verification)
+    return TransferResult(lam, DerivedBound(lower, c.B))
 

@@ -39,8 +39,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fuzzy_space import FuzzyModel, check_alpha
-
 __all__ = [
     "RELATIVE_RANK_TOL",
     "EPS",
@@ -50,7 +48,6 @@ __all__ = [
     "FactorizationResult",
     "as_matrix",
     "spectral_norm",
-    "alpha_operator_norm",
     "within_tolerance",
     "douglas_factorize",
 ]
@@ -103,34 +100,6 @@ def spectral_norm(T: np.ndarray) -> float:
     if not np.any(m):
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def alpha_operator_norm(
-    T: np.ndarray,
-    alpha: float,
-    domain_model: Optional[FuzzyModel] = None,
-    codomain_model: Optional[FuzzyModel] = None,
-) -> float:
-    """Level operator norm sup_{beta <= alpha} sup_x ||Tx||_beta / ||x||_beta.
-
-    States the norm of a strongly fuzzy bounded operator, the bound every K
-    and transfer operator of the paper carries.
-
-    With matching profiles on both sides the per-level ratio is the largest
-    singular value for every beta, so the sup is level-independent.  A crisp
-    domain feeding a scaled codomain picks up the factor sqrt(scale(alpha))
-    (the per-level factor increases, so the sup sits at beta = alpha).  The
-    opposite mix diverges as beta -> 0 and the norm is infinite.
-    """
-    a = check_alpha(alpha)
-    sigma = spectral_norm(T)
-    dom = domain_model.profile if domain_model is not None else None
-    cod = codomain_model.profile if codomain_model is not None else None
-    if dom == cod or dom is None or cod is None:
-        return sigma
-    if dom == "crisp" and cod == "scaled":
-        return math.sqrt(a / (1.0 - a)) * sigma
-    return math.inf
 
 
 def within_tolerance(excess: float, tol: float, scale: float) -> bool:

@@ -23,7 +23,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 import pytest
 
-from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel
+from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, spectral_norm
 from fuzzyframes.cli_io import _fmt, parse_problem, run_command
 from fuzzyframes.fuzzy_space import check_alpha
 from fuzzyframes.operator_algebra import PSD_TOL, _order_decision
@@ -319,6 +319,33 @@ def operator_norm_sampled(
     gram = T.conj().T @ T
     value = sphere_quotient_extremum(gram, np.eye(T.shape[1]), rng, samples, "max", polish)
     return float(np.sqrt(max(value, 0.0)))
+
+
+def alpha_operator_norm(
+    T: np.ndarray,
+    alpha: float,
+    domain_model: Optional[FuzzyModel] = None,
+    codomain_model: Optional[FuzzyModel] = None,
+) -> float:
+    """Level operator norm sup_{beta <= alpha} sup_x ||Tx||_beta / ||x||_beta,
+    the norm of a strongly fuzzy bounded operator, which every K and
+    transfer operator of the paper carries.
+
+    With matching profiles on both sides the per-level ratio is the largest
+    singular value for every beta, so the sup is level-independent.  A crisp
+    domain feeding a scaled codomain picks up the factor sqrt(scale(alpha))
+    (the per-level factor increases, so the sup sits at beta = alpha).  The
+    opposite mix diverges as beta -> 0 and the norm is infinite.
+    """
+    a = check_alpha(alpha)
+    sigma = spectral_norm(T)
+    dom = domain_model.profile if domain_model is not None else None
+    cod = codomain_model.profile if codomain_model is not None else None
+    if dom == cod or dom is None or cod is None:
+        return sigma
+    if dom == "crisp" and cod == "scaled":
+        return math.sqrt(a / (1.0 - a)) * sigma
+    return math.inf
 
 
 def sphere_violation_max(

@@ -289,18 +289,21 @@ def test_criterion_08_closure_theorems():
         K2 = rand_matrix(rng, 3, 3, field) @ K1  # second K-frame operator
         scalars = rng.standard_normal(2)
 
-        if not combine(fam, [K1, K2], list(scalars)).verification.passed:
+        combined = combine(fam, [K1, K2], list(scalars))
+        if not verify_bounds(fam, *combined.derived, combined.operator).passed:
             violations += 1
-        if not combine(fam, [K1, K2]).verification.passed:
+        combined = combine(fam, [K1, K2])
+        if not verify_bounds(fam, *combined.derived, combined.operator).passed:
             violations += 1
 
         diag = np.diag(rng.uniform(0.3, 2.0, size=3)).astype(K1.dtype)
         kd = np.diag(rng.uniform(0.3, 2.0, size=3)).astype(K1.dtype)
-        if not transform_family(fam, diag, kd, "invertible").verification.passed:
+        moved = transform_family(fam, diag, kd, "invertible")
+        if not verify_bounds(moved.family, *moved.derived, kd).passed:
             violations += 1
 
         T = K1 @ rand_matrix(rng, 3, 3, field)
-        if not operator_transfer(fam, K1, T).verification.passed:
+        if not verify_bounds(fam, *operator_transfer(fam, K1, T).derived, T).passed:
             violations += 1
 
         # bounds on G and fam, then check-kframe for K = T_F T_G* on [1/D, B]

@@ -3,14 +3,17 @@ line, or it states a result of the paper and is listed in KEPT; every
 method of a class in src/ other than a dunder is reached the same way."""
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyframes"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fuzzyframes"
 
 #: the library-only names and the paper statement each one implements
-KEPT = {
-    "alpha_operator_norm": "the norm of a strongly fuzzy bounded operator",
-}
+KEPT: dict = {}
 
 
 def _definitions() -> dict:
@@ -76,3 +79,32 @@ def test_every_method_is_reached():
         and item.name not in reached
     ]
     assert unreached == []
+
+
+def test_readme_library_example():
+    """README's "Library use" block runs, and each line's comment holds:
+    ``A = x, B = y`` are the fields of the value the line computes (or
+    assigns), and ``passes`` a verification that passed, at the levels
+    listed."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S)
+    assert block
+    scope: dict = {}
+    exec(block[1], scope)
+    pairs = passes = 0
+    for line in block[1].splitlines():
+        code, _, comment = line.partition("#")
+        target = re.match(r"(\w+) = ", code)
+        claims = re.findall(r"\b([AB]) = ([\d./]+)", comment)
+        for name, value in claims:
+            got = getattr(eval(target[1] if target else code, scope), name)
+            assert got == pytest.approx(float(Fraction(value)), rel=1e-12), line
+        pairs += bool(claims)
+        if "passes" in comment:
+            result = eval(code, scope)
+            assert result.passed, line
+            levels = re.findall(r"[\d.]+", comment.partition("levels")[2])
+            alphas = sorted({c.alpha for c in result.checks})
+            assert not levels or alphas == list(map(float, levels))
+            passes += 1
+    assert (pairs, passes) == (3, 2)

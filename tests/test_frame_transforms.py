@@ -1,4 +1,4 @@
-"""frame_transforms: closure formulas and their verification coupling."""
+"""frame_transforms: closure formulas, each derived pair checked by verify_bounds."""
 
 import math
 
@@ -19,6 +19,7 @@ from fuzzyframes import (
     verify_bounds,
 )
 from fuzzyframes import frame_transforms
+from fuzzyframes.operator_algebra import PSD_TOL
 from conftest import (
     bessel_pair_check,
     rand_family,
@@ -30,6 +31,11 @@ from conftest import (
 
 
 REAL2 = FuzzyModel(BaseSpace(2, "real"), "scaled")
+
+
+def verified(family, derived, K, tol=PSD_TOL) -> bool:
+    """verify_bounds of a closure's derived pair (A', B') against K."""
+    return verify_bounds(family, derived.A, derived.B, K, tol=tol).passed
 
 
 def diag_family(entries, field="real", profile="scaled"):
@@ -50,7 +56,7 @@ class TestCombineScalar:
         assert np.allclose(result.operator, K)
         assert result.derived.A == pytest.approx(cert.A, rel=1e-9)
         assert result.derived.B == pytest.approx(cert.B)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
         assert result.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_coefficient_still_valid(self):
@@ -63,19 +69,19 @@ class TestCombineScalar:
         assert optimal_kframe_bounds(fam, K2).A == 0.0
         result = combine(fam, [K1, K2], [1.0, 0.0])
         assert np.allclose(result.operator, K1)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
         direct = optimal_kframe_bounds(fam, K1)
         assert result.derived.A == pytest.approx(direct.A, rel=1e-9)
 
     def test_r3_instance_with_identity(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         result = combine(fam, [K, np.eye(3)], [1.0, 1.0])
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
 
     def test_zero_pair_is_vacuous(self, r3_instance):
         # 0 K + 0 I = 0: the lower inequality is vacuous, A' = A_opt = inf
         result = combine(r3_instance["family"], [r3_instance["K"], np.eye(3)], [0.0, 0.0])
-        assert not result.operator.any() and result.verification.passed
+        assert not result.operator.any() and verified(r3_instance["family"], result.derived, result.operator)
         assert result.derived.A == math.inf and result.optimal.A == math.inf
         assert result.ratio is None
 
@@ -88,7 +94,7 @@ class TestCombineScalar:
         K = np.diag([1.0, 0.5, 0.25])
         fam = FrameFamily(K.T, model)  # frame sum = ||K* f||^2
         result = combine(fam, [K, K], [1.0, 1.0])
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
         assert result.derived.A == pytest.approx(1.0 / 4.0)
         assert result.ratio == pytest.approx(1.0)
         quoted = 0.5
@@ -103,14 +109,14 @@ class TestCombineProduct:
         cert = optimal_kframe_bounds(fam, K)
         result = combine(fam, [K, np.eye(3)])
         assert result.derived.A == pytest.approx(cert.A)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
 
     def test_scaled_identity(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
         result = combine(fam, [K, 2.0 * np.eye(3)])
         assert result.derived.A == pytest.approx(cert.A / 4.0)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
 
     def test_random_pairs_verify(self):
         rng = np.random.default_rng(7)
@@ -120,7 +126,7 @@ class TestCombineProduct:
             K2 = rand_matrix(rng, 3, 3, field) @ K1
             result = combine(fam, [K1, K2])
             assert np.allclose(result.operator, K1 @ K2)
-            assert result.verification.passed
+            assert verified(fam, result.derived, result.operator)
 
 
 class TestCombineMany:
@@ -129,7 +135,7 @@ class TestCombineMany:
         cert = optimal_kframe_bounds(fam, K)
         result = combine(fam, [K], [2.0])
         assert result.derived.A == pytest.approx(cert.A / 4.0)  # A / |a|^2
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
 
     def test_two_equal_operators_unit_coefficients(self):
         rng = np.random.default_rng(11)
@@ -138,7 +144,7 @@ class TestCombineMany:
         result = combine(fam, [K, K], [1.0, 1.0])
         assert np.allclose(result.operator, 2.0 * K)
         assert result.derived.A == pytest.approx(cert.A / 4.0, rel=1e-9)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
 
     def test_product_of_commuting_diagonals(self):
         rng = np.random.default_rng(13)
@@ -146,7 +152,7 @@ class TestCombineMany:
         fam = FrameFamily(rng.standard_normal((5, 3)), model)
         ops = [np.diag(rng.uniform(0.5, 2.0, size=3)) for _ in range(3)]
         result = combine(fam, ops)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
         # the product is taken as written, K_1 K_2 K_3
         assert np.allclose(result.operator, ops[0] @ ops[1] @ ops[2])
 
@@ -159,7 +165,7 @@ class TestCombineMany:
         result = combine(fam, [K1, 3.0 * K1], [1.0, 1.0])
         assert result.derived.A == pytest.approx(A / 16.0, rel=1e-9)
         assert result.ratio == pytest.approx(1.0, rel=1e-9)
-        assert result.verification.passed
+        assert verified(fam, result.derived, result.operator)
         # a term's split between scalar and operator does not matter
         split = combine(fam, [K1, K1], [1.0, 3.0])
         assert split.derived.A == pytest.approx(result.derived.A, rel=1e-12)
@@ -180,7 +186,7 @@ class TestCombine:
             for coefficients in ([a, b], None):
                 result = combine(fam, [K1, K2], coefficients, tol=tol)
                 optimal = optimal_kframe_bounds(fam, result.operator, tol=tol)
-                assert result.verification.passed
+                assert verified(fam, result.derived, result.operator, tol)
                 assert result.derived.A <= optimal.A * (1.0 + tol)
                 assert result.ratio == pytest.approx(result.derived.A / optimal.A, rel=1e-9)
             # the sum rule is never below its Cauchy-Schwarz form, nor below
@@ -213,7 +219,7 @@ class TestCombine:
             combine(fam, [outside, inside])
         # the product K1 K2 needs K1's certificate only
         result = combine(fam, [inside, outside])
-        assert result.verification.passed and result.derived.A == pytest.approx(1.0)
+        assert verified(fam, result.derived, result.operator) and result.derived.A == pytest.approx(1.0)
 
 
 class TestBesselPair:
@@ -262,7 +268,7 @@ class TestTransformFamily:
         result = transform_family(fam, 2.0 * np.eye(3), K, "invertible")
         assert result.derived.A == pytest.approx(4.0 * cert.A)
         assert result.derived.B == pytest.approx(4.0 * cert.B)
-        assert result.verification.passed
+        assert verified(result.family, result.derived, K)
         # direct scaling oracle: the moved family is {2 f_i}
         assert np.allclose(result.family.vectors, 2.0 * fam.vectors)
 
@@ -299,7 +305,7 @@ class TestTransformFamily:
         K = np.eye(3) * 1.5
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         result = transform_family(fam, q, K, "coisometry")
-        assert result.verification.passed
+        assert verified(result.family, result.derived, K)
         assert result.derived.A == pytest.approx(optimal_kframe_bounds(fam, K).A)
 
     def test_commutation_hypothesis_enforced(self):
@@ -323,7 +329,7 @@ class TestOperatorTransfer:
         result = operator_transfer(fam, K, K)
         assert result.lam == pytest.approx(1.0)
         assert result.derived.A == pytest.approx(cert.A)
-        assert result.verification.passed
+        assert verified(fam, result.derived, K)
 
     def test_transfer_to_half(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
@@ -331,14 +337,14 @@ class TestOperatorTransfer:
         result = operator_transfer(fam, K, 0.5 * K)
         assert result.lam == pytest.approx(0.5)
         assert result.derived.A == pytest.approx(4.0 * cert.A)
-        assert result.verification.passed
+        assert verified(fam, result.derived, 0.5 * K)
 
     def test_c3_projector_transfer(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
         T = np.zeros((3, 3), dtype=complex)
         T[0, 0] = 1.0  # projector onto e1, whose range sits inside range(K)
         result = operator_transfer(fam, K, T)
-        assert result.verification.passed
+        assert verified(fam, result.derived, T)
 
     def test_range_escape_is_hypothesis_violation(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
@@ -353,7 +359,7 @@ class TestOperatorTransfer:
             w = rand_matrix(rng, 4, 4)
             T = K @ w  # range(T) <= range(K)
             result = operator_transfer(fam, K, T)
-            assert result.verification.passed
+            assert verified(fam, result.derived, T)
             optimal = optimal_kframe_bounds(fam, T)
             if math.isfinite(result.derived.A) and math.isfinite(optimal.A):
                 assert result.derived.A <= optimal.A + 1e-9
@@ -428,6 +434,10 @@ class TestSynthesisCharacterization:
         (lambda fam: verify_bounds(fam, -1.0, 1.0), "bounds must be nonnegative"),
         (lambda fam: verify_bounds(fam, math.nan, 1.0), "bounds must be nonnegative"),
         (lambda fam: verify_bounds(fam, 1.0, -1.0), "bounds must be nonnegative"),
+        (lambda fam: verify_bounds(fam, 1.0, math.nan),
+         "the upper bound B must be finite and nonnegative, got nan"),
+        (lambda fam: verify_bounds(fam, 1.0, math.inf),
+         "the upper bound B must be finite and nonnegative, got inf"),
         (lambda fam: verify_bounds(fam, math.inf, 1.0),
          "A = inf is the vacuous lower bound of K = 0 only"),
         (lambda fam: verify_bounds(fam, math.inf, 1.0, np.eye(2)),

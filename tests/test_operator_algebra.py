@@ -11,7 +11,6 @@ from fuzzyframes import (
     FrameFamily,
     FuzzyModel,
     RangeInclusionError,
-    alpha_operator_norm,
     douglas_factorize,
     optimal_kframe_bounds,
     spectral_norm,
@@ -25,6 +24,7 @@ from fuzzyframes.operator_algebra import (
 from fuzzyframes.perturbation import _family_constant
 from conftest import (
     alpha_inner,
+    alpha_operator_norm,
     decide_order,
     operator_norm_sampled,
     order_holds,
@@ -54,6 +54,8 @@ class TestAdjoint:
 
 
 class TestOperatorNorm:
+    """The level operator norm oracle of conftest."""
+
     def test_diagonal(self):
         for a in (0.1, 0.5, 0.9):
             assert alpha_operator_norm(np.diag([2.0, 3.0, 6.0]), a) == pytest.approx(6.0)
