@@ -1,10 +1,11 @@
 """Batch command-line interface: JSON problem files in, deterministic
 certificate reports out.
 
-Reports are canonical: keys sorted, numbers printed to 12 significant
-digits, complex scalars as [re, im] pairs, witnesses normalized to unit
-norm.  Identical (file, version) pairs produce byte-identical reports at
-any parallelism level.
+Reports are canonical JSON of dicts with str keys, lists, str, floats, ints,
+bools, null and nonempty 1-D or 2-D float64/complex128 arrays: keys sorted,
+numbers printed to 12 significant digits, a complex value only as an array
+entry [re, im], witnesses normalized to unit norm.  Identical (file, version)
+pairs produce byte-identical reports at any parallelism level.
 
 Exit codes: 0 verdict pass, 1 mathematical negative (fail or
 not_applicable, with witness where one exists), 2 input or usage error.
@@ -443,20 +444,17 @@ _ROW_WRITERS = {"d": _floats, "D": _complexes}
 
 
 def _array(a: np.ndarray, nl: str) -> str:
-    """Nonempty float64 and complex128 vectors, and matrices row by row;
-    any other array (0-d, empty, another dtype) through tolist(), written
-    as the generic path writes it: a 0-d array as its scalar."""
+    """A nonempty float64 or complex128 vector, or such a matrix row by row."""
     row = _ROW_WRITERS.get(a.dtype.char)
-    if row is not None and a.size:
-        if a.ndim == 1:
-            return row(a, nl)
-        if a.ndim == 2:
-            inner = nl + "  "
-            return "[" + inner + ("," + inner).join([row(r, inner) for r in a]) + nl + "]"
-    return _text(a.tolist(), nl)
+    if row is None or not a.size or a.ndim not in (1, 2):
+        raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+    if a.ndim == 1:
+        return row(a, nl)
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([row(r, inner) for r in a]) + nl + "]"
 
 
-def _list(items: Sequence, nl: str) -> str:
+def _list(items: list, nl: str) -> str:
     if not items:
         return "[]"
     inner = nl + "  "
@@ -467,22 +465,13 @@ def _object(obj: dict, nl: str) -> str:
     if not obj:
         return "{}"
     inner = nl + "  "
-    keys = sorted(obj)
-    if set(map(type, keys)) != {str}:
-        obj = {str(k): obj[k] for k in keys}
-        if len(obj) < len(keys):
-            raise TypeError("dict keys whose str coincide")
-        keys = sorted(obj)
-    members = [f"{_string(k)}: {_text(obj[k], inner)}" for k in keys]
+    members = [f"{_string(k)}: {_text(obj[k], inner)}" for k in sorted(obj)]
     return "{" + inner + ("," + inner).join(members) + nl + "}"
 
 
 def _text(obj: Any, nl: str) -> str:
-    """obj as canonical JSON; nl is the line break and indentation of its line.
-
-    The exact types reports hold come first; subclasses and numpy scalars
-    follow in the order of the isinstance tests that decide them.
-    """
+    """obj as canonical JSON; nl is the line break and indentation of its
+    line.  The report value types are tested most frequent first."""
     t = type(obj)
     if t is float:
         return _num(obj)
@@ -492,43 +481,23 @@ def _text(obj: Any, nl: str) -> str:
         return _object(obj, nl)
     if t is np.ndarray:
         return _array(obj, nl)
-    if t is list or t is tuple:
+    if t is list:
         return _list(obj, nl)
     if obj is None:
         return "null"
-    if t is bool or isinstance(obj, np.bool_):
+    if t is bool:
         return "true" if obj else "false"
-    if isinstance(obj, str):
-        return _string(obj)
-    if isinstance(obj, int):
+    if t is int:
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _num(obj)
-    if isinstance(obj, complex):
-        return _pair(obj, nl)
-    if isinstance(obj, np.floating):
-        return _num(float(obj))
-    if isinstance(obj, np.integer):
-        return int.__repr__(int(obj))
-    if isinstance(obj, np.complexfloating):
-        return _pair(complex(obj), nl)
-    if isinstance(obj, np.ndarray):
-        return _text(obj.tolist(), nl)
-    if isinstance(obj, dict):
-        return _object(obj, nl)
-    if isinstance(obj, (list, tuple)):
-        return _list(obj, nl)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    """The canonical report text of obj, written in one pass.
-
-    It is the text json.dumps(sort_keys=True, indent=2, ensure_ascii=True)
-    prints once every number is rounded by _fmt, dict keys are made strings
-    with str and complex values are [re, im] pairs.  A 0-d array is written
-    as its scalar; dict keys whose str coincide raise TypeError.
-    """
+    """The canonical report text of obj, written in one pass: what
+    json.dumps(sort_keys=True, indent=2, ensure_ascii=True) prints once every
+    number is rounded by _fmt and every complex array entry is [re, im].
+    obj holds only the report value types of the module docstring; any other
+    value raises TypeError."""
     return _text(obj, "\n")
 
 
@@ -678,7 +647,7 @@ def _verify(
                 "alpha": c.alpha,
                 "side": c.side,
                 "margin": _scaled(c.margin, 2 * e + (left_out if c.side == "lower" else 0), None),
-                "witness": _unit(c.witness),
+                "witness": c.witness,
             }
             for c in res.checks
             if not c.ok

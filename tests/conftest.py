@@ -612,40 +612,27 @@ def reference_whole_array(
 
 
 def _canon(obj: Any) -> Any:
-    """obj as plain JSON values: numbers rounded by _fmt, complex values as
-    [re, im], arrays as lists (a 0-d array as its scalar), dict keys as str,
-    which must not coincide."""
+    """obj as plain JSON values: numbers rounded by _fmt, arrays as lists,
+    complex entries as [re, im]."""
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, complex):
         return [_fmt(obj.real), _fmt(obj.imag)]
-    if isinstance(obj, np.floating):
-        return _fmt(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.complexfloating):
-        return [_fmt(float(obj.real)), _fmt(float(obj.imag))]
     if isinstance(obj, np.ndarray):
         return _canon(obj.tolist())
     if isinstance(obj, dict):
-        out = {str(k): _canon(v) for k, v in sorted(obj.items())}
-        if len(out) < len(obj):
-            raise TypeError("dict keys whose str coincide")
-        return out
-    if isinstance(obj, (list, tuple)):
+        return {k: _canon(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_canon(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def reference_canonical_json(obj: Any) -> str:
-    """The serializer of version 1.6.0, with a 0-d array written as its
-    scalar and coinciding keys an error: a walk that makes plain JSON
-    values, then the standard library encoder.  canonical_json must print
-    the same text wherever this one prints any."""
+    """The serializer of version 1.6.0 on report values: a walk that makes
+    plain JSON values, then the standard library encoder.  canonical_json
+    must print the same text."""
     return json.dumps(_canon(obj), sort_keys=True, indent=2, ensure_ascii=True)
 
 
