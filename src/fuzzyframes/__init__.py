@@ -7,13 +7,11 @@ closures, and derives perturbation-stable bounds.  See README.md for the CLI
 and the problem-file schema.
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 from .fuzzy_space import BaseSpace, FuzzyModel, check_fip_axioms
 from .operator_algebra import (
     FactorizationResult,
-    RangeInclusionError,
-    douglas_factorize,
     spectral_norm,
 )
 from .frame_core import (
@@ -45,8 +43,6 @@ __all__ = [
     "FuzzyModel",
     "check_fip_axioms",
     "FactorizationResult",
-    "RangeInclusionError",
-    "douglas_factorize",
     "spectral_norm",
     "BoundCertificate",
     "FrameFamily",

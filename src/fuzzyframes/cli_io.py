@@ -8,7 +8,10 @@ entry [re, im], witnesses normalized to unit norm.  Identical (file, version)
 pairs produce byte-identical reports at any parallelism level.
 
 Exit codes: 0 verdict pass, 1 mathematical negative (fail or
-not_applicable, with witness where one exists), 2 input or usage error.
+not_applicable, with witness where one exists; a violated hypothesis is
+one), 2 input or usage error, or a decomposition that fails in any command.
+No command handler catches an exception: run_command turns one into the
+verdict error.
 
 Every problem is decided at unit scale (see parse_problem and _scaled): a
 reported bound or operator past the double range is an input error naming it,
@@ -36,8 +39,7 @@ import orjson
 
 from . import __version__
 from .fuzzy_space import FIELDS, MAX_DIMENSION, PROFILES, BaseSpace, FuzzyModel, check_fip_axioms
-from .operator_algebra import PSD_TOL, RangeInclusionError, douglas_factorize
-from .operator_algebra import _factorize, _ldexp, _unit_scale, within_tolerance
+from .operator_algebra import PSD_TOL, _factorize, _ldexp, _unit_scale, within_tolerance
 from .frame_core import (
     CONVENTIONS,
     DEFAULT_ALPHAS,
@@ -737,10 +739,9 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         # held within 2^+-64, past which T T* - I is T T* or I to the last bit
         held = min(max(t, -64), 64)
         T, t = (_ldexp(T, held), t - held) if p.variant == "coisometry" else (T, t)
-        try:
-            result = transform_family(family, T, K, p.variant, p.tolerance)
-        except ValueError as exc:
-            return "fail", {"reason": str(exc)}
+        result = transform_family(family, T, K, p.variant, p.tolerance)
+        if result.reason is not None:
+            return "fail", {"reason": result.reason}
         # A' = inf only when K = 0, where verify_bounds takes it as vacuous,
         # so no ValueError is left for it to raise
         moved = t + f  # the moved family T F is held at 2^-(t + f)
@@ -749,15 +750,12 @@ def _cmd_transform(p: Problem) -> tuple[str, dict]:
         body["variant"] = p.variant
         body["transformed_family"] = _scaled(result.family.vectors, moved, "the transformed family")
         return ("pass" if passed else "fail"), body
-    try:
-        result = operator_transfer(family, K, T, p.tolerance)
-    except RangeInclusionError as exc:
-        return "fail", {
-            "reason": "hypothesis violated: range(T) is not contained in range(K)",
-            "projection_residual": exc.residual,
-        }
-    except ValueError as exc:
-        return "fail", {"reason": str(exc)}
+    result = operator_transfer(family, K, T, p.tolerance)
+    if result.reason is not None:
+        body = {"reason": result.reason}
+        if result.projection_residual is not None:  # range(T) escapes range(K)
+            body["projection_residual"] = result.projection_residual
+        return "fail", body
     lam = _scaled(result.lam, t - k, "lambda = ||K^+ T||")
     bounds = ((result.derived.A, 2 * (f - t)), (result.derived.B, 2 * f))
     passed, body = _verify(p, family, f, bounds, T, t, "derived", "A / lambda^2")
@@ -780,10 +778,9 @@ def _cmd_combine(p: Problem) -> tuple[str, dict]:
         top = max((c + k + math.frexp(abs(x))[1] for x, k in zip(a, (k1, k2)) if x), default=0)
         a = [_ldexp(a[j : j + 1], c + k - top)[0] for j, k in enumerate((k1, k2))]
         operation, formula = "sum", "1 / (|a| / sqrt(A1) + |b| / sqrt(A2))^2"
-    try:
-        result = combine(family, [K1, K2], a, p.tolerance)
-    except ValueError as exc:
-        return "fail", {"operation": operation, "reason": str(exc)}
+    result = combine(family, [K1, K2], a, p.tolerance)
+    if result.reason is not None:
+        return "fail", {"operation": operation, "reason": result.reason}
     bounds = ((result.derived.A, 2 * (f - top)), (result.derived.B, 2 * f))
     passed, body = _verify(p, family, f, bounds, result.operator, top, "derived", formula)
     e = result.exponent  # the combined operator is held at 2^-(top + e)
@@ -879,10 +876,9 @@ def _cmd_douglas(p: Problem) -> tuple[str, dict]:
     M = p.need("operator_T")
     N = p.need("operator_K")
     t, k = p.exponents["operator_T"], p.exponents["operator_K"]
-    try:
-        result = douglas_factorize(M, N, p.tolerance)
-    except RangeInclusionError as exc:
-        return "fail", {"inclusion": False, "projection_residual": exc.residual}
+    d, _, _, result = _factorize(M, N, p.tolerance)
+    if result is None:
+        return "fail", {"inclusion": False, "projection_residual": d.residual}
     W = _scaled(result.W, t - k, "the factor W = N^+ M")
     body = {
         "inclusion": True,
@@ -973,9 +969,9 @@ def run_command(command: str, problem: Problem, path: str = "<memory>") -> tuple
         "input": {"path": str(path), "digest": problem_digest(problem)},
         "erratum_notes": [],
     }
-    try:
+    try:  # the one place a command's exception becomes a verdict
         verdict, body = COMMANDS[command](problem)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         report["verdict"] = "error"
         report["error"] = str(exc)
         report["exit_code"] = EXIT_ERROR

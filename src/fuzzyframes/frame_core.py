@@ -23,10 +23,10 @@ never from an eigendecomposition of S_c, which squares its condition number;
 An atomic system is a Douglas factorization: the family is one for K
 exactly when K = F W for a bounded W.  This module has no routine of its
 own for it: the ``atomic`` command reads the factorization and the
-certificate from one SVD of F, and a library caller gets the coefficients
-of K f = sum beta_i f_i as beta = W f from
-``operator_algebra.douglas_factorize(K, F)``, with ||beta|| <= C ||f|| for
-C = ||W|| = 1 / sqrt(A).
+certificate from one SVD of F (``operator_algebra._factorize(K, F)``).
+The coefficients of K f = sum beta_i f_i are beta = W f for W = F^dagger K,
+with ||beta|| <= C ||f|| for C = ||W|| = 1 / sqrt(A); a range(K) outside
+range(F) is the result A = 0, not an exception.
 
 Operands are expected at unit scale (see ``operator_algebra``).
 """

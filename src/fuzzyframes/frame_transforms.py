@@ -2,7 +2,10 @@
 a family by an operator.
 
 Each closure only derives its pair (A', B'); the caller checks the pair
-with :func:`fuzzyframes.frame_core.verify_bounds`.
+with :func:`fuzzyframes.frame_core.verify_bounds`.  A violated hypothesis
+is a result, not an exception: the record's ``reason`` names it and its
+other fields are None.  Only an input error (an unknown variant, a wrong
+operator count) raises ValueError.
 
 The constants of :func:`combine` differ from the ones the paper quotes.
 Its sum constant [max(|a|^2, |b|^2) (1/A1 + 1/A2)]^-1 for a K1 + b K2
@@ -35,11 +38,11 @@ from .frame_core import (
 )
 from .operator_algebra import (
     PSD_TOL,
+    _douglas,
     _gram,
     _rank,
     _unit_scale,
     as_matrix,
-    douglas_factorize,
     spectral_norm,
     within_tolerance,
 )
@@ -72,22 +75,21 @@ class DerivedBound(NamedTuple):
 
 
 class CombinationResult(NamedTuple):
-    operator: np.ndarray
-    derived: DerivedBound
+    operator: Optional[np.ndarray] = None
+    derived: Optional[DerivedBound] = None
     #: the optimal K-frame certificate of 2^-exponent operator, the combined
     #: operator held at unit scale
-    optimal: BoundCertificate
-    exponent: int
+    optimal: Optional[BoundCertificate] = None
+    exponent: Optional[int] = None
     #: A' / A_opt for the optimal A_opt of the combined operator, at most
     #: 1 + tol; None when A_opt is 0 or inf.  Reported, never decided on.
-    ratio: Optional[float]
+    ratio: Optional[float] = None
+    #: the violated hypothesis, None when the closure applies
+    reason: Optional[str] = None
 
 
-def _kframe_cert(family: FrameFamily, K: np.ndarray, tol: float) -> BoundCertificate:
-    out = optimal_kframe_bounds(family, K, tol=tol)
-    if not (out.A > 0.0):
-        raise ValueError("family is not a K-frame for the supplied operator")
-    return out
+#: the reason of transform_family and operator_transfer when K has no K-frame
+_NOT_A_KFRAME = "family is not a K-frame for the supplied operator"
 
 
 def combine(
@@ -112,10 +114,10 @@ def combine(
     a_j K_j is written as (a_j t)(K_j / t), and by Cauchy-Schwarz it is at
     least 1 / ((sum |a_j|^2) (sum_{a_j != 0} 1 / A_j)).  The product
     follows from ||(K_1 ... K_n)* f|| <= prod_{j > 1} ||K_j|| ||K_1* f||,
-    which needs K_1's certificate only.  A K_j whose certificate the rule
-    needs and whose bound is 0 raises ValueError naming it.  One SVD of F
-    gives every certificate and the optimal one of the combined operator,
-    which is reported next to the derived pair.
+    which needs K_1's certificate only.  The first K_j whose certificate the
+    rule needs and whose bound is 0 is named in the result's reason.  One
+    SVD of F gives every certificate and the optimal one of the combined
+    operator, which is reported next to the derived pair.
     """
     mats = [as_matrix(K) for K in operators]
     if not mats:
@@ -127,7 +129,9 @@ def combine(
     certs = [_optimal_bounds(family, mats[j], *svd, tol) for j in needed]
     for j, c in zip(needed, certs):
         if not c.A > 0.0:
-            raise ValueError(f"family is not a K-frame for K{j + 1}: its optimal lower bound is 0")
+            return CombinationResult(
+                reason=f"family is not a K-frame for K{j + 1}: its optimal lower bound is 0"
+            )
     if coefficients is None:
         op = mats[0]
         for k in mats[1:]:
@@ -146,8 +150,10 @@ def combine(
 
 
 class TransformResult(NamedTuple):
-    family: FrameFamily
-    derived: DerivedBound
+    family: Optional[FrameFamily] = None
+    derived: Optional[DerivedBound] = None
+    #: the violated hypothesis, None when the transport applies
+    reason: Optional[str] = None
 
 
 def transform_family(
@@ -162,9 +168,10 @@ def transform_family(
     invertible variant:  bounds (A ||T^-1||^-2, B ||T||^2), T full rank;
     coisometry variant:  bounds (A, B ||T||^2) with T T* = I.
 
-    Commutation T K = K T is a hypothesis; its failure is an error.  It and
-    T T* = I are decided in Frobenius norms, against ||T||_F ||K||_F and
-    max(||T T*||_F, ||I||_F).
+    Commutation T K = K T, a K-frame, and T's invertibility or T T* = I
+    are hypotheses; the first that fails is the result's reason.
+    Commutation and T T* = I are decided in Frobenius norms, against
+    ||T||_F ||K||_F and max(||T T*||_F, ||I||_F).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -175,19 +182,22 @@ def transform_family(
     comm = float(np.linalg.norm(t @ k - k @ t))
     scale = float(np.linalg.norm(t) * np.linalg.norm(k))
     if not within_tolerance(comm, tol, scale):
-        raise ValueError(f"T and K do not commute (relative residual {comm / scale:.3e})")
-    c = _kframe_cert(family, k, tol)
+        reason = f"T and K do not commute (relative residual {comm / scale:.3e})"
+        return TransformResult(reason=reason)
+    c = optimal_kframe_bounds(family, k, tol)
+    if not c.A > 0.0:
+        return TransformResult(reason=_NOT_A_KFRAME)
 
     if variant == "invertible":
         if _rank(sv) < len(sv):
-            raise ValueError("transform operator is not invertible")
+            return TransformResult(reason="transform operator is not invertible")
         inv_norm = 1.0 / float(sv[-1])
         lower = c.A / inv_norm**2
     else:
         gram = _gram(t)
         res = float(np.linalg.norm(gram - np.eye(gram.shape[0])))
         if not within_tolerance(res, tol, max(float(np.linalg.norm(gram)), math.sqrt(len(gram)))):
-            raise ValueError(f"T T* is not the identity (residual {res:.3e})")
+            return TransformResult(reason=f"T T* is not the identity (residual {res:.3e})")
         lower = c.A
     upper = c.B * norm_t**2
 
@@ -196,8 +206,12 @@ def transform_family(
 
 
 class TransferResult(NamedTuple):
-    lam: float
-    derived: DerivedBound
+    lam: Optional[float] = None
+    derived: Optional[DerivedBound] = None
+    #: the violated hypothesis, None when the transfer applies
+    reason: Optional[str] = None
+    #: ||(I - K K^dagger) T||_F / ||T||_F when range(T) escapes range(K)
+    projection_residual: Optional[float] = None
 
 
 def operator_transfer(
@@ -208,14 +222,24 @@ def operator_transfer(
 ) -> TransferResult:
     """Transfer a K-frame certificate to the operator T when R(T) <= R(K).
 
-    T T* <= lam^2 K K* with lam from the factorization gives the lower
-    bound A / lam^2 (vacuous when T = 0); range escape is a hypothesis
-    violation and raises RangeInclusionError.
+    T T* <= lam^2 K K* with lam = ||K^dagger T|| from Douglas's lemma on
+    one thin SVD of K gives the lower bound A / lam^2 (vacuous when T = 0).
+    A family that is no K-frame, or a range(T) that escapes range(K), is the
+    result's reason, the escape with its projection residual.
     """
     k = as_matrix(K)
     t = as_matrix(T)
-    c = _kframe_cert(family, k, tol)
-    lam = douglas_factorize(t, k, tol).lam  # raises RangeInclusionError on escape
+    c = optimal_kframe_bounds(family, k, tol)
+    if not c.A > 0.0:
+        return TransferResult(reason=_NOT_A_KFRAME)
+    u, s, _ = np.linalg.svd(k, full_matrices=False)
+    d = _douglas(t, u, s, tol)
+    if not d.included:
+        return TransferResult(
+            reason="hypothesis violated: range(T) is not contained in range(K)",
+            projection_residual=d.residual,
+        )
+    lam = math.sqrt(d.sup)
     lower = c.A / lam**2 if lam > 0.0 else math.inf
     return TransferResult(lam, DerivedBound(lower, c.B))
 

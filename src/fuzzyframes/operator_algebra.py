@@ -8,9 +8,10 @@ the smallest lam with M M* <= lam^2 N N* is ||N^dagger M||.  One helper,
 _douglas, reads it from the left singular pairs (u, s) of N: the inclusion
 residual, the coordinates s^-1 u* M of N^dagger M and lam^2 with its
 witness; every range inclusion and K-frame bound goes through it.  One
-factorization, douglas_factorize, solves M = N W from it with its residual
-and pass decision: the ``douglas`` command reads it, and so does every
-atomic system, which is M = K against N = F.
+factorization, _factorize, solves M = N W from it with its residual and
+pass decision: the ``douglas`` command reads it, and so does every atomic
+system, which is M = K against N = F.  A range that escapes is a result,
+never an exception: _douglas reports it with its projection residual.
 
 Ranks follow one relative rule, read from singular values only: one at or
 below RELATIVE_RANK_TOL times the largest counts as zero, so rescaling an
@@ -44,12 +45,10 @@ __all__ = [
     "EPS",
     "PSD_TOL",
     "CHOLESKY_TOL_FACTOR",
-    "RangeInclusionError",
     "FactorizationResult",
     "as_matrix",
     "spectral_norm",
     "within_tolerance",
-    "douglas_factorize",
 ]
 
 #: singular values at or below this fraction of the largest count as zero;
@@ -73,18 +72,6 @@ PSD_TOL = 1e-9
 #: and larger tol only widens the margin.  Below the cutoff eigh decides
 #: alone.
 CHOLESKY_TOL_FACTOR = 4096.0
-
-
-class RangeInclusionError(Exception):
-    """Raised when a range-inclusion hypothesis fails.
-
-    Carries the residual of projecting the offending operator onto the
-    orthogonal complement of the target range.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (projection residual {residual:.3e})")
-        self.residual = residual
 
 
 def as_matrix(T: np.ndarray) -> np.ndarray:
@@ -297,18 +284,3 @@ def _factorize(
     passed = within_tolerance(residual - rounding, tol, float(np.linalg.norm(m)))
     return d, u, s, FactorizationResult(lam, w, residual, d.residual, passed)
 
-
-def douglas_factorize(
-    M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL
-) -> FactorizationResult:
-    """Solve M = N W with the minimal-norm W = N^dagger M; lam = ||W||, the
-    minimal lam >= 0 with M M* <= lam^2 N N*.
-
-    One SVD of N feeds _douglas: W = V_r z and lam = ||z||.  Range
-    inclusion is a hypothesis; its failure raises RangeInclusionError
-    carrying the projection residual.
-    """
-    d, _, _, result = _factorize(M, N, tol)
-    if result is None:
-        raise RangeInclusionError("range(M) is not contained in range(N)", d.residual)
-    return result

@@ -26,7 +26,7 @@ import pytest
 from fuzzyframes import BaseSpace, FrameFamily, FuzzyModel, spectral_norm
 from fuzzyframes.cli_io import _fmt, parse_problem, run_command
 from fuzzyframes.fuzzy_space import check_alpha
-from fuzzyframes.operator_algebra import PSD_TOL, _order_decision
+from fuzzyframes.operator_algebra import PSD_TOL, _factorize, _order_decision
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,15 @@ def run_problem(command: str, family: FrameFamily, **fields) -> tuple[dict, int]
     report, code = run_command(command, parse_problem(data))
     assert "body" in report, report.get("error")
     return report["body"], code
+
+
+def factorize(M: np.ndarray, N: np.ndarray, tol: float = PSD_TOL) -> tuple:
+    """Douglas's lemma for M against N as the ``douglas`` and ``atomic``
+    commands read it, from operator_algebra._factorize: the _Douglas, whose
+    ``included`` and ``residual`` decide range(M) inside range(N), and the
+    factorization M = N W, None when the range escapes."""
+    d, _, _, factor = _factorize(M, N, tol)
+    return d, factor
 
 
 def bessel_pair_check(F: FrameFamily, G: FrameFamily) -> tuple[dict, int]:

@@ -16,13 +16,11 @@ from fuzzyframes import (
     BaseSpace,
     FrameFamily,
     FuzzyModel,
-    RangeInclusionError,
     check_fip_axioms,
     check_operator_perturbation,
     classical_frame_operator,
     derive_family_perturbed_bounds,
     derive_operator_perturbed_bounds,
-    douglas_factorize,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
@@ -37,6 +35,7 @@ from conftest import (
     alpha_inner_polarization,
     alpha_norm_bisect,
     bessel_pair_check,
+    factorize,
     order_holds,
     rand_deficient_instance,
     rand_family,
@@ -194,8 +193,8 @@ def test_criterion_04_level_independence():
 
 
 def test_criterion_05_atomic_equivalence():
-    # atomic decides K = F W; its factorization is douglas_factorize(K, F),
-    # whose W gives the coefficients beta = W f of K f = sum beta_i f_i
+    # atomic decides K = F W; its factorization is _factorize(K, F), whose
+    # W gives the coefficients beta = W f of K f = sum beta_i f_i
     rng = np.random.default_rng(5)
     ok = True
     for k in range(200):
@@ -206,7 +205,7 @@ def test_criterion_05_atomic_equivalence():
         ok &= code == 0 and body["atomic_holds"]
         C, A = body["coefficient_norm_constant"], body["certificate"]["A"]
         F = synthesis_matrix(fam)
-        factor = douglas_factorize(K, F)
+        factor = factorize(K, F)[1]
         ok &= abs(factor.lam - C) <= 1e-12 * C
         beta = factor.W @ f
         ok &= np.linalg.norm(K @ f - F @ beta) <= 1e-9
@@ -219,11 +218,9 @@ def test_criterion_05_atomic_equivalence():
         body, code = run_problem("atomic", fam, operator_K=K)
         ok &= code == 1 and not body["atomic_holds"] and body["certificate"]["A"] == 0.0
         ok &= body["coefficient_norm_constant"] is None
-        try:
-            douglas_factorize(K, synthesis_matrix(fam))
-            ok = False  # the coefficient construction must fail with the certificate
-        except RangeInclusionError:
-            pass
+        # the coefficient construction fails with the certificate
+        d, factor = factorize(K, synthesis_matrix(fam))
+        ok &= factor is None and not d.included and body["projection_residual"] == d.residual
     criterion(5, "atomic-system equivalence on 200 + 50 seeded instances", ok)
 
 
@@ -257,9 +254,8 @@ def test_criterion_07_douglas_suite():
         n = rand_matrix(rng, 4, 3, field)
         w = rand_matrix(rng, 3, 3, field)
         m = n @ w
-        try:
-            factor = douglas_factorize(m, n)
-        except RangeInclusionError:
+        factor = factorize(m, n)[1]
+        if factor is None:
             ok = False
             continue
         ok &= factor.residual <= 1e-9 and factor.passed
@@ -272,11 +268,8 @@ def test_criterion_07_douglas_suite():
         n[:, 3] = 0.0
         n[3, :] = 0.0
         m = rand_matrix(rng, 4, 4, field) + 4.0 * np.eye(4)
-        try:
-            douglas_factorize(m, n)
-            ok = False
-        except RangeInclusionError:
-            pass
+        d, factor = factorize(m, n)
+        ok &= factor is None and not d.included and d.residual > 0.0
     criterion(7, "Douglas suite: factorization (200) and range escape (50)", ok)
 
 

@@ -81,6 +81,17 @@ def test_every_method_is_reached():
     assert unreached == []
 
 
+def test_no_command_handler_catches_an_exception():
+    """run_command is the one place an exception from a command becomes a
+    verdict: no _cmd_* handler of cli_io holds a try statement."""
+    tree = ast.parse((SRC / "cli_io.py").read_text())
+    handlers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    assert len(handlers) == 11
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    caught = [f.name for f in handlers if any(isinstance(n, tries) for n in ast.walk(f))]
+    assert caught == []
+
+
 def test_readme_library_example():
     """README's "Library use" block runs, and each line's comment holds:
     ``A = x, B = y`` are the fields of the value the line computes (or

@@ -944,6 +944,61 @@ def test_every_report_holds_only_report_values():
             canonical_json(report)
 
 
+def _command_outcome(command: str, data: dict) -> tuple:
+    """(report, exit code) of command on data; a ProblemError's text is
+    the report's error, with no exit code."""
+    try:
+        return run_command(command, parse_problem(data))
+    except ProblemError as exc:
+        return {"error": str(exc)}, None
+
+
+@pytest.mark.parametrize("name", ["svd", "eigh"])
+def test_failed_decomposition_is_an_error_in_every_command(monkeypatch, name):
+    # a decomposition that raises LinAlgError is an error (exit 2, its text
+    # in the report) in every command that calls it, never a fail; any other
+    # run is unchanged.  cholesky is left out: its LinAlgError hands the
+    # order decision to eigh by design
+    r3 = load(R3_FILE)
+    near = np.eye(3) + 0.02 * np.array([[0.3, -0.5, 0.2], [0.1, 0.4, -0.6], [-0.7, 0.2, 0.5]])
+    files = [load(path) for path in sorted(CORPUS.glob("*.json"))] + [
+        {**r3, "operator_T": (2.0 * np.eye(3)).tolist(), "variant": "invertible"},
+        {**r3, "operator_T": r3["operator_K"]},  # transform transfers to T = K
+        {
+            **r3,
+            "operator_K": near.tolist(),
+            "operator_T": np.eye(3).tolist(),
+            "family_g": (0.9 * np.array(r3["family"])).tolist(),
+            "lambda1": 0.1,
+            "lambda2": 0.05,
+        },
+    ]
+    original, message, calls = getattr(np.linalg, name), f"injected {name} failure", []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    hit, wrong = set(), set()
+    for command, data in itertools.product(COMMANDS, files):
+        calls.clear()
+        monkeypatch.setattr(np.linalg, name, spy)
+        expected, _ = _command_outcome(command, data)
+        monkeypatch.setattr(np.linalg, name, failing)
+        report, code = _command_outcome(command, data)
+        if calls:
+            hit.add(command)
+            if (report.get("verdict"), code, report.get("error")) != ("error", EXIT_ERROR, message):
+                wrong.add(command)
+        elif canonical_json(report) != canonical_json(expected):
+            wrong.add(command)
+    assert wrong == set()
+    assert hit == set(COMMANDS) - {"axioms"}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 5),

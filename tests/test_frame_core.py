@@ -13,9 +13,7 @@ from fuzzyframes import (
     BoundCertificate,
     FrameFamily,
     FuzzyModel,
-    RangeInclusionError,
     classical_frame_operator,
-    douglas_factorize,
     frame_sum,
     optimal_frame_bounds,
     optimal_kframe_bounds,
@@ -29,6 +27,7 @@ from fuzzyframes.frame_core import QR_REDUCTION_DIMENSION, _optimal_bounds, _syn
 from fuzzyframes.operator_algebra import RELATIVE_RANK_TOL, _gram, _rank
 from conftest import (
     decide_order,
+    factorize,
     order_holds,
     rand_family,
     rand_kframe_instance,
@@ -520,12 +519,12 @@ class TestAtomicSystem:
 
 class TestAtomicCoefficients:
     """The coefficients beta = W f with K f = sum beta_i f_i come from the
-    factorization K = F W of douglas_factorize(K, F), which atomic runs;
-    its C = ||W|| bounds ||beta|| <= C ||f||."""
+    factorization K = F W of _factorize(K, F), which atomic runs; its
+    C = ||W|| bounds ||beta|| <= C ||f||."""
 
     def test_identity_basis(self):
         fam = standard_basis_family()
-        factor = douglas_factorize(np.eye(3), synthesis_matrix(fam))
+        factor = factorize(np.eye(3), synthesis_matrix(fam))[1]
         f = np.array([1.0, 2, 3])
         assert np.allclose(factor.W @ f, [1.0, 2, 3])
         body, code = run_problem("atomic", fam, operator_K=np.eye(3))
@@ -535,36 +534,37 @@ class TestAtomicCoefficients:
     def test_r3_solves_for_e1(self, r3_instance):
         F, K = synthesis_matrix(r3_instance["family"]), r3_instance["K"]
         f = np.array([1.0, 0, 0])
-        beta = douglas_factorize(K, F).W @ f
+        beta = factorize(K, F)[1].W @ f
         assert np.linalg.norm(K @ f - F @ beta) <= 1e-10
 
     def test_c3_solves_for_e3(self, c3_instance):
         F, K = synthesis_matrix(c3_instance["family"]), c3_instance["K"]
         f = np.array([0, 0, 1], dtype=complex)
-        factor = douglas_factorize(K, F)
+        factor = factorize(K, F)[1]
         beta = factor.W @ f
         assert np.allclose(F @ beta, [1, 1, 0])  # K e3 = e1 + e2
         assert np.linalg.norm(K @ f - F @ beta) <= 1e-10
         assert np.linalg.norm(beta) <= factor.lam * np.linalg.norm(f) * (1 + 1e-12)
 
-    def test_range_deficit_raises(self):
+    def test_range_deficit_is_a_result(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0.0]]), model)
-        with pytest.raises(RangeInclusionError, match="not contained"):
-            douglas_factorize(np.eye(2), synthesis_matrix(fam))
+        d, factor = factorize(np.eye(2), synthesis_matrix(fam))
+        assert factor is None and not d.included
         body, code = run_problem("atomic", fam, operator_K=np.eye(2))
         assert code == 1 and not body["atomic_holds"]
         assert body["coefficient_norm_constant"] is None
+        assert body["projection_residual"] == d.residual > 0.5
 
 
 class TestEquivalence:
     """An atomic system for K is the factorization K = F W of
-    douglas_factorize(K, F), and its constant C = ||W|| is 1 / sqrt(A) for
-    the optimal K-frame bound A."""
+    _factorize(K, F), and its constant C = ||W|| is 1 / sqrt(A) for the
+    optimal K-frame bound A."""
 
     def test_c3_both_hold(self, c3_instance):
         fam, K = c3_instance["family"], c3_instance["K"]
-        factor = douglas_factorize(K, synthesis_matrix(fam))
+        factor = factorize(K, synthesis_matrix(fam))[1]
         cert = optimal_kframe_bounds(fam, K)
         assert factor.passed
         assert 1.0 / factor.lam**2 == pytest.approx(cert.A, rel=1e-12)
@@ -574,8 +574,7 @@ class TestEquivalence:
     def test_single_vector_no_atomic_system(self):
         model = FuzzyModel(BaseSpace(2, "real"), "scaled")
         fam = FrameFamily(np.array([[1.0, 0.0]]), model)
-        with pytest.raises(RangeInclusionError):
-            douglas_factorize(np.eye(2), synthesis_matrix(fam))
+        assert factorize(np.eye(2), synthesis_matrix(fam))[1] is None
         assert optimal_kframe_bounds(fam, np.eye(2)).A == 0.0
 
     def test_canonical_family_holds_with_unit_bound(self):
@@ -584,7 +583,7 @@ class TestEquivalence:
             model = FuzzyModel(BaseSpace(3, "real"), "scaled")
             K = rand_matrix(rng, 3, 3)
             fam = FrameFamily(K.T, model)  # {K e_i}
-            assert douglas_factorize(K, synthesis_matrix(fam)).lam == pytest.approx(1.0, rel=1e-9)
+            assert factorize(K, synthesis_matrix(fam))[1].lam == pytest.approx(1.0, rel=1e-9)
             assert optimal_kframe_bounds(fam, K).A == pytest.approx(1.0, rel=1e-9)
 
 

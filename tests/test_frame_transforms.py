@@ -9,9 +9,7 @@ from fuzzyframes import (
     BaseSpace,
     FrameFamily,
     FuzzyModel,
-    RangeInclusionError,
     combine,
-    douglas_factorize,
     operator_transfer,
     optimal_kframe_bounds,
     synthesis_matrix,
@@ -22,6 +20,7 @@ from fuzzyframes import frame_transforms
 from fuzzyframes.operator_algebra import PSD_TOL
 from conftest import (
     bessel_pair_check,
+    factorize,
     rand_family,
     rand_kframe_instance,
     rand_matrix,
@@ -213,10 +212,12 @@ class TestCombine:
         model = FuzzyModel(BaseSpace(3, "real"), "scaled")
         fam = FrameFamily(np.eye(3)[:2], model)  # misses e3
         inside, outside = np.diag([1.0, 1.0, 0.0]), np.eye(3)
-        with pytest.raises(ValueError, match="K2"):
-            combine(fam, [inside, outside], [1.0, 1.0])
-        with pytest.raises(ValueError, match="K1"):
-            combine(fam, [outside, inside])
+        # a violated hypothesis is the result's reason, every other field None
+        expected = "family is not a K-frame for K{}: its optimal lower bound is 0"
+        cases = ((inside, outside), [1.0, 1.0], 2), ((outside, inside), None, 1)
+        for ops, coefficients, j in cases:
+            result = combine(fam, ops, coefficients)
+            assert result == frame_transforms.CombinationResult(reason=expected.format(j))
         # the product K1 K2 needs K1's certificate only
         result = combine(fam, [inside, outside])
         assert verified(fam, result.derived, result.operator) and result.derived.A == pytest.approx(1.0)
@@ -313,16 +314,32 @@ class TestTransformFamily:
         fam, _ = rand_kframe_instance(rng, 3, 5)
         K = np.diag([1.0, 2.0, 3.0])
         T = rand_matrix(rng, 3, 3) + 3.0 * np.eye(3)
-        with pytest.raises(ValueError, match="commute"):
-            transform_family(fam, T, K, "invertible")
+        result = transform_family(fam, T, K, "invertible")
+        assert result.reason.startswith("T and K do not commute (relative residual ")
+        assert result.family is None and result.derived is None
 
     def test_singular_transform_rejected(self, r3_instance):
         T = np.diag([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="invertible"):
-            transform_family(r3_instance["family"], T, np.eye(3), "invertible")
+        result = transform_family(r3_instance["family"], T, np.eye(3), "invertible")
+        reason = "transform operator is not invertible"
+        assert result == frame_transforms.TransformResult(reason=reason)
 
 
 class TestOperatorTransfer:
+    def test_no_kframe_is_the_reason(self):
+        # a family that misses e3 is no K-frame for K = I: transform and
+        # transfer return the reason, which the command reports as fail
+        fam = FrameFamily(np.eye(3)[:2], FuzzyModel(BaseSpace(3, "real"), "scaled"))
+        reason = "family is not a K-frame for the supplied operator"
+        moved = transform_family(fam, 2.0 * np.eye(3), np.eye(3))
+        assert moved == frame_transforms.TransformResult(reason=reason)
+        transfer = operator_transfer(fam, np.eye(3), np.eye(3))
+        assert transfer == frame_transforms.TransferResult(reason=reason)
+        for variant in ("invertible", None):
+            extra = {"variant": variant} if variant else {}
+            body, code = run_problem("transform", fam, operator_K=np.eye(3), operator_T=np.eye(3), **extra)
+            assert (body, code) == ({"reason": reason}, 1)
+
     def test_transfer_to_self(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         cert = optimal_kframe_bounds(fam, K)
@@ -349,8 +366,11 @@ class TestOperatorTransfer:
     def test_range_escape_is_hypothesis_violation(self, r3_instance):
         fam, K = r3_instance["family"], r3_instance["K"]
         T = np.eye(3)  # full range, strictly larger than range(K)
-        with pytest.raises(RangeInclusionError):
-            operator_transfer(fam, K, T)
+        result = operator_transfer(fam, K, T)
+        assert result.reason == "hypothesis violated: range(T) is not contained in range(K)"
+        assert result.lam is None and result.derived is None
+        # the projection residual of T against K's thin SVD, as douglas reports it
+        assert result.projection_residual == factorize(T, K)[0].residual > 0.0
 
     def test_derived_bound_is_valid_but_possibly_loose(self):
         rng = np.random.default_rng(37)
@@ -368,11 +388,7 @@ class TestOperatorTransfer:
 def synthesis_inclusion(family: FrameFamily, K: np.ndarray) -> bool:
     """range(K) inside the range of the synthesis matrix, by Douglas's
     factorization K = F W."""
-    try:
-        douglas_factorize(K, synthesis_matrix(family))
-    except RangeInclusionError:
-        return False
-    return True
+    return factorize(K, synthesis_matrix(family))[1] is not None
 
 
 class TestSynthesisCharacterization:
@@ -418,7 +434,7 @@ class TestSynthesisCharacterization:
             body, code = run_problem("check-kframe", family, operator_K=K)
             assert synthesis_inclusion(family, K) and code == 0
             # the optimal bound is 1 / lam^2 for lam = ||T^+ K||
-            lam = douglas_factorize(K, T).lam
+            lam = factorize(K, T)[1].lam
             assert 1.0 / math.sqrt(body["optimal_kframe"]["A"]) == pytest.approx(lam, rel=1e-12)
         # range(I) escapes a rank-2 T: no inclusion, A = 0
         T = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))

@@ -10,8 +10,6 @@ from fuzzyframes import (
     BaseSpace,
     FrameFamily,
     FuzzyModel,
-    RangeInclusionError,
-    douglas_factorize,
     optimal_kframe_bounds,
     spectral_norm,
 )
@@ -26,6 +24,7 @@ from conftest import (
     alpha_inner,
     alpha_operator_norm,
     decide_order,
+    factorize,
     operator_norm_sampled,
     order_holds,
     rand_matrix,
@@ -225,7 +224,7 @@ class TestSymmetrizationWarning:
         other = family_with_synthesis(n + 0.1 * m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            douglas_factorize(m, n)
+            factorize(m, n)
             optimal_kframe_bounds(family, m)
             _family_constant(family, other, 0, PSD_TOL)  # perturb-family's M
 
@@ -292,38 +291,41 @@ class TestDecompositionCounts:
         assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
         assert cert.A == pytest.approx(3.0 / 4.0)
 
-    def test_douglas_factorize_one_svd_of_n(self, linalg_calls):
+    def test_factorize_one_svd_of_n(self, linalg_calls):
         # SVD of N, then eigh(W W*) for lambda = ||W||; the residual
         # ||N W - M||_F needs no decomposition, and N has full row rank, so
         # no inclusion residual is computed
         rng = np.random.default_rng(9)
         n = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
-        douglas_factorize(rand_matrix(rng, 4, 4), n)
+        factorize(rand_matrix(rng, 4, 4), n)
         assert dict(linalg_calls) == {"svd": 1, "eigh": 1}
 
 
 class TestDouglas:
+    """operator_algebra._factorize, which the douglas and atomic commands
+    read: a range escape is a result, the _Douglas with its residual."""
+
     def test_inclusion_of_self(self):
         n = np.diag([1.0, 2.0])
-        assert douglas_factorize(n, n).projection_residual == 0.0
+        assert factorize(n, n)[1].projection_residual == 0.0
 
     def test_disjoint_ranges(self):
-        with pytest.raises(RangeInclusionError) as err:
-            douglas_factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-        assert err.value.residual > 0.5
+        d, factor = factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        assert factor is None and not d.included
+        assert d.residual > 0.5
 
     def test_lambda_scaling(self):
         rng = np.random.default_rng(13)
         n = rand_matrix(rng, 3, 3)
-        assert douglas_factorize(2.0 * n, n).lam == pytest.approx(2.0)
-        assert douglas_factorize(n, n).lam == pytest.approx(1.0)
+        assert factorize(2.0 * n, n)[1].lam == pytest.approx(2.0)
+        assert factorize(n, n)[1].lam == pytest.approx(1.0)
 
     def test_lambda_bounded_by_factor_norm(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
             w = rand_matrix(rng, 4, 4)
-            lam = douglas_factorize(n @ w, n).lam
+            lam = factorize(n @ w, n)[1].lam
             sigma = spectral_norm(w)
             assert lam <= sigma * (1.0 + 1e-9)
             assert order_holds(
@@ -333,11 +335,11 @@ class TestDouglas:
     def test_factorize_full_rank_identity(self):
         rng = np.random.default_rng(19)
         n = rand_matrix(rng, 3, 3) + 3.0 * np.eye(3)
-        result = douglas_factorize(n, n)
+        result = factorize(n, n)[1]
         assert np.allclose(result.W, np.eye(3), atol=1e-9)
 
     def test_factorize_diagonal(self):
-        result = douglas_factorize(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
+        result = factorize(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))[1]
         assert np.allclose(result.W, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_factor_recovery_injective(self):
@@ -345,7 +347,7 @@ class TestDouglas:
         for field in ("real", "complex"):
             n = rand_matrix(rng, 4, 4, field) + 4.0 * np.eye(4)
             w0 = rand_matrix(rng, 4, 4, field)
-            result = douglas_factorize(n @ w0, n)
+            result = factorize(n @ w0, n)[1]
             assert np.allclose(result.W, w0, atol=1e-9)
             assert result.residual <= 1e-9
 
@@ -356,24 +358,24 @@ class TestDouglas:
             n = rand_matrix(rng, 4, 3, field)
             w = rand_matrix(rng, 3, 3, field)
             m = n @ w
-            factor = douglas_factorize(m, n)
+            factor = factorize(m, n)[1]
             assert math.isfinite(factor.lam)
             assert factor.residual <= 1e-9
 
-    def test_violation_raises(self):
+    def test_violation_is_a_result(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = rand_matrix(rng, 4, 4)
             n[:, 3] = 0.0
             n[3, :] = 0.0  # range misses e4
             m = rand_matrix(rng, 4, 4) + 4.0 * np.eye(4)
-            with pytest.raises(RangeInclusionError) as err:
-                douglas_factorize(m, n)
-            assert err.value.residual > 0
+            d, factor = factorize(m, n)
+            assert factor is None and not d.included
+            assert d.residual > 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            douglas_factorize(np.ones((3, 2)), np.ones((2, 2)))
+            factorize(np.ones((3, 2)), np.ones((2, 2)))
 
 
 class TestPencils:
@@ -385,7 +387,7 @@ class TestPencils:
         # M M* = diag(4, 1, 0) against diag(3, 2, 1): sup 4/3
         m = np.diag([2.0, 1.0, 0.0])
         n = np.diag(np.sqrt([3.0, 2.0, 1.0]))
-        assert douglas_factorize(m, n).lam ** 2 == pytest.approx(4.0 / 3.0)
+        assert factorize(m, n)[1].lam ** 2 == pytest.approx(4.0 / 3.0)
         assert optimal_kframe_bounds(family_with_synthesis(n), m).A == pytest.approx(3.0 / 4.0)
         # difference synthesis m: sup 4/3 against S_F = diag(3, 2, 1), and
         # 4 / (2 - sqrt 3)^2 against S_G = diag((sqrt 3 - 2)^2, (sqrt 2 - 1)^2, 1)
@@ -400,8 +402,7 @@ class TestPencils:
         cert = optimal_kframe_bounds(family_with_synthesis(n), np.eye(2))
         assert cert.A == 0.0
         assert abs(cert.witness_lower[1]) == pytest.approx(1.0)
-        with pytest.raises(RangeInclusionError):
-            douglas_factorize(np.eye(2), n)
+        assert factorize(np.eye(2), n)[1] is None
         body, code = run_problem(
             "perturb-family", family_with_synthesis(n), family_g=family_with_synthesis(np.eye(2))
         )
